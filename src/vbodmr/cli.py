@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, fit as fitmod, spectrum, validate as validatemod
+from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ, NATURAL_B10_FRACTION
 from .spectrum import Curve, Populations, SpectrumModel, enumerate_ladder
 
 SCHEMA_VERSION = "1"
@@ -175,14 +177,18 @@ def validate_config(config: dict, command: str) -> dict:
 def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     """Read a spectrum CSV with header frequency_mhz,ratio[,sigma].
 
-    Rows are sorted by frequency; duplicate frequencies and malformed cells
-    are rejected with the offending line number.
+    Rows are sorted by frequency; duplicate frequencies are rejected, and
+    malformed or non-finite cells are rejected with the offending line number.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot open input file: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -201,9 +207,12 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
             if len(row) != len(header):
                 raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             try:
-                rows.append(tuple(float(cell) for cell in row))
+                values = tuple(float(cell) for cell in row)
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: malformed numeric cell") from None
+            if not all(math.isfinite(v) for v in values):
+                raise IngestError(f"{path}:{lineno}: non-finite numeric cell")
+            rows.append(values)
     if len(rows) < 8:
         raise IngestError(f"{path}: insufficient samples ({len(rows)} rows, need >= 8)")
     rows.sort(key=lambda t: t[0])
@@ -247,8 +256,8 @@ def _model_from_block(block: dict) -> SpectrumModel:
         f_center=float(block["f_center_mhz"]),
         contrast=float(block["contrast"]),
         linewidth=float(block["linewidth_mhz"]),
-        a14=float(block.get("a14_mhz", 43.0)),
-        a15=float(block.get("a15_mhz", -64.0)),
+        a14=float(block.get("a14_mhz", A14_DEFAULT_MHZ)),
+        a15=float(block.get("a15_mhz", A15_DEFAULT_MHZ)),
         p15=float(block["p15"]),
         branch=branch,
         populations=populations,
@@ -287,11 +296,13 @@ def _model_echo(model: SpectrumModel) -> dict:
 # --- commands ----------------------------------------------------------------
 
 def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+    noise_sigma = block.get("noise_sigma")
+    if noise_sigma is not None and not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise SchemaError(["simulate.noise_sigma must be a finite number >= 0"])
     model = _model_from_block(block["model"])
     grid = _grid_from_block(block.get("grid"), model.f_center)
     curve = spectrum.mixture_spectrum(model, grid)
     values = curve.values
-    noise_sigma = block.get("noise_sigma")
     if noise_sigma is not None:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, float(noise_sigma), values.size)
@@ -317,10 +328,6 @@ def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {curve_path}")
     return EXIT_OK
-
-
-def _fit_report(result: fitmod.FitResult) -> dict:
-    return result.to_json_dict()
 
 
 def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
@@ -359,7 +366,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
                 branch=init.branch,
             )
         result = fitmod.fit_physical(meas, init=init, p15_mode=p15_mode)
-        report["fit"] = _fit_report(result)
+        report["fit"] = result.to_json_dict()
         if "d_gs_mhz" in block and "f_center" in result.values:
             try:
                 derived["field_mt"] = analysis.field_from_center(
@@ -370,7 +377,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     else:
         n_lines = block.get("n_lines", 4)
         result = fitmod.fit_free_lorentzians(meas, n_lines, seed=seed)
-        report["fit"] = _fit_report(result)
+        report["fit"] = result.to_json_dict()
         model = fitmod.free_model_from_result(result, n_lines)
         derived["line_centers_mhz"] = list(model.centers)
         derived["line_areas"] = list(model.areas)
@@ -441,7 +448,7 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         n_lines = block.get("n_lines", 4)
         result = fitmod.fit_free_lorentzians(meas, n_lines, seed=seed)
         pol = analysis.polarization_from_quartet_fit(result)
-        report["fit"] = _fit_report(result)
+        report["fit"] = result.to_json_dict()
     else:
         raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])
     report["polarization"] = pol.polarization
@@ -467,7 +474,7 @@ def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             raise SchemaError([f"missing required key 'raman.points[{k}].nitrogen_frac_15'"])
         point = analysis.raman_point(
             float(entry["nitrogen_frac_15"]),
-            float(entry.get("boron_frac_10", 0.199)),
+            float(entry.get("boron_frac_10", NATURAL_B10_FRACTION)),
         )
         points.append(
             {
@@ -571,6 +578,9 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGEST
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except NonConvergenceError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

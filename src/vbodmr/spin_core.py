@@ -9,7 +9,7 @@ nitrogen nuclear spins (I = 1 for 14N, I = 1/2 for 15N). This module builds
 * the secular effective Hamiltonian valid under an axial bias field, which
   is diagonal in the product basis,
 
-diagonalizes them exactly with a cyclic Jacobi routine, and extracts the
+diagonalizes them exactly with LAPACK (``numpy.linalg.eigh``), and extracts the
 electron spin transition frequencies used by the spectrum model.
 
 Conventions
@@ -39,9 +39,9 @@ from .constants import (
 )
 
 HERMITICITY_RTOL = 1e-12
-# Off-diagonal Frobenius norm target of the Jacobi sweep, relative to ||H||.
-JACOBI_OFFDIAG_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+# Electron spin projections in basis order: row b*N + i of an N-label system
+# holds m_S = MS_VALUES[b] and nuclear label i.
+MS_VALUES = (1.0, 0.0, -1.0)
 # Minimum |<psi|P_mS|psi>| for an eigenstate to count as having a definite
 # electron spin projection; below this the field is too close to a level
 # anticrossing for the transition extraction to be meaningful.
@@ -50,10 +50,6 @@ MS_CHARACTER_THRESHOLD = 0.9
 
 class NonAxialFieldError(ValueError):
     """The effective (secular) model requires B along the symmetry axis."""
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweep failed to reach the off-diagonal tolerance."""
 
 
 class CharacterAmbiguityError(RuntimeError):
@@ -271,13 +267,7 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
 
 def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:
     """Basis labels (m_S, (m_1, m_2, m_3)) in Kronecker (row) order."""
-    ms_values = (1.0, 0.0, -1.0)
-    site_projections = [s.species.projections for s in sys.sites]
-    basis = []
-    for ms in ms_values:
-        for label in itertools.product(*site_projections):
-            basis.append((ms, label))
-    return basis
+    return [(ms, label) for ms in MS_VALUES for label in nuclear_labels(sys)]
 
 
 def nuclear_labels(sys: SpinSystem) -> list[tuple[float, ...]]:
@@ -357,78 +347,13 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
 
 # --- eigensolver -----------------------------------------------------------
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eigen_hermitian(
-    m: HermitianMatrix,
-    offdiag_rtol: float = JACOBI_OFFDIAG_RTOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps all upper-triangle pivots, applying a phased 2x2 rotation that
-    annihilates each pivot, until the off-diagonal Frobenius norm falls below
-    ``offdiag_rtol * ||M||``. Matrices of this package are at most 81x81, for
-    which the method is robust and plenty fast.
+def eigen_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvector columns); columns form a
     unitary matrix with M v_k = w_k v_k.
     """
-    a = np.array(m.entries, dtype=complex)
-    a = (a + a.conj().T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        order = np.argsort(np.diag(a).real)
-        return np.diag(a).real[order], v[:, order]
-
-    skip = 0.1 * offdiag_rtol * scale / n
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= offdiag_rtol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                phase = apq / abs(apq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary acting on columns (p, q):
-                #   col_p -> c*col_p - s*conj(phase)*col_q
-                #   col_q -> s*phase*col_p + c*col_q
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * a[:, q]
-                a[:, q] = s * phase * col_p + c * a[:, q]
-                row_p = a[p, :].copy()
-                a[p, :] = c * row_p - s * phase * a[q, :]
-                a[q, :] = s * np.conj(phase) * row_p + c * a[q, :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = v[:, p].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * v[:, q]
-                v[:, q] = s * phase * vcol_p + c * v[:, q]
-    else:
-        raise EigenConvergenceError(
-            f"off-diagonal norm {_offdiag_norm(a):.3e} above "
-            f"{offdiag_rtol * scale:.3e} after {max_sweeps} sweeps"
-        )
-
-    values = np.diag(a).real
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
+    return np.linalg.eigh(m.entries)
 
 
 # --- transitions -----------------------------------------------------------
@@ -467,58 +392,52 @@ def _effective_transitions(sys: SpinSystem) -> TransitionSet:
 
 
 def _full_transitions(sys: SpinSystem) -> TransitionSet:
-    h = build_full_hamiltonian(sys)
-    values, vectors = eigen_hermitian(h)
-    basis = product_basis(sys)
-    n = len(basis)
-    ms_of_row = np.array([b[0] for b in basis])
+    values, vectors = eigen_hermitian(build_full_hamiltonian(sys))
     labels = nuclear_labels(sys)
-    label_row = {}
-    for i, (ms, label) in enumerate(basis):
-        label_row[(ms, label)] = i
-
-    weights = np.abs(vectors) ** 2
-    col_ms = []
-    for k in range(n):
-        per_ms = {ms: float(weights[ms_of_row == ms, k].sum()) for ms in (1.0, 0.0, -1.0)}
-        best = max(per_ms, key=per_ms.get)
-        if per_ms[best] < MS_CHARACTER_THRESHOLD:
-            raise CharacterAmbiguityError(
-                f"eigenstate {k} has no electron projection with overlap > "
-                f"{MS_CHARACTER_THRESHOLD} (best {per_ms[best]:.3f}); "
-                "too close to a level anticrossing"
-            )
-        col_ms.append(best)
-    col_ms = np.array(col_ms)
+    n = len(labels)
+    # (m_S block, nuclear label, eigenstate), following the product basis order
+    blocks = vectors.reshape(3, n, -1)
+    weights = np.abs(blocks) ** 2
+    per_ms = weights.sum(axis=1)
+    col_block = np.argmax(per_ms, axis=0)
+    character = per_ms.max(axis=0)
+    ambiguous = np.flatnonzero(character < MS_CHARACTER_THRESHOLD)
+    if ambiguous.size:
+        k = int(ambiguous[0])
+        raise CharacterAmbiguityError(
+            f"eigenstate {k} has no electron projection with overlap > "
+            f"{MS_CHARACTER_THRESHOLD} (best {character[k]:.3f}); "
+            "too close to a level anticrossing"
+        )
 
     # Within each m_S manifold, greedily match eigenstates to nuclear labels
     # by their overlap with the corresponding basis state. Ties only occur
     # between degenerate states, where any assignment gives the same energies.
-    energy_of: dict[tuple[float, tuple[float, ...]], tuple[float, int]] = {}
-    for ms in (1.0, 0.0, -1.0):
-        cols = np.where(col_ms == ms)[0]
-        rows = np.array([label_row[(ms, lab)] for lab in labels])
-        if len(cols) != len(rows):
+    col_of = np.empty((3, n), dtype=int)
+    for b, ms in enumerate(MS_VALUES):
+        cols = np.flatnonzero(col_block == b)
+        if len(cols) != n:
             raise CharacterAmbiguityError(
-                f"manifold m_S={ms:+.0f} collected {len(cols)} states, expected {len(rows)}"
+                f"manifold m_S={ms:+.0f} collected {len(cols)} states, expected {n}"
             )
-        overlap = weights[np.ix_(rows, cols)].copy()
-        for _ in range(len(rows)):
+        overlap = weights[b][:, cols]
+        for _ in range(n):
             i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
-            energy_of[(ms, labels[i])] = (float(values[cols[j]]), int(cols[j]))
+            col_of[b, i] = cols[j]
             overlap[i, :] = -1.0
             overlap[:, j] = -1.0
 
-    dims = [3] + [s.species.multiplicity for s in sys.sites]
-    sx = _embed(spin_matrices(1.0)[0], 0, dims)
+    sx = spin_matrices(1.0)[0]
     entries = []
-    for label in labels:
-        e0, k0 = energy_of[(0.0, label)]
+    for i, label in enumerate(labels):
+        k0 = col_of[MS_VALUES.index(0.0), i]
+        sx_v0 = sx @ blocks[:, :, k0]
         for branch in (1, -1):
-            eb, kb = energy_of[(float(branch), label)]
-            element = vectors[:, kb].conj() @ (sx @ vectors[:, k0])
+            kb = col_of[MS_VALUES.index(branch), i]
+            element = np.vdot(blocks[:, :, kb], sx_v0)
             weight = 2.0 * float(abs(element) ** 2)
-            entries.append(Transition(branch, label, eb - e0, weight))
+            frequency = float(values[kb]) - float(values[k0])
+            entries.append(Transition(branch, label, frequency, weight))
     return TransitionSet(tuple(entries))
 
 

@@ -87,6 +87,31 @@ def test_ingest_missing_file(tmp_path):
         ingest_csv(tmp_path / "nope.csv")
 
 
+def test_ingest_unreadable_path_is_an_ingest_error(tmp_path):
+    with pytest.raises(IngestError, match="cannot open"):
+        ingest_csv(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["3,nan", "3,inf", "nan,1.0", "3,1.0,-inf"],
+    ids=["nan_ratio", "inf_ratio", "nan_frequency", "inf_sigma"],
+)
+def test_fit_rejects_non_finite_cell_with_line_number(tmp_path, capsys, bad_row):
+    path = tmp_path / "bad.csv"
+    width = bad_row.count(",") + 1
+    header = "frequency_mhz,ratio,sigma" if width == 3 else "frequency_mhz,ratio"
+    rows = [header] + [f"{f},1.0" + (",0.01" if width == 3 else "") for f in range(10)]
+    rows[4] = bad_row  # header is line 1, so this is file line 5
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, {"fit": {"input_csv": str(path)}})
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:5: non-finite" in err
+    assert not out.exists()
+
+
 # --- schema --------------------------------------------------------------------
 
 def test_schema_rejects_unknown_keys_exhaustively():
@@ -161,6 +186,27 @@ def test_simulate_rejects_bad_p15(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [-0.002, float("nan")])
+def test_simulate_rejects_bad_noise_sigma(tmp_path, capsys, sigma):
+    config = write_config(tmp_path, {"simulate": dict(SIM_BLOCK, noise_sigma=sigma)})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: simulate.noise_sigma must be a finite number >= 0\n"
+    )
+    assert not out.exists()
+
+
+def test_unwritable_out_dir_exits_1_with_one_line(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    config = write_config(tmp_path, {"raman": {"points": [{"nitrogen_frac_15": 0.5}]}})
+    assert cli.main(["raman", "--config", config, "--out", str(blocker / "x"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_simulate_unknown_key_aborts_before_writing(tmp_path):
@@ -366,14 +412,14 @@ def test_validate_injected_wrong_ladder_fails(tmp_path):
 
 
 def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path):
-    config = write_config(tmp_path, {"validate": {"eigensolver_tolerance": 1e-15}})
+    config = write_config(tmp_path, {"validate": {"eigensolver_tolerance": 1e-18}})
     out = tmp_path / "val"
     assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
     report = json.loads((out / "validate.json").read_text())
     eig = next(g for g in report["groups"] if g["name"] == "eigensolver")
     assert eig["passed"] is False
-    assert eig["measured_residual"] > 1e-15
-    assert eig["tolerance"] == 1e-15
+    assert eig["measured_residual"] > 1e-18
+    assert eig["tolerance"] == 1e-18
 
 
 def test_usage_error_exits_1():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -205,14 +206,6 @@ def test_eigen_random_81_reconstruction():
     assert np.all(np.diff(values) >= 0)
 
 
-def test_eigen_sweep_cap_raises():
-    from vbodmr.spin_core import EigenConvergenceError
-
-    m = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(EigenConvergenceError):
-        eigen_hermitian(m, max_sweeps=0)
-
-
 def test_eigen_residual_and_lapack_agreement():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
@@ -262,6 +255,36 @@ def test_full_mode_dipole_weights_near_one():
     ts = transition_frequencies(sys_, "full")
     for t in ts.entries:
         assert t.dipole_weight == pytest.approx(1.0, abs=1e-9)
+
+
+def test_full_mode_transverse_tensors_match_eigenvalue_differences():
+    # dense Hamiltonian: full tensors with transverse parts rotated 120 deg per
+    # site, 14N quadrupole, nuclear Zeeman and a 40 mT field tilted 3 deg
+    local = np.array([[45.0, 0.0, 8.0], [0.0, 40.0, 0.0], [8.0, 0.0, 47.0]])
+    sites = []
+    for j in (1, 2, 3):
+        theta = 2.0 * math.pi * (j - 1) / 3.0
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        sites.append(NuclearSite(IsotopeSpecies.N14, rot @ local @ rot.T, (-0.7, 1.2, -0.5), j))
+    tilt = math.radians(3.0)
+    sys_ = SpinSystem(
+        ElectronParams(3466.0, b_field=(40.0 * math.sin(tilt), 0.0, 40.0 * math.cos(tilt))),
+        tuple(sites),
+        include_nuclear_zeeman=True,
+        include_quadrupole=True,
+    )
+    h = build_full_hamiltonian(sys_).entries
+    assert np.abs(h - np.diag(np.diag(h))).max() > 1.0
+    levels = np.linalg.eigvalsh(h)
+    gaps = np.abs(levels[:, None] - levels[None, :]).ravel()
+    ts = transition_frequencies(sys_, "full")
+    labels = list(itertools.product((1.0, 0.0, -1.0), repeat=3))
+    for branch in (1, -1):
+        assert sorted(t.nuclear_label for t in ts.branch(branch)) == sorted(labels)
+    for t in ts.entries:
+        assert np.abs(gaps - t.frequency_mhz).min() < 1e-6
+        assert math.isfinite(t.dipole_weight)
 
 
 def test_full_mode_flags_ambiguity_near_anticrossing():
