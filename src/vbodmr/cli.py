@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -183,36 +184,38 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
-    rows = []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
     except OSError as exc:
         raise IngestError(f"cannot open input file: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if header not in (["frequency_mhz", "ratio"], ["frequency_mhz", "ratio", "sigma"]):
+        raise IngestError(
+            f"{path}: header must be 'frequency_mhz,ratio' or "
+            f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
+        )
+    has_sigma = len(header) == 3
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header not in (["frequency_mhz", "ratio"], ["frequency_mhz", "ratio", "sigma"]):
-            raise IngestError(
-                f"{path}: header must be 'frequency_mhz,ratio' or "
-                f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
-            )
-        has_sigma = len(header) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                values = tuple(float(cell) for cell in row)
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: malformed numeric cell") from None
-            if not all(math.isfinite(v) for v in values):
-                raise IngestError(f"{path}:{lineno}: non-finite numeric cell")
-            rows.append(values)
+            values = tuple(float(cell) for cell in row)
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: malformed numeric cell") from None
+        if not all(math.isfinite(v) for v in values):
+            raise IngestError(f"{path}:{lineno}: non-finite numeric cell")
+        rows.append(values)
     if len(rows) < 8:
         raise IngestError(f"{path}: insufficient samples ({len(rows)} rows, need >= 8)")
     rows.sort(key=lambda t: t[0])
@@ -503,6 +506,8 @@ def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         except (TypeError, ValueError):
             raise SchemaError(["validate.ladder_table must map n15_count to integer lists"]) from None
     if "oracle_draws" in block:
+        if block["oracle_draws"] < 1:
+            raise SchemaError(["validate.oracle_draws must be >= 1"])
         kwargs["oracle_draws"] = block["oracle_draws"]
     if "slope_ratio_bounds" in block:
         bounds = block["slope_ratio_bounds"]

@@ -12,6 +12,13 @@ nitrogen nuclear spins (I = 1 for 14N, I = 1/2 for 15N). This module builds
 diagonalizes them exactly with LAPACK (``numpy.linalg.eigh``), and extracts the
 electron spin transition frequencies used by the spectrum model.
 
+The full Hamiltonian is assembled from its tensor structure,
+H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
+N x N hyperfine fields B_a seen by electron axis a, and an N x N nuclear
+part, with N the dimension of the nuclear product space (at most 27). The
+nuclear spin operators are built once per isotope pattern and cached
+read-only; no operator of the full 3N-dimensional space is built per call.
+
 Conventions
 -----------
 * z is the defect symmetry axis; x, y span the hBN plane.
@@ -24,6 +31,7 @@ Conventions
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -265,6 +273,29 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# (Sx, Sy, Sz) of the S = 1 electron, stacked along the first axis
+_ELECTRON_OPERATORS = _read_only(np.array(spin_matrices(1.0)))
+
+
+@functools.lru_cache(maxsize=8)
+def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
+    """Read-only (site, axis, N, N) array: each site's (Ix, Iy, Iz) embedded
+    in the N-dimensional nuclear product space of ``species``.
+
+    Keyed by the isotope pattern, so there are at most 2**3 = 8 entries.
+    """
+    dims = [sp.multiplicity for sp in species]
+    return _read_only(np.array([
+        [_embed(op, j, dims) for op in spin_matrices(sp.spin)]
+        for j, sp in enumerate(species)
+    ]))
+
+
 def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:
     """Basis labels (m_S, (m_1, m_2, m_3)) in Kronecker (row) order."""
     return [(ms, label) for ms in MS_VALUES for label in nuclear_labels(sys)]
@@ -311,37 +342,45 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     electron Zeeman term, the nuclear Zeeman terms (negative sign, when
     enabled), the full-tensor hyperfine couplings, and the quadrupole terms
     along each site's local (p, z, o) axes (when enabled).
+
+    The sum is assembled from its Kronecker structure,
+    ``H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n``: the 3x3 electron
+    part H_e (zero-field splitting, strain, electron Zeeman), the N x N
+    hyperfine fields ``B_a = sum_j sum_b A_j[a, b] I_j,b`` and the N x N
+    nuclear part H_n (nuclear Zeeman, quadrupole), where N is the nuclear
+    dimension. The nuclear operators are built once per isotope pattern.
     """
     e = sys.electron
-    dims = [3] + [s.species.multiplicity for s in sys.sites]
-    sx, sy, sz = spin_matrices(1.0)
-    s_ops = tuple(_embed(op, 0, dims) for op in (sx, sy, sz))
-    bx, by, bz = e.b_field
+    s_ops = _ELECTRON_OPERATORS
+    sx, sy, sz = s_ops
+    field = np.array(e.b_field)
 
-    h = e.d_gs * (s_ops[2] @ s_ops[2])
+    h_e = e.d_gs * (sz @ sz) + e.gamma_e * np.tensordot(field, s_ops, axes=1)
     if sys.include_strain:
-        h = h + e.e_x * (s_ops[1] @ s_ops[1] - s_ops[0] @ s_ops[0])
-        h = h + e.e_y * (s_ops[0] @ s_ops[1] + s_ops[1] @ s_ops[0])
-    h = h + e.gamma_e * (bx * s_ops[0] + by * s_ops[1] + bz * s_ops[2])
+        h_e = h_e + e.e_x * (sy @ sy - sx @ sx) + e.e_y * (sx @ sy + sy @ sx)
 
-    for j, site in enumerate(sys.sites):
-        ix, iy, iz = spin_matrices(site.species.spin)
-        i_ops = tuple(_embed(op, 1 + j, dims) for op in (ix, iy, iz))
-        a = site.hfi_tensor
-        for alpha in range(3):
-            for beta in range(3):
-                if a[alpha, beta] != 0.0:
-                    h = h + a[alpha, beta] * (s_ops[alpha] @ i_ops[beta])
+    i_ops = _nuclear_operators(tuple(site.species for site in sys.sites))
+    n = i_ops.shape[-1]
+    tensors = np.array([site.hfi_tensor for site in sys.sites])
+    fields = np.tensordot(tensors, i_ops, axes=([0, 2], [0, 1]))
+
+    h_n = np.zeros((n, n), dtype=complex)
+    for site, ops in zip(sys.sites, i_ops):
         if sys.include_nuclear_zeeman:
             gamma_mhz = site.species.gamma_n_khz_per_mt * 1e-3
-            h = h + (-gamma_mhz) * (bx * i_ops[0] + by * i_ops[1] + bz * i_ops[2])
+            h_n = h_n + (-gamma_mhz) * np.tensordot(field, ops, axes=1)
         if sys.include_quadrupole:
             p_axis, o_axis = quadrupole_axes(site.site_index)
-            i_p = p_axis[0] * i_ops[0] + p_axis[1] * i_ops[1] + p_axis[2] * i_ops[2]
-            i_o = o_axis[0] * i_ops[0] + o_axis[1] * i_ops[1] + o_axis[2] * i_ops[2]
+            i_p = np.tensordot(p_axis, ops, axes=1)
+            i_o = np.tensordot(o_axis, ops, axes=1)
             p_p, p_z, p_o = site.quadrupole
-            h = h + p_p * (i_p @ i_p) + p_z * (i_ops[2] @ i_ops[2]) + p_o * (i_o @ i_o)
+            h_n = h_n + p_p * (i_p @ i_p) + p_z * (ops[2] @ ops[2]) + p_o * (i_o @ i_o)
 
+    # sum_k L_k (x) R_k over L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n),
+    # laid out m_S-major: entry [a, m, b, n] goes to row a*N + m, column b*N + n
+    left = np.concatenate([h_e[None], s_ops, np.eye(3)[None]])
+    right = np.concatenate([np.eye(n)[None], fields, h_n[None]])
+    h = np.tensordot(left, right, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
     return HermitianMatrix(h)
 
 
@@ -427,18 +466,22 @@ def _full_transitions(sys: SpinSystem) -> TransitionSet:
             overlap[i, :] = -1.0
             overlap[:, j] = -1.0
 
-    sx = spin_matrices(1.0)[0]
-    entries = []
-    for i, label in enumerate(labels):
-        k0 = col_of[MS_VALUES.index(0.0), i]
-        sx_v0 = sx @ blocks[:, :, k0]
-        for branch in (1, -1):
-            kb = col_of[MS_VALUES.index(branch), i]
-            element = np.vdot(blocks[:, :, kb], sx_v0)
-            weight = 2.0 * float(abs(element) ** 2)
-            frequency = float(values[kb]) - float(values[k0])
-            entries.append(Transition(branch, label, frequency, weight))
-    return TransitionSet(tuple(entries))
+    # each label's m_S = 0 state and the S_x-coupled overlap with its m_S = +-1
+    # partners, over all labels at once
+    cols0 = col_of[MS_VALUES.index(0.0)]
+    sx_v0 = np.tensordot(_ELECTRON_OPERATORS[0], blocks[:, :, cols0], axes=1)
+    frequency, weight = {}, {}
+    for branch in (1, -1):
+        cols = col_of[MS_VALUES.index(branch)]
+        element = (blocks[:, :, cols].conj() * sx_v0).sum(axis=(0, 1))
+        weight[branch] = 2.0 * np.abs(element) ** 2
+        frequency[branch] = values[cols] - values[cols0]
+    entries = tuple(
+        Transition(branch, label, float(frequency[branch][i]), float(weight[branch][i]))
+        for i, label in enumerate(labels)
+        for branch in (1, -1)
+    )
+    return TransitionSet(entries)
 
 
 # --- point-dipole estimate -------------------------------------------------

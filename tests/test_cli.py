@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vbodmr import cli
+from vbodmr import cli, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
 from vbodmr.spectrum import SpectrumModel, default_grid, mixture_spectrum
 
@@ -109,6 +109,23 @@ def test_fit_rejects_non_finite_cell_with_line_number(tmp_path, capsys, bad_row)
     assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"{path}:5: non-finite" in err
+    assert not out.exists()
+
+
+def test_fit_rejects_non_utf8_csv_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    rows = [b"frequency_mhz,ratio"] + [f"{f},1.0".encode() for f in range(10)]
+    rows[-1] = b"9,1.0 \xe9"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    with pytest.raises(IngestError, match="not UTF-8"):
+        ingest_csv(path)
+    config = write_config(tmp_path, {"fit": {"input_csv": str(path)}})
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingestion error: ")
+    assert f"{path}: not UTF-8 text" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -420,6 +437,21 @@ def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path):
     assert eig["passed"] is False
     assert eig["measured_residual"] > 1e-18
     assert eig["tolerance"] == 1e-18
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_validate_rejects_nonpositive_oracle_draws(tmp_path, capsys, draws):
+    config = write_config(tmp_path, {"validate": {"oracle_draws": draws}})
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert "validate.oracle_draws must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_oracle_equivalence_requires_a_draw(draws):
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        validate.check_oracle_equivalence(draws)
 
 
 def test_usage_error_exits_1():

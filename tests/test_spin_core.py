@@ -19,9 +19,11 @@ from vbodmr.spin_core import (
     eigen_hermitian,
     make_system,
     product_basis,
+    quadrupole_axes,
     spin_matrices,
     transition_frequencies,
 )
+from vbodmr.spin_core import _nuclear_operators
 
 
 # --- types -------------------------------------------------------------------
@@ -175,6 +177,81 @@ def test_hermiticity_of_all_terms():
         )
         h = build_full_hamiltonian(sys_).entries
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
+
+
+def _embedded(op, slot, dims):
+    out = np.eye(1, dtype=complex)
+    for k, d in enumerate(dims):
+        out = np.kron(out, op if k == slot else np.eye(d))
+    return out
+
+
+def reference_full_hamiltonian(sys_):
+    """Term-by-term construction: every operator embedded in the 3*N product
+    space, couplings as products of embedded operators."""
+    e = sys_.electron
+    dims = [3] + [site.species.multiplicity for site in sys_.sites]
+    s_ops = [_embedded(op, 0, dims) for op in spin_matrices(1.0)]
+    h = e.d_gs * (s_ops[2] @ s_ops[2])
+    if sys_.include_strain:
+        h = h + e.e_x * (s_ops[1] @ s_ops[1] - s_ops[0] @ s_ops[0])
+        h = h + e.e_y * (s_ops[0] @ s_ops[1] + s_ops[1] @ s_ops[0])
+    h = h + e.gamma_e * sum(b * op for b, op in zip(e.b_field, s_ops))
+    for j, site in enumerate(sys_.sites):
+        i_ops = [_embedded(op, 1 + j, dims) for op in spin_matrices(site.species.spin)]
+        for alpha in range(3):
+            for beta in range(3):
+                h = h + site.hfi_tensor[alpha, beta] * (s_ops[alpha] @ i_ops[beta])
+        if sys_.include_nuclear_zeeman:
+            gamma_mhz = site.species.gamma_n_khz_per_mt * 1e-3
+            h = h - gamma_mhz * sum(b * op for b, op in zip(e.b_field, i_ops))
+        if sys_.include_quadrupole:
+            p_axis, o_axis = quadrupole_axes(site.site_index)
+            i_p = sum(c * op for c, op in zip(p_axis, i_ops))
+            i_o = sum(c * op for c, op in zip(o_axis, i_ops))
+            p_p, p_z, p_o = site.quadrupole
+            h = h + p_p * (i_p @ i_p) + p_z * (i_ops[2] @ i_ops[2]) + p_o * (i_o @ i_o)
+    return h
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_full_hamiltonian_matches_term_by_term_reference(n15):
+    # dense: transverse tensors rotated 120 deg per site, strain, 14N
+    # quadrupole, nuclear Zeeman and a field tilted off the symmetry axis; the
+    # tensor is not symmetric, so mixing up its electron and nuclear axes shows
+    local = np.array([[45.0, 3.0, 8.0], [0.0, 90.0, 0.0], [8.0, 0.0, 47.0]])
+    sites = []
+    for j in (1, 2, 3):
+        theta = 2.0 * math.pi * (j - 1) / 3.0
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        if j > 3 - n15:
+            sites.append(NuclearSite(IsotopeSpecies.N15, -1.4 * rot @ local @ rot.T, site_index=j))
+        else:
+            sites.append(NuclearSite(IsotopeSpecies.N14, rot @ local @ rot.T, (-0.7, 1.2, -0.5), j))
+    sys_ = SpinSystem(
+        ElectronParams(3466.0, b_field=(4.0, -2.5, 40.0), e_x=30.0, e_y=-20.0),
+        tuple(sites),
+        include_nuclear_zeeman=True,
+        include_quadrupole=True,
+        include_strain=True,
+    )
+    h = build_full_hamiltonian(sys_).entries
+    h_ref = reference_full_hamiltonian(sys_)
+    assert h.shape == h_ref.shape == (sys_.dim, sys_.dim)
+    assert np.abs(h_ref - np.diag(np.diag(h_ref))).max() > 1.0
+    assert np.linalg.norm(h - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+
+
+def test_nuclear_operators_cached_read_only():
+    pattern = (IsotopeSpecies.N14, IsotopeSpecies.N15, IsotopeSpecies.N15)
+    ops = _nuclear_operators(pattern)
+    assert ops.shape == (3, 3, 12, 12)
+    assert _nuclear_operators(pattern) is ops
+    with pytest.raises(ValueError):
+        ops[0, 2, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ops[1, 0] += 1.0
 
 
 # --- eigensolver -------------------------------------------------------------
