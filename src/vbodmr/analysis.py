@@ -59,16 +59,13 @@ class RamanPoint:
 
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
-    values = np.zeros_like(grid)
     half2 = (0.5 * model.linewidth) ** 2
-    for n, frac in enumerate(binomial_fractions(model.p15)):
-        if frac == 0.0:
-            continue
-        positions, weights = config_lines(model, n)
-        for pos, w in zip(positions, weights):
-            u = grid - pos
-            values += frac * w * (2.0 * half2 * u) / (u * u + half2) ** 2
-    return model.contrast * values
+    fractions = binomial_fractions(model.p15)
+    lines = [(config_lines(model, n), frac) for n, frac in enumerate(fractions) if frac != 0.0]
+    positions = np.concatenate([pos for (pos, _), _ in lines])
+    coeff = np.concatenate([frac * w for (_, w), frac in lines])
+    u = grid - positions[:, None]
+    return model.contrast * (coeff[:, None] * (2.0 * half2 * u) / (u * u + half2) ** 2).sum(axis=0)
 
 
 def spectral_slope(

@@ -137,12 +137,10 @@ def _check_block(block: dict, schema: dict, path: str, problems: list[str]) -> N
                 problems.append(f"missing required key '{path}{key}'")
             continue
         value = block[key]
-        if expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif expected is _NUM or expected == (int, float):
-            ok = isinstance(value, _NUM) and not isinstance(value, bool)
+        if expected is bool:
+            ok = isinstance(value, bool)
         else:
-            ok = isinstance(value, expected)
+            ok = isinstance(value, expected) and not isinstance(value, bool)
         if not ok:
             problems.append(f"key '{path}{key}' has wrong type {type(value).__name__}")
         elif len(rule) > 2 and isinstance(value, dict):
@@ -173,6 +171,13 @@ def validate_config(config: dict, command: str) -> dict:
     return block
 
 
+def _number(value, key: str) -> float:
+    """A JSON number inside a free-form block (list, map) as float."""
+    if isinstance(value, bool) or not isinstance(value, _NUM):
+        raise SchemaError([f"key '{key}' has wrong type {type(value).__name__}"])
+    return float(value)
+
+
 # --- ingestion ---------------------------------------------------------------
 
 def ingest_csv(path) -> fitmod.MeasuredSpectrum:
@@ -186,7 +191,9 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
         raise IngestError(f"input file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            # spreadsheet "CSV UTF-8" exports start with a byte-order mark;
+            # dropping it after decoding keeps error offsets file-relative
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
     except OSError as exc:
@@ -267,6 +274,12 @@ def _model_from_block(block: dict) -> SpectrumModel:
     )
 
 
+def _require_quartet(block: dict, command: str) -> None:
+    """Polarization from line areas maps exactly four lines to m_tot."""
+    if block.get("n_lines", 4) != 4:
+        raise SchemaError([f"{command}.n_lines must be 4 for polarization (15N quartet)"])
+
+
 def _grid_from_block(block: dict | None, f_center: float) -> np.ndarray:
     if block is None:
         return spectrum.default_grid(f_center)
@@ -341,6 +354,8 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     mode = block.get("model", "physical")
     if mode not in ("physical", "free_lorentzians"):
         raise SchemaError(["fit.model must be 'physical' or 'free_lorentzians'"])
+    if mode == "free_lorentzians" and block.get("polarization"):
+        _require_quartet(block, "fit")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {"command": "fit", "input": meas.metadata, "mode": mode}
@@ -442,14 +457,16 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         if "m_max" not in block:
             raise SchemaError(["polarization.m_max is required with explicit areas"])
         try:
-            areas = {float(k): float(v) for k, v in block["areas"].items()}
+            areas = {
+                float(k): _number(v, f"polarization.areas.{k}") for k, v in block["areas"].items()
+            }
         except ValueError:
-            raise SchemaError(["polarization.areas keys/values must be numeric"]) from None
+            raise SchemaError(["polarization.areas keys must be numeric"]) from None
         pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
     elif "input_csv" in block:
+        _require_quartet(block, "polarization")
         meas = ingest_csv(block["input_csv"])
-        n_lines = block.get("n_lines", 4)
-        result = fitmod.fit_free_lorentzians(meas, n_lines, seed=seed)
+        result = fitmod.fit_free_lorentzians(meas, 4, seed=seed)
         pol = analysis.polarization_from_quartet_fit(result)
         report["fit"] = result.to_json_dict()
     else:
@@ -475,9 +492,10 @@ def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             raise SchemaError([f"unknown key 'raman.points[{k}].{u}'" for u in sorted(unknown)])
         if "nitrogen_frac_15" not in entry:
             raise SchemaError([f"missing required key 'raman.points[{k}].nitrogen_frac_15'"])
+        where = f"raman.points[{k}]"
         point = analysis.raman_point(
-            float(entry["nitrogen_frac_15"]),
-            float(entry.get("boron_frac_10", NATURAL_B10_FRACTION)),
+            _number(entry["nitrogen_frac_15"], f"{where}.nitrogen_frac_15"),
+            _number(entry.get("boron_frac_10", NATURAL_B10_FRACTION), f"{where}.boron_frac_10"),
         )
         points.append(
             {
@@ -513,7 +531,9 @@ def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         bounds = block["slope_ratio_bounds"]
         if len(bounds) != 2:
             raise SchemaError(["validate.slope_ratio_bounds must be [low, high]"])
-        kwargs["slope_ratio_bounds"] = (float(bounds[0]), float(bounds[1]))
+        kwargs["slope_ratio_bounds"] = tuple(
+            _number(b, f"validate.slope_ratio_bounds[{i}]") for i, b in enumerate(bounds)
+        )
     report = validatemod.run_validation(seed=seed, **kwargs)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validate.json", {"command": "validate", **report})

@@ -13,6 +13,7 @@ with w = 1/N_level when the nuclear spins are unpolarized. An ensemble with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -123,12 +124,6 @@ class Populations:
             raise ValueError(f"polarization {polarization} not representable by a linear tilt")
         return cls(ladder, weights)
 
-    def weight_of(self, m_tot: float) -> float:
-        for (m, _), w in zip(self.ladder.rungs, self.weights):
-            if m == m_tot:
-                return w
-        raise KeyError(f"m_tot {m_tot} not on the ladder")
-
     @property
     def polarization(self) -> float:
         num = math.fsum(m * g * w for (m, g), w in zip(self.ladder.rungs, self.weights))
@@ -209,8 +204,8 @@ def default_grid(
     return np.linspace(f_center - span_mhz, f_center + span_mhz, points)
 
 
-def lorentzian(f, f0: float, fwhm: float):
-    """Unit-peak Lorentzian: 1 at f0, 1/2 at f0 +- fwhm/2."""
+def lorentzian(f, f0, fwhm: float):
+    """Unit-peak Lorentzian: 1 at f0, 1/2 at f0 +- fwhm/2; f and f0 broadcast."""
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     half = 0.5 * fwhm
@@ -219,57 +214,64 @@ def lorentzian(f, f0: float, fwhm: float):
     return g / (d * d + g)
 
 
+@functools.lru_cache(maxsize=4)
+def _product_table(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-site projections (N, 3; 14N sites first), 15N site mask (3,) and
+    m_tot ladder index (N,) of every nuclear product state of configuration
+    #n; read-only, built once per n."""
+    ladder = enumerate_ladder(n15_count)
+    species = [IsotopeSpecies.N14] * (3 - n15_count) + [IsotopeSpecies.N15] * n15_count
+    labels = np.array(list(itertools.product(*[s.projections for s in species])), dtype=float)
+    is_n15 = np.array([s is IsotopeSpecies.N15 for s in species])
+    rung = np.rint(labels.sum(axis=1) - ladder.m_values[0]).astype(np.intp)
+    for a in (labels, is_n15, rung):
+        a.setflags(write=False)
+    return labels, is_n15, rung
+
+
+def _merge_lines(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge lines within POSITION_MERGE_TOL_MHZ of the lowest line of their
+    group; the merged line keeps that position, and np.bincount adds the
+    group's weights one at a time in ascending position order."""
+    order = np.argsort(positions, kind="stable")
+    pos, w = positions[order], weights[order]
+    # wide gaps start lines; a run of narrow gaps is split where it outgrows the tolerance
+    start = np.concatenate(([True], ~(np.diff(pos) <= POSITION_MERGE_TOL_MHZ)))
+    while True:
+        group = np.cumsum(start) - 1
+        late = ~start & (pos - pos[start][group] > POSITION_MERGE_TOL_MHZ)
+        if not late.any():
+            return pos[start], np.bincount(group, weights=w)
+        start[np.argmax(late)] = True
+
+
 def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Line positions and total weights of configuration #n.
 
-    Enumerates the per-site nuclear projections with species-specific
-    couplings, weights every product state by its population (1/N_level when
-    unpolarized), and merges states whose frequencies coincide. The returned
-    weights sum to 1 for unpolarized populations.
+    Each nuclear product state gives a line at its secular shift with
+    species-specific couplings, weighted by its population (1/N_level when
+    unpolarized); coinciding lines merge, so unpolarized weights sum to 1.
     """
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
-    species = [IsotopeSpecies.N14] * (3 - n15_count) + [IsotopeSpecies.N15] * n15_count
     pops = (model.populations or {}).get(n15_count)
-    ladder = enumerate_ladder(n15_count)
     if pops is not None and pops.ladder.n15_count != n15_count:
         raise ValueError("populations ladder does not match the configuration")
-    n_level = ladder.n_level
-
-    positions = []
-    state_weights = []
-    for label in itertools.product(*[s.projections for s in species]):
-        shift = 0.0
-        for sp, m in zip(species, label):
-            a = model.a14 if sp is IsotopeSpecies.N14 else model.a15
-            shift += a * m
-        positions.append(model.f_center + model.branch * shift)
-        if pops is None:
-            state_weights.append(1.0 / n_level)
-        else:
-            state_weights.append(pops.weight_of(sum(label)))
-
-    order = np.argsort(positions, kind="stable")
-    merged_pos = []
-    merged_w = []
-    for idx in order:
-        p, w = positions[idx], state_weights[idx]
-        if merged_pos and abs(p - merged_pos[-1]) <= POSITION_MERGE_TOL_MHZ:
-            merged_w[-1] += w
-        else:
-            merged_pos.append(p)
-            merged_w.append(w)
-    return np.array(merged_pos), np.array(merged_w)
+    labels, is_n15, rung = _product_table(n15_count)
+    a_site = np.where(is_n15, model.a15, model.a14)
+    positions = model.f_center + model.branch * (labels * a_site).sum(axis=1)
+    weights = np.full(len(rung), 1.0 / len(rung)) if pops is None else np.array(pops.weights)[rung]
+    return _merge_lines(positions, weights)
 
 
 def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     """ODMR curve of a single defect configuration on the given grid."""
     grid = np.asarray(grid, dtype=float)
     positions, weights = config_lines(model, n15_count)
-    dip = np.zeros_like(grid)
-    for p, w in zip(positions, weights):
-        dip += w * lorentzian(grid, p, model.linewidth)
-    return Curve(grid, 1.0 - model.contrast * dip)
+    lines = weights[:, None] * lorentzian(grid, positions[:, None], model.linewidth)
+    # on two or more grid points NumPy adds the rows one after another, in
+    # line order; a one-point grid of 8+ lines is summed pairwise instead
+    return Curve(grid, 1.0 - model.contrast * lines.sum(axis=0))
 
 
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:

@@ -129,6 +129,20 @@ def test_fit_rejects_non_utf8_csv_naming_the_path(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
+    plain = write_curve_csv(tmp_path, rows=101)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    meas = ingest_csv(bom)
+    assert np.array_equal(meas.frequencies, ingest_csv(plain).frequencies)
+    assert np.array_equal(meas.ratios, ingest_csv(plain).ratios)
+    # offsets of undecodable bytes still count the mark
+    bad = tmp_path / "bom_latin1.csv"
+    bad.write_bytes(b"\xef\xbb\xbffrequency_mhz,ratio\n1,1.0 \xe9\n")
+    with pytest.raises(IngestError, match="offset 29"):
+        ingest_csv(bad)
+
+
 # --- schema --------------------------------------------------------------------
 
 def test_schema_rejects_unknown_keys_exhaustively():
@@ -169,6 +183,38 @@ def test_schema_type_checks():
     }
     with pytest.raises(SchemaError, match="wrong type"):
         validate_config(config, "simulate")
+
+
+def test_schema_rejects_bool_p15(tmp_path, capsys):
+    with pytest.raises(SchemaError, match="'fit.p15' has wrong type bool"):
+        validate_config({"fit": {"input_csv": "x.csv", "p15": True}}, "fit")
+    config = write_config(tmp_path, {"fit": {"input_csv": "x.csv", "p15": True}})
+    assert cli.main(["fit", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "config error: key 'fit.p15' has wrong type bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, block, key, type_name",
+    [
+        ("raman", {"points": [{"nitrogen_frac_15": 0.5, "boron_frac_10": {}}]},
+         "raman.points[0].boron_frac_10", "dict"),
+        ("raman", {"points": [{"nitrogen_frac_15": 0.5}, {"nitrogen_frac_15": None}]},
+         "raman.points[1].nitrogen_frac_15", "NoneType"),
+        ("validate", {"slope_ratio_bounds": [1.0, None]},
+         "validate.slope_ratio_bounds[1]", "NoneType"),
+        ("polarization", {"areas": {"-1.5": 1.0, "1.5": [2.0]}, "m_max": 1.5},
+         "polarization.areas.1.5", "list"),
+    ],
+)
+def test_non_number_in_free_form_block_is_a_schema_error(
+    tmp_path, capsys, command, block, key, type_name
+):
+    config = write_config(tmp_path, {command: block})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: key '{key}' has wrong type {type_name}\n"
+    assert not out.exists()
 
 
 # --- simulate ------------------------------------------------------------------
@@ -287,6 +333,22 @@ def test_fit_quartet_polarization_report(tmp_path):
     assert "polarization" in report["derived"]
     assert report["derived"]["polarization"] == pytest.approx(0.16, abs=0.02)
     assert report["derived"]["m_tot_assignment"]
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("fit", {"model": "free_lorentzians", "n_lines": 5, "polarization": True}),
+        ("polarization", {"n_lines": 3}),
+    ],
+)
+def test_polarization_needs_four_lines(tmp_path, capsys, command, block):
+    csv_path = write_curve_csv(tmp_path, rows=201)
+    config = write_config(tmp_path, {command: dict(block, input_csv=str(csv_path))})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert f"{command}.n_lines must be 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_strong_polarization_on_pure_sample(tmp_path):

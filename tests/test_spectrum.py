@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbodmr.analysis import spectral_slope
 from vbodmr.spectrum import (
+    POSITION_MERGE_TOL_MHZ,
     Curve,
     Populations,
     SpectrumModel,
@@ -297,6 +299,119 @@ def test_polarized_quartet_biases_high_frequency_side():
     # a15 < 0 puts high m_tot at high frequency, so positive polarization
     # deepens the high-frequency side
     assert high_area > low_area
+
+
+# --- per-line loop reference ---------------------------------------------------
+#
+# The forward model used to be evaluated one product state and one line at a
+# time. That loop is kept here as the reference: the array form must give the
+# same floating-point results bit for bit, because the fits' step acceptance
+# reacts to perturbations of 1e-16.
+
+def reference_lines(model, n15):
+    site_values = [(1.0, 0.0, -1.0)] * (3 - n15) + [(0.5, -0.5)] * n15
+    couplings = [model.a14] * (3 - n15) + [model.a15] * n15
+    pops = (model.populations or {}).get(n15)
+    n_level = enumerate_ladder(n15).n_level
+    positions, weights = [], []
+    for label in itertools.product(*site_values):
+        shift = 0.0
+        for a, m in zip(couplings, label):
+            shift += a * m
+        positions.append(model.f_center + model.branch * shift)
+        if pops is None:
+            weights.append(1.0 / n_level)
+        else:
+            weights.append(dict(zip(pops.ladder.m_values, pops.weights))[sum(label)])
+    merged_pos, merged_w = [], []
+    for idx in np.argsort(positions, kind="stable"):
+        p, w = positions[idx], weights[idx]
+        if merged_pos and abs(p - merged_pos[-1]) <= POSITION_MERGE_TOL_MHZ:
+            merged_w[-1] += w
+        else:
+            merged_pos.append(p)
+            merged_w.append(w)
+    return np.array(merged_pos), np.array(merged_w)
+
+
+def reference_config_values(model, n15, grid):
+    dip = np.zeros_like(grid)
+    for p, w in zip(*reference_lines(model, n15)):
+        dip += w * lorentzian(grid, p, model.linewidth)
+    return 1.0 - model.contrast * dip
+
+
+def reference_mixture_values(model, grid):
+    values = np.zeros_like(grid)
+    for n, frac in enumerate(binomial_fractions(model.p15)):
+        if frac != 0.0:
+            values += frac * reference_config_values(model, n, grid)
+    return values
+
+
+def reference_slope_values(model, grid):
+    values = np.zeros_like(grid)
+    half2 = (0.5 * model.linewidth) ** 2
+    for n, frac in enumerate(binomial_fractions(model.p15)):
+        if frac == 0.0:
+            continue
+        for pos, w in zip(*reference_lines(model, n)):
+            u = grid - pos
+            values += frac * w * (2.0 * half2 * u) / (u * u + half2) ** 2
+    return model.contrast * values
+
+
+def reference_models(count):
+    """Seeded models cycling through coupling, composition, branch and
+    population cases, including exact line coincidences."""
+    rng = np.random.default_rng(4)
+    for k in range(count):
+        a14, a15 = rng.uniform(-60.0, 60.0), rng.uniform(-100.0, 100.0)
+        a14, a15 = [(a14, a15), (0.0, a15), (a14, 0.0), (a14, 2.0 * a14)][k % 4]
+        pol = rng.uniform(-0.2, 0.2)
+        yield SpectrumModel(
+            f_center=rng.uniform(2000.0, 4000.0),
+            contrast=rng.uniform(0.01, 0.3),
+            linewidth=rng.uniform(15.0, 60.0),
+            a14=a14,
+            a15=a15,
+            p15=[0.0, 1.0, 0.6, rng.uniform()][k // 4 % 4],
+            branch=(1, -1)[k // 16 % 2],
+            populations=(
+                {n: Populations.with_polarization(enumerate_ladder(n), pol) for n in range(4)}
+                if k // 32 % 2
+                else None
+            ),
+        )
+
+
+def test_array_model_matches_loop_reference_bit_for_bit():
+    for model in reference_models(512):
+        grid = default_grid(model.f_center)
+        for n in range(4):
+            positions, weights = config_lines(model, n)
+            ref_positions, ref_weights = reference_lines(model, n)
+            assert np.array_equal(positions, ref_positions), (model, n)
+            assert np.array_equal(weights, ref_weights), (model, n)
+            assert np.array_equal(
+                config_spectrum(model, n, grid).values, reference_config_values(model, n, grid)
+            ), (model, n)
+        assert np.array_equal(
+            mixture_spectrum(model, grid).values, reference_mixture_values(model, grid)
+        ), model
+        slope = spectral_slope(model, grid).slope_curve.values
+        assert np.array_equal(slope, reference_slope_values(model, grid)), model
+
+
+def test_close_lines_merge_into_the_first_line_of_their_run():
+    # gaps of 0.7e-9 MHz, each within the merge tolerance, over a run of
+    # 2.8e-9 MHz: merging against the run's first line splits it in three
+    model = quartet_model(f_center=0.0, a14=0.7e-9, a15=0.0, p15=1.0 / 3.0)
+    positions, weights = config_lines(model, 1)
+    ref_positions, ref_weights = reference_lines(model, 1)
+    assert len(positions) == 3
+    assert np.array_equal(positions, ref_positions)
+    assert np.array_equal(weights, ref_weights)
 
 
 # --- curve type and prediction -------------------------------------------------
