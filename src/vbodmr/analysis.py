@@ -21,7 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult, free_model_from_result
-from .spectrum import Curve, SpectrumModel, binomial_fractions, config_lines
+from .spectrum import Curve, SpectrumModel, _present_lines
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -60,10 +60,8 @@ class RamanPoint:
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
     half2 = (0.5 * model.linewidth) ** 2
-    fractions = binomial_fractions(model.p15)
-    lines = [(config_lines(model, n), frac) for n, frac in enumerate(fractions) if frac != 0.0]
-    positions = np.concatenate([pos for (pos, _), _ in lines])
-    coeff = np.concatenate([frac * w for (_, w), frac in lines])
+    fractions, positions, weights, bounds = _present_lines(model)
+    coeff = np.repeat(fractions, np.diff(bounds)) * weights
     u = grid - positions[:, None]
     return model.contrast * (coeff[:, None] * (2.0 * half2 * u) / (u * u + half2) ** 2).sum(axis=0)
 
@@ -141,14 +139,16 @@ def polarization_from_areas(
     )
 
 
-def quartet_areas(result: FitResult, n_lines: int = 4) -> dict[float, float]:
+def quartet_areas(result: FitResult) -> dict[float, float]:
     """Map a free-Lorentzian quartet fit to areas keyed by m_I,tot.
 
+    The fit must have exactly four lines (``depth_1`` ... ``depth_4``).
     Lines are taken in ascending center frequency and assigned
     m_tot = -3/2, -1/2, +1/2, +3/2 in that order.
     """
+    n_lines = sum(name.startswith("depth_") for name in result.names)
     if n_lines != 4:
-        raise ValueError("the m_tot assignment is defined for quartets")
+        raise ValueError(f"the m_tot assignment is defined for quartets, not {n_lines} lines")
     model = free_model_from_result(result, n_lines)
     order = np.argsort(model.centers)
     return {

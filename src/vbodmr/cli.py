@@ -162,7 +162,8 @@ def validate_config(config: dict, command: str) -> dict:
         problems.append(f"'{command}' block must be an object")
     else:
         _check_block(block, COMMAND_SCHEMAS[command], f"{command}.", problems)
-    if "seed" in config and (not isinstance(config["seed"], int) or config["seed"] < 0):
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         problems.append("key 'seed' must be a nonnegative integer")
     if "out_dir" in config and not isinstance(config["out_dir"], str):
         problems.append("key 'out_dir' must be a string")

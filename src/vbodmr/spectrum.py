@@ -210,8 +210,12 @@ def lorentzian(f, f0, fwhm: float):
         raise ValueError("fwhm must be positive")
     half = 0.5 * fwhm
     g = half * half
+    # one array updated in place: a (lines x grid) temporary is large enough
+    # that each extra one costs fresh pages from the allocator
     d = np.asarray(f, dtype=float) - f0
-    return g / (d * d + g)
+    d *= d
+    d += g
+    return np.divide(g, d, out=d if isinstance(d, np.ndarray) else None)
 
 
 @functools.lru_cache(maxsize=4)
@@ -231,18 +235,18 @@ def _product_table(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _merge_lines(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge lines within POSITION_MERGE_TOL_MHZ of the lowest line of their
-    group; the merged line keeps that position, and np.bincount adds the
-    group's weights one at a time in ascending position order."""
+    group, in one pass over the stably sorted lines; the merged line keeps
+    that position and adds the group's weights one at a time in ascending
+    position order. (Within a group every gap is within the tolerance too.)"""
     order = np.argsort(positions, kind="stable")
-    pos, w = positions[order], weights[order]
-    # wide gaps start lines; a run of narrow gaps is split where it outgrows the tolerance
-    start = np.concatenate(([True], ~(np.diff(pos) <= POSITION_MERGE_TOL_MHZ)))
-    while True:
-        group = np.cumsum(start) - 1
-        late = ~start & (pos - pos[start][group] > POSITION_MERGE_TOL_MHZ)
-        if not late.any():
-            return pos[start], np.bincount(group, weights=w)
-        start[np.argmax(late)] = True
+    merged_pos, merged_w = [], []
+    for p, w in zip(positions[order].tolist(), weights[order].tolist()):
+        if merged_pos and p - merged_pos[-1] <= POSITION_MERGE_TOL_MHZ:
+            merged_w[-1] += w
+        else:
+            merged_pos.append(p)
+            merged_w.append(w)
+    return np.array(merged_pos), np.array(merged_w)
 
 
 def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +272,8 @@ def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     """ODMR curve of a single defect configuration on the given grid."""
     grid = np.asarray(grid, dtype=float)
     positions, weights = config_lines(model, n15_count)
-    lines = weights[:, None] * lorentzian(grid, positions[:, None], model.linewidth)
+    lines = lorentzian(grid, positions[:, None], model.linewidth)
+    lines *= weights[:, None]
     # on two or more grid points NumPy adds the rows one after another, in
     # line order; a one-point grid of 8+ lines is summed pairwise instead
     return Curve(grid, 1.0 - model.contrast * lines.sum(axis=0))
@@ -283,15 +288,35 @@ def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
     return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
 
 
+def _present_lines(model: SpectrumModel) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """Merged lines of every configuration present in the mixture, stacked
+    in configuration order: (fractions, positions, weights, bounds), where
+    the k-th present configuration owns rows bounds[k]:bounds[k + 1]."""
+    fractions, positions, weights = [], [], []
+    for n, frac in enumerate(binomial_fractions(model.p15)):
+        if frac != 0.0:
+            pos, w = config_lines(model, n)
+            fractions.append(frac)
+            positions.append(pos)
+            weights.append(w)
+    bounds = np.cumsum([0] + [len(pos) for pos in positions])
+    return fractions, np.concatenate(positions), np.concatenate(weights), bounds
+
+
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
-    """Ensemble ODMR curve: binomial mixture of the four configurations."""
+    """Ensemble ODMR curve: binomial mixture of the four configurations.
+
+    The weighted Lorentzians of all present configurations are one
+    (lines x grid) array; each configuration's rows are summed on their own,
+    so every value equals the sum of frac * config_spectrum bit for bit.
+    """
     grid = np.asarray(grid, dtype=float)
-    fractions = binomial_fractions(model.p15)
-    values = np.zeros_like(grid)
-    for n, frac in enumerate(fractions):
-        if frac == 0.0:
-            continue
-        values += frac * config_spectrum(model, n, grid).values
+    fractions, positions, weights, bounds = _present_lines(model)
+    lines = lorentzian(grid, positions[:, None], model.linewidth)
+    lines *= weights[:, None]
+    values = np.zeros(lines.shape[1:])
+    for frac, lo, hi in zip(fractions, bounds[:-1], bounds[1:]):
+        values += frac * (1.0 - model.contrast * lines[lo:hi].sum(axis=0))
     return Curve(grid, values)
 
 

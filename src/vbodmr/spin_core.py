@@ -430,6 +430,27 @@ def _effective_transitions(sys: SpinSystem) -> TransitionSet:
     return TransitionSet(tuple(entries))
 
 
+def _greedy_pairing(overlap: np.ndarray) -> np.ndarray:
+    """Column paired with each row of a square overlap matrix, chosen
+    greedily: the largest overlap whose row and column are both still free
+    first, equal overlaps in row-major order (the order ``np.argmax`` picks
+    them in), each row and column used once."""
+    n = len(overlap)
+    col_of = [-1] * n
+    col_free = [True] * n
+    unpaired = n
+    # one stable sort visits the overlaps in that order; walk it once
+    for flat in np.argsort(-overlap, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if col_of[i] < 0 and col_free[j]:
+            col_of[i] = j
+            col_free[j] = False
+            unpaired -= 1
+            if not unpaired:
+                break
+    return np.array(col_of)
+
+
 def _full_transitions(sys: SpinSystem) -> TransitionSet:
     values, vectors = eigen_hermitian(build_full_hamiltonian(sys))
     labels = nuclear_labels(sys)
@@ -459,12 +480,7 @@ def _full_transitions(sys: SpinSystem) -> TransitionSet:
             raise CharacterAmbiguityError(
                 f"manifold m_S={ms:+.0f} collected {len(cols)} states, expected {n}"
             )
-        overlap = weights[b][:, cols]
-        for _ in range(n):
-            i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
-            col_of[b, i] = cols[j]
-            overlap[i, :] = -1.0
-            overlap[:, j] = -1.0
+        col_of[b] = cols[_greedy_pairing(weights[b][:, cols])]
 
     # each label's m_S = 0 state and the S_x-coupled overlap with its m_S = +-1
     # partners, over all labels at once

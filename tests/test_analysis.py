@@ -19,7 +19,7 @@ from vbodmr.analysis import (
     spectral_slope,
 )
 from vbodmr.constants import MASS_B10, MASS_B11, MASS_N14, MASS_N15
-from vbodmr.fit import MeasuredSpectrum, fit_free_lorentzians
+from vbodmr.fit import FitResult, MeasuredSpectrum, fit_free_lorentzians
 from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
@@ -233,6 +233,27 @@ def test_fit_area_chain_recovers_constructed_polarization():
     report = polarization_from_quartet_fit(res)
     assert report.polarization == pytest.approx(target, abs=0.02)
     assert set(quartet_areas(res)) == set(QUARTET_M)
+
+
+@pytest.mark.parametrize("n_lines", [0, 3, 5])
+def test_quartet_chain_rejects_other_line_counts(n_lines):
+    # a fit with other than four lines must not be read as a quartet
+    names = ["f_first", "spacing"] + [f"depth_{k + 1}" for k in range(n_lines)]
+    names += [f"width_{k + 1}" for k in range(n_lines)]
+    values = {"f_first": 2212.0, "spacing": 64.0, **{n: 0.05 for n in names[2:]}}
+    res = FitResult(
+        names=tuple(names),
+        values=values,
+        sigmas={n: 0.0 for n in names},
+        covariance=np.zeros((len(names), len(names))),
+        residual_norm=0.0,
+        iterations=1,
+        converged=True,
+    )
+    with pytest.raises(ValueError, match=f"not {n_lines} lines"):
+        quartet_areas(res)
+    with pytest.raises(ValueError, match=f"not {n_lines} lines"):
+        polarization_from_quartet_fit(res)
 
 
 # --- field estimates --------------------------------------------------------------

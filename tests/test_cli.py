@@ -193,6 +193,15 @@ def test_schema_rejects_bool_p15(tmp_path, capsys):
     assert "config error: key 'fit.p15' has wrong type bool" in capsys.readouterr().err
 
 
+def test_schema_rejects_bool_seed(tmp_path, capsys):
+    with pytest.raises(SchemaError, match="key 'seed' must be a nonnegative integer"):
+        validate_config({"validate": {}, "seed": True}, "validate")
+    config = write_config(tmp_path, {"validate": {}, "seed": True})
+    assert cli.main(["validate", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "key 'seed' must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "command, block, key, type_name",
     [

@@ -23,7 +23,7 @@ from vbodmr.spin_core import (
     spin_matrices,
     transition_frequencies,
 )
-from vbodmr.spin_core import _nuclear_operators
+from vbodmr.spin_core import MS_VALUES, _greedy_pairing, _nuclear_operators
 
 
 # --- types -------------------------------------------------------------------
@@ -214,11 +214,10 @@ def reference_full_hamiltonian(sys_):
     return h
 
 
-@pytest.mark.parametrize("n15", [0, 1, 2, 3])
-def test_full_hamiltonian_matches_term_by_term_reference(n15):
-    # dense: transverse tensors rotated 120 deg per site, strain, 14N
-    # quadrupole, nuclear Zeeman and a field tilted off the symmetry axis; the
-    # tensor is not symmetric, so mixing up its electron and nuclear axes shows
+def dense_system(n15):
+    """Transverse tensors rotated 120 deg per site, strain, 14N quadrupole,
+    nuclear Zeeman and a field tilted off the symmetry axis; the tensor is
+    not symmetric, so mixing up its electron and nuclear axes shows."""
     local = np.array([[45.0, 3.0, 8.0], [0.0, 90.0, 0.0], [8.0, 0.0, 47.0]])
     sites = []
     for j in (1, 2, 3):
@@ -229,13 +228,18 @@ def test_full_hamiltonian_matches_term_by_term_reference(n15):
             sites.append(NuclearSite(IsotopeSpecies.N15, -1.4 * rot @ local @ rot.T, site_index=j))
         else:
             sites.append(NuclearSite(IsotopeSpecies.N14, rot @ local @ rot.T, (-0.7, 1.2, -0.5), j))
-    sys_ = SpinSystem(
+    return SpinSystem(
         ElectronParams(3466.0, b_field=(4.0, -2.5, 40.0), e_x=30.0, e_y=-20.0),
         tuple(sites),
         include_nuclear_zeeman=True,
         include_quadrupole=True,
         include_strain=True,
     )
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_full_hamiltonian_matches_term_by_term_reference(n15):
+    sys_ = dense_system(n15)
     h = build_full_hamiltonian(sys_).entries
     h_ref = reference_full_hamiltonian(sys_)
     assert h.shape == h_ref.shape == (sys_.dim, sys_.dim)
@@ -362,6 +366,42 @@ def test_full_mode_transverse_tensors_match_eigenvalue_differences():
     for t in ts.entries:
         assert np.abs(gaps - t.frequency_mhz).min() < 1e-6
         assert math.isfinite(t.dipole_weight)
+
+
+def argmax_pairing(overlap):
+    """Reference: the label pairing as it used to be computed, one argmax per
+    label with the chosen row and column knocked out after each pick."""
+    overlap = overlap.copy()
+    col_of = np.empty(len(overlap), dtype=int)
+    for _ in range(len(overlap)):
+        i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
+        col_of[i] = j
+        overlap[i, :] = -1.0
+        overlap[:, j] = -1.0
+    return col_of
+
+
+def test_pairing_matches_argmax_reference_with_ties():
+    rng = np.random.default_rng(17)
+    for k in range(400):
+        n = int(rng.integers(1, 28))
+        # few distinct values, so equal overlaps compete across rows and columns
+        overlap = rng.integers(0, [2, 3, 5, 1000][k % 4], size=(n, n)) / 4.0
+        if k % 5 == 0:
+            overlap[:] = overlap[0, 0]
+        assert np.array_equal(_greedy_pairing(overlap), argmax_pairing(overlap)), overlap
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_pairing_matches_argmax_reference_on_dense_system(n15):
+    sys_ = dense_system(n15)
+    _, vectors = eigen_hermitian(build_full_hamiltonian(sys_))
+    weights = np.abs(vectors.reshape(3, sys_.dim // 3, -1)) ** 2
+    manifold = np.argmax(weights.sum(axis=1), axis=0)
+    for b in range(len(MS_VALUES)):
+        overlap = weights[b][:, manifold == b]
+        assert overlap.shape == (sys_.dim // 3,) * 2
+        assert np.array_equal(_greedy_pairing(overlap), argmax_pairing(overlap))
 
 
 def test_full_mode_flags_ambiguity_near_anticrossing():
