@@ -9,6 +9,11 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat).
 
+The LM core respects box bounds with a projected step: a parameter on a
+bound whose gradient points out of the box is held for that iteration, left
+out of the step and of the gradient convergence test. A fit that ends with
+a parameter held says so in its diagnostics ("held at bound: ...").
+
 Uncertainties are 1-sigma values from the scaled covariance
 sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
 """
@@ -156,8 +161,20 @@ def _forward_jacobian(
             h = -h
         q = p.copy()
         q[i] += h
+        if q[i] < lower[i]:  # box narrower than h: probe up to its wider side
+            q[i] = upper[i] if upper[i] - p[i] >= p[i] - lower[i] else lower[i]
+            h = q[i] - p[i]
+            if h == 0.0:  # zero-width box: the parameter cannot move
+                jac[:, i] = 0.0
+                continue
         jac[:, i] = (residual_fn(q) - r0) / h
     return jac
+
+
+def _held(p: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Mask of parameters on a bound whose descent direction -grad points
+    out of the box."""
+    return ((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0))
 
 
 def lm_minimize(
@@ -172,11 +189,23 @@ def lm_minimize(
     """Levenberg-Marquardt minimization of sum(residual^2).
 
     The Jacobian comes from forward finite differences with per-parameter
-    step max(1e-6 |p|, 1e-8). The damping factor scales the diagonal of
-    J^T J; accepted steps shrink it, rejected steps grow it. Convergence is
-    declared when the relative cost change of an accepted step falls below
-    ``cost_rtol`` or the gradient infinity norm falls below ``grad_atol``.
-    Trial points are clipped to the bounds. After ``max_iter`` iterations the
+    step max(1e-6 |p|, 1e-8), taken inward at an upper bound; no probe
+    leaves the box, and a parameter in a zero-width box gets a zero column.
+    The damping factor scales the diagonal of J^T J; accepted steps shrink
+    it, rejected steps grow it.
+
+    The step is projected onto the bounds. Each iteration, a parameter is
+    *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
+    on its upper bound with (J^T r)_i < 0, so that descent would leave the
+    box. Held parameters keep a zero step; the damped system is solved on
+    the sub-block of the free ones. With nothing held this is the plain LM
+    step. Convergence is declared when the relative cost change of an
+    accepted step falls below ``cost_rtol`` or the infinity norm of the
+    free parameters' gradient (the projected gradient) falls below
+    ``grad_atol``, so a minimum on a bound converges. Trial points are
+    clipped to the bounds. A parameter still held at the final iterate is
+    named in a ``held at bound`` diagnostic: there ``converged`` means a
+    minimum constrained by that bound. After ``max_iter`` iterations the
     partial result is returned with ``converged`` False.
     """
     p = np.array(init_params, dtype=float)
@@ -205,16 +234,19 @@ def lm_minimize(
     jac = _forward_jacobian(residual_fn, p, r, lower, upper)
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
-        if float(np.abs(grad).max(initial=0.0)) < grad_atol:
+        free = ~_held(p, grad, lower, upper)
+        if float(np.abs(grad[free]).max(initial=0.0)) < grad_atol:
             converged = True
             break
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(initial=0.0), 1.0) * 1e-12
+        jtj_free = jtj[np.ix_(free, free)]
+        step = np.zeros(k)  # held parameters keep a zero step
         accepted = False
         while lam < 1e14:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step[free] = np.linalg.solve(jtj_free + lam * np.diag(diag[free]), -grad[free])
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -239,6 +271,13 @@ def lm_minimize(
             break
 
     diagnostics: list[str] = []
+    held = np.flatnonzero(_held(p, jac.T @ r, lower, upper))
+    if held.size:
+        diagnostics.append(
+            "held at bound: "
+            + ", ".join(f"{names[i]} = {p[i]:g}" for i in held)
+            + " (gradient points outward)"
+        )
     jtj = jac.T @ jac
     svals = np.linalg.svd(jtj, compute_uv=False)
     smax = svals.max(initial=0.0)

@@ -76,6 +76,42 @@ def test_lm_respects_bounds():
         lm_minimize(lambda p: p, [-1.0], bounds=([0.0], [1.0]))
 
 
+def test_lm_converges_to_constrained_optimum_on_a_bound():
+    # the unconstrained least-squares optimum has p0 < 0; coupled columns made
+    # the unprojected step crawl along p0 = 0 to the iteration cap
+    a = np.array([[1.0, 1.0], [1.0, 1.2], [1.0, 0.9]])
+    b = np.array([1.0, 2.0, 0.0])
+    bounds = ([0.0, -np.inf], [np.inf, np.inf])
+    res = lm_minimize(lambda p: a @ p - b, [1.0, 0.0], bounds=bounds)
+    assert res.converged
+    assert res.iterations < 50
+    assert res.values["p0"] == 0.0
+    # minimize |a[:, 1] p1 - b|^2 alone: p1 = a1.b / a1.a1
+    assert res.values["p1"] == pytest.approx(3.4 / 3.25, abs=1e-8)
+    assert "held at bound: p0 = 0 (gradient points outward)" in res.diagnostics
+
+
+def test_lm_never_probes_outside_the_box():
+    def residual(p):
+        if not (2.0 <= p[0] <= 2.0 and 0.0 <= p[2] <= 1e-9):
+            raise ValueError(f"residual evaluated outside the box at {p}")
+        return np.array([p[1] - 1.0, p[0] * p[1] - 2.0, p[1] + 0.5, p[2] - 1.0])
+
+    # p0 sits in a zero-width box, p2 in one narrower than the FD step
+    res = lm_minimize(
+        residual, [2.0, 0.0, 0.0], bounds=([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9])
+    )
+    assert res.converged
+    assert res.values["p0"] == 2.0
+    assert res.values["p1"] == pytest.approx(0.75, abs=1e-8)
+    assert res.values["p2"] == 1e-9
+    p = np.array([2.0, 0.5, 0.0])
+    lower, upper = np.array([2.0, -np.inf, 0.0]), np.array([2.0, np.inf, 1e-9])
+    jac = _forward_jacobian(residual, p, residual(p), lower, upper)
+    assert np.all(jac[:, 0] == 0.0)
+    assert jac[:, 2] == pytest.approx([0.0, 0.0, 0.0, 1.0])
+
+
 def test_lm_iteration_cap_reports_nonconvergence():
     x = np.linspace(0.0, 1.0, 20)
 
@@ -187,6 +223,20 @@ def test_fit_p15_free_on_pure_sample_reports_degeneracy():
     )
     res = fit_physical(meas, init=init, p15_mode="free")
     assert any("degenerate" in d for d in res.diagnostics)
+
+
+def test_fit_p15_free_converges_when_held_at_zero():
+    # a noise draw whose free-p15 fit runs into p15 = 0; there the a15 column
+    # vanishes, and an unprojected step crawled along the bound to the cap
+    truth, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.6),
+        seed=7,
+    )
+    res = fit_physical(meas, p15_mode="free")
+    assert res.converged
+    assert res.iterations <= 50
+    assert res.values["p15"] == 0.0
+    assert any(d.startswith("held at bound: p15 = 0") for d in res.diagnostics)
 
 
 @pytest.mark.parametrize("n15", [0, 1, 2, 3])
