@@ -3,7 +3,8 @@
 Three fit families are provided on top of a small Levenberg-Marquardt core:
 
 * ``fit_physical`` - the constrained mixture model (binomial combination of
-  the four defect configurations) with magnitude-only hyperfine couplings,
+  the four defect configurations); the hyperfine couplings are fitted signed
+  and reported as magnitudes, with a closed-form Jacobian,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
@@ -13,6 +14,9 @@ The LM core respects box bounds with a projected step: a parameter on a
 bound whose gradient points out of the box is held for that iteration, left
 out of the step and of the gradient convergence test. A fit that ends with
 a parameter held says so in its diagnostics ("held at bound: ...").
+The Jacobian is a caller's closed form where one is passed (the physical
+model) and forward finite differences otherwise (free Lorentzians, PL
+saturation).
 
 Uncertainties are 1-sigma values from the scaled covariance
 sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
@@ -21,13 +25,15 @@ sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .spectrum import (
+    _JACOBIAN_PARAMS,
     SpectrumModel,
+    _model_jacobian,
     config_spectrum,
     lorentzian,
     mixture_spectrum,
@@ -39,6 +45,10 @@ LM_GRAD_ATOL = 1e-10
 LM_MAX_ITER = 500
 # Condition threshold of J^T J beyond which parameters count as degenerate.
 DEGENERATE_COND = 1e12
+# A fitted coupling below this magnitude sits on the symmetry plane a = 0;
+# fit_physical then refits once from the default couplings.
+_COUPLING_RESTART_MHZ = 1e-3
+_COUPLING_DEFAULTS = {"a14": A14_DEFAULT_MHZ, "a15": abs(A15_DEFAULT_MHZ)}
 
 
 @dataclass(frozen=True)
@@ -136,9 +146,15 @@ class FitResult:
         return self.values[name]
 
     def to_json_dict(self) -> dict:
+        """JSON-ready report; a non-finite sigma (an undetermined parameter)
+        is written as None, so the report stays valid JSON."""
         return {
             "params": {
-                n: {"value": self.values[n], "sigma": self.sigmas[n]} for n in self.names
+                n: {
+                    "value": self.values[n],
+                    "sigma": self.sigmas[n] if math.isfinite(self.sigmas[n]) else None,
+                }
+                for n in self.names
             },
             "residual_rms": self.residual_norm,
             "iterations": self.iterations,
@@ -185,14 +201,16 @@ def lm_minimize(
     max_iter: int = LM_MAX_ITER,
     cost_rtol: float = LM_COST_RTOL,
     grad_atol: float = LM_GRAD_ATOL,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residual^2).
 
-    The Jacobian comes from forward finite differences with per-parameter
-    step max(1e-6 |p|, 1e-8), taken inward at an upper bound; no probe
-    leaves the box, and a parameter in a zero-width box gets a zero column.
-    The damping factor scales the diagonal of J^T J; accepted steps shrink
-    it, rejected steps grow it.
+    ``jacobian``, when given, maps the parameters to the (n_residuals, k)
+    Jacobian of ``residual_fn``. Otherwise the Jacobian comes from forward
+    finite differences with per-parameter step max(1e-6 |p|, 1e-8), taken
+    inward at an upper bound; no probe leaves the box, and a parameter in a
+    zero-width box gets a zero column. The damping factor scales the
+    diagonal of J^T J; accepted steps shrink it, rejected steps grow it.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -228,10 +246,15 @@ def lm_minimize(
     cost = float(r @ r)
     n_obs = r.size
 
+    def jacobian_at(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if jacobian is not None:
+            return jacobian(p)
+        return _forward_jacobian(residual_fn, p, r, lower, upper)
+
     lam = 1e-3
     converged = False
     iterations = 0
-    jac = _forward_jacobian(residual_fn, p, r, lower, upper)
+    jac = jacobian_at(p, r)
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
         free = ~_held(p, grad, lower, upper)
@@ -266,7 +289,7 @@ def lm_minimize(
         if not accepted:
             converged = True  # no descent direction left at max damping
             break
-        jac = _forward_jacobian(residual_fn, p, r, lower, upper)
+        jac = jacobian_at(p, r)
         if converged:
             break
 
@@ -348,6 +371,71 @@ def initial_physical_guess(
     )
 
 
+def _physical_problem(
+    meas: MeasuredSpectrum,
+    init: SpectrumModel,
+    active: Sequence[str],
+    config_n15: int | None = None,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Residual and closed-form Jacobian of the physical model over the
+    ``active`` parameters; the others keep their ``init`` values. Both are
+    weighted by 1/sigma when the spectrum carries sigmas."""
+    y = meas.ratios
+    weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
+    grid = meas.frequencies
+    rows = [_JACOBIAN_PARAMS.index(name) for name in active]
+    p15_column = "p15" in active
+
+    def model_at(p: np.ndarray) -> SpectrumModel:
+        return replace(init, **dict(zip(active, p)))
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        model = model_at(p)
+        if config_n15 is None:
+            values = mixture_spectrum(model, grid).values
+        else:
+            values = config_spectrum(model, config_n15, grid).values
+        res = values - y
+        return res * weights if weights is not None else res
+
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        jac = _model_jacobian(model_at(p), grid, config_n15, p15_column)[rows].T
+        return jac * weights[:, None] if weights is not None else jac
+
+    return residual, jacobian
+
+
+def _as_magnitudes(result: FitResult) -> FitResult:
+    """Report fitted couplings as magnitudes, with the sign of their
+    covariance rows and columns flipped to match. When a free p15 ends at 0
+    (or 1), the 15N (or 14N) coupling has no lines to act on: its sigma
+    becomes inf and a diagnostic says so."""
+    values = dict(result.values)
+    sigmas = dict(result.sigmas)
+    covariance = result.covariance.copy()
+    diagnostics = list(result.diagnostics)
+    for i, name in enumerate(result.names):
+        if name in ("a14", "a15") and values[name] < 0.0:
+            values[name] = -values[name]
+            covariance[i, :] *= -1.0
+            covariance[:, i] *= -1.0
+    absent = {0.0: ("a15", "15N"), 1.0: ("a14", "14N")}.get(values.get("p15"))
+    if absent is not None and absent[0] in values:
+        name, species = absent
+        i = result.names.index(name)
+        sigmas[name] = math.inf
+        covariance[i, :] = covariance[:, i] = math.nan
+        covariance[i, i] = math.inf
+        diagnostics.append(f"{name} undetermined: no {species} lines at p15 = {values['p15']:g}")
+    return replace(
+        result,
+        values=values,
+        sigmas=sigmas,
+        covariance=covariance,
+        diagnostics=tuple(diagnostics),
+    )
+
+
 def fit_physical(
     meas: MeasuredSpectrum,
     init: SpectrumModel | None = None,
@@ -357,10 +445,24 @@ def fit_physical(
 ) -> FitResult:
     """Fit the constrained physical model to a measured spectrum.
 
-    ``p15_mode`` is ("fixed", value) or "free". Hyperfine couplings are
-    fitted as magnitudes (their sign cannot be determined from an unpolarized
-    spectrum). With ``config_n15`` set, a single configuration replaces the
-    binomial mixture. ``freeze`` names parameters held at their init value.
+    ``p15_mode`` is ("fixed", value) or "free". With ``config_n15`` set, a
+    single configuration replaces the binomial mixture. ``freeze`` names
+    parameters held at their init value.
+
+    The hyperfine couplings start from the magnitudes of ``init.a14`` and
+    ``init.a15`` and are fitted on the whole real line: the unpolarized
+    model is even in each of them, so a bound at 0 would hold a coupling on
+    the saddle a = 0, where its gradient vanishes. They are reported as
+    magnitudes (the sign cannot be determined from an unpolarized
+    spectrum), with their covariance rows and columns flipped to match. The
+    Jacobian is closed-form (``spectrum._model_jacobian``), not finite
+    differences. When an active coupling ends below 1e-3 MHz in magnitude
+    (on the symmetry plane, usually with a too-wide linewidth), the fit is
+    run once more from the same start with the active couplings at their
+    default magnitudes; the lower cost is kept and a "coupling restart"
+    diagnostic says which fit that was. When a free p15 ends at 0 or 1, the
+    coupling of the absent species is reported with sigma inf and an
+    "undetermined" diagnostic.
     """
     if isinstance(p15_mode, str):
         if p15_mode != "free":
@@ -400,51 +502,33 @@ def fit_physical(
     if not active:
         raise ValueError("all parameters frozen; nothing to fit")
 
-    defaults = {
-        "f_center": init.f_center,
-        "contrast": init.contrast,
-        "linewidth": init.linewidth,
-        "a14": abs(init.a14),
-        "a15": abs(init.a15),
-        "p15": p15_init,
-    }
+    init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
+    residual, jacobian = _physical_problem(meas, init, active, config_n15)
     bounds_table = {
         "f_center": (-np.inf, np.inf),
         "contrast": (1e-6, 0.999999),
         "linewidth": (1e-6, np.inf),
-        "a14": (0.0, np.inf),
-        "a15": (0.0, np.inf),
+        "a14": (-np.inf, np.inf),
+        "a15": (-np.inf, np.inf),
         "p15": (0.0, 1.0),
     }
-    p0 = [defaults[n] for n in active]
-    lower = [bounds_table[n][0] for n in active]
-    upper = [bounds_table[n][1] for n in active]
+    bounds = ([bounds_table[n][0] for n in active], [bounds_table[n][1] for n in active])
+    p0 = [getattr(init, n) for n in active]
+    result = lm_minimize(residual, p0, bounds=bounds, names=active, jacobian=jacobian)
 
-    y = meas.ratios
-    weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
-    grid = meas.frequencies
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        full = dict(defaults)
-        full.update(dict(zip(active, p)))
-        model = SpectrumModel(
-            f_center=full["f_center"],
-            contrast=full["contrast"],
-            linewidth=full["linewidth"],
-            a14=full["a14"],
-            a15=full["a15"],
-            p15=full["p15"],
-            branch=init.branch,
-            populations=init.populations,
+    stuck = [n for n in ("a14", "a15") if n in active and abs(result[n]) < _COUPLING_RESTART_MHZ]
+    p1 = [_COUPLING_DEFAULTS.get(n, v) for n, v in zip(active, p0)]
+    if stuck and p1 != p0:
+        retry = lm_minimize(residual, p1, bounds=bounds, names=active, jacobian=jacobian)
+        kept = "restart" if retry.residual_norm < result.residual_norm else "first fit"
+        note = (
+            f"coupling restart: {', '.join(stuck)} ended below {_COUPLING_RESTART_MHZ:g} MHz;"
+            f" refitted from the default couplings, kept the {kept}"
+            f" (rms {result.residual_norm:.4g} -> {retry.residual_norm:.4g})"
         )
-        if config_n15 is None:
-            values = mixture_spectrum(model, grid).values
-        else:
-            values = config_spectrum(model, config_n15, grid).values
-        res = values - y
-        return res * weights if weights is not None else res
-
-    return lm_minimize(residual, p0, bounds=(lower, upper), names=active)
+        result = retry if kept == "restart" else result
+        result = replace(result, diagnostics=result.diagnostics + (note,))
+    return _as_magnitudes(result)
 
 
 # --- free equally spaced Lorentzians ----------------------------------------

@@ -233,6 +233,22 @@ def _product_table(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return labels, is_n15, rung
 
 
+@functools.lru_cache(maxsize=4)
+def _product_groups(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product states of configuration #n grouped by (sum of 14N
+    projections, sum of 15N projections): the two sums (G, 2), the m_tot
+    ladder index (G,) and the number of states (G,) of each group; states of
+    one group share a line position for any couplings. Read-only, built once
+    per n."""
+    labels, is_n15, rung = _product_table(n15_count)
+    sums = np.stack([labels[:, ~is_n15].sum(axis=1), labels[:, is_n15].sum(axis=1)], axis=1)
+    keys, first, counts = np.unique(sums, axis=0, return_index=True, return_counts=True)
+    groups = (keys, rung[first], counts.astype(float))
+    for a in groups:
+        a.setflags(write=False)
+    return groups
+
+
 def _merge_lines(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge lines within POSITION_MERGE_TOL_MHZ of the lowest line of their
     group, in one pass over the stably sorted lines; the merged line keeps
@@ -284,6 +300,10 @@ def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
     spatially uniform 15N fraction."""
     if not 0.0 <= p15 <= 1.0:
         raise ValueError("p15 must lie in [0, 1]")
+    return _binomial(p15)
+
+
+def _binomial(p15: float) -> tuple[float, float, float, float]:
     q = 1.0 - p15
     return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
 
@@ -318,6 +338,68 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     for frac, lo, hi in zip(fractions, bounds[:-1], bounds[1:]):
         values += frac * (1.0 - model.contrast * lines[lo:hi].sum(axis=0))
     return Curve(grid, values)
+
+
+# row order of _model_jacobian
+_JACOBIAN_PARAMS = ("contrast", "p15", "f_center", "a14", "a15", "linewidth")
+
+
+def _model_jacobian(
+    model: SpectrumModel, grid, n15_count: int | None = None, p15_column: bool = False
+) -> np.ndarray:
+    """Closed-form derivatives of mixture_spectrum(model, grid), or of
+    config_spectrum(model, n15_count, grid), with respect to the parameters
+    _JACOBIAN_PARAMS: a (6, grid) array, one row per parameter.
+
+    The lines are the grouped product states (``_product_groups``) of every
+    configuration present, each weighted by its fraction; with ``p15_column``
+    the configurations whose fraction moves with p15 join them, weighted by
+    dP_n/dp15 for the p15 row, which is zero otherwise. With u = f - f_line,
+    g = (FWHM/2)^2 and L = g / (u^2 + g), dL/df_line = 2 u L^2 / g and
+    dL/dFWHM = 2 (L - L^2) / FWHM, so one (rows x grid) pass gives L, L^2
+    and u L^2, and three small matrix products give the six rows. It calls
+    no public function of this module, so a traced run counts forward-model
+    evaluations only.
+    """
+    if n15_count is None:
+        fractions = _binomial(model.p15)
+    else:
+        fractions = tuple(float(n == n15_count) for n in range(4))
+    if n15_count is None and p15_column:
+        p, q = model.p15, 1.0 - model.p15
+        slopes = (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
+    else:
+        slopes = (0.0,) * 4
+    sums, w, dw = [], [], []
+    for n, (frac, slope) in enumerate(zip(fractions, slopes)):
+        if frac == 0.0 and slope == 0.0:
+            continue
+        keys, rung, counts = _product_groups(n)
+        pops = (model.populations or {}).get(n)
+        weights = counts / counts.sum() if pops is None else counts * np.array(pops.weights)[rung]
+        sums.append(keys)
+        w.append(frac * weights)
+        dw.append(slope * weights)
+    sums, w, dw = np.concatenate(sums), np.concatenate(w), np.concatenate(dw)
+
+    grid = np.asarray(grid, dtype=float)
+    c, b, fwhm = model.contrast, model.branch, model.linewidth
+    g = (0.5 * fwhm) ** 2
+    shifts = sums[:, 0] * model.a14 + sums[:, 1] * model.a15
+    u = grid - (model.f_center + b * shifts)[:, None]
+    lor = u * u
+    lor += g
+    np.divide(g, lor, out=lor)
+    sq = lor * lor
+    u *= sq  # u L^2
+    jac = np.empty((6, grid.size))
+    np.matmul(np.stack([-w, -c * dw]), lor, out=jac[0:2])
+    coef = np.stack([w, b * sums[:, 0] * w, b * sums[:, 1] * w])
+    np.matmul((-2.0 * c / g) * coef, u, out=jac[2:5])
+    # the L - L^2 row from the weighted sums of L (the contrast row) and L^2
+    np.matmul((2.0 * c / fwhm) * w, sq, out=jac[5])
+    jac[5] += (2.0 / fwhm) * c * jac[0]
+    return jac
 
 
 def predict_a15_from_a14(a14_mhz: float) -> float:

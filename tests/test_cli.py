@@ -316,6 +316,25 @@ def test_fit_round_trip_via_cli(tmp_path):
     assert report["derived"]["field_mt"] == pytest.approx((3466.0 - 2308.0) / 28.0, abs=0.2)
 
 
+def test_fit_from_a_zero_coupling_start_via_cli(tmp_path):
+    # a start on the symmetry plane a14 = 0, where the a14 gradient vanishes
+    sim_block = dict(SIM_BLOCK, model=dict(SIM_BLOCK["model"], p15=0.6, a14_mhz=44.0))
+    sim_config = write_config(tmp_path, {"simulate": sim_block, "seed": 5}, name="sim.json")
+    out = tmp_path / "sim_out"
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 0
+    fit_config = write_config(
+        tmp_path,
+        {"fit": {"input_csv": str(out / "curve.csv"), "p15": 0.6, "init": {"a14_mhz": 0}}},
+        name="fit.json",
+    )
+    fit_out = tmp_path / "fit_out"
+    assert cli.main(["fit", "--config", fit_config, "--out", str(fit_out), "--quiet"]) == 0
+    report = json.loads((fit_out / "fit.json").read_text())
+    assert report["fit"]["converged"] is True
+    assert report["fit"]["residual_rms"] <= 1.2 * 0.002
+    assert report["fit"]["params"]["a14"]["value"] == pytest.approx(44.0, abs=2.0)
+
+
 def test_fit_quartet_polarization_report(tmp_path):
     sim_block = {
         "model": dict(SIM_BLOCK["model"], polarization=0.16),

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,16 @@ from vbodmr.fit import (
     free_model_from_result,
     initial_physical_guess,
     lm_minimize,
+    _as_magnitudes,
     _forward_jacobian,
+    _physical_problem,
 )
 from vbodmr.spectrum import (
+    Populations,
     SpectrumModel,
     config_spectrum,
     default_grid,
+    enumerate_ladder,
     lorentzian,
     mixture_spectrum,
 )
@@ -237,6 +244,133 @@ def test_fit_p15_free_converges_when_held_at_zero():
     assert res.iterations <= 50
     assert res.values["p15"] == 0.0
     assert any(d.startswith("held at bound: p15 = 0") for d in res.diagnostics)
+
+
+BASE = ("f_center", "contrast", "linewidth")
+
+
+@pytest.mark.parametrize(
+    "model, active, config_n15, sigmas",
+    [
+        (dict(p15=0.0), BASE + ("a14",), None, False),
+        (dict(p15=0.3), BASE + ("a14", "a15"), None, False),
+        (dict(p15=0.6), BASE + ("a14", "a15"), None, True),
+        (dict(p15=1.0, branch=1), BASE + ("a15",), None, False),
+        (dict(p15=0.45), BASE + ("a14", "a15", "p15"), None, False),
+        (dict(p15=0.0), BASE + ("a14", "a15", "p15"), None, False),
+        (dict(p15=1.0), BASE + ("a14", "a15", "p15"), None, True),
+        (dict(p15=0.5), BASE + ("a14",), 0, False),
+        (dict(p15=0.5, branch=1), BASE + ("a14", "a15"), 1, False),
+        (dict(p15=0.5), BASE + ("a14", "a15"), 2, True),
+        (dict(p15=0.5), BASE + ("a15",), 3, False),
+        (
+            dict(
+                p15=0.6,
+                populations={
+                    n: Populations.with_polarization(enumerate_ladder(n), 0.15) for n in (1, 2, 3)
+                },
+            ),
+            BASE + ("a14", "a15", "p15"),
+            None,
+            False,
+        ),
+        (dict(p15=0.6, a14=-44.0), BASE + ("a14", "a15"), None, False),
+        (dict(p15=0.6, a15=0.4, branch=1), BASE + ("a14", "a15", "p15"), None, False),
+        (dict(p15=0.6), ("contrast", "a15"), None, False),
+    ],
+)
+def test_physical_jacobian_matches_forward_differences(model, active, config_n15, sigmas):
+    truth = SpectrumModel(
+        **dict(dict(f_center=2310.0, contrast=0.09, linewidth=48.0, a14=44.0, a15=64.0), **model)
+    )
+    grid = default_grid(2312.0)
+    rng = np.random.default_rng(5)
+    y = mixture_spectrum(dataclasses.replace(truth, f_center=2312.0), grid).values
+    meas = MeasuredSpectrum(grid, y, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
+    residual, jacobian = _physical_problem(meas, truth, active, config_n15)
+    p = np.array([getattr(truth, name) for name in active])
+    lower = np.array([0.0 if name == "p15" else -np.inf for name in active])
+    upper = np.array([1.0 if name == "p15" else np.inf for name in active])
+    fd = _forward_jacobian(residual, p, residual(p), lower, upper)
+    jac = jacobian(p)
+    assert jac.shape == fd.shape
+    for i, name in enumerate(active):
+        scale = np.abs(fd[:, i]).max()
+        assert np.abs(jac[:, i] - fd[:, i]).max() <= 5e-4 * scale, name
+
+
+def test_physical_fit_is_the_same_from_mirrored_couplings():
+    # the couplings are fitted signed and reported as magnitudes: a fit run
+    # from (-a14, -a15) reports what the fit from (+a14, +a15) reports, with
+    # the covariance of the magnitudes
+    truth, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.6),
+        seed=11,
+    )
+    active = list(BASE + ("a14", "a15"))
+    init = initial_physical_guess(meas, 0.6)
+    mirrored = dataclasses.replace(init, a14=-init.a14, a15=-init.a15)
+    residual, jacobian = _physical_problem(meas, mirrored, active)
+    p0 = [getattr(mirrored, name) for name in active]
+    signed = lm_minimize(residual, p0, names=active, jacobian=jacobian)
+    flipped = [name for name in ("a14", "a15") if signed.values[name] < 0.0]
+    assert flipped  # a coupling may cross zero on the way, both need not
+    neg = _as_magnitudes(signed)
+    pos = fit_physical(meas, init=init, p15_mode=("fixed", 0.6))
+    assert neg.names == pos.names
+    for name in active:
+        assert neg.values[name] == pytest.approx(pos.values[name], rel=1e-6)
+        assert neg.sigmas[name] == pytest.approx(pos.sigmas[name], rel=1e-6)
+    assert np.allclose(neg.covariance, pos.covariance, rtol=1e-6, atol=0.0)
+    for name in flipped:
+        i = active.index(name)
+        assert neg.covariance[i, 0] == -signed.covariance[i, 0] != 0.0
+        assert neg.covariance[i, i] == signed.covariance[i, i]
+
+
+@pytest.mark.parametrize("p15, name, species", [(0.0, "a15", "15N"), (1.0, "a14", "14N")])
+def test_free_p15_on_a_pure_sample_reports_the_absent_coupling_undetermined(p15, name, species):
+    truth, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.1, linewidth=50.0, a14=44.0, a15=64.0, p15=p15),
+        seed=2,
+    )
+    res = fit_physical(meas, p15_mode="free")
+    assert res.converged
+    assert res.values["p15"] == p15
+    assert res.sigmas[name] == np.inf
+    i = res.names.index(name)
+    assert res.covariance[i, i] == np.inf
+    assert f"{name} undetermined: no {species} lines at p15 = {p15:g}" in res.diagnostics
+    other = "a14" if name == "a15" else "a15"
+    assert np.isfinite(res.sigmas[other]) and res.sigmas[other] > 0.0
+    report = res.to_json_dict()
+    assert report["params"][name]["sigma"] is None
+    json.dumps(report, allow_nan=False)
+
+
+def test_physical_fit_recovers_from_coupling_starts_near_zero():
+    # off-default coupling starts on one mixed spectrum; an exact Jacobian
+    # carries some of them onto the symmetry plane a = 0 with a too-wide
+    # line, and the restart from the default couplings brings them back
+    rng = np.random.default_rng(107)
+    truth = SpectrumModel(
+        f_center=rng.uniform(2280.0, 2340.0),
+        contrast=rng.uniform(0.05, 0.12),
+        linewidth=rng.uniform(45.0, 55.0),
+        a14=rng.uniform(42.0, 46.0),
+        a15=rng.uniform(62.0, 66.0),
+        p15=0.6,
+    )
+    grid = default_grid(truth.f_center)
+    meas = MeasuredSpectrum(
+        grid, mixture_spectrum(truth, grid).values + rng.normal(0.0, 0.002, grid.size)
+    )
+    guess = initial_physical_guess(meas, 0.6)
+    for a14 in (0.5, 5.0, 15.0, 30.0, 44.0, 60.0):
+        for a15 in (5.0, 30.0, 64.0, 90.0):
+            init = dataclasses.replace(guess, a14=a14, a15=a15)
+            res = fit_physical(meas, init=init, p15_mode=("fixed", 0.6))
+            assert res.residual_norm <= 1.2 * 0.002, (a14, a15)
 
 
 @pytest.mark.parametrize("n15", [0, 1, 2, 3])
