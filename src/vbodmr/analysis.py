@@ -21,7 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult, free_model_from_result
-from .spectrum import Curve, SpectrumModel, _present_lines
+from .spectrum import Curve, SpectrumModel, _present_lines, binomial_fractions
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -60,7 +60,7 @@ class RamanPoint:
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
     half2 = (0.5 * model.linewidth) ** 2
-    fractions, positions, weights, bounds = _present_lines(model)
+    fractions, positions, weights, bounds = _present_lines(model, binomial_fractions(model.p15))
     coeff = np.repeat(fractions, np.diff(bounds)) * weights
     u = grid - positions[:, None]
     return model.contrast * (coeff[:, None] * (2.0 * half2 * u) / (u * u + half2) ** 2).sum(axis=0)

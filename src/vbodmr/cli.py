@@ -4,7 +4,9 @@ Verbs: simulate | fit | sensitivity | polarization | raman | validate.
 Each reads a strict JSON config (unknown keys abort before anything is
 written), writes JSON reports plus plot-ready CSV into the output directory,
 and exits with 0 on success, 1 on a validation or schema error, 2 on an
-ingestion error, 3 on fit non-convergence.
+ingestion error, 3 on fit non-convergence. Numbers must be finite: a NaN,
+an infinity or an overflowing literal in the config is a schema error, a
+model whose curve is not finite is refused, and reports are strict JSON.
 """
 
 from __future__ import annotations
@@ -172,6 +174,14 @@ def validate_config(config: dict, command: str) -> dict:
     return block
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float literal or constant (NaN, Infinity) as a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError([f"non-finite number {text} (numbers must be finite)"])
+    return value
+
+
 def _number(value, key: str) -> float:
     """A JSON number inside a free-form block (list, map) as float."""
     if isinstance(value, bool) or not isinstance(value, _NUM):
@@ -294,7 +304,13 @@ def _grid_from_block(block: dict | None, f_center: float) -> np.ndarray:
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _require_finite(curve: Curve, what: str) -> None:
+    if not np.all(np.isfinite(curve.values)):
+        raise ValueError(f"{what} is not finite: the model is out of floating-point range")
 
 
 def _model_echo(model: SpectrumModel) -> dict:
@@ -324,6 +340,7 @@ def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, float(noise_sigma), values.size)
         curve = Curve(grid, values)
+    _require_finite(curve, "simulated curve")
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "curve.csv"
     curve.to_csv(curve_path)
@@ -358,7 +375,6 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if mode == "free_lorentzians" and block.get("polarization"):
         _require_quartet(block, "fit")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {"command": "fit", "input": meas.metadata, "mode": mode}
     derived: dict = {}
 
@@ -414,6 +430,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
     report["derived"] = derived
     report_path = out_dir / "fit.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report_path, report)
     if not quiet:
         print(f"wrote {report_path}")
@@ -431,6 +448,8 @@ def cmd_sensitivity(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     grid_b = _grid_from_block(grid_block, model_b.f_center)
     report_a = analysis.spectral_slope(model_a, grid_a, normalization)
     report_b = analysis.spectral_slope(model_b, grid_b, normalization)
+    _require_finite(report_a.slope_curve, "slope curve of model_a")
+    _require_finite(report_b.slope_curve, "slope curve of model_b")
     out_dir.mkdir(parents=True, exist_ok=True)
     report_a.slope_curve.to_csv(out_dir / "slope_a.csv", value_name="slope_per_mhz")
     report_b.slope_curve.to_csv(out_dir / "slope_b.csv", value_name="slope_per_mhz")
@@ -463,6 +482,8 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             }
         except ValueError:
             raise SchemaError(["polarization.areas keys must be numeric"]) from None
+        if not all(math.isfinite(m) for m in areas):
+            raise SchemaError(["polarization.areas keys must be finite"])
         pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
     elif "input_csv" in block:
         _require_quartet(block, "polarization")
@@ -583,7 +604,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise SchemaError([f"cannot read config: {exc}"]) from None
             try:
-                config = json.loads(raw)
+                config = json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
             except json.JSONDecodeError as exc:
                 raise SchemaError([f"config is not valid JSON: {exc}"]) from None
         elif args.command == "validate":
@@ -593,12 +614,16 @@ def main(argv=None) -> int:
         block = validate_config(config, args.command)
         out_dir = Path(args.out or config.get("out_dir", "."))
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        return COMMANDS[args.command](block, out_dir, int(seed), args.quiet)
+        # results are checked for finiteness instead; a floating-point
+        # warning would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](block, out_dir, int(seed), args.quiet)
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ValueError,) as exc:
+    except (ValueError, RecursionError, MemoryError, OverflowError) as exc:
+        # deep JSON nesting, arrays beyond the address space, float overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except IngestError as exc:

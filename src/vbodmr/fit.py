@@ -34,7 +34,6 @@ from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
     _model_jacobian,
-    config_spectrum,
     lorentzian,
     mixture_spectrum,
 )
@@ -375,7 +374,6 @@ def _physical_problem(
     meas: MeasuredSpectrum,
     init: SpectrumModel,
     active: Sequence[str],
-    config_n15: int | None = None,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Residual and closed-form Jacobian of the physical model over the
     ``active`` parameters; the others keep their ``init`` values. Both are
@@ -390,16 +388,11 @@ def _physical_problem(
         return replace(init, **dict(zip(active, p)))
 
     def residual(p: np.ndarray) -> np.ndarray:
-        model = model_at(p)
-        if config_n15 is None:
-            values = mixture_spectrum(model, grid).values
-        else:
-            values = config_spectrum(model, config_n15, grid).values
-        res = values - y
+        res = mixture_spectrum(model_at(p), grid).values - y
         return res * weights if weights is not None else res
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        jac = _model_jacobian(model_at(p), grid, config_n15, p15_column)[rows].T
+        jac = _model_jacobian(model_at(p), grid, p15_column)[rows].T
         return jac * weights[:, None] if weights is not None else jac
 
     return residual, jacobian
@@ -440,13 +433,11 @@ def fit_physical(
     meas: MeasuredSpectrum,
     init: SpectrumModel | None = None,
     p15_mode: tuple[str, float] | str = ("fixed", 0.0),
-    config_n15: int | None = None,
     freeze: Sequence[str] = (),
 ) -> FitResult:
     """Fit the constrained physical model to a measured spectrum.
 
-    ``p15_mode`` is ("fixed", value) or "free". With ``config_n15`` set, a
-    single configuration replaces the binomial mixture. ``freeze`` names
+    ``p15_mode`` is ("fixed", value) or "free". ``freeze`` names
     parameters held at their init value.
 
     The hyperfine couplings start from the magnitudes of ``init.a14`` and
@@ -482,28 +473,20 @@ def fit_physical(
     frozen = set(freeze)
     active: list[str] = ["f_center", "contrast", "linewidth"]
     p15_init = init.p15 if p15_free else p15_fixed
-    if config_n15 is None:
-        if p15_free or 0.0 < p15_fixed < 1.0:
-            active += ["a14", "a15"]
-        elif p15_fixed == 0.0:
-            active += ["a14"]
-        else:
-            active += ["a15"]
-        if p15_free:
-            active.append("p15")
+    if p15_free or 0.0 < p15_fixed < 1.0:
+        active += ["a14", "a15"]
+    elif p15_fixed == 0.0:
+        active += ["a14"]
     else:
-        if config_n15 not in (0, 1, 2, 3):
-            raise ValueError("config_n15 must be 0..3")
-        if config_n15 < 3:
-            active.append("a14")
-        if config_n15 > 0:
-            active.append("a15")
+        active += ["a15"]
+    if p15_free:
+        active.append("p15")
     active = [name for name in active if name not in frozen]
     if not active:
         raise ValueError("all parameters frozen; nothing to fit")
 
     init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
-    residual, jacobian = _physical_problem(meas, init, active, config_n15)
+    residual, jacobian = _physical_problem(meas, init, active)
     bounds_table = {
         "f_center": (-np.inf, np.inf),
         "contrast": (1e-6, 0.999999),
@@ -578,10 +561,16 @@ def fit_free_lorentzians(
 
     Runs a small seeded multi-start (perturbed copies of the initial guess)
     and keeps the lowest-cost solution. The positive-spacing bound keeps the
-    reported lines ordered by center frequency.
+    reported lines ordered by center frequency. The 2 + 2 n parameters may
+    not outnumber the samples.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
+    if 2 + 2 * n_lines > meas.n_samples:
+        raise ValueError(
+            f"{n_lines} free Lorentzians have {2 + 2 * n_lines} parameters,"
+            f" more than the {meas.n_samples} samples"
+        )
     if init is None:
         init = initial_free_guess(meas, n_lines)
     if init.n_lines != n_lines:

@@ -14,14 +14,13 @@ with w = 1/N_level when the nuclear spins are unpolarized. An ensemble with
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
-from .spin_core import IsotopeSpecies
+from .spin_core import IsotopeSpecies, _label_table
 
 # Line positions closer than this merge into a single Lorentzian.
 POSITION_MERGE_TOL_MHZ = 1e-9
@@ -222,10 +221,10 @@ def lorentzian(f, f0, fwhm: float):
 def _product_table(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-site projections (N, 3; 14N sites first), 15N site mask (3,) and
     m_tot ladder index (N,) of every nuclear product state of configuration
-    #n; read-only, built once per n."""
+    #n, from the label table of ``spin_core``; read-only, built once per n."""
     ladder = enumerate_ladder(n15_count)
-    species = [IsotopeSpecies.N14] * (3 - n15_count) + [IsotopeSpecies.N15] * n15_count
-    labels = np.array(list(itertools.product(*[s.projections for s in species])), dtype=float)
+    species = (IsotopeSpecies.N14,) * (3 - n15_count) + (IsotopeSpecies.N15,) * n15_count
+    labels = np.array(_label_table(species))
     is_n15 = np.array([s is IsotopeSpecies.N15 for s in species])
     rung = np.rint(labels.sum(axis=1) - ladder.m_values[0]).astype(np.intp)
     for a in (labels, is_n15, rung):
@@ -286,13 +285,10 @@ def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.n
 
 def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     """ODMR curve of a single defect configuration on the given grid."""
-    grid = np.asarray(grid, dtype=float)
-    positions, weights = config_lines(model, n15_count)
-    lines = lorentzian(grid, positions[:, None], model.linewidth)
-    lines *= weights[:, None]
-    # on two or more grid points NumPy adds the rows one after another, in
-    # line order; a one-point grid of 8+ lines is summed pairwise instead
-    return Curve(grid, 1.0 - model.contrast * lines.sum(axis=0))
+    if n15_count not in (0, 1, 2, 3):
+        raise ValueError("n15_count must be 0..3")
+    # fraction 1 of one configuration: 0.0 + 1.0 * x == x, bit for bit
+    return _stacked_spectrum(model, grid, tuple(float(n == n15_count) for n in range(4)))
 
 
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
@@ -308,12 +304,14 @@ def _binomial(p15: float) -> tuple[float, float, float, float]:
     return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
 
 
-def _present_lines(model: SpectrumModel) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
-    """Merged lines of every configuration present in the mixture, stacked
+def _present_lines(
+    model: SpectrumModel, config_fractions: tuple[float, ...]
+) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """Merged lines of every configuration with a nonzero fraction, stacked
     in configuration order: (fractions, positions, weights, bounds), where
     the k-th present configuration owns rows bounds[k]:bounds[k + 1]."""
     fractions, positions, weights = [], [], []
-    for n, frac in enumerate(binomial_fractions(model.p15)):
+    for n, frac in enumerate(config_fractions):
         if frac != 0.0:
             pos, w = config_lines(model, n)
             fractions.append(frac)
@@ -326,12 +324,21 @@ def _present_lines(model: SpectrumModel) -> tuple[list[float], np.ndarray, np.nd
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     """Ensemble ODMR curve: binomial mixture of the four configurations.
 
+    Every value equals the sum of frac * config_spectrum bit for bit.
+    """
+    return _stacked_spectrum(model, grid, binomial_fractions(model.p15))
+
+
+def _stacked_spectrum(model: SpectrumModel, grid, config_fractions: tuple[float, ...]) -> Curve:
+    """Curve of the configurations mixed by ``config_fractions``.
+
     The weighted Lorentzians of all present configurations are one
-    (lines x grid) array; each configuration's rows are summed on their own,
-    so every value equals the sum of frac * config_spectrum bit for bit.
+    (lines x grid) array; each configuration's rows are summed on their own.
+    On two or more grid points NumPy adds the rows one after another, in
+    line order; a one-point grid of 8+ lines is summed pairwise instead.
     """
     grid = np.asarray(grid, dtype=float)
-    fractions, positions, weights, bounds = _present_lines(model)
+    fractions, positions, weights, bounds = _present_lines(model, config_fractions)
     lines = lorentzian(grid, positions[:, None], model.linewidth)
     lines *= weights[:, None]
     values = np.zeros(lines.shape[1:])
@@ -344,12 +351,10 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
 _JACOBIAN_PARAMS = ("contrast", "p15", "f_center", "a14", "a15", "linewidth")
 
 
-def _model_jacobian(
-    model: SpectrumModel, grid, n15_count: int | None = None, p15_column: bool = False
-) -> np.ndarray:
-    """Closed-form derivatives of mixture_spectrum(model, grid), or of
-    config_spectrum(model, n15_count, grid), with respect to the parameters
-    _JACOBIAN_PARAMS: a (6, grid) array, one row per parameter.
+def _model_jacobian(model: SpectrumModel, grid, p15_column: bool = False) -> np.ndarray:
+    """Closed-form derivatives of mixture_spectrum(model, grid) with respect
+    to the parameters _JACOBIAN_PARAMS: a (6, grid) array, one row per
+    parameter.
 
     The lines are the grouped product states (``_product_groups``) of every
     configuration present, each weighted by its fraction; with ``p15_column``
@@ -361,11 +366,8 @@ def _model_jacobian(
     no public function of this module, so a traced run counts forward-model
     evaluations only.
     """
-    if n15_count is None:
-        fractions = _binomial(model.p15)
-    else:
-        fractions = tuple(float(n == n15_count) for n in range(4))
-    if n15_count is None and p15_column:
+    fractions = _binomial(model.p15)
+    if p15_column:
         p, q = model.p15, 1.0 - model.p15
         slopes = (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
     else:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -296,6 +295,16 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
     ]))
 
 
+@functools.lru_cache(maxsize=8)
+def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...], ...]:
+    """Per-site projections (m_1, m_2, m_3) of every nuclear product state
+    of ``species``, in basis order: the diagonals of the cached I_z
+    operators, so labels and Kronecker rows agree by construction. The one
+    enumeration of product states; a tuple, so read-only."""
+    iz = np.diagonal(_nuclear_operators(species)[:, 2], axis1=1, axis2=2).real
+    return tuple(zip(*iz.tolist()))
+
+
 def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:
     """Basis labels (m_S, (m_1, m_2, m_3)) in Kronecker (row) order."""
     return [(ms, label) for ms in MS_VALUES for label in nuclear_labels(sys)]
@@ -303,7 +312,7 @@ def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:
 
 def nuclear_labels(sys: SpinSystem) -> list[tuple[float, ...]]:
     """All (m_1, m_2, m_3) product states in basis order."""
-    return list(itertools.product(*[s.species.projections for s in sys.sites]))
+    return list(_label_table(tuple(s.species for s in sys.sites)))
 
 
 def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:

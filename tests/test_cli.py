@@ -1,7 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vbodmr import cli, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
@@ -265,9 +273,13 @@ def test_simulate_rejects_bad_noise_sigma(tmp_path, capsys, sigma):
     config = write_config(tmp_path, {"simulate": dict(SIM_BLOCK, noise_sigma=sigma)})
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "config error: simulate.noise_sigma must be a finite number >= 0\n"
+    # json writes NaN as a bare token, which the config parser rejects
+    expected = (
+        "config error: non-finite number NaN (numbers must be finite)\n"
+        if np.isnan(sigma)
+        else "config error: simulate.noise_sigma must be a finite number >= 0\n"
     )
+    assert capsys.readouterr().err == expected
     assert not out.exists()
 
 
@@ -548,3 +560,326 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         cli.main(["no_such_command"])
     assert err.value.code == 1
+
+
+# --- runaway and non-finite inputs -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        # json's decoder recurses once per nesting level
+        ("validate", "[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        # 10**15 grid points ask for 7.11 PiB, beyond the address space, so
+        # the allocation fails at once
+        (
+            "simulate",
+            json.dumps(
+                {"simulate": {"model": SIM_BLOCK["model"],
+                              "grid": {"start_mhz": 2000.0, "stop_mhz": 2600.0, "points": 10**15}}}
+            ),
+            "Unable to allocate",
+        ),
+        (
+            "polarization",
+            json.dumps({"polarization": {"areas": {"1": 1e308, "0.5": 1e308}, "m_max": 1.5}}),
+            "overflow",
+        ),
+    ],
+    ids=["recursion", "memory", "overflow"],
+)
+def test_runaway_input_exits_1_with_one_line(tmp_path, capsys, command, raw, message):
+    config = tmp_path / "config.json"
+    config.write_text(raw, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, raw, token",
+    [
+        ("simulate", '{"simulate": {"model": {"f_center_mhz": 2308.0, "contrast": 0.1,'
+         ' "linewidth_mhz": 50.0, "p15": 1.0, "a14_mhz": NaN}}}', "NaN"),
+        ("sensitivity", '{"sensitivity": {"model_a": {"f_center_mhz": 2308.0, "contrast": 0.1,'
+         ' "linewidth_mhz": 50.0, "p15": 1.0, "a15_mhz": -Infinity}, "model_b":'
+         ' {"f_center_mhz": 2308.0, "contrast": 0.1, "linewidth_mhz": 50.0, "p15": 0.0}}}',
+         "-Infinity"),
+        ("validate", '{"validate": {"ladder_table": {"0": [1e400]}}}', "1e400"),
+    ],
+    ids=["nan-coupling", "infinite-coupling", "overflowing-literal"],
+)
+def test_non_finite_config_number_is_a_schema_error(tmp_path, capsys, command, raw, token):
+    config = tmp_path / "config.json"
+    config.write_text(raw, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: non-finite number {token} (numbers must be finite)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["nan", "inf", "-Infinity"])
+def test_non_finite_area_key_is_a_schema_error(tmp_path, capsys, key):
+    config = write_config(
+        tmp_path, {"polarization": {"areas": {key: 1.0, "0.5": 2.0}, "m_max": 1.5}}
+    )
+    out = tmp_path / "out"
+    assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: polarization.areas keys must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, block, what",
+    [
+        # (FWHM/2)^2 overflows, so every Lorentzian is inf/inf
+        ("simulate", {"model": dict(SIM_BLOCK["model"], linewidth_mhz=1e308)}, "simulated curve"),
+        # 2 (FWHM/2)^2 u overflows in the slope
+        (
+            "sensitivity",
+            {"model_a": dict(SIM_BLOCK["model"], linewidth_mhz=1e154),
+             "model_b": dict(SIM_BLOCK["model"], p15=0.0)},
+            "slope curve of model_a",
+        ),
+    ],
+)
+def test_non_finite_curve_is_refused(tmp_path, capsys, command, block, what):
+    config = write_config(tmp_path, {command: block})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {what} is not finite: the model is out of floating-point range\n"
+    )
+    assert not out.exists()
+
+
+def test_report_with_a_non_finite_value_is_not_written(tmp_path, capsys):
+    # the one area over a subnormal m_max gives polarization = inf
+    config = write_config(tmp_path, {"polarization": {"areas": {"1.5": 1.0}, "m_max": 5e-324}})
+    out = tmp_path / "out"
+    assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values") and err.count("\n") == 1
+    assert not (out / "polarization.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("fit", {"model": "free_lorentzians", "n_lines": 6}),
+        ("polarization", {}),
+    ],
+)
+def test_free_lorentzians_outnumbering_the_samples_exit_1(tmp_path, capsys, command, block):
+    csv_path = write_curve_csv(tmp_path, rows=9)
+    config = write_config(tmp_path, {command: dict(block, input_csv=str(csv_path))})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    n = block.get("n_lines", 4)
+    assert capsys.readouterr().err == (
+        f"error: {n} free Lorentzians have {2 + 2 * n} parameters, more than the 9 samples\n"
+    )
+    assert not out.exists()
+
+
+# --- property: any config or CSV ends in a documented exit code ---------------------
+
+# numbers at the edges of float range; json writes the non-finite ones as
+# the tokens NaN, Infinity and -Infinity
+EXTREME = st.sampled_from(
+    [0, -0.0, -1, 5e-324, 1e-300, 1e308, -1e308, 2**63, 10**400, math.nan, math.inf, -math.inf]
+)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.floats() | EXTREME,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# keys that set the runtime keep a small size (the oversized ones have
+# their own example tests above); other types of junk still reach them
+SIZE_KEYS = {"points": 2001, "n_lines": 8, "oracle_draws": 2}
+
+MODEL = st.fixed_dictionaries(
+    {
+        "f_center_mhz": st.floats(2200.0, 2400.0),
+        "contrast": st.floats(0.01, 0.3),
+        "linewidth_mhz": st.floats(20.0, 100.0),
+        "p15": st.floats(0.0, 1.0),
+    },
+    optional={
+        "a14_mhz": st.floats(-100.0, 100.0),
+        "a15_mhz": st.floats(-100.0, 100.0),
+        "branch": st.sampled_from([-1, 1]),
+        "polarization": st.floats(-0.3, 0.3),
+    },
+)
+GRID = st.fixed_dictionaries(
+    {
+        "start_mhz": st.floats(2000.0, 2300.0),
+        "stop_mhz": st.floats(2300.0, 2600.0),
+        "points": st.integers(2, SIZE_KEYS["points"]),
+    }
+)
+INIT = st.fixed_dictionaries(
+    {},
+    optional={
+        "f_center_mhz": st.floats(2200.0, 2400.0),
+        "contrast": st.floats(0.0, 0.3),
+        "linewidth_mhz": st.floats(1.0, 100.0),
+        "a14_mhz": st.floats(-100.0, 100.0),
+        "a15_mhz": st.floats(-100.0, 100.0),
+        "p15": st.floats(0.0, 1.0),
+    },
+)
+M_TOT = st.sampled_from(["-1.5", "-0.5", "0.5", "1.5"])
+
+
+def verb_blocks(csv_path: str) -> dict:
+    """Schema-shaped blocks of every verb, valid before perturbation."""
+    n_lines = st.integers(1, SIZE_KEYS["n_lines"])
+    return {
+        "simulate": st.fixed_dictionaries(
+            {"model": MODEL}, optional={"grid": GRID, "noise_sigma": st.floats(0.0, 0.01)}
+        ),
+        "fit": st.fixed_dictionaries(
+            {"input_csv": st.just(csv_path)},
+            optional={
+                "model": st.sampled_from(["physical", "free_lorentzians"]),
+                "branch": st.sampled_from([-1, 1]),
+                "p15": st.floats(0.0, 1.0) | st.just("free"),
+                "init": INIT,
+                "n_lines": n_lines,
+                "d_gs_mhz": st.floats(3000.0, 4000.0),
+                "polarization": st.booleans(),
+                "sample_id": st.text(max_size=4),
+            },
+        ),
+        "sensitivity": st.fixed_dictionaries(
+            {"model_a": MODEL, "model_b": MODEL},
+            optional={"normalization": st.sampled_from(["raw", "per_contrast"]), "grid": GRID},
+        ),
+        "polarization": st.fixed_dictionaries(
+            {
+                "areas": st.dictionaries(M_TOT, st.floats(0.0, 10.0), min_size=1, max_size=4),
+                "m_max": st.just(1.5),
+            }
+        )
+        | st.fixed_dictionaries({"input_csv": st.just(csv_path)}, optional={"n_lines": n_lines}),
+        "raman": st.fixed_dictionaries(
+            {
+                "points": st.lists(
+                    st.fixed_dictionaries(
+                        {"nitrogen_frac_15": st.floats(0.0, 1.0)},
+                        optional={"boron_frac_10": st.floats(0.0, 1.0)},
+                    ),
+                    max_size=3,
+                )
+            }
+        ),
+        "validate": st.fixed_dictionaries(
+            {},
+            optional={
+                "eigensolver_tolerance": st.floats(1e-15, 1e-6),
+                "ladder_table": st.dictionaries(
+                    st.sampled_from(["0", "3"]), st.lists(st.integers(0, 8), max_size=8), max_size=2
+                ),
+                "oracle_draws": st.integers(1, SIZE_KEYS["oracle_draws"]),
+                "slope_ratio_bounds": st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2),
+            },
+        ),
+    }
+
+
+def _blocks(config: dict) -> list[dict]:
+    """``config`` and every object nested in it."""
+    found = [config]
+    for value in config.values():
+        if isinstance(value, dict):
+            found += _blocks(value)
+    return found
+
+
+@st.composite
+def perturbed(draw, config: dict) -> dict:
+    """``config`` with one to three keys, at any depth, deleted, set to junk
+    or an extreme number, or added."""
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = [(block, key) for block in _blocks(config) for key in [*block, "unknown"]]
+        block, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["delete", "junk", "extreme"]))
+        if action == "delete":
+            block.pop(key, None)
+        elif key in SIZE_KEYS:
+            block[key] = draw(st.integers(-2, SIZE_KEYS[key]) | st.booleans() | st.floats())
+        else:
+            block[key] = draw(JUNK if action == "junk" else EXTREME)
+    return config
+
+
+@st.composite
+def mangled_csv(draw) -> bytes:
+    """A 15N quartet spectrum as CSV bytes, with rows and cells broken."""
+    n = draw(st.integers(0, 9) | st.integers(10, 24) | st.integers(10, 24))
+    model = SpectrumModel(f_center=2300.0, contrast=0.1, linewidth=40.0, a14=43.0, a15=64.0, p15=1.0)
+    grid = np.linspace(2100.0, 2500.0, max(n, 1))
+    values = mixture_spectrum(model, grid).values
+    sigma = draw(st.booleans())
+    rows = [[repr(float(f)), repr(float(v))] + ["0.002"] * sigma for f, v in zip(grid[:n], values)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        action = draw(st.sampled_from(["cell", "drop", "extra", "duplicate"]))
+        if action == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(["", "abc", "nan", "-inf", "1e400", "1e308", "-0", " 2 "])
+            )
+        elif action == "drop" and len(row) > 1:
+            row.pop()
+        elif action == "extra":
+            row.append("1")
+        else:
+            rows.append(list(row))
+    good = "frequency_mhz,ratio" + ",sigma" * sigma
+    header = draw(st.sampled_from([good, good, "frequency_mhz,ratio", "f,r", ""]))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    return draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xe9"])) + text.encode("utf-8")
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
+@pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_cli_ends_in_a_documented_exit_code(verb, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csv_path = tmp / "input.csv"
+        if verb in ("fit", "polarization"):
+            csv_path.write_bytes(data.draw(mangled_csv(), label="csv"))
+        block = data.draw(verb_blocks(str(csv_path))[verb], label="block")
+        config = {verb: block, "seed": 3}
+        # one in five configs as valid, three with broken keys, one not an object
+        kind = data.draw(st.sampled_from(["valid", "broken", "broken", "broken", "junk"]))
+        if kind == "broken":
+            config = data.draw(perturbed(config), label="config")
+        elif kind == "junk":
+            config = data.draw(JUNK.filter(lambda v: not isinstance(v, dict)), label="config")
+        config_path = tmp / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([verb, "--config", str(config_path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        for report in out.glob("*.json"):
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
