@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""One untimed pass of the fit_batch benchmark corpus: fit outcomes per slot
+and a digest of every fit.
+
+Runs each of the 40 rounds of the ``fit_batch`` workload once, from corpus
+entry 0, through ``bench/workloads.FitBatch`` and its own check. Prints, per
+slot (op_a fixed-p15 fits, op_b free-p15 fits, op_c quartet fits), the
+operations that fail the check, the LM iterations and the fits that report
+``converged``, then a sha256 over every operation's values, sigmas,
+iterations and diagnostics. Two checkouts print the same digest only when
+every fit is bit-identical.
+
+    python3 scripts/corpus_pass.py                  # this checkout
+    python3 scripts/corpus_pass.py --root OTHER     # another checkout
+    python3 scripts/corpus_pass.py --ops            # one line per operation
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+SLOTS = ("op_a", "op_b", "op_c")
+
+
+def fit_record(out) -> str:
+    """Canonical text of one operation's fit, or of the exception it raised."""
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}"
+    res = out[0]
+    return json.dumps(
+        [sorted(res.values.items()), sorted(res.sigmas.items()), res.iterations,
+         list(res.diagnostics)]
+    )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--root", default=str(Path(__file__).resolve().parent.parent),
+        help="checkout whose src/ and bench/ to run (default: this one)",
+    )
+    parser.add_argument("--ops", action="store_true", help="print one line per operation")
+    args = parser.parse_args()
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from workloads import FitBatch
+
+    batch = FitBatch(seed=0)  # round r reads corpus entry r
+    batch.setup()
+    failed = {s: 0 for s in SLOTS}
+    iterations = {s: 0 for s in SLOTS}
+    converged = {s: 0 for s in SLOTS}
+    total = {s: 0 for s in SLOTS}
+    digest = hashlib.sha256()
+    for r in range(batch.corpus_rounds):
+        inputs = batch.inputs(r)
+        for slot in SLOTS:
+            _, _, outputs = batch.run(slot, inputs[slot])
+            checks = batch.check(slot, inputs[slot], outputs)
+            for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
+                record = fit_record(out)
+                digest.update(record.encode())
+                res = None if isinstance(out, Exception) else out[0]
+                total[slot] += 1
+                failed[slot] += reason is not None
+                if res is not None:
+                    iterations[slot] += res.iterations
+                    converged[slot] += res.converged
+                if args.ops:
+                    its, conv = ("-", "-") if res is None else (res.iterations, res.converged)
+                    short = hashlib.sha256(record.encode()).hexdigest()[:12]
+                    print(f"{r:2d} {slot} {k} it={its} conv={conv} {short} {reason or 'ok'}")
+    print(f"root {root}")
+    print(f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'converged':>9}")
+    for s in SLOTS:
+        print(f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d} {converged[s]:9d}")
+    print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -59,7 +59,8 @@ class RamanPoint:
 
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
-    half2 = (0.5 * model.linewidth) ** 2
+    # a NumPy power overflows to inf, where a float power raises
+    half2 = np.float64(0.5 * model.linewidth) ** 2
     fractions, positions, weights, bounds = _present_lines(model, binomial_fractions(model.p15))
     coeff = np.repeat(fractions, np.diff(bounds)) * weights
     u = grid - positions[:, None]

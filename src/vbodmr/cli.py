@@ -539,12 +539,15 @@ def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if "eigensolver_tolerance" in block:
         kwargs["eigensolver_tolerance"] = float(block["eigensolver_tolerance"])
     if "ladder_table" in block:
+        message = "validate.ladder_table must map n15_count to integer lists"
+        table = block["ladder_table"]
+        # JSON integers only: int() would read 1.9 as 1 and true as 1
+        if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in table.values()):
+            raise SchemaError([message])
         try:
-            kwargs["ladder_table"] = {
-                int(k): [int(x) for x in v] for k, v in block["ladder_table"].items()
-            }
-        except (TypeError, ValueError):
-            raise SchemaError(["validate.ladder_table must map n15_count to integer lists"]) from None
+            kwargs["ladder_table"] = {int(k): v for k, v in table.items()}
+        except ValueError:
+            raise SchemaError([message]) from None
     if "oracle_draws" in block:
         if block["oracle_draws"] < 1:
             raise SchemaError(["validate.oracle_draws must be >= 1"])

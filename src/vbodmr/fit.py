@@ -198,8 +198,6 @@ def lm_minimize(
     bounds: tuple[Sequence[float], Sequence[float]] | None = None,
     names: Sequence[str] | None = None,
     max_iter: int = LM_MAX_ITER,
-    cost_rtol: float = LM_COST_RTOL,
-    grad_atol: float = LM_GRAD_ATOL,
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residual^2).
@@ -217,9 +215,9 @@ def lm_minimize(
     box. Held parameters keep a zero step; the damped system is solved on
     the sub-block of the free ones. With nothing held this is the plain LM
     step. Convergence is declared when the relative cost change of an
-    accepted step falls below ``cost_rtol`` or the infinity norm of the
+    accepted step falls below LM_COST_RTOL or the infinity norm of the
     free parameters' gradient (the projected gradient) falls below
-    ``grad_atol``, so a minimum on a bound converges. Trial points are
+    LM_GRAD_ATOL, so a minimum on a bound converges. Trial points are
     clipped to the bounds. A parameter still held at the final iterate is
     named in a ``held at bound`` diagnostic: there ``converged`` means a
     minimum constrained by that bound. After ``max_iter`` iterations the
@@ -257,7 +255,7 @@ def lm_minimize(
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
         free = ~_held(p, grad, lower, upper)
-        if float(np.abs(grad[free]).max(initial=0.0)) < grad_atol:
+        if float(np.abs(grad[free]).max(initial=0.0)) < LM_GRAD_ATOL:
             converged = True
             break
         jtj = jac.T @ jac
@@ -281,7 +279,7 @@ def lm_minimize(
                     p, r, cost = trial, r_trial, cost_trial
                     lam = max(lam / 10.0, 1e-12)
                     accepted = True
-                    if rel_drop < cost_rtol or cost == 0.0:
+                    if rel_drop < LM_COST_RTOL or cost == 0.0:
                         converged = True
                     break
             lam *= 10.0

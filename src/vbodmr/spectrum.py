@@ -1,13 +1,15 @@
 """Analytic forward model of V_B ODMR spectra.
 
 A defect configuration #n carries n 15N and (3 - n) 14N among its nearest
-nitrogen sites. Each nuclear product state contributes one Lorentzian dip at
-the secular transition frequency; the normalized photoluminescence ratio of
-configuration #n is
+nitrogen sites. A nuclear product state shifts the secular transition by
+branch * (M14 * a14 + M15 * a15), M14 and M15 being the sums of its 14N and
+15N projections, so the states sharing (M14, M15) give one Lorentzian line:
 
-    R_n(f) = 1 - C * sum_states w(state) * L(f; f_line(state), dnu)
+    R_n(f) = 1 - C * sum_groups W(group) * L(f; f_line(group), dnu)
 
-with w = 1/N_level when the nuclear spins are unpolarized. An ensemble with
+is the normalized photoluminescence ratio of configuration #n, with W the
+summed populations of the group's states (1/N_level each when unpolarized).
+Lines that coincide for particular couplings are not merged. An ensemble with
 15N fraction p15 mixes the four configurations with binomial weights.
 """
 
@@ -21,9 +23,6 @@ import numpy as np
 
 from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
 from .spin_core import IsotopeSpecies, _label_table
-
-# Line positions closer than this merge into a single Lorentzian.
-POSITION_MERGE_TOL_MHZ = 1e-9
 
 DEFAULT_GRID_POINTS = 801
 DEFAULT_GRID_SPAN_MHZ = 250.0
@@ -218,69 +217,48 @@ def lorentzian(f, f0, fwhm: float):
 
 
 @functools.lru_cache(maxsize=4)
-def _product_table(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-site projections (N, 3; 14N sites first), 15N site mask (3,) and
-    m_tot ladder index (N,) of every nuclear product state of configuration
-    #n, from the label table of ``spin_core``; read-only, built once per n."""
-    ladder = enumerate_ladder(n15_count)
+def _product_groups(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nuclear product states of configuration #n (the label table of
+    ``spin_core``, 14N sites first) grouped by (sum of 14N projections, sum
+    of 15N projections): the two sums (G, 2) in ascending order, the m_tot
+    ladder index (G,) and the number of states (G,) of each group. States of
+    one group share a line position for any couplings. Read-only, built
+    once per n."""
     species = (IsotopeSpecies.N14,) * (3 - n15_count) + (IsotopeSpecies.N15,) * n15_count
     labels = np.array(_label_table(species))
-    is_n15 = np.array([s is IsotopeSpecies.N15 for s in species])
-    rung = np.rint(labels.sum(axis=1) - ladder.m_values[0]).astype(np.intp)
-    for a in (labels, is_n15, rung):
-        a.setflags(write=False)
-    return labels, is_n15, rung
-
-
-@functools.lru_cache(maxsize=4)
-def _product_groups(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The product states of configuration #n grouped by (sum of 14N
-    projections, sum of 15N projections): the two sums (G, 2), the m_tot
-    ladder index (G,) and the number of states (G,) of each group; states of
-    one group share a line position for any couplings. Read-only, built once
-    per n."""
-    labels, is_n15, rung = _product_table(n15_count)
-    sums = np.stack([labels[:, ~is_n15].sum(axis=1), labels[:, is_n15].sum(axis=1)], axis=1)
-    keys, first, counts = np.unique(sums, axis=0, return_index=True, return_counts=True)
-    groups = (keys, rung[first], counts.astype(float))
+    n14 = 3 - n15_count
+    sums = np.stack([labels[:, :n14].sum(axis=1), labels[:, n14:].sum(axis=1)], axis=1)
+    keys, counts = np.unique(sums, axis=0, return_counts=True)
+    rung = np.rint(keys.sum(axis=1) - enumerate_ladder(n15_count).m_values[0]).astype(np.intp)
+    groups = (keys, rung, counts.astype(float))
     for a in groups:
         a.setflags(write=False)
     return groups
 
 
-def _merge_lines(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge lines within POSITION_MERGE_TOL_MHZ of the lowest line of their
-    group, in one pass over the stably sorted lines; the merged line keeps
-    that position and adds the group's weights one at a time in ascending
-    position order. (Within a group every gap is within the tolerance too.)"""
-    order = np.argsort(positions, kind="stable")
-    merged_pos, merged_w = [], []
-    for p, w in zip(positions[order].tolist(), weights[order].tolist()):
-        if merged_pos and p - merged_pos[-1] <= POSITION_MERGE_TOL_MHZ:
-            merged_w[-1] += w
-        else:
-            merged_pos.append(p)
-            merged_w.append(w)
-    return np.array(merged_pos), np.array(merged_w)
-
-
-def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Line positions and total weights of configuration #n.
-
-    Each nuclear product state gives a line at its secular shift with
-    species-specific couplings, weighted by its population (1/N_level when
-    unpolarized); coinciding lines merge, so unpolarized weights sum to 1.
-    """
-    if n15_count not in (0, 1, 2, 3):
-        raise ValueError("n15_count must be 0..3")
+def _lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines of configuration #n, one per group of ``_product_groups`` in
+    its order: the group keys, the positions f_center + branch * (sum14 * a14
+    + sum15 * a15) and the weights, the group's share of the states when
+    unpolarized, otherwise its state count times the population of its rung."""
     pops = (model.populations or {}).get(n15_count)
     if pops is not None and pops.ladder.n15_count != n15_count:
         raise ValueError("populations ladder does not match the configuration")
-    labels, is_n15, rung = _product_table(n15_count)
-    a_site = np.where(is_n15, model.a15, model.a14)
-    positions = model.f_center + model.branch * (labels * a_site).sum(axis=1)
-    weights = np.full(len(rung), 1.0 / len(rung)) if pops is None else np.array(pops.weights)[rung]
-    return _merge_lines(positions, weights)
+    keys, rung, counts = _product_groups(n15_count)
+    positions = model.f_center + model.branch * (keys[:, 0] * model.a14 + keys[:, 1] * model.a15)
+    weights = counts / counts.sum() if pops is None else counts * np.array(pops.weights)[rung]
+    return keys, positions, weights
+
+
+def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line positions and total weights of configuration #n: one line per
+    (sum of 14N, sum of 15N projections) group of product states, in table
+    order, not by position. Groups that coincide for particular couplings
+    (a14 = 0, a15 = 0, a15 = +-2 a14) stay separate lines; unpolarized
+    weights sum to 1."""
+    if n15_count not in (0, 1, 2, 3):
+        raise ValueError("n15_count must be 0..3")
+    return _lines(model, n15_count)[1:]
 
 
 def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
@@ -307,9 +285,9 @@ def _binomial(p15: float) -> tuple[float, float, float, float]:
 def _present_lines(
     model: SpectrumModel, config_fractions: tuple[float, ...]
 ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
-    """Merged lines of every configuration with a nonzero fraction, stacked
-    in configuration order: (fractions, positions, weights, bounds), where
-    the k-th present configuration owns rows bounds[k]:bounds[k + 1]."""
+    """Lines of every configuration with a nonzero fraction, stacked in
+    configuration order: (fractions, positions, weights, bounds), where the
+    k-th present configuration owns rows bounds[k]:bounds[k + 1]."""
     fractions, positions, weights = [], [], []
     for n, frac in enumerate(config_fractions):
         if frac != 0.0:
@@ -356,7 +334,7 @@ def _model_jacobian(model: SpectrumModel, grid, p15_column: bool = False) -> np.
     to the parameters _JACOBIAN_PARAMS: a (6, grid) array, one row per
     parameter.
 
-    The lines are the grouped product states (``_product_groups``) of every
+    The lines are those of the forward model (``_lines``) of every
     configuration present, each weighted by its fraction; with ``p15_column``
     the configurations whose fraction moves with p15 join them, weighted by
     dP_n/dp15 for the p15 row, which is zero otherwise. With u = f - f_line,
@@ -372,23 +350,22 @@ def _model_jacobian(model: SpectrumModel, grid, p15_column: bool = False) -> np.
         slopes = (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
     else:
         slopes = (0.0,) * 4
-    sums, w, dw = [], [], []
+    sums, positions, w, dw = [], [], [], []
     for n, (frac, slope) in enumerate(zip(fractions, slopes)):
         if frac == 0.0 and slope == 0.0:
             continue
-        keys, rung, counts = _product_groups(n)
-        pops = (model.populations or {}).get(n)
-        weights = counts / counts.sum() if pops is None else counts * np.array(pops.weights)[rung]
+        keys, pos, weights = _lines(model, n)
         sums.append(keys)
+        positions.append(pos)
         w.append(frac * weights)
         dw.append(slope * weights)
-    sums, w, dw = np.concatenate(sums), np.concatenate(w), np.concatenate(dw)
+    sums, positions = np.concatenate(sums), np.concatenate(positions)
+    w, dw = np.concatenate(w), np.concatenate(dw)
 
     grid = np.asarray(grid, dtype=float)
     c, b, fwhm = model.contrast, model.branch, model.linewidth
     g = (0.5 * fwhm) ** 2
-    shifts = sums[:, 0] * model.a14 + sums[:, 1] * model.a15
-    u = grid - (model.f_center + b * shifts)[:, None]
+    u = grid - positions[:, None]
     lor = u * u
     lor += g
     np.divide(g, lor, out=lor)

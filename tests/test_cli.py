@@ -530,6 +530,19 @@ def test_validate_injected_wrong_ladder_fails(tmp_path):
     assert ladder["mismatches"]
 
 
+def test_validate_ladder_table_needs_json_integers(tmp_path, capsys):
+    # 1.9 and true would truncate to the correct first-row entries 1 and 1
+    table = {"0": [1.9, 3, 6, 7, 6, 3, True], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],
+             "3": [1, 3, 3, 1]}
+    config = write_config(tmp_path, {"validate": {"ladder_table": table}})
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: validate.ladder_table must map n15_count to integer lists\n"
+    )
+    assert not out.exists()
+
+
 def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path):
     config = write_config(tmp_path, {"validate": {"eigensolver_tolerance": 1e-18}})
     out = tmp_path / "val"
@@ -641,6 +654,13 @@ def test_non_finite_area_key_is_a_schema_error(tmp_path, capsys, key):
         (
             "sensitivity",
             {"model_a": dict(SIM_BLOCK["model"], linewidth_mhz=1e154),
+             "model_b": dict(SIM_BLOCK["model"], p15=0.0)},
+            "slope curve of model_a",
+        ),
+        # (FWHM/2)^2 overflows in the slope
+        (
+            "sensitivity",
+            {"model_a": dict(SIM_BLOCK["model"], linewidth_mhz=1e308),
              "model_b": dict(SIM_BLOCK["model"], p15=0.0)},
             "slope curve of model_a",
         ),

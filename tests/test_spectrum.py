@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from vbodmr.analysis import spectral_slope
 from vbodmr.spectrum import (
-    POSITION_MERGE_TOL_MHZ,
+    _JACOBIAN_PARAMS,
     Curve,
     Populations,
     SpectrumModel,
+    _model_jacobian,
     binomial_fractions,
     config_lines,
     config_spectrum,
@@ -179,7 +180,7 @@ def test_line_positions_match_spin_core_oracle(n15):
             oracle_unique.append(f)
     positions, _ = config_lines(model, n15)
     assert len(positions) == len(oracle_unique)
-    assert np.abs(np.array(oracle_unique) - positions).max() < 1e-9
+    assert np.abs(np.array(oracle_unique) - np.sort(positions)).max() < 1e-9
 
 
 @pytest.mark.parametrize("n15", [0, 1, 2, 3])
@@ -316,29 +317,23 @@ def test_polarized_quartet_biases_high_frequency_side():
 # reacts to perturbations of 1e-16.
 
 def reference_lines(model, n15):
+    """One line per (sum of 14N projections, sum of 15N projections), in
+    ascending order of that pair, weighted by the populations of its states."""
     site_values = [(1.0, 0.0, -1.0)] * (3 - n15) + [(0.5, -0.5)] * n15
-    couplings = [model.a14] * (3 - n15) + [model.a15] * n15
     pops = (model.populations or {}).get(n15)
     n_level = enumerate_ladder(n15).n_level
-    positions, weights = [], []
+    counts = {}
     for label in itertools.product(*site_values):
-        shift = 0.0
-        for a, m in zip(couplings, label):
-            shift += a * m
-        positions.append(model.f_center + model.branch * shift)
+        key = (sum(label[: 3 - n15]), sum(label[3 - n15:]))
+        counts[key] = counts.get(key, 0) + 1
+    positions, weights = [], []
+    for (m14, m15), count in sorted(counts.items()):
+        positions.append(model.f_center + model.branch * (m14 * model.a14 + m15 * model.a15))
         if pops is None:
-            weights.append(1.0 / n_level)
+            weights.append(count / n_level)
         else:
-            weights.append(dict(zip(pops.ladder.m_values, pops.weights))[sum(label)])
-    merged_pos, merged_w = [], []
-    for idx in np.argsort(positions, kind="stable"):
-        p, w = positions[idx], weights[idx]
-        if merged_pos and abs(p - merged_pos[-1]) <= POSITION_MERGE_TOL_MHZ:
-            merged_w[-1] += w
-        else:
-            merged_pos.append(p)
-            merged_w.append(w)
-    return np.array(merged_pos), np.array(merged_w)
+            weights.append(count * dict(zip(pops.ladder.m_values, pops.weights))[m14 + m15])
+    return np.array(positions), np.array(weights)
 
 
 def reference_config_values(model, n15, grid):
@@ -413,15 +408,14 @@ def test_array_model_matches_loop_reference_bit_for_bit():
         assert np.array_equal(slope, reference_slope_values(model, grid)), model
 
 
-def test_close_lines_merge_into_the_first_line_of_their_run():
-    # gaps of 0.7e-9 MHz, each within the merge tolerance, over a run of
-    # 2.8e-9 MHz: merging against the run's first line splits it in three
-    model = quartet_model(f_center=0.0, a14=0.7e-9, a15=0.0, p15=1.0 / 3.0)
-    positions, weights = config_lines(model, 1)
-    ref_positions, ref_weights = reference_lines(model, 1)
-    assert len(positions) == 3
-    assert np.array_equal(positions, ref_positions)
-    assert np.array_equal(weights, ref_weights)
+def test_slope_is_minus_the_f_center_row_of_the_jacobian():
+    # dR/df = -dR/df_center: the slope and the Jacobian read the same lines
+    row = _JACOBIAN_PARAMS.index("f_center")
+    for model in reference_models(512):
+        grid = default_grid(model.f_center)
+        slope = spectral_slope(model, grid).slope_curve.values
+        jac_row = -_model_jacobian(model, grid)[row]
+        assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
 
 
 # --- curve type and prediction -------------------------------------------------
