@@ -5,8 +5,10 @@ and a digest of every fit.
 Runs each of the 40 rounds of the ``fit_batch`` workload once, from corpus
 entry 0, through ``bench/workloads.FitBatch`` and its own check. Prints, per
 slot (op_a fixed-p15 fits, op_b free-p15 fits, op_c quartet fits), the
-operations that fail the check, the LM iterations and the fits that report
-``converged``, then a sha256 over every operation's values, sigmas,
+operations that fail the check, the LM iterations of the fits the operations
+return (``lm_iter``), the LM iterations of every ``lm_minimize`` run, discarded
+multi-start runs and restarts included (``lm_iter_all``), and the fits that
+report ``converged``, then a sha256 over every operation's values, sigmas,
 iterations and diagnostics. Two checkouts print the same digest only when
 every fit is bit-identical.
 
@@ -46,18 +48,32 @@ def main() -> None:
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from workloads import FitBatch
+    from vbodmr import fit
+
+    all_runs = [0]  # iterations of every lm_minimize call, kept or discarded
+    lm_minimize = fit.lm_minimize
+
+    def counted_lm_minimize(*a, **kw):
+        result = lm_minimize(*a, **kw)
+        all_runs[0] += result.iterations
+        return result
+
+    fit.lm_minimize = counted_lm_minimize
 
     batch = FitBatch(seed=0)  # round r reads corpus entry r
     batch.setup()
     failed = {s: 0 for s in SLOTS}
     iterations = {s: 0 for s in SLOTS}
+    iterations_all = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
     total = {s: 0 for s in SLOTS}
     digest = hashlib.sha256()
     for r in range(batch.corpus_rounds):
         inputs = batch.inputs(r)
         for slot in SLOTS:
+            before = all_runs[0]
             _, _, outputs = batch.run(slot, inputs[slot])
+            iterations_all[slot] += all_runs[0] - before
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
                 record = fit_record(out)
@@ -73,9 +89,12 @@ def main() -> None:
                     short = hashlib.sha256(record.encode()).hexdigest()[:12]
                     print(f"{r:2d} {slot} {k} it={its} conv={conv} {short} {reason or 'ok'}")
     print(f"root {root}")
-    print(f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'converged':>9}")
+    print(f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11} {'converged':>9}")
     for s in SLOTS:
-        print(f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d} {converged[s]:9d}")
+        print(
+            f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
+            f" {iterations_all[s]:11d} {converged[s]:9d}"
+        )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
     print(f"sha256 {digest.hexdigest()}")
 

@@ -182,6 +182,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.loads alone would keep
+    the last of two equal keys without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = dict.fromkeys(k for k in keys if keys.count(k) > 1)
+        raise SchemaError([f"key {json.dumps(k)} is given more than once" for k in repeated])
+    return obj
+
+
 def _number(value, key: str) -> float:
     """A JSON number inside a free-form block (list, map) as float."""
     if isinstance(value, bool) or not isinstance(value, _NUM):
@@ -539,15 +550,17 @@ def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if "eigensolver_tolerance" in block:
         kwargs["eigensolver_tolerance"] = float(block["eigensolver_tolerance"])
     if "ladder_table" in block:
-        message = "validate.ladder_table must map n15_count to integer lists"
         table = block["ladder_table"]
+        # the exact strings only: int() would read "00" as 0, so two keys
+        # could name one configuration
+        unknown = [k for k in table if k not in ("0", "1", "2", "3")]
+        if unknown:
+            keys = ", ".join(json.dumps(k) for k in unknown)
+            raise SchemaError([f'validate.ladder_table keys must be "0" to "3", not {keys}'])
         # JSON integers only: int() would read 1.9 as 1 and true as 1
         if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in table.values()):
-            raise SchemaError([message])
-        try:
-            kwargs["ladder_table"] = {int(k): v for k, v in table.items()}
-        except ValueError:
-            raise SchemaError([message]) from None
+            raise SchemaError(["validate.ladder_table must map n15_count to integer lists"])
+        kwargs["ladder_table"] = {int(k): v for k, v in table.items()}
     if "oracle_draws" in block:
         if block["oracle_draws"] < 1:
             raise SchemaError(["validate.oracle_draws must be >= 1"])
@@ -607,7 +620,12 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise SchemaError([f"cannot read config: {exc}"]) from None
             try:
-                config = json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
+                config = json.loads(
+                    raw,
+                    object_pairs_hook=_distinct_keys,
+                    parse_constant=_finite_float,
+                    parse_float=_finite_float,
+                )
             except json.JSONDecodeError as exc:
                 raise SchemaError([f"config is not valid JSON: {exc}"]) from None
         elif args.command == "validate":
@@ -638,6 +656,10 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
+    except RuntimeError as exc:
+        # e.g. spin_core.CharacterAmbiguityError; no config is known to reach one
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   the four defect configurations); the hyperfine couplings are fitted signed
   and reported as magnitudes, with a closed-form Jacobian,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
-  depths and widths, used for line-area and polarization analysis,
+  depths and widths, used for line-area and polarization analysis, with a
+  closed-form Jacobian,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat).
 
@@ -15,7 +16,7 @@ bound whose gradient points out of the box is held for that iteration, left
 out of the step and of the gradient convergence test. A fit that ends with
 a parameter held says so in its diagnostics ("held at bound: ...").
 The Jacobian is a caller's closed form where one is passed (the physical
-model) and forward finite differences otherwise (free Lorentzians, PL
+model, the free Lorentzians) and forward finite differences otherwise (PL
 saturation).
 
 Uncertainties are 1-sigma values from the scaled covariance
@@ -34,7 +35,6 @@ from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
     _model_jacobian,
-    lorentzian,
     mixture_spectrum,
 )
 from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
@@ -116,16 +116,29 @@ class FreeLorentzianModel:
 
     def evaluate(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        out = np.ones_like(f)
-        for center, depth, width in zip(self.centers, self.depths, self.widths):
-            out = out - depth * lorentzian(f, center, width)
-        return out
+        _, _, profiles = _free_profiles(f.ravel(), self.f_first, self.spacing, self.widths)
+        return (1.0 - np.asarray(self.depths) @ profiles).reshape(f.shape)
 
     @property
     def areas(self) -> tuple[float, ...]:
         """Per-line area proxy: depth times width (constant factors cancel
         in the polarization ratio)."""
         return tuple(c * w for c, w in zip(self.depths, self.widths))
+
+
+def _free_profiles(
+    f: np.ndarray, f_first: float, spacing: float, widths
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n equally spaced lines, centers c_k = f_first + k * spacing, as
+    one (lines x grid) pass: offsets u = f - c_k, squared half widths
+    g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak Lorentzians
+    L = g / (u^2 + g)."""
+    widths = np.asarray(widths, dtype=float)
+    u = f - (f_first + np.arange(widths.size) * spacing)[:, None]
+    g = (0.5 * widths[:, None]) ** 2
+    profiles = u * u
+    profiles += g
+    return u, g, np.divide(g, profiles, out=profiles)
 
 
 @dataclass
@@ -203,11 +216,14 @@ def lm_minimize(
     """Levenberg-Marquardt minimization of sum(residual^2).
 
     ``jacobian``, when given, maps the parameters to the (n_residuals, k)
-    Jacobian of ``residual_fn``. Otherwise the Jacobian comes from forward
-    finite differences with per-parameter step max(1e-6 |p|, 1e-8), taken
-    inward at an upper bound; no probe leaves the box, and a parameter in a
-    zero-width box gets a zero column. The damping factor scales the
-    diagonal of J^T J; accepted steps shrink it, rejected steps grow it.
+    Jacobian of ``residual_fn``; it is asked for at the initial point and at
+    each accepted trial point, each time right after ``residual_fn`` was
+    evaluated there. Without it (the default, which ``fit_pl_saturation``
+    uses) the Jacobian comes from forward finite differences with
+    per-parameter step max(1e-6 |p|, 1e-8), taken inward at an upper bound;
+    no probe leaves the box, and a parameter in a zero-width box gets a zero
+    column. The damping factor scales the diagonal of J^T J; accepted steps
+    shrink it, rejected steps grow it.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -548,6 +564,48 @@ def _free_model_from_params(n_lines: int, p: np.ndarray) -> FreeLorentzianModel:
     )
 
 
+def _free_problem(
+    meas: MeasuredSpectrum, n_lines: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Residual and closed-form Jacobian of n equally spaced Lorentzians over
+    p = (f_first, spacing, depth_1..n, width_1..n), both weighted by 1/sigma
+    when the spectrum carries sigmas. With r = 1 - sum_k d_k L_k - y:
+    dr/dc_k = -d_k 2 u L^2 / g (summed over k for f_first, k-weighted for
+    spacing), dr/dd_k = -L_k, dr/dw_k = -d_k 2 (L_k - L_k^2) / w_k."""
+    y = meas.ratios
+    weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
+    grid = meas.frequencies
+    rungs = np.arange(n_lines)
+    # lm_minimize asks for the Jacobian at the point whose residual it has
+    # just accepted: keep that point's profiles
+    latest: list = [None, None]
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        latest[:] = p.copy(), _free_profiles(grid, p[0], p[1], p[2 + n_lines :])
+        res = 1.0 - p[2 : 2 + n_lines] @ latest[1][2] - y
+        return res * weights if weights is not None else res
+
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        if not np.array_equal(p, latest[0]):
+            residual(p)
+        u, g, profiles = latest[1]
+        depths = p[2 : 2 + n_lines, None]
+        square = profiles * profiles
+        center = u * square
+        center *= 2.0 * depths / g
+        # rows of the dip sum_k d_k L_k, negated below: r = 1 - dip - y
+        jac = np.empty((2 + 2 * n_lines, grid.size))
+        jac[0] = center.sum(axis=0)
+        jac[1] = rungs @ center
+        jac[2 : 2 + n_lines] = profiles
+        np.subtract(profiles, square, out=jac[2 + n_lines :])
+        jac[2 + n_lines :] *= 2.0 * depths / p[2 + n_lines :, None]
+        jac *= -1.0 if weights is None else -weights
+        return jac.T
+
+    return residual, jacobian
+
+
 def fit_free_lorentzians(
     meas: MeasuredSpectrum,
     n_lines: int,
@@ -560,7 +618,8 @@ def fit_free_lorentzians(
     Runs a small seeded multi-start (perturbed copies of the initial guess)
     and keeps the lowest-cost solution. The positive-spacing bound keeps the
     reported lines ordered by center frequency. The 2 + 2 n parameters may
-    not outnumber the samples.
+    not outnumber the samples. The Jacobian is closed-form
+    (``_free_problem``), not finite differences.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -582,15 +641,7 @@ def fit_free_lorentzians(
     lower = [-np.inf, 1e-9] + [0.0] * n_lines + [1e-6] * n_lines
     upper = [np.inf] * len(names)
 
-    y = meas.ratios
-    weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
-    grid = meas.frequencies
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        model = _free_model_from_params(n_lines, p)
-        res = model.evaluate(grid) - y
-        return res * weights if weights is not None else res
-
+    residual, jacobian = _free_problem(meas, n_lines)
     p_init = np.array(
         [init.f_first, init.spacing] + list(init.depths) + list(init.widths)
     )
@@ -604,7 +655,9 @@ def fit_free_lorentzians(
             p0[2 : 2 + n_lines] *= np.exp(rng.normal(0.0, 0.3, n_lines))
             p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
             p0 = np.clip(p0, lower, upper)
-        result = lm_minimize(residual, p0, bounds=(lower, upper), names=names)
+        result = lm_minimize(
+            residual, p0, bounds=(lower, upper), names=names, jacobian=jacobian
+        )
         if best is None or result.residual_norm < best.residual_norm:
             best = result
     return best

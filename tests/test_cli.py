@@ -434,6 +434,21 @@ def test_fit_nonconvergence_exits_3_with_partial_report(tmp_path, monkeypatch):
     assert report["fit"]["converged"] is False
 
 
+def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    from vbodmr.spin_core import CharacterAmbiguityError
+
+    # the RuntimeError handler comes last; none of these may be caught by it
+    for handled in (SchemaError, IngestError, cli.NonConvergenceError):
+        assert not issubclass(handled, RuntimeError)
+
+    def ambiguous(block, out_dir, seed, quiet):
+        raise CharacterAmbiguityError("no eigenstate has m_S character above 0.5")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", ambiguous)
+    assert cli.main(["validate", "--out", str(tmp_path / "val"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: no eigenstate has m_S character above 0.5\n"
+
+
 # --- other commands --------------------------------------------------------------
 
 def test_sensitivity_command(tmp_path):
@@ -540,6 +555,35 @@ def test_validate_ladder_table_needs_json_integers(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: validate.ladder_table must map n15_count to integer lists\n"
     )
+    assert not out.exists()
+
+
+def test_validate_ladder_table_accepts_only_keys_0_to_3(tmp_path, capsys):
+    # int() read "00" as 0, so the right row under "00" overrode the wrong
+    # one under "0", and the table for a #9 that does not exist was ignored
+    table = {"0": [1, 3, 6, 8, 6, 3, 1], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],
+             "3": [1, 3, 3, 1], "00": [1, 3, 6, 7, 6, 3, 1], "9": [4]}
+    config = write_config(tmp_path, {"validate": {"ladder_table": table, "oracle_draws": 1}})
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        'config error: validate.ladder_table keys must be "0" to "3", not "00", "9"\n'
+    )
+    assert not out.exists()
+
+
+def test_config_key_given_twice_is_a_schema_error(tmp_path, capsys):
+    # json.loads keeps the last of two equal keys: the right row for #0
+    # would override the wrong one
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"validate": {"oracle_draws": 1, "ladder_table": {"0": [1, 3, 6, 8, 6, 3, 1],'
+        ' "0": [1, 3, 6, 7, 6, 3, 1], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],'
+        ' "3": [1, 3, 3, 1]}}}'
+    )
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == 'config error: key "0" is given more than once\n'
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from vbodmr.fit import (
     lm_minimize,
     _as_magnitudes,
     _forward_jacobian,
+    _free_problem,
     _physical_problem,
 )
 from vbodmr.spectrum import (
@@ -493,6 +494,61 @@ def test_free_fit_needs_as_many_samples_as_parameters():
     # ten samples for ten parameters is enough
     res = fit_free_lorentzians(MeasuredSpectrum(grid, values), 4, n_starts=1)
     assert res.names[-1] == "width_4"
+
+
+def random_free_params(rng, n_lines):
+    """(f_first, spacing, depths, widths) of a seeded random line set."""
+    return np.concatenate(
+        [
+            [2212.0 + rng.normal(0.0, 10.0), 64.0 * np.exp(rng.normal(0.0, 0.2))],
+            rng.uniform(0.005, 0.05, n_lines),
+            rng.uniform(20.0, 60.0, n_lines),
+        ]
+    )
+
+
+@pytest.mark.parametrize("n_lines", range(1, 7))
+def test_free_model_evaluate_equals_the_per_line_sum(n_lines):
+    rng = np.random.default_rng(n_lines)
+    p = random_free_params(rng, n_lines)
+    depths, widths = p[2 : 2 + n_lines], p[2 + n_lines :]
+    model = FreeLorentzianModel(n_lines, p[0], p[1], tuple(depths), tuple(widths))
+    grid, reference = quartet_signal(depths, widths, f_first=p[0], spacing=p[1])
+    assert np.abs(model.evaluate(grid) - reference).max() <= 1e-15
+    square = grid[:800].reshape(40, 20)
+    assert np.array_equal(model.evaluate(square), model.evaluate(grid[:800]).reshape(40, 20))
+    assert model.evaluate(grid[7]).shape == ()
+    assert model.evaluate(grid[7]) == model.evaluate(grid)[7]
+
+
+@pytest.mark.parametrize("sigmas", [False, True])
+@pytest.mark.parametrize(
+    "n_lines, zero_depth", [(n, False) for n in range(1, 7)] + [(4, True)]
+)
+def test_free_jacobian_matches_central_differences(n_lines, zero_depth, sigmas):
+    rng = np.random.default_rng(10 * n_lines + zero_depth)
+    grid, values = quartet_signal([0.03, 0.09, 0.09, 0.03], [45.0] * 4)
+    noisy = values + rng.normal(0.0, 0.002, grid.size)
+    meas = MeasuredSpectrum(grid, noisy, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
+    residual, jacobian = _free_problem(meas, n_lines)
+    p = random_free_params(rng, n_lines)
+    if zero_depth:
+        p[3] = 0.0  # depth_2 on its bound: its width column vanishes
+    jac = jacobian(p)  # no residual evaluated at p yet
+    assert np.array_equal(jacobian(p), jac)
+    residual(p + 1.0)
+    assert np.array_equal(jacobian(p), jac)
+    assert jac.shape == (grid.size, 2 + 2 * n_lines)
+    for i in range(p.size):
+        h = 1e-6 * max(abs(p[i]), 1.0)
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        central = (residual(up) - residual(down)) / (2.0 * h)
+        scale = np.abs(central).max()
+        assert np.abs(jac[:, i] - central).max() <= 1e-6 * scale, i
+    if zero_depth:
+        assert not jac[:, 2 + n_lines + 1].any()
 
 
 def test_free_model_validation():
