@@ -6,11 +6,14 @@ Runs each of the 40 rounds of the ``fit_batch`` workload once, from corpus
 entry 0, through ``bench/workloads.FitBatch`` and its own check. Prints, per
 slot (op_a fixed-p15 fits, op_b free-p15 fits, op_c quartet fits), the
 operations that fail the check, the LM iterations of the fits the operations
-return (``lm_iter``), the LM iterations of every ``lm_minimize`` run, discarded
-multi-start runs and restarts included (``lm_iter_all``), and the fits that
-report ``converged``, then a sha256 over every operation's values, sigmas,
-iterations and diagnostics. Two checkouts print the same digest only when
-every fit is bit-identical.
+return (``lm_iter``), the LM iterations of every ``lm_minimize`` run that
+returned, discarded multi-start runs and restarts included (``lm_iter_all``),
+the ``lm_minimize`` runs abandoned mid-way (``abandoned``: quartet starts that
+put a width on its floor; their iterations are in no column), the fits that
+report ``converged``, and a sha256 over every operation's values, sigmas,
+iterations and diagnostics. Then it prints that sha256 per slot and over all
+slots. Two checkouts print the same digest only when every fit is
+bit-identical.
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -50,11 +53,18 @@ def main() -> None:
     from workloads import FitBatch
     from vbodmr import fit
 
-    all_runs = [0]  # iterations of every lm_minimize call, kept or discarded
+    # iterations of every lm_minimize call that returned, kept or discarded,
+    # and the calls abandoned by an exception
+    all_runs = [0, 0]
     lm_minimize = fit.lm_minimize
+    abandon = getattr(fit, "_WidthCollapse", ())  # () catches nothing
 
     def counted_lm_minimize(*a, **kw):
-        result = lm_minimize(*a, **kw)
+        try:
+            result = lm_minimize(*a, **kw)
+        except abandon:
+            all_runs[1] += 1
+            raise
         all_runs[0] += result.iterations
         return result
 
@@ -65,19 +75,23 @@ def main() -> None:
     failed = {s: 0 for s in SLOTS}
     iterations = {s: 0 for s in SLOTS}
     iterations_all = {s: 0 for s in SLOTS}
+    abandoned = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
     total = {s: 0 for s in SLOTS}
     digest = hashlib.sha256()
+    slot_digest = {s: hashlib.sha256() for s in SLOTS}
     for r in range(batch.corpus_rounds):
         inputs = batch.inputs(r)
         for slot in SLOTS:
-            before = all_runs[0]
+            before = list(all_runs)
             _, _, outputs = batch.run(slot, inputs[slot])
-            iterations_all[slot] += all_runs[0] - before
+            iterations_all[slot] += all_runs[0] - before[0]
+            abandoned[slot] += all_runs[1] - before[1]
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
                 record = fit_record(out)
                 digest.update(record.encode())
+                slot_digest[slot].update(record.encode())
                 res = None if isinstance(out, Exception) else out[0]
                 total[slot] += 1
                 failed[slot] += reason is not None
@@ -89,14 +103,19 @@ def main() -> None:
                     short = hashlib.sha256(record.encode()).hexdigest()[:12]
                     print(f"{r:2d} {slot} {k} it={its} conv={conv} {short} {reason or 'ok'}")
     print(f"root {root}")
-    print(f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11} {'converged':>9}")
+    print(
+        f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
+        f" {'abandoned':>9} {'converged':>9}"
+    )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
-            f" {iterations_all[s]:11d} {converged[s]:9d}"
+            f" {iterations_all[s]:11d} {abandoned[s]:9d} {converged[s]:9d}"
         )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
-    print(f"sha256 {digest.hexdigest()}")
+    for s in SLOTS:
+        print(f"sha256 {s:4}  {slot_digest[s].hexdigest()}")
+    print(f"sha256 all   {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ center, and the reduced-mass Raman-shift model."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -45,6 +45,7 @@ class PolarizationReport:
     areas: dict[float, float]   # m_tot -> area proxy
     polarization: float
     m_max: float
+    sigma: float | None = None  # 1-sigma, from a fit covariance when there is one
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,24 @@ def quartet_areas(result: FitResult) -> dict[float, float]:
 
 
 def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
-    """Fit -> area -> polarization chain for the 15N quartet."""
-    return polarization_from_areas(quartet_areas(result), m_max=1.5)
+    """Fit -> area -> polarization chain for the 15N quartet.
+
+    sigma comes from the delta method on the depth and width block of the
+    fit covariance: dP/dA_i = (m_i - m_max P) / (m_max sum A) with
+    A_i = d_i w_i, so dA/dd = w and dA/dw = d. It is None when that block
+    is not finite.
+    """
+    report = polarization_from_areas(quartet_areas(result), m_max=1.5)
+    model = free_model_from_result(result, 4)
+    m = np.empty(4)
+    m[np.argsort(model.centers)] = QUARTET_M_ASSIGNMENT
+    dp_da = (m - report.m_max * report.polarization) / (report.m_max * math.fsum(model.areas))
+    grad = np.concatenate([dp_da * model.widths, dp_da * model.depths])
+    rows = [result.names.index(f"{kind}_{k}") for kind in ("depth", "width") for k in range(1, 5)]
+    block = result.covariance[np.ix_(rows, rows)]
+    if not np.all(np.isfinite(block)):
+        return report
+    return replace(report, sigma=math.sqrt(max(float(grad @ block @ grad), 0.0)))
 
 
 def min_detectable_field(

@@ -430,6 +430,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         if block.get("polarization"):
             pol = analysis.polarization_from_quartet_fit(result)
             derived["polarization"] = pol.polarization
+            derived["polarization_sigma"] = pol.sigma
             derived["areas_by_m_tot"] = {str(m): a for m, a in sorted(pol.areas.items())}
             derived["m_tot_assignment"] = "ascending frequency -> m_tot -3/2..+3/2"
         if "d_gs_mhz" in block:
@@ -505,13 +506,17 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     else:
         raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])
     report["polarization"] = pol.polarization
+    report["polarization_sigma"] = pol.sigma
     report["m_max"] = pol.m_max
     report["areas_by_m_tot"] = {str(m): a for m, a in sorted(pol.areas.items())}
     report["m_tot_assignment"] = "ascending frequency -> m_tot -3/2..+3/2"
+    report_path = out_dir / "polarization.json"
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "polarization.json", report)
+    _write_json(report_path, report)
     if not quiet:
-        print(f"wrote {out_dir / 'polarization.json'}")
+        print(f"wrote {report_path}")
+    if "fit" in report and not report["fit"]["converged"]:
+        raise NonConvergenceError("fit did not converge; partial report written", report_path)
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   and reported as magnitudes, with a closed-form Jacobian,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
-  closed-form Jacobian,
+  closed-form Jacobian and a seeded multi-start that drops a start once it
+  puts a width on its 1e-6 MHz floor,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat).
 
@@ -606,6 +607,11 @@ def _free_problem(
     return residual, jacobian
 
 
+class _WidthCollapse(Exception):
+    """A free-Lorentzian start reached an accepted point with a width on its
+    lower bound: one line has become a spike on a single sample."""
+
+
 def fit_free_lorentzians(
     meas: MeasuredSpectrum,
     n_lines: int,
@@ -616,9 +622,14 @@ def fit_free_lorentzians(
     """Fit n equally spaced Lorentzians with free depths and widths.
 
     Runs a small seeded multi-start (perturbed copies of the initial guess)
-    and keeps the lowest-cost solution. The positive-spacing bound keeps the
-    reported lines ordered by center frequency. The 2 + 2 n parameters may
-    not outnumber the samples. The Jacobian is closed-form
+    and keeps the lowest-cost solution. A start is dropped at the first
+    accepted LM point with a width on its 1e-6 MHz lower bound: that line is
+    a spike on one sample, and such runs crawl for hundreds of iterations to
+    at best tie a start that did not collapse. When every start is dropped
+    (pure noise, say), the same starts are rerun to the end unchecked, the
+    lowest cost is kept, and a diagnostic says so. The positive-spacing
+    bound keeps the reported lines ordered by center frequency. The 2 + 2 n
+    parameters may not outnumber the samples. The Jacobian is closed-form
     (``_free_problem``), not finite differences.
     """
     if n_lines < 1:
@@ -639,28 +650,39 @@ def fit_free_lorentzians(
         + [f"width_{m + 1}" for m in range(n_lines)]
     )
     lower = [-np.inf, 1e-9] + [0.0] * n_lines + [1e-6] * n_lines
-    upper = [np.inf] * len(names)
+    bounds = (lower, [np.inf] * len(names))
 
     residual, jacobian = _free_problem(meas, n_lines)
+
+    def guarded(p: np.ndarray) -> np.ndarray:
+        if np.any(p[2 + n_lines :] <= lower[-1]):
+            raise _WidthCollapse
+        return jacobian(p)
+
     p_init = np.array(
         [init.f_first, init.spacing] + list(init.depths) + list(init.widths)
     )
     rng = np.random.default_rng(seed)
-    best: FitResult | None = None
-    for start in range(max(n_starts, 1)):
+    starts = [p_init]
+    for _ in range(1, max(n_starts, 1)):
         p0 = p_init.copy()
-        if start > 0:
-            p0[0] += rng.normal(0.0, 0.2) * max(init.spacing, 1.0)
-            p0[1] *= math.exp(rng.normal(0.0, 0.2))
-            p0[2 : 2 + n_lines] *= np.exp(rng.normal(0.0, 0.3, n_lines))
-            p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
-            p0 = np.clip(p0, lower, upper)
-        result = lm_minimize(
-            residual, p0, bounds=(lower, upper), names=names, jacobian=jacobian
-        )
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-    return best
+        p0[0] += rng.normal(0.0, 0.2) * max(init.spacing, 1.0)
+        p0[1] *= math.exp(rng.normal(0.0, 0.2))
+        p0[2 : 2 + n_lines] *= np.exp(rng.normal(0.0, 0.3, n_lines))
+        p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
+        starts.append(np.clip(p0, *bounds))
+    fits = []
+    for p0 in starts:
+        try:
+            fits.append(lm_minimize(residual, p0, bounds, names, jacobian=guarded))
+        except _WidthCollapse:
+            pass
+    if fits:
+        return min(fits, key=lambda result: result.residual_norm)
+    fits = [lm_minimize(residual, p0, bounds, names, jacobian=jacobian) for p0 in starts]
+    best = min(fits, key=lambda result: result.residual_norm)
+    note = "every start collapsed a width onto its 1e-6 MHz floor"
+    return replace(best, diagnostics=best.diagnostics + (note,))
 
 
 def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:

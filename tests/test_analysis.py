@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,76 @@ def test_fit_area_chain_recovers_constructed_polarization():
     report = polarization_from_quartet_fit(res)
     assert report.polarization == pytest.approx(target, abs=0.02)
     assert set(quartet_areas(res)) == set(QUARTET_M)
+
+
+def test_polarization_sigma_covers_the_truth():
+    # 48 quartets drawn like the fit_batch op_c corpus (801-point grid, noise
+    # sigma 0.002, contrast 0.05-0.12, linewidth 45-55 MHz, P 0.1-0.3); a
+    # calibrated sigma(P) gives an RMS z near 1
+    rng = np.random.default_rng(4111)
+    z = []
+    for _ in range(48):
+        target = rng.uniform(0.1, 0.3)
+        model = SpectrumModel(
+            f_center=rng.uniform(2280.0, 2340.0),
+            contrast=rng.uniform(0.05, 0.12),
+            linewidth=rng.uniform(45.0, 55.0),
+            a14=43.0,
+            a15=-rng.uniform(62.0, 66.0),
+            p15=1.0,
+            populations={3: Populations.with_polarization(enumerate_ladder(3), target)},
+        )
+        grid = default_grid(model.f_center)
+        noisy = mixture_spectrum(model, grid).values + rng.normal(0.0, 0.002, grid.size)
+        res = fit_free_lorentzians(MeasuredSpectrum(grid, noisy), 4)
+        report = polarization_from_quartet_fit(res)
+        z.append((report.polarization - target) / report.sigma)
+    assert 0.8 <= math.sqrt(np.mean(np.square(z))) <= 1.25
+
+
+def quartet_result(covariance):
+    names = ["f_first", "spacing"] + [f"depth_{k}" for k in range(1, 5)]
+    names += [f"width_{k}" for k in range(1, 5)]
+    p = (2212.0, 64.0, 0.01, 0.03, 0.04, 0.02, 47.0, 52.0, 49.0, 55.0)
+    return FitResult(
+        names=tuple(names),
+        values=dict(zip(names, p)),
+        sigmas={n: 0.0 for n in names},
+        covariance=covariance,
+        residual_norm=0.0,
+        iterations=1,
+        converged=True,
+    )
+
+
+@pytest.mark.parametrize("i", range(2, 10))
+def test_polarization_sigma_is_the_delta_method(i):
+    # one nonzero variance: sigma(P) = |dP/dp_i| sigma_i, against central
+    # differences of the area chain
+    covariance = np.zeros((10, 10))
+    covariance[i, i] = 1e-6
+    result = quartet_result(covariance)
+    h = 1e-7 * result.values[result.names[i]]
+
+    def chain(step):
+        values = dict(result.values)
+        values[result.names[i]] += step
+        return polarization_from_areas(quartet_areas(replace(result, values=values)), 1.5)
+
+    slope = (chain(h).polarization - chain(-h).polarization) / (2.0 * h)
+    sigma = polarization_from_quartet_fit(result).sigma
+    assert sigma == pytest.approx(abs(slope) * 1e-3, rel=1e-6)
+
+
+def test_polarization_sigma_is_none_without_a_covariance():
+    assert polarization_from_areas(dict(zip(QUARTET_M, (1.0, 2.0, 3.0, 4.0))), 1.5).sigma is None
+    covariance = np.eye(10)
+    covariance[4, 7] = covariance[7, 4] = math.nan
+    assert polarization_from_quartet_fit(quartet_result(covariance)).sigma is None
+    # a non-finite entry outside the depth and width block does not matter
+    covariance = np.eye(10)
+    covariance[0, 0] = math.inf
+    assert math.isfinite(polarization_from_quartet_fit(quartet_result(covariance)).sigma)
 
 
 @pytest.mark.parametrize("n_lines", [0, 3, 5])

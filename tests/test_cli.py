@@ -372,6 +372,7 @@ def test_fit_quartet_polarization_report(tmp_path):
     report = json.loads((fit_out / "fit.json").read_text())
     assert "polarization" in report["derived"]
     assert report["derived"]["polarization"] == pytest.approx(0.16, abs=0.02)
+    assert 0.0 < report["derived"]["polarization_sigma"] < 0.05
     assert report["derived"]["m_tot_assignment"]
 
 
@@ -434,6 +435,33 @@ def test_fit_nonconvergence_exits_3_with_partial_report(tmp_path, monkeypatch):
     assert report["fit"]["converged"] is False
 
 
+def test_polarization_nonconvergence_exits_3_with_partial_report(tmp_path, monkeypatch):
+    from vbodmr.fit import FitResult
+
+    names = ["f_first", "spacing"] + [f"depth_{k}" for k in range(1, 5)]
+    names += [f"width_{k}" for k in range(1, 5)]
+
+    def fake_fit(meas, n_lines, **kwargs):
+        return FitResult(
+            names=tuple(names),
+            values=dict(zip(names, (2212.0, 64.0, 0.01, 0.03, 0.03, 0.01) + (50.0,) * 4)),
+            sigmas={n: 0.0 for n in names},
+            covariance=np.zeros((10, 10)),
+            residual_norm=1.0,
+            iterations=500,
+            converged=False,
+        )
+
+    monkeypatch.setattr(cli.fitmod, "fit_free_lorentzians", fake_fit)
+    csv_path = write_curve_csv(tmp_path)
+    config = write_config(tmp_path, {"polarization": {"input_csv": str(csv_path)}})
+    out = tmp_path / "partial"
+    assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 3
+    report = json.loads((out / "polarization.json").read_text())
+    assert report["fit"]["converged"] is False
+    assert report["polarization"] == 0.0
+
+
 def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     from vbodmr.spin_core import CharacterAmbiguityError
 
@@ -493,6 +521,7 @@ def test_polarization_command_with_areas(tmp_path):
     assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "polarization.json").read_text())
     assert report["polarization"] == pytest.approx(1.3 / 14.1, abs=1e-12)
+    assert report["polarization_sigma"] is None
 
 
 def test_raman_command(tmp_path):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from vbodmr import fit
 from vbodmr.fit import (
     FreeLorentzianModel,
     MeasuredSpectrum,
@@ -494,6 +495,61 @@ def test_free_fit_needs_as_many_samples_as_parameters():
     # ten samples for ten parameters is enough
     res = fit_free_lorentzians(MeasuredSpectrum(grid, values), 4, n_starts=1)
     assert res.names[-1] == "width_4"
+
+
+def every_start_to_the_end(monkeypatch, meas, n_lines):
+    """Fit, recording each start and which starts were dropped; then run the
+    five starts to the end with the closed-form Jacobian, unchecked."""
+    calls, dropped = [], []
+    real = fit.lm_minimize
+
+    def recording(residual, p0, bounds, names, jacobian):
+        calls.append((p0, bounds, names))
+        try:
+            return real(residual, p0, bounds, names, jacobian=jacobian)
+        except fit._WidthCollapse:
+            dropped.append(len(calls) - 1)
+            raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fit, "lm_minimize", recording)
+        result = fit_free_lorentzians(meas, n_lines)
+    residual, jacobian = _free_problem(meas, n_lines)
+    runs = [lm_minimize(residual, *call, jacobian=jacobian) for call in calls[:5]]
+    return result, runs, dropped, len(calls)
+
+
+def fit_fields(r):
+    return (r.values, r.sigmas, r.covariance.tolist(), r.residual_norm, r.iterations,
+            r.converged, r.diagnostics)
+
+
+def test_free_fit_drops_a_start_that_collapses_a_width(monkeypatch):
+    grid, values = quartet_signal(0.03 * np.array([1.0, 3.0, 3.0, 1.0]), [45.0] * 4)
+    noisy = values + np.random.default_rng(2).normal(0.0, 0.002, grid.size)
+    res, runs, dropped, n_calls = every_start_to_the_end(
+        monkeypatch, MeasuredSpectrum(grid, noisy), 4
+    )
+    assert len(dropped) == 1 and n_calls == 5
+    # run to the end, the dropped start keeps a spike far narrower than the
+    # 0.625 MHz grid spacing and loses
+    assert min(runs[dropped[0]].values[f"width_{k}"] for k in range(1, 5)) < 1e-5
+    best = min(runs, key=lambda r: r.residual_norm)
+    assert runs[dropped[0]].residual_norm > best.residual_norm
+    assert fit_fields(res) == fit_fields(best)
+
+
+def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
+    grid = default_grid(2308.0)
+    noise = 1.0 + np.random.default_rng(5).normal(0.0, 0.002, grid.size)
+    res, runs, dropped, n_calls = every_start_to_the_end(
+        monkeypatch, MeasuredSpectrum(grid, noise), 4
+    )
+    assert dropped == [0, 1, 2, 3, 4] and n_calls == 10
+    best = min(runs, key=lambda r: r.residual_norm)
+    note = "every start collapsed a width onto its 1e-6 MHz floor"
+    flagged = dataclasses.replace(best, diagnostics=best.diagnostics + (note,))
+    assert fit_fields(res) == fit_fields(flagged)
 
 
 def random_free_params(rng, n_lines):
