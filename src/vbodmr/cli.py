@@ -521,19 +521,18 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+    schema = {"nitrogen_frac_15": (_NUM, True), "boron_frac_10": (_NUM, False)}
     points = []
     for k, entry in enumerate(block["points"]):
         if not isinstance(entry, dict):
             raise SchemaError([f"raman.points[{k}] must be an object"])
-        unknown = set(entry) - {"nitrogen_frac_15", "boron_frac_10"}
-        if unknown:
-            raise SchemaError([f"unknown key 'raman.points[{k}].{u}'" for u in sorted(unknown)])
-        if "nitrogen_frac_15" not in entry:
-            raise SchemaError([f"missing required key 'raman.points[{k}].nitrogen_frac_15'"])
-        where = f"raman.points[{k}]"
+        problems: list[str] = []
+        _check_block(entry, schema, f"raman.points[{k}].", problems)
+        if problems:
+            raise SchemaError(problems)
         point = analysis.raman_point(
-            _number(entry["nitrogen_frac_15"], f"{where}.nitrogen_frac_15"),
-            _number(entry.get("boron_frac_10", NATURAL_B10_FRACTION), f"{where}.boron_frac_10"),
+            float(entry["nitrogen_frac_15"]),
+            float(entry.get("boron_frac_10", NATURAL_B10_FRACTION)),
         )
         points.append(
             {

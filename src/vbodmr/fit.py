@@ -10,15 +10,13 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   closed-form Jacobian and a seeded multi-start that drops a start once it
   puts a width on its 1e-6 MHz floor,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
-  I(P) = I_max * P / (P + P_sat).
+  I(P) = I_max * P / (P + P_sat), with a closed-form Jacobian.
 
 The LM core respects box bounds with a projected step: a parameter on a
 bound whose gradient points out of the box is held for that iteration, left
 out of the step and of the gradient convergence test. A fit that ends with
 a parameter held says so in its diagnostics ("held at bound: ...").
-The Jacobian is a caller's closed form where one is passed (the physical
-model, the free Lorentzians) and forward finite differences otherwise (PL
-saturation).
+Every fit hands the core the closed-form Jacobian of its residuals.
 
 Uncertainties are 1-sigma values from the scaled covariance
 sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
@@ -176,30 +174,6 @@ class FitResult:
         }
 
 
-def _forward_jacobian(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    p: np.ndarray,
-    r0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    jac = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        h = max(1e-6 * abs(p[i]), 1e-8)
-        if p[i] + h > upper[i]:  # step inward at an active upper bound
-            h = -h
-        q = p.copy()
-        q[i] += h
-        if q[i] < lower[i]:  # box narrower than h: probe up to its wider side
-            q[i] = upper[i] if upper[i] - p[i] >= p[i] - lower[i] else lower[i]
-            h = q[i] - p[i]
-            if h == 0.0:  # zero-width box: the parameter cannot move
-                jac[:, i] = 0.0
-                continue
-        jac[:, i] = (residual_fn(q) - r0) / h
-    return jac
-
-
 def _held(p: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Mask of parameters on a bound whose descent direction -grad points
     out of the box."""
@@ -212,19 +186,17 @@ def lm_minimize(
     bounds: tuple[Sequence[float], Sequence[float]] | None = None,
     names: Sequence[str] | None = None,
     max_iter: int = LM_MAX_ITER,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    jacobian: Callable[[np.ndarray], np.ndarray],
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residual^2).
 
-    ``jacobian``, when given, maps the parameters to the (n_residuals, k)
+    ``jacobian`` (required) maps the parameters to the (n_residuals, k)
     Jacobian of ``residual_fn``; it is asked for at the initial point and at
     each accepted trial point, each time right after ``residual_fn`` was
-    evaluated there. Without it (the default, which ``fit_pl_saturation``
-    uses) the Jacobian comes from forward finite differences with
-    per-parameter step max(1e-6 |p|, 1e-8), taken inward at an upper bound;
-    no probe leaves the box, and a parameter in a zero-width box gets a zero
-    column. The damping factor scales the diagonal of J^T J; accepted steps
-    shrink it, rejected steps grow it.
+    evaluated there. Neither is ever evaluated outside the box. The damping
+    factor scales the diagonal of J^T J; accepted steps shrink it, rejected
+    steps grow it.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -237,8 +209,10 @@ def lm_minimize(
     LM_GRAD_ATOL, so a minimum on a bound converges. Trial points are
     clipped to the bounds. A parameter still held at the final iterate is
     named in a ``held at bound`` diagnostic: there ``converged`` means a
-    minimum constrained by that bound. After ``max_iter`` iterations the
-    partial result is returned with ``converged`` False.
+    minimum constrained by that bound. When no damped step lowers the cost
+    up to the maximum damping, the fit stops with ``converged`` False and a
+    ``stalled`` diagnostic: a stall is not convergence. After ``max_iter``
+    iterations the partial result is returned with ``converged`` False.
     """
     p = np.array(init_params, dtype=float)
     k = p.size
@@ -260,15 +234,11 @@ def lm_minimize(
     cost = float(r @ r)
     n_obs = r.size
 
-    def jacobian_at(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-        if jacobian is not None:
-            return jacobian(p)
-        return _forward_jacobian(residual_fn, p, r, lower, upper)
-
     lam = 1e-3
     converged = False
     iterations = 0
-    jac = jacobian_at(p, r)
+    diagnostics: list[str] = []
+    jac = jacobian(p)
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
         free = ~_held(p, grad, lower, upper)
@@ -301,13 +271,12 @@ def lm_minimize(
                     break
             lam *= 10.0
         if not accepted:
-            converged = True  # no descent direction left at max damping
+            diagnostics.append("stalled: no step reduced the cost at maximum damping")
             break
-        jac = jacobian_at(p, r)
+        jac = jacobian(p)
         if converged:
             break
 
-    diagnostics: list[str] = []
     held = np.flatnonzero(_held(p, jac.T @ r, lower, upper))
     if held.size:
         diagnostics.append(
@@ -461,14 +430,13 @@ def fit_physical(
     the saddle a = 0, where its gradient vanishes. They are reported as
     magnitudes (the sign cannot be determined from an unpolarized
     spectrum), with their covariance rows and columns flipped to match. The
-    Jacobian is closed-form (``spectrum._model_jacobian``), not finite
-    differences. When an active coupling ends below 1e-3 MHz in magnitude
-    (on the symmetry plane, usually with a too-wide linewidth), the fit is
-    run once more from the same start with the active couplings at their
-    default magnitudes; the lower cost is kept and a "coupling restart"
-    diagnostic says which fit that was. When a free p15 ends at 0 or 1, the
-    coupling of the absent species is reported with sigma inf and an
-    "undetermined" diagnostic.
+    Jacobian is closed-form (``spectrum._model_jacobian``). When an active
+    coupling ends below 1e-3 MHz in magnitude (on the symmetry plane,
+    usually with a too-wide linewidth), the fit is run once more from the
+    same start with the active couplings at their default magnitudes; the
+    lower cost is kept and a "coupling restart" diagnostic says which fit
+    that was. When a free p15 ends at 0 or 1, the coupling of the absent
+    species is reported with sigma inf and an "undetermined" diagnostic.
     """
     if isinstance(p15_mode, str):
         if p15_mode != "free":
@@ -627,10 +595,10 @@ def fit_free_lorentzians(
     a spike on one sample, and such runs crawl for hundreds of iterations to
     at best tie a start that did not collapse. When every start is dropped
     (pure noise, say), the same starts are rerun to the end unchecked, the
-    lowest cost is kept, and a diagnostic says so. The positive-spacing
-    bound keeps the reported lines ordered by center frequency. The 2 + 2 n
-    parameters may not outnumber the samples. The Jacobian is closed-form
-    (``_free_problem``), not finite differences.
+    lowest cost is kept with ``converged`` False, since a line of it is a
+    spike, and a diagnostic says so. The positive-spacing bound keeps the
+    reported lines ordered by center frequency. The 2 + 2 n parameters may
+    not outnumber the samples. The Jacobian is closed-form (``_free_problem``).
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -682,7 +650,7 @@ def fit_free_lorentzians(
     fits = [lm_minimize(residual, p0, bounds, names, jacobian=jacobian) for p0 in starts]
     best = min(fits, key=lambda result: result.residual_norm)
     note = "every start collapsed a width onto its 1e-6 MHz floor"
-    return replace(best, diagnostics=best.diagnostics + (note,))
+    return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
 
 
 def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:
@@ -710,6 +678,12 @@ def fit_pl_saturation(points: Sequence[tuple[float, float]]) -> FitResult:
         i_max, p_sat = p
         return i_max * powers / (powers + p_sat) - intensities
 
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        # with s = P / (P + P_sat): dr/dI_max = s, dr/dP_sat = -I_max s / (P + P_sat)
+        i_max, p_sat = p
+        s = powers / (powers + p_sat)
+        return np.column_stack([s, -i_max * s / (powers + p_sat)])
+
     i_max0 = 2.0 * float(intensities.max())
     p_sat0 = float(np.median(powers))
     result = lm_minimize(
@@ -717,6 +691,7 @@ def fit_pl_saturation(points: Sequence[tuple[float, float]]) -> FitResult:
         [i_max0, p_sat0],
         bounds=([1e-12, 1e-12], [np.inf, np.inf]),
         names=("i_max", "p_sat"),
+        jacobian=jacobian,
     )
     if result.values["p_sat"] > 50.0 * powers.max():
         result.diagnostics = result.diagnostics + (

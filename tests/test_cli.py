@@ -462,6 +462,29 @@ def test_polarization_nonconvergence_exits_3_with_partial_report(tmp_path, monke
     assert report["polarization"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "command, block, report_name",
+    [
+        ("polarization", {}, "polarization.json"),
+        ("fit", {"model": "free_lorentzians", "polarization": True}, "fit.json"),
+    ],
+)
+def test_quartet_fit_on_pure_noise_exits_3(tmp_path, command, block, report_name):
+    # no lines at all: every start puts a width on its floor, and the kept
+    # fit is a spike, not a converged quartet
+    grid = default_grid(2308.0)
+    noise = 1.0 + np.random.default_rng(5).normal(0.0, 0.002, grid.size)
+    csv_path = tmp_path / "noise.csv"
+    rows = [f"{float(f)!r},{float(v)!r}" for f, v in zip(grid, noise)]
+    csv_path.write_text("\n".join(["frequency_mhz,ratio"] + rows) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, {command: dict(block, input_csv=str(csv_path))})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 3
+    report = json.loads((out / report_name).read_text())
+    assert report["fit"]["converged"] is False
+    assert "every start collapsed a width onto its 1e-6 MHz floor" in report["fit"]["diagnostics"]
+
+
 def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     from vbodmr.spin_core import CharacterAmbiguityError
 
@@ -634,6 +657,24 @@ def test_validate_rejects_nonpositive_oracle_draws(tmp_path, capsys, draws):
     assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
     assert "validate.oracle_draws must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eigensolver_group_solves_the_full_hamiltonian_of_each_isotope_pattern(monkeypatch):
+    # the group tests vbodmr's Hamiltonian and eigensolver together, on
+    # systems whose off-diagonal terms are as large as the hyperfine tensor
+    seen = []
+    real = validate.build_full_hamiltonian
+
+    def recording(sys_):
+        h = real(sys_)
+        seen.append((sys_.n15_count, np.abs(h.entries - np.diag(np.diag(h.entries))).max()))
+        return h
+
+    monkeypatch.setattr(validate, "build_full_hamiltonian", recording)
+    group = validate.check_eigensolver()
+    assert group["passed"] and 0.0 < group["measured_residual"] <= 1e-12
+    assert [n15 for n15, _ in seen] == [0, 1, 2, 3]
+    assert min(off for _, off in seen) > 10.0
 
 
 @pytest.mark.parametrize("draws", [0, -1])

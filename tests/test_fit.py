@@ -15,7 +15,6 @@ from vbodmr.fit import (
     initial_physical_guess,
     lm_minimize,
     _as_magnitudes,
-    _forward_jacobian,
     _free_problem,
     _physical_problem,
 )
@@ -43,101 +42,51 @@ def test_measured_spectrum_sorts_and_validates():
         MeasuredSpectrum(np.array([1.0, 1.0, 2, 3, 4, 5, 6, 7]), np.arange(8.0))
 
 
-# --- core minimizer ------------------------------------------------------------
+# --- finite-difference oracle ----------------------------------------------------
 
-def test_lm_linear_model_exact_recovery():
-    x = np.linspace(0.0, 10.0, 50)
-    y = 3.7 * x
-
-    res = lm_minimize(lambda p: p[0] * x - y, [1.0], names=("a",))
-    assert res.converged
-    assert res.values["a"] == pytest.approx(3.7, abs=1e-10)
-    assert res.residual_norm < 1e-10
-
-
-def test_lm_single_lorentzian_round_trip():
-    truth = (2310.0, 0.08, 45.0)
-    grid = default_grid(2310.0)
-    y = 1.0 - truth[1] * lorentzian(grid, truth[0], truth[2])
-
-    def residual(p):
-        return (1.0 - p[1] * lorentzian(grid, p[0], p[2])) - y
-
-    res = lm_minimize(residual, [2300.0, 0.05, 30.0], names=("f0", "c", "w"))
-    assert res.converged
-    for name, true_val in zip(("f0", "c", "w"), truth):
-        assert res.values[name] == pytest.approx(true_val, rel=1e-8)
+def _forward_jacobian(residual_fn, p, r0, lower, upper):
+    """Oracle for the closed-form Jacobians: per parameter, the three-point
+    forward difference (4 r(p + h/2) - r(p + h) - 3 r0) / h, exact to second
+    order in the step h = max(1e-6 |p|, 1e-4); taken inward at an upper
+    bound, so no probe leaves the box."""
+    jac = np.empty((r0.size, p.size))
+    for i in range(p.size):
+        h = max(1e-6 * abs(p[i]), 1e-4)
+        if p[i] + h > upper[i]:
+            h = -h
+        half, full = p.copy(), p.copy()
+        half[i] += 0.5 * h
+        full[i] += h
+        jac[:, i] = (4.0 * residual_fn(half) - residual_fn(full) - 3.0 * r0) / h
+    return jac
 
 
-def test_lm_quadratic_bowl_fast_convergence():
-    target = np.array([1.0, -2.0, 0.5])
-    res = lm_minimize(lambda p: p - target, [10.0, 10.0, 10.0])
-    assert res.converged
-    assert res.iterations < 20
-    assert res.values["p0"] == pytest.approx(1.0, abs=1e-10)
+def assert_jacobian_matches_oracle(residual, jacobian, p, lower, upper):
+    """Each column of the closed-form Jacobian within 1e-6 of the oracle
+    column's largest magnitude."""
+    fd = _forward_jacobian(residual, p, residual(p), lower, upper)
+    jac = jacobian(p)
+    assert jac.shape == fd.shape
+    for i in range(p.size):
+        scale = np.abs(fd[:, i]).max()
+        assert np.abs(jac[:, i] - fd[:, i]).max() <= 1e-6 * scale, i
 
 
-def test_lm_respects_bounds():
-    res = lm_minimize(lambda p: p - np.array([-5.0]), [1.0], bounds=([0.0], [np.inf]))
-    assert res.values["p0"] == 0.0
-    with pytest.raises(ValueError):
-        lm_minimize(lambda p: p, [-1.0], bounds=([0.0], [1.0]))
-
-
-def test_lm_converges_to_constrained_optimum_on_a_bound():
-    # the unconstrained least-squares optimum has p0 < 0; coupled columns made
-    # the unprojected step crawl along p0 = 0 to the iteration cap
-    a = np.array([[1.0, 1.0], [1.0, 1.2], [1.0, 0.9]])
-    b = np.array([1.0, 2.0, 0.0])
-    bounds = ([0.0, -np.inf], [np.inf, np.inf])
-    res = lm_minimize(lambda p: a @ p - b, [1.0, 0.0], bounds=bounds)
-    assert res.converged
-    assert res.iterations < 50
-    assert res.values["p0"] == 0.0
-    # minimize |a[:, 1] p1 - b|^2 alone: p1 = a1.b / a1.a1
-    assert res.values["p1"] == pytest.approx(3.4 / 3.25, abs=1e-8)
-    assert "held at bound: p0 = 0 (gradient points outward)" in res.diagnostics
-
-
-def test_lm_never_probes_outside_the_box():
-    def residual(p):
-        if not (2.0 <= p[0] <= 2.0 and 0.0 <= p[2] <= 1e-9):
-            raise ValueError(f"residual evaluated outside the box at {p}")
-        return np.array([p[1] - 1.0, p[0] * p[1] - 2.0, p[1] + 0.5, p[2] - 1.0])
-
-    # p0 sits in a zero-width box, p2 in one narrower than the FD step
-    res = lm_minimize(
-        residual, [2.0, 0.0, 0.0], bounds=([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9])
-    )
-    assert res.converged
-    assert res.values["p0"] == 2.0
-    assert res.values["p1"] == pytest.approx(0.75, abs=1e-8)
-    assert res.values["p2"] == 1e-9
-    p = np.array([2.0, 0.5, 0.0])
-    lower, upper = np.array([2.0, -np.inf, 0.0]), np.array([2.0, np.inf, 1e-9])
-    jac = _forward_jacobian(residual, p, residual(p), lower, upper)
-    assert np.all(jac[:, 0] == 0.0)
-    assert jac[:, 2] == pytest.approx([0.0, 0.0, 0.0, 1.0])
-
-
-def test_lm_iteration_cap_reports_nonconvergence():
-    x = np.linspace(0.0, 1.0, 20)
-
-    def residual(p):
-        return np.exp(p[0] * x) - 2.0
-
-    res = lm_minimize(residual, [0.0], max_iter=2)
-    assert not res.converged
-    assert res.iterations == 2
-
-
-def test_lm_degenerate_parameter_diagnostic():
-    x = np.linspace(0.0, 1.0, 30)
-    y = 2.0 * x
-
-    # p[0] and p[1] enter only through their sum: J^T J is singular
-    res = lm_minimize(lambda p: (p[0] + p[1]) * x - y, [0.5, 0.5])
-    assert any("degenerate" in d for d in res.diagnostics)
+def lorentzian_dips_jacobian(grid, p, n):
+    """Closed-form Jacobian of 1 - sum_k d_k L(f; c_k, w_k) over
+    p = (c_1..n, d_1..n, w_1..n), with L = g / (u^2 + g), u = f - c_k,
+    g = (w_k / 2)^2."""
+    jac = np.empty((grid.size, 3 * n))
+    for k in range(n):
+        u = grid - p[k]
+        g = (p[2 * n + k] / 2.0) ** 2
+        lor = g / (u * u + g)
+        # d/df0 = depth * 2 g u / (u^2+g)^2 enters with the minus sign of the dip
+        jac[:, k] = -p[n + k] * (2.0 * g * u) / (u * u + g) ** 2
+        jac[:, n + k] = -lor
+        dg = p[2 * n + k] / 2.0
+        jac[:, 2 * n + k] = -p[n + k] * (u * u / (u * u + g) ** 2) * dg
+    return jac
 
 
 def test_forward_jacobian_matches_analytic_lorentzian_derivatives():
@@ -158,18 +107,137 @@ def test_forward_jacobian_matches_analytic_lorentzian_derivatives():
         jac = _forward_jacobian(
             residual, p, residual(p), np.full(9, -np.inf), np.full(9, np.inf)
         )
-        analytic = np.empty_like(jac)
-        for k in range(3):
-            u = grid - p[k]
-            g = (p[6 + k] / 2.0) ** 2
-            lor = g / (u * u + g)
-            # d/df0 = depth * 2 g u / (u^2+g)^2 enters with the minus sign of the dip
-            analytic[:, k] = -p[3 + k] * (2.0 * g * u) / (u * u + g) ** 2
-            analytic[:, 3 + k] = -lor
-            dg = p[6 + k] / 2.0
-            analytic[:, 6 + k] = -p[3 + k] * (u * u / (u * u + g) ** 2) * dg
+        analytic = lorentzian_dips_jacobian(grid, p, 3)
         scale = np.abs(analytic).max()
         assert np.abs(jac - analytic).max() <= 1e-5 * scale
+
+
+# --- core minimizer ------------------------------------------------------------
+
+def test_lm_linear_model_exact_recovery():
+    x = np.linspace(0.0, 10.0, 50)
+    y = 3.7 * x
+
+    res = lm_minimize(lambda p: p[0] * x - y, [1.0], names=("a",), jacobian=lambda p: x[:, None])
+    assert res.converged
+    assert res.values["a"] == pytest.approx(3.7, abs=1e-10)
+    assert res.residual_norm < 1e-10
+
+
+def test_lm_requires_a_jacobian():
+    with pytest.raises(TypeError, match="jacobian"):
+        lm_minimize(lambda p: p - 1.0, [0.0])
+
+
+def test_lm_single_lorentzian_round_trip():
+    truth = (2310.0, 0.08, 45.0)
+    grid = default_grid(2310.0)
+    y = 1.0 - truth[1] * lorentzian(grid, truth[0], truth[2])
+
+    def residual(p):
+        return (1.0 - p[1] * lorentzian(grid, p[0], p[2])) - y
+
+    res = lm_minimize(
+        residual,
+        [2300.0, 0.05, 30.0],
+        names=("f0", "c", "w"),
+        jacobian=lambda p: lorentzian_dips_jacobian(grid, p, 1),
+    )
+    assert res.converged
+    for name, true_val in zip(("f0", "c", "w"), truth):
+        assert res.values[name] == pytest.approx(true_val, rel=1e-8)
+
+
+def test_lm_quadratic_bowl_fast_convergence():
+    target = np.array([1.0, -2.0, 0.5])
+    res = lm_minimize(lambda p: p - target, [10.0, 10.0, 10.0], jacobian=lambda p: np.eye(3))
+    assert res.converged
+    assert res.iterations < 20
+    assert res.values["p0"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_lm_respects_bounds():
+    identity = lambda p: np.eye(1)
+    res = lm_minimize(
+        lambda p: p - np.array([-5.0]), [1.0], bounds=([0.0], [np.inf]), jacobian=identity
+    )
+    assert res.values["p0"] == 0.0
+    with pytest.raises(ValueError):
+        lm_minimize(lambda p: p, [-1.0], bounds=([0.0], [1.0]), jacobian=identity)
+
+
+def test_lm_converges_to_constrained_optimum_on_a_bound():
+    # the unconstrained least-squares optimum has p0 < 0; coupled columns made
+    # the unprojected step crawl along p0 = 0 to the iteration cap
+    a = np.array([[1.0, 1.0], [1.0, 1.2], [1.0, 0.9]])
+    b = np.array([1.0, 2.0, 0.0])
+    bounds = ([0.0, -np.inf], [np.inf, np.inf])
+    res = lm_minimize(lambda p: a @ p - b, [1.0, 0.0], bounds=bounds, jacobian=lambda p: a)
+    assert res.converged
+    assert res.iterations < 50
+    assert res.values["p0"] == 0.0
+    # minimize |a[:, 1] p1 - b|^2 alone: p1 = a1.b / a1.a1
+    assert res.values["p1"] == pytest.approx(3.4 / 3.25, abs=1e-8)
+    assert "held at bound: p0 = 0 (gradient points outward)" in res.diagnostics
+
+
+def test_lm_never_probes_outside_the_box():
+    def residual(p):
+        if not (2.0 <= p[0] <= 2.0 and 0.0 <= p[2] <= 1e-9):
+            raise ValueError(f"residual evaluated outside the box at {p}")
+        return np.array([p[1] - 1.0, p[0] * p[1] - 2.0, p[1] + 0.5, p[2] - 1.0])
+
+    def jacobian(p):
+        return np.array(
+            [[0.0, 1.0, 0.0], [p[1], p[0], 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        )
+
+    # p0 sits in a zero-width box, p2 in one of width 1e-9
+    res = lm_minimize(
+        residual,
+        [2.0, 0.0, 0.0],
+        bounds=([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9]),
+        jacobian=jacobian,
+    )
+    assert res.converged
+    assert res.values["p0"] == 2.0
+    assert res.values["p1"] == pytest.approx(0.75, abs=1e-8)
+    assert res.values["p2"] == 1e-9
+
+
+def test_lm_iteration_cap_reports_nonconvergence():
+    x = np.linspace(0.0, 1.0, 20)
+
+    def residual(p):
+        return np.exp(p[0] * x) - 2.0
+
+    res = lm_minimize(
+        residual, [0.0], max_iter=2, jacobian=lambda p: (x * np.exp(p[0] * x))[:, None]
+    )
+    assert not res.converged
+    assert res.iterations == 2
+
+
+def test_lm_stall_is_not_convergence():
+    # a Jacobian of the wrong sign: every damped step climbs, up to the
+    # maximum damping
+    target = np.array([1.0, -2.0, 0.5])
+    res = lm_minimize(lambda p: p - target, [10.0, 10.0, 10.0], jacobian=lambda p: -np.eye(3))
+    assert not res.converged
+    assert res.iterations == 1
+    assert [res.values[n] for n in ("p0", "p1", "p2")] == [10.0, 10.0, 10.0]
+    assert "stalled: no step reduced the cost at maximum damping" in res.diagnostics
+
+
+def test_lm_degenerate_parameter_diagnostic():
+    x = np.linspace(0.0, 1.0, 30)
+    y = 2.0 * x
+
+    # p[0] and p[1] enter only through their sum: J^T J is singular
+    res = lm_minimize(
+        lambda p: (p[0] + p[1]) * x - y, [0.5, 0.5], jacobian=lambda p: np.column_stack([x, x])
+    )
+    assert any("degenerate" in d for d in res.diagnostics)
 
 
 # --- physical model fits --------------------------------------------------------
@@ -294,12 +362,7 @@ def test_physical_jacobian_matches_forward_differences(model, active, sigmas):
     p = np.array([getattr(truth, name) for name in active])
     lower = np.array([0.0 if name == "p15" else -np.inf for name in active])
     upper = np.array([1.0 if name == "p15" else np.inf for name in active])
-    fd = _forward_jacobian(residual, p, residual(p), lower, upper)
-    jac = jacobian(p)
-    assert jac.shape == fd.shape
-    for i, name in enumerate(active):
-        scale = np.abs(fd[:, i]).max()
-        assert np.abs(jac[:, i] - fd[:, i]).max() <= 5e-4 * scale, name
+    assert_jacobian_matches_oracle(residual, jacobian, p, lower, upper)
 
 
 def test_physical_fit_is_the_same_from_mirrored_couplings():
@@ -548,7 +611,10 @@ def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
     assert dropped == [0, 1, 2, 3, 4] and n_calls == 10
     best = min(runs, key=lambda r: r.residual_norm)
     note = "every start collapsed a width onto its 1e-6 MHz floor"
-    flagged = dataclasses.replace(best, diagnostics=best.diagnostics + (note,))
+    # the kept fit puts a spike on one sample: it is not reported converged
+    flagged = dataclasses.replace(
+        best, converged=False, diagnostics=best.diagnostics + (note,)
+    )
     assert fit_fields(res) == fit_fields(flagged)
 
 
@@ -639,6 +705,24 @@ def test_pl_saturation_degenerate_when_far_from_saturation():
     data = [(p, i_max * p / (p + p_sat)) for p in (0.1, 0.2, 0.4, 0.8)]
     res = fit_pl_saturation(data)
     assert res.diagnostics
+
+
+def test_pl_saturation_jacobian_matches_forward_differences(monkeypatch):
+    problems = []
+    real = fit.lm_minimize
+
+    def recording(residual, p0, *args, jacobian, **kwargs):
+        problems.append((residual, jacobian))
+        return real(residual, p0, *args, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(fit, "lm_minimize", recording)
+    powers = np.array([0.2, 0.5, 1.0, 2.0, 4.0, 8.0])
+    fit_pl_saturation([(p, 100.0 * p / (p + 2.0)) for p in powers])
+    (residual, jacobian), = problems
+    for p in ([100.0, 2.0], [250.0, 0.3], [40.0, 60.0], [5.0, 0.01]):
+        assert_jacobian_matches_oracle(
+            residual, jacobian, np.array(p), np.full(2, 1e-12), np.full(2, np.inf)
+        )
 
 
 def test_pl_saturation_input_validation():
