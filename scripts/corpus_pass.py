@@ -10,10 +10,14 @@ return (``lm_iter``), the LM iterations of every ``lm_minimize`` run that
 returned, discarded multi-start runs and restarts included (``lm_iter_all``),
 the ``lm_minimize`` runs abandoned mid-way (``abandoned``: quartet starts that
 put a width on its floor; their iterations are in no column), the fits that
-report ``converged``, and a sha256 over every operation's values, sigmas,
+report ``converged``, the CPU seconds (``cpu_s``, ``time.process_time``) and
+minor page faults (``minflt``, ``ru_minflt`` of this process) spent in the
+slot's operations, and a sha256 over every operation's values, sigmas,
 iterations and diagnostics. Then it prints that sha256 per slot and over all
 slots. Two checkouts print the same digest only when every fit is
-bit-identical.
+bit-identical. ``cpu_s`` and ``minflt`` vary from run to run; the page faults
+show how often the allocator hands large temporaries back to the system and
+takes them again (glibc's heap trimming).
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -23,7 +27,9 @@ bit-identical.
 import argparse
 import hashlib
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 SLOTS = ("op_a", "op_b", "op_c")
@@ -78,13 +84,18 @@ def main() -> None:
     abandoned = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
     total = {s: 0 for s in SLOTS}
+    cpu_s = {s: 0.0 for s in SLOTS}
+    minflt = {s: 0 for s in SLOTS}
     digest = hashlib.sha256()
     slot_digest = {s: hashlib.sha256() for s in SLOTS}
     for r in range(batch.corpus_rounds):
         inputs = batch.inputs(r)
         for slot in SLOTS:
             before = list(all_runs)
+            cpu, faults = time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             _, _, outputs = batch.run(slot, inputs[slot])
+            cpu_s[slot] += time.process_time() - cpu
+            minflt[slot] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             iterations_all[slot] += all_runs[0] - before[0]
             abandoned[slot] += all_runs[1] - before[1]
             checks = batch.check(slot, inputs[slot], outputs)
@@ -105,12 +116,13 @@ def main() -> None:
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
-        f" {'abandoned':>9} {'converged':>9}"
+        f" {'abandoned':>9} {'converged':>9} {'cpu_s':>7} {'minflt':>8}"
     )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
             f" {iterations_all[s]:11d} {abandoned[s]:9d} {converged[s]:9d}"
+            f" {cpu_s[s]:7.3f} {minflt[s]:8d}"
         )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
     for s in SLOTS:

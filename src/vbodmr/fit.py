@@ -3,8 +3,8 @@
 Three fit families are provided on top of a small Levenberg-Marquardt core:
 
 * ``fit_physical`` - the constrained mixture model (binomial combination of
-  the four defect configurations); the hyperfine couplings are fitted signed
-  and reported as magnitudes, with a closed-form Jacobian,
+  the four configurations), couplings fitted signed and reported as
+  magnitudes, its closed-form Jacobian reusing the residual's line pass,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
   closed-form Jacobian and a seeded multi-start that drops a start once it
@@ -33,8 +33,9 @@ import numpy as np
 from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
+    _binomial,
+    _line_pass,
     _model_jacobian,
-    mixture_spectrum,
 )
 from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
 
@@ -361,22 +362,30 @@ def _physical_problem(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Residual and closed-form Jacobian of the physical model over the
     ``active`` parameters; the others keep their ``init`` values. Both are
-    weighted by 1/sigma when the spectrum carries sigmas."""
+    weighted by 1/sigma when the spectrum carries sigmas. The residual is
+    ``mixture_spectrum`` minus the data, bit for bit, from one line pass
+    (``spectrum._line_pass``) that the Jacobian reuses at the same point."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
     p15_column = "p15" in active
-
-    def model_at(p: np.ndarray) -> SpectrumModel:
-        return replace(init, **dict(zip(active, p)))
+    # lm_minimize asks for the Jacobian at the point whose residual it has
+    # just evaluated: keep that point's model and line pass
+    latest: list = [None, None, None]
 
     def residual(p: np.ndarray) -> np.ndarray:
-        res = mixture_spectrum(model_at(p), grid).values - y
+        model = replace(init, **dict(zip(active, p)))
+        lines = _line_pass(model, grid, _binomial(model.p15), p15_column)
+        latest[:] = p.copy(), model, lines
+        res = lines[0] - y
         return res * weights if weights is not None else res
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        jac = _model_jacobian(model_at(p), grid, p15_column)[rows].T
+        if not np.array_equal(p, latest[0]):
+            residual(p)
+        _, model, lines = latest
+        jac = _model_jacobian(model, grid, lines)[rows].T
         return jac * weights[:, None] if weights is not None else jac
 
     return residual, jacobian

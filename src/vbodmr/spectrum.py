@@ -266,7 +266,7 @@ def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
     # fraction 1 of one configuration: 0.0 + 1.0 * x == x, bit for bit
-    return _stacked_spectrum(model, grid, tuple(float(n == n15_count) for n in range(4)))
+    return Curve(grid, _line_pass(model, grid, tuple(float(n == n15_count) for n in range(4)))[0])
 
 
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
@@ -282,21 +282,26 @@ def _binomial(p15: float) -> tuple[float, float, float, float]:
     return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
 
 
-def _present_lines(
-    model: SpectrumModel, config_fractions: tuple[float, ...]
-) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
-    """Lines of every configuration with a nonzero fraction, stacked in
-    configuration order: (fractions, positions, weights, bounds), where the
-    k-th present configuration owns rows bounds[k]:bounds[k + 1]."""
-    fractions, positions, weights = [], [], []
-    for n, frac in enumerate(config_fractions):
-        if frac != 0.0:
-            pos, w = config_lines(model, n)
-            fractions.append(frac)
-            positions.append(pos)
-            weights.append(w)
-    bounds = np.cumsum([0] + [len(pos) for pos in positions])
-    return fractions, np.concatenate(positions), np.concatenate(weights), bounds
+def _binomial_slopes(p15: float) -> tuple[float, float, float, float]:
+    p, q = p15, 1.0 - p15
+    return (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
+
+
+_NO_LINES = (np.empty((0, 2)), np.empty(0), np.empty(0))
+
+
+def _stack_lines(model: SpectrumModel, config_fractions: tuple, config_slopes: tuple = (0.0,) * 4):
+    """Lines (``_lines``) of every configuration whose fraction or slope is
+    nonzero, stacked in configuration order: (keys, positions, weights,
+    bounds), configuration n owning rows bounds[n]:bounds[n + 1] (none when
+    absent). The forward model, the slope and the Jacobian stack here."""
+    lines = [
+        _lines(model, n) if frac != 0.0 or slope != 0.0 else _NO_LINES
+        for n, (frac, slope) in enumerate(zip(config_fractions, config_slopes))
+    ]
+    bounds = np.cumsum([0] + [len(pos) for _, pos, _ in lines])
+    keys, positions, weights = (np.concatenate(column) for column in zip(*lines))
+    return keys, positions, weights, bounds
 
 
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
@@ -304,76 +309,62 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
 
     Every value equals the sum of frac * config_spectrum bit for bit.
     """
-    return _stacked_spectrum(model, grid, binomial_fractions(model.p15))
+    return Curve(grid, _line_pass(model, grid, binomial_fractions(model.p15))[0])
 
 
-def _stacked_spectrum(model: SpectrumModel, grid, config_fractions: tuple[float, ...]) -> Curve:
-    """Curve of the configurations mixed by ``config_fractions``.
+def _line_pass(model: SpectrumModel, grid, config_fractions: tuple, p15_column: bool = False):
+    """The curve of the configurations mixed by ``config_fractions`` and the
+    lines it is summed from: (values, keys, positions, weights, bounds, L).
 
-    The weighted Lorentzians of all present configurations are one
-    (lines x grid) array; each configuration's rows are summed on their own.
-    On two or more grid points NumPy adds the rows one after another, in
-    line order; a one-point grid of 8+ lines is summed pairwise instead.
+    With ``p15_column`` the configurations whose binomial fraction moves
+    with p15 are stacked too, for the Jacobian's p15 row: at p15 = 0 or 1
+    they own rows that the curve does not sum. L is one (lines x grid) call
+    of ``lorentzian``; each configuration's weighted rows are summed on
+    their own, one after another in line order on two or more grid points
+    (a one-point grid of 8+ lines is summed pairwise instead).
     """
-    grid = np.asarray(grid, dtype=float)
-    fractions, positions, weights, bounds = _present_lines(model, config_fractions)
-    lines = lorentzian(grid, positions[:, None], model.linewidth)
-    lines *= weights[:, None]
-    values = np.zeros(lines.shape[1:])
-    for frac, lo, hi in zip(fractions, bounds[:-1], bounds[1:]):
-        values += frac * (1.0 - model.contrast * lines[lo:hi].sum(axis=0))
-    return Curve(grid, values)
+    slopes = _binomial_slopes(model.p15) if p15_column else (0.0,) * 4
+    keys, positions, weights, bounds = _stack_lines(model, config_fractions, slopes)
+    profiles = lorentzian(grid, positions[:, None], model.linewidth)
+    values = np.zeros(profiles.shape[1:])
+    for frac, lo, hi in zip(config_fractions, bounds[:-1], bounds[1:]):
+        if frac != 0.0:
+            dip = (profiles[lo:hi] * weights[lo:hi, None]).sum(axis=0)
+            values += frac * (1.0 - model.contrast * dip)
+    return values, keys, positions, weights, bounds, profiles
 
 
 # row order of _model_jacobian
 _JACOBIAN_PARAMS = ("contrast", "p15", "f_center", "a14", "a15", "linewidth")
 
 
-def _model_jacobian(model: SpectrumModel, grid, p15_column: bool = False) -> np.ndarray:
+def _model_jacobian(model: SpectrumModel, grid, lines: tuple) -> np.ndarray:
     """Closed-form derivatives of mixture_spectrum(model, grid) with respect
     to the parameters _JACOBIAN_PARAMS: a (6, grid) array, one row per
-    parameter.
+    parameter, from ``lines``, the ``_line_pass`` of the binomial fractions
+    of ``model`` on ``grid``.
 
-    The lines are those of the forward model (``_lines``) of every
-    configuration present, each weighted by its fraction; with ``p15_column``
-    the configurations whose fraction moves with p15 join them, weighted by
-    dP_n/dp15 for the p15 row, which is zero otherwise. With u = f - f_line,
-    g = (FWHM/2)^2 and L = g / (u^2 + g), dL/df_line = 2 u L^2 / g and
-    dL/dFWHM = 2 (L - L^2) / FWHM, so one (rows x grid) pass gives L, L^2
-    and u L^2, and three small matrix products give the six rows. It calls
-    no public function of this module, so a traced run counts forward-model
-    evaluations only.
+    Each line is weighted by its configuration's fraction, and for the p15
+    row by dP_n/dp15; that row holds every configuration only when the pass
+    was made with ``p15_column``. With u = f - f_line, g = (FWHM/2)^2 and
+    the pass's L = g / (u^2 + g), dL/df_line = 2 u L^2 / g and dL/dFWHM =
+    2 (L - L^2) / FWHM, so u, L^2 and u L^2 and three small matrix products
+    give the six rows. It evaluates no Lorentzian of its own: a traced fit
+    counts one ``lorentzian`` call per residual and none per Jacobian.
     """
-    fractions = _binomial(model.p15)
-    if p15_column:
-        p, q = model.p15, 1.0 - model.p15
-        slopes = (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
-    else:
-        slopes = (0.0,) * 4
-    sums, positions, w, dw = [], [], [], []
-    for n, (frac, slope) in enumerate(zip(fractions, slopes)):
-        if frac == 0.0 and slope == 0.0:
-            continue
-        keys, pos, weights = _lines(model, n)
-        sums.append(keys)
-        positions.append(pos)
-        w.append(frac * weights)
-        dw.append(slope * weights)
-    sums, positions = np.concatenate(sums), np.concatenate(positions)
-    w, dw = np.concatenate(w), np.concatenate(dw)
-
-    grid = np.asarray(grid, dtype=float)
+    _, keys, positions, weights, bounds, profiles = lines
+    counts = np.diff(bounds)
+    w = np.repeat(_binomial(model.p15), counts) * weights
+    dw = np.repeat(_binomial_slopes(model.p15), counts) * weights
     c, b, fwhm = model.contrast, model.branch, model.linewidth
-    g = (0.5 * fwhm) ** 2
-    u = grid - positions[:, None]
-    lor = u * u
-    lor += g
-    np.divide(g, lor, out=lor)
-    sq = lor * lor
+    half = 0.5 * fwhm
+    g = half * half  # as in lorentzian, bit for bit
+    u = np.asarray(grid, dtype=float) - positions[:, None]
+    sq = profiles * profiles
     u *= sq  # u L^2
-    jac = np.empty((6, grid.size))
-    np.matmul(np.stack([-w, -c * dw]), lor, out=jac[0:2])
-    coef = np.stack([w, b * sums[:, 0] * w, b * sums[:, 1] * w])
+    jac = np.empty((6, u.shape[1]))
+    np.matmul(np.stack([-w, -c * dw]), profiles, out=jac[0:2])
+    coef = np.stack([w, b * keys[:, 0] * w, b * keys[:, 1] * w])
     np.matmul((-2.0 * c / g) * coef, u, out=jac[2:5])
     # the L - L^2 row from the weighted sums of L (the contrast row) and L^2
     np.matmul((2.0 * c / fwhm) * w, sq, out=jac[5])

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbodmr import fit
 from vbodmr.analysis import spectral_slope
+from vbodmr.fit import MeasuredSpectrum
 from vbodmr.spectrum import (
     _JACOBIAN_PARAMS,
     Curve,
     Populations,
     SpectrumModel,
+    _line_pass,
     _model_jacobian,
     binomial_fractions,
     config_lines,
@@ -414,8 +417,40 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
     for model in reference_models(512):
         grid = default_grid(model.f_center)
         slope = spectral_slope(model, grid).slope_curve.values
-        jac_row = -_model_jacobian(model, grid)[row]
+        lines = _line_pass(model, grid, binomial_fractions(model.p15))
+        jac_row = -_model_jacobian(model, grid, lines)[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
+
+
+@pytest.mark.parametrize("free_p15", [False, True], ids=["fixed_p15", "free_p15"])
+def test_fit_residual_is_the_forward_model_bit_for_bit(monkeypatch, free_p15):
+    # the residual and the Jacobian of the physical fit share one line pass
+    passes = []
+
+    def recording(*args):
+        passes.append(_line_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(fit, "_line_pass", recording)
+    active = ["f_center", "contrast", "linewidth", "a14", "a15"] + ["p15"] * free_p15
+    for model in reference_models(64):
+        grid = default_grid(model.f_center)
+        meas = MeasuredSpectrum(grid, np.random.default_rng(0).normal(1.0, 0.01, grid.size))
+        residual, jacobian = fit._physical_problem(meas, model, active)
+        p = np.array([getattr(model, name) for name in active])
+        res = residual(p)
+        assert np.array_equal(res, mixture_spectrum(model, grid).values - meas.ratios), model
+        fractions = binomial_fractions(model.p15)
+        counts = np.diff(passes[-1][4])  # rows per configuration
+        slope_only = [n for n in range(4) if fractions[n] == 0.0 and counts[n] > 0]
+        # dP1/dp15 = 3 at p15 = 0, dP2/dp15 = -3 at p15 = 1: rows the curve must not sum
+        expected = {0.0: [1], 1.0: [2]}.get(model.p15, []) if free_p15 else []
+        assert slope_only == expected, model
+        count = len(passes)
+        kept = jacobian(p)
+        assert len(passes) == count, model
+        fresh = fit._physical_problem(meas, model, active)[1](p)
+        assert np.array_equal(kept, fresh), model
 
 
 # --- curve type and prediction -------------------------------------------------
