@@ -19,15 +19,24 @@ bit-identical. ``cpu_s`` and ``minflt`` vary from run to run; the page faults
 show how often the allocator hands large temporaries back to the system and
 takes them again (glibc's heap trimming).
 
+With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
+child process) and prints, per slot, the operations whose outcome (pass or
+fail) or ``lm_iter`` differs between the two, and the largest relative
+change of any fitted value and of any sigma, so a change that moves the
+digest by a few ulps can show that no outcome moved.
+
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
     python3 scripts/corpus_pass.py --ops            # one line per operation
+    python3 scripts/corpus_pass.py --against OTHER  # this checkout against OTHER
 """
 
 import argparse
 import hashlib
 import json
+import math
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -46,6 +55,63 @@ def fit_record(out) -> str:
     )
 
 
+def op_record(out, reason) -> dict:
+    """Outcome, iterations, values and sigmas of one operation, for --against."""
+    if isinstance(out, Exception):
+        return {"failed": reason is not None, "lm_iter": None, "values": {}, "sigmas": {}}
+    res = out[0]
+    return {
+        "failed": reason is not None,
+        "lm_iter": res.iterations,
+        "values": dict(res.values),
+        "sigmas": dict(res.sigmas),
+    }
+
+
+def relative_change(new: float, old: float) -> float:
+    """|new - old| / |old|; 0 when equal (infinities included), inf when old
+    is 0 and new is not."""
+    if new == old or (math.isnan(new) and math.isnan(old)):
+        return 0.0
+    if old == 0.0 or not math.isfinite(old) or not math.isfinite(new):
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def compare(records: list, other: list, other_root: str) -> None:
+    """Per slot: operations whose outcome or lm_iter moved, and the largest
+    relative change of values and of sigmas against the other checkout."""
+    print(f"against {other_root}")
+    if [(m["round"], m["slot"], m["k"]) for m in records] != [
+        (t["round"], t["slot"], t["k"]) for t in other
+    ]:
+        raise SystemExit("the two checkouts ran different operations")
+    for s in SLOTS:
+        moved = []
+        worst = {"values": (0.0, None), "sigmas": (0.0, None)}
+        for mine, theirs in zip(records, other):
+            if mine["slot"] != s:
+                continue
+            where = f"round {mine['round']} {s} #{mine['k']}"
+            if mine["failed"] != theirs["failed"] or mine["lm_iter"] != theirs["lm_iter"]:
+                moved.append(
+                    f"  {where}: {'fail' if theirs['failed'] else 'ok'} ->"
+                    f" {'fail' if mine['failed'] else 'ok'},"
+                    f" lm_iter {theirs['lm_iter']} -> {mine['lm_iter']}"
+                )
+            for column in worst:
+                for name, old in theirs[column].items():
+                    change = relative_change(mine[column].get(name, math.nan), old)
+                    if change > worst[column][0]:
+                        worst[column] = (change, f"{where} {name}")
+        print(f"{s}: {len(moved)} operations changed outcome or lm_iter")
+        for line in moved:
+            print(line)
+        for column, (change, where) in worst.items():
+            at = f" ({where})" if where else ""
+            print(f"{s}: largest relative change of {column} {change:.3g}{at}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -53,6 +119,11 @@ def main() -> None:
         help="checkout whose src/ and bench/ to run (default: this one)",
     )
     parser.add_argument("--ops", action="store_true", help="print one line per operation")
+    parser.add_argument(
+        "--against", metavar="OTHER_ROOT",
+        help="also run the checkout OTHER_ROOT and print what moved between the two",
+    )
+    parser.add_argument("--records", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -88,6 +159,7 @@ def main() -> None:
     minflt = {s: 0 for s in SLOTS}
     digest = hashlib.sha256()
     slot_digest = {s: hashlib.sha256() for s in SLOTS}
+    records = []
     for r in range(batch.corpus_rounds):
         inputs = batch.inputs(r)
         for slot in SLOTS:
@@ -100,6 +172,7 @@ def main() -> None:
             abandoned[slot] += all_runs[1] - before[1]
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
+                records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason)})
                 record = fit_record(out)
                 digest.update(record.encode())
                 slot_digest[slot].update(record.encode())
@@ -113,6 +186,9 @@ def main() -> None:
                     its, conv = ("-", "-") if res is None else (res.iterations, res.converged)
                     short = hashlib.sha256(record.encode()).hexdigest()[:12]
                     print(f"{r:2d} {slot} {k} it={its} conv={conv} {short} {reason or 'ok'}")
+    if args.records:
+        json.dump(records, sys.stdout)
+        return
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
@@ -128,6 +204,11 @@ def main() -> None:
     for s in SLOTS:
         print(f"sha256 {s:4}  {slot_digest[s].hexdigest()}")
     print(f"sha256 all   {digest.hexdigest()}")
+    if args.against:
+        other_root = str(Path(args.against).resolve())
+        child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
+        other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
+        compare(records, other, other_root)
 
 
 if __name__ == "__main__":

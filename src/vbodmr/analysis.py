@@ -21,7 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult, free_model_from_result
-from .spectrum import Curve, SpectrumModel, _stack_lines, binomial_fractions
+from .spectrum import Curve, SpectrumModel, _line_table, _merged_lines, binomial_fractions
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -62,10 +62,10 @@ def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
     # a NumPy power overflows to inf, where a float power raises
     half2 = np.float64(0.5 * model.linewidth) ** 2
-    _, positions, weights, bounds = _stack_lines(model, binomial_fractions(model.p15))
-    coeff = np.repeat(binomial_fractions(model.p15), np.diff(bounds)) * weights
+    table = _line_table(model.populations)
+    _, positions, w, _ = _merged_lines(model, table, binomial_fractions(model.p15))
     u = grid - positions[:, None]
-    return model.contrast * (coeff[:, None] * (2.0 * half2 * u) / (u * u + half2) ** 2).sum(axis=0)
+    return model.contrast * (w @ ((2.0 * half2 * u) / (u * u + half2) ** 2))
 
 
 def spectral_slope(

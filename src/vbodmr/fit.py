@@ -35,6 +35,7 @@ from .spectrum import (
     SpectrumModel,
     _binomial,
     _line_pass,
+    _line_table,
     _model_jacobian,
 )
 from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
@@ -370,13 +371,14 @@ def _physical_problem(
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
     p15_column = "p15" in active
+    table = _line_table(init.populations)  # W depends on no fitted parameter
     # lm_minimize asks for the Jacobian at the point whose residual it has
     # just evaluated: keep that point's model and line pass
     latest: list = [None, None, None]
 
     def residual(p: np.ndarray) -> np.ndarray:
         model = replace(init, **dict(zip(active, p)))
-        lines = _line_pass(model, grid, _binomial(model.p15), p15_column)
+        lines = _line_pass(model, grid, table, _binomial(model.p15), p15_column)
         latest[:] = p.copy(), model, lines
         res = lines[0] - y
         return res * weights if weights is not None else res

@@ -9,9 +9,12 @@ branch * (M14 * a14 + M15 * a15), M14 and M15 being the sums of its 14N and
 
 is the normalized photoluminescence ratio of configuration #n, with W the
 summed populations of the group's states (1/N_level each when unpolarized).
-Lines that coincide for particular couplings are not merged. An ensemble with
-15N fraction p15 mixes the four configurations with binomial weights.
-"""
+An ensemble with 15N fraction p15 mixes the four configurations with
+binomial weights P_n. Their 30 groups have 25 distinct keys (#2 shares (m, 0)
+with #0, #3 shares (0, +-1/2) with #1): the mixture is one matrix product over
+a line per key, weighted by sum_n P_n W_n(key), within 1.5 eps of a per-line
+loop over each configuration. Lines that coincide for particular couplings
+are not merged."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
-from .spin_core import IsotopeSpecies, _label_table
+from .spin_core import IsotopeSpecies, _label_table, _read_only
 
 DEFAULT_GRID_POINTS = 801
 DEFAULT_GRID_SPAN_MHZ = 250.0
@@ -162,6 +165,9 @@ class SpectrumModel:
             raise ValueError("p15 must lie in [0, 1]")
         if self.branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
+        for n, pops in (self.populations or {}).items():
+            if n not in (0, 1, 2, 3) or pops.ladder != enumerate_ladder(n):
+                raise ValueError(f"populations key {n!r}: not a configuration 0..3 with its ladder")
 
 
 @dataclass(frozen=True)
@@ -216,57 +222,63 @@ def lorentzian(f, f0, fwhm: float):
     return np.divide(g, d, out=d if isinstance(d, np.ndarray) else None)
 
 
-@functools.lru_cache(maxsize=4)
-def _product_groups(n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nuclear product states of configuration #n (the label table of
-    ``spin_core``, 14N sites first) grouped by (sum of 14N projections, sum
-    of 15N projections): the two sums (G, 2) in ascending order, the m_tot
-    ladder index (G,) and the number of states (G,) of each group. States of
-    one group share a line position for any couplings. Read-only, built
-    once per n."""
-    species = (IsotopeSpecies.N14,) * (3 - n15_count) + (IsotopeSpecies.N15,) * n15_count
-    labels = np.array(_label_table(species))
-    n14 = 3 - n15_count
-    sums = np.stack([labels[:, :n14].sum(axis=1), labels[:, n14:].sum(axis=1)], axis=1)
-    keys, counts = np.unique(sums, axis=0, return_counts=True)
-    rung = np.rint(keys.sum(axis=1) - enumerate_ladder(n15_count).m_values[0]).astype(np.intp)
-    groups = (keys, rung, counts.astype(float))
-    for a in groups:
-        a.setflags(write=False)
-    return groups
+@functools.lru_cache(maxsize=1)
+def _line_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The nuclear product states of the four configurations (the label
+    tables of ``spin_core``, 14N sites first) grouped by (sum of 14N, sum of
+    15N projections), states that share a line position for any couplings:
+    the 25 distinct sums (25, 2), ascending, and a (25, 4) matrix of the
+    number of states of configuration #n in each group. Read-only."""
+    states = np.array([
+        (sum(m[: 3 - n]), sum(m[3 - n :]), n)
+        for n in range(4)
+        for m in _label_table((IsotopeSpecies.N14,) * (3 - n) + (IsotopeSpecies.N15,) * n)
+    ])
+    keys, row = np.unique(states[:, :2], axis=0, return_inverse=True)
+    counts = np.zeros((len(keys), 4))
+    np.add.at(counts, (row.reshape(-1), states[:, 2].astype(np.intp)), 1.0)
+    return _read_only(keys), _read_only(counts)
 
 
-def _lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lines of configuration #n, one per group of ``_product_groups`` in
-    its order: the group keys, the positions f_center + branch * (sum14 * a14
-    + sum15 * a15) and the weights, the group's share of the states when
-    unpolarized, otherwise its state count times the population of its rung."""
-    pops = (model.populations or {}).get(n15_count)
-    if pops is not None and pops.ladder.n15_count != n15_count:
-        raise ValueError("populations ladder does not match the configuration")
-    keys, rung, counts = _product_groups(n15_count)
-    positions = model.f_center + model.branch * (keys[:, 0] * model.a14 + keys[:, 1] * model.a15)
-    weights = counts / counts.sum() if pops is None else counts * np.array(pops.weights)[rung]
-    return keys, positions, weights
+def _line_table(populations: dict | None) -> np.ndarray:
+    """The (25 x 4) weight matrix W of the lines of ``_line_groups``: column
+    n holds configuration #n's weight of each group, its share of the states
+    when unpolarized, otherwise its state count times the population of its
+    m_tot rung, and 0 where #n has no states. W @ (P0, P1, P2, P3) weights
+    every distinct line of a mixture; W depends on the populations only."""
+    keys, counts = _line_groups()
+    table = counts / counts.sum(axis=0)
+    for n, pops in (populations or {}).items():
+        rung = np.rint(keys.sum(axis=1) + pops.ladder.m_max).astype(np.intp)
+        table[:, n] = counts[:, n] * np.take(pops.weights, rung, mode="clip")
+    return table
+
+
+def _positions(model: SpectrumModel, keys: np.ndarray) -> np.ndarray:
+    """Line positions f_center + branch * (sum14 * a14 + sum15 * a15)."""
+    return model.f_center + model.branch * (keys[:, 0] * model.a14 + keys[:, 1] * model.a15)
 
 
 def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Line positions and total weights of configuration #n: one line per
-    (sum of 14N, sum of 15N projections) group of product states, in table
-    order, not by position. Groups that coincide for particular couplings
-    (a14 = 0, a15 = 0, a15 = +-2 a14) stay separate lines; unpolarized
-    weights sum to 1."""
+    (sum of 14N, sum of 15N projections) group of product states, in
+    ascending order of that pair, not by position. Groups that coincide for
+    particular couplings (a14 = 0, a15 = 0, a15 = +-2 a14) stay separate
+    lines; unpolarized weights sum to 1."""
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
-    return _lines(model, n15_count)[1:]
+    keys, counts = _line_groups()
+    rows = np.flatnonzero(counts[:, n15_count])
+    return _positions(model, keys[rows]), _line_table(model.populations)[rows, n15_count]
 
 
 def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     """ODMR curve of a single defect configuration on the given grid."""
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
-    # fraction 1 of one configuration: 0.0 + 1.0 * x == x, bit for bit
-    return Curve(grid, _line_pass(model, grid, tuple(float(n == n15_count) for n in range(4)))[0])
+    # fraction 1 of one configuration: the mixture at p15 = 0 or 1, bit for bit
+    fractions = tuple(float(n == n15_count) for n in range(4))
+    return Curve(grid, _line_pass(model, grid, _line_table(model.populations), fractions)[0])
 
 
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
@@ -287,51 +299,39 @@ def _binomial_slopes(p15: float) -> tuple[float, float, float, float]:
     return (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
 
 
-_NO_LINES = (np.empty((0, 2)), np.empty(0), np.empty(0))
-
-
-def _stack_lines(model: SpectrumModel, config_fractions: tuple, config_slopes: tuple = (0.0,) * 4):
-    """Lines (``_lines``) of every configuration whose fraction or slope is
-    nonzero, stacked in configuration order: (keys, positions, weights,
-    bounds), configuration n owning rows bounds[n]:bounds[n + 1] (none when
-    absent). The forward model, the slope and the Jacobian stack here."""
-    lines = [
-        _lines(model, n) if frac != 0.0 or slope != 0.0 else _NO_LINES
-        for n, (frac, slope) in enumerate(zip(config_fractions, config_slopes))
-    ]
-    bounds = np.cumsum([0] + [len(pos) for _, pos, _ in lines])
-    keys, positions, weights = (np.concatenate(column) for column in zip(*lines))
-    return keys, positions, weights, bounds
-
-
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
-    """Ensemble ODMR curve: binomial mixture of the four configurations.
+    """Ensemble ODMR curve: binomial mixture of the four configurations,
+    one product over their 25 distinct lines (``_line_pass``). It equals
+    sum(frac * config_spectrum) within 1.5 eps, not bit for bit."""
+    table = _line_table(model.populations)
+    return Curve(grid, _line_pass(model, grid, table, binomial_fractions(model.p15))[0])
 
-    Every value equals the sum of frac * config_spectrum bit for bit.
-    """
-    return Curve(grid, _line_pass(model, grid, binomial_fractions(model.p15))[0])
+
+def _merged_lines(model: SpectrumModel, table: np.ndarray, config_fractions, p15_column=False):
+    """The lines of the configurations mixed by ``config_fractions``: (keys,
+    positions, w, dw), w = W @ fractions and dw = W @ dP/dp15 for the line
+    table W. Lines with w != 0 come first, in key order; with ``p15_column``
+    the lines with w = 0 and dw != 0 (at p15 = 0 or 1) follow them."""
+    w = table @ np.asarray(config_fractions, dtype=float)
+    dw = table @ np.array(_binomial_slopes(model.p15))
+    rows = np.flatnonzero(w)
+    if p15_column:
+        rows = np.concatenate([rows, np.flatnonzero((w == 0.0) & (dw != 0.0))])
+    keys = _line_groups()[0][rows]
+    return keys, _positions(model, keys), w[rows], dw[rows]
 
 
-def _line_pass(model: SpectrumModel, grid, config_fractions: tuple, p15_column: bool = False):
+def _line_pass(model: SpectrumModel, grid, table: np.ndarray, config_fractions, p15_column=False):
     """The curve of the configurations mixed by ``config_fractions`` and the
-    lines it is summed from: (values, keys, positions, weights, bounds, L).
-
-    With ``p15_column`` the configurations whose binomial fraction moves
-    with p15 are stacked too, for the Jacobian's p15 row: at p15 = 0 or 1
-    they own rows that the curve does not sum. L is one (lines x grid) call
-    of ``lorentzian``; each configuration's weighted rows are summed on
-    their own, one after another in line order on two or more grid points
-    (a one-point grid of 8+ lines is summed pairwise instead).
-    """
-    slopes = _binomial_slopes(model.p15) if p15_column else (0.0,) * 4
-    keys, positions, weights, bounds = _stack_lines(model, config_fractions, slopes)
+    lines it is summed from (``_merged_lines``): (values, keys, positions, w,
+    dw, L). L is one (lines x grid) call of ``lorentzian``, and the curve is
+    1 - C * (w @ L) over the lines with w != 0: one product over at most 25
+    lines, within 1.5 eps of a per-configuration, per-line sum."""
+    keys, positions, w, dw = _merged_lines(model, table, config_fractions, p15_column)
     profiles = lorentzian(grid, positions[:, None], model.linewidth)
-    values = np.zeros(profiles.shape[1:])
-    for frac, lo, hi in zip(config_fractions, bounds[:-1], bounds[1:]):
-        if frac != 0.0:
-            dip = (profiles[lo:hi] * weights[lo:hi, None]).sum(axis=0)
-            values += frac * (1.0 - model.contrast * dip)
-    return values, keys, positions, weights, bounds, profiles
+    n = np.count_nonzero(w)
+    values = 1.0 - model.contrast * (w[:n] @ profiles[:n])
+    return values, keys, positions, w, dw, profiles
 
 
 # row order of _model_jacobian
@@ -344,18 +344,14 @@ def _model_jacobian(model: SpectrumModel, grid, lines: tuple) -> np.ndarray:
     parameter, from ``lines``, the ``_line_pass`` of the binomial fractions
     of ``model`` on ``grid``.
 
-    Each line is weighted by its configuration's fraction, and for the p15
-    row by dP_n/dp15; that row holds every configuration only when the pass
-    was made with ``p15_column``. With u = f - f_line, g = (FWHM/2)^2 and
-    the pass's L = g / (u^2 + g), dL/df_line = 2 u L^2 / g and dL/dFWHM =
-    2 (L - L^2) / FWHM, so u, L^2 and u L^2 and three small matrix products
-    give the six rows. It evaluates no Lorentzian of its own: a traced fit
-    counts one ``lorentzian`` call per residual and none per Jacobian.
+    Each line is weighted by the pass's w, in the p15 row by its dw (every
+    line p15 moves only if the pass had ``p15_column``). With u = f - f_line,
+    g = (FWHM/2)^2 and the pass's L = g / (u^2 + g), dL/df_line = 2 u L^2 / g
+    and dL/dFWHM = 2 (L - L^2) / FWHM: u, L^2, u L^2 and three small matrix
+    products give the six rows. It evaluates no Lorentzian of its own, so a
+    traced fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
-    _, keys, positions, weights, bounds, profiles = lines
-    counts = np.diff(bounds)
-    w = np.repeat(_binomial(model.p15), counts) * weights
-    dw = np.repeat(_binomial_slopes(model.p15), counts) * weights
+    _, keys, positions, w, dw, profiles = lines
     c, b, fwhm = model.contrast, model.branch, model.linewidth
     half = 0.5 * fwhm
     g = half * half  # as in lorentzian, bit for bit

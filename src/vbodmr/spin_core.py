@@ -298,11 +298,13 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...], ...]:
     """Per-site projections (m_1, m_2, m_3) of every nuclear product state
-    of ``species``, in basis order: the diagonals of the cached I_z
-    operators, so labels and Kronecker rows agree by construction. The one
-    enumeration of product states; a tuple, so read-only."""
-    iz = np.diagonal(_nuclear_operators(species)[:, 2], axis1=1, axis2=2).real
-    return tuple(zip(*iz.tolist()))
+    of ``species``, in basis order: the diagonals of I_z as
+    ``_nuclear_operators`` embeds it, so labels and Kronecker rows agree by
+    construction; Ix and Iy are not built, as a spectrum needs no operators.
+    The one enumeration of product states; a tuple, so read-only."""
+    dims = [s.multiplicity for s in species]
+    iz = [_embed(spin_matrices(s.spin)[2], j, dims).diagonal().real for j, s in enumerate(species)]
+    return tuple(zip(*np.array(iz).tolist()))
 
 
 def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:

@@ -16,6 +16,7 @@ from vbodmr.fit import (
     lm_minimize,
     _as_magnitudes,
     _free_problem,
+    _line_table,
     _physical_problem,
 )
 from vbodmr.spectrum import (
@@ -391,6 +392,38 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     res = fit_physical(meas, p15_mode=p15_mode)
     assert calls["residual"] >= res.iterations > 1
     assert calls["lorentzian"] == calls["residual"]
+
+
+@pytest.mark.parametrize(
+    "p15_mode, a14_start",
+    [(("fixed", 0.6), None), ("free", None), (("fixed", 0.6), 0.0)],
+    ids=["fixed", "free", "coupling_restart"],
+)
+def test_line_table_is_built_once_per_fit(monkeypatch, p15_mode, a14_start):
+    # the weights W of the merged lines depend on the populations only: one
+    # build per residual/Jacobian pair, shared by the restart, none per point
+    _, meas = synthetic(
+        dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
+        seed=103,
+    )
+    calls = {"table": 0, "problem": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fit, "_line_table", counted("table", _line_table))
+    monkeypatch.setattr(fit, "_physical_problem", counted("problem", _physical_problem))
+    init = initial_physical_guess(meas, 0.6)
+    if a14_start is not None:
+        init = dataclasses.replace(init, a14=a14_start)  # stays on the plane a14 = 0
+    res = fit_physical(meas, init=init, p15_mode=p15_mode)
+    assert res.iterations > 1
+    assert any(d.startswith("coupling restart") for d in res.diagnostics) == (a14_start == 0.0)
+    assert calls == {"table": 1, "problem": 1}
 
 
 def test_physical_fit_is_the_same_from_mirrored_couplings():

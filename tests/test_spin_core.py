@@ -23,7 +23,7 @@ from vbodmr.spin_core import (
     spin_matrices,
     transition_frequencies,
 )
-from vbodmr.spin_core import MS_VALUES, _greedy_pairing, _nuclear_operators
+from vbodmr.spin_core import MS_VALUES, _greedy_pairing, _label_table, _nuclear_operators
 
 
 # --- types -------------------------------------------------------------------
@@ -245,6 +245,16 @@ def test_full_hamiltonian_matches_term_by_term_reference(n15):
     assert h.shape == h_ref.shape == (sys_.dim, sys_.dim)
     assert np.abs(h_ref - np.diag(np.diag(h_ref))).max() > 1.0
     assert np.linalg.norm(h - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_labels_are_the_iz_diagonals_of_the_nuclear_operators(n15):
+    # the label table embeds I_z on its own: it must stay the diagonal of
+    # the operators the Hamiltonian is built from, signed zeros included
+    pattern = (IsotopeSpecies.N14,) * (3 - n15) + (IsotopeSpecies.N15,) * n15
+    diagonals = np.diagonal(_nuclear_operators(pattern)[:, 2], axis1=1, axis2=2).real
+    labels = np.array(_label_table(pattern))
+    assert labels.tobytes() == np.ascontiguousarray(diagonals.T).tobytes()
 
 
 def test_nuclear_operators_cached_read_only():
