@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from vbodmr.analysis import field_from_center
-from vbodmr.fit import MeasuredSpectrum, fit_physical
-from vbodmr.spectrum import SpectrumModel, default_grid, mixture_spectrum
+from vbodmr.fit import MeasuredSpectrum, fit_physical, initial_physical_guess
+from vbodmr.spectrum import Curve, SpectrumModel, default_grid, mixture_spectrum
 
 SAMPLES = {
     # label: (f_center MHz, contrast, linewidth MHz, p15)
@@ -45,18 +45,12 @@ def main() -> None:
         grid = default_grid(f_center)
         curve = mixture_spectrum(model, grid)
         noisy = curve.values + rng.normal(0.0, args.noise, curve.values.size)
-        path = out / f"{label.replace('+', 'p')}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frequency_mhz,ratio\n")
-            for f, v in zip(grid, noisy):
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
+        Curve(grid, noisy).to_csv(out / f"{label.replace('+', 'p')}.csv")
 
         meas = MeasuredSpectrum(grid, noisy)
         if 0.0 < p15 < 1.0:
             # intermediate compositions smear the hyperfine structure, so the
             # couplings are held at the pure-sample values
-            from vbodmr.fit import initial_physical_guess
-
             init = initial_physical_guess(meas, p15, a14_mhz=A14, a15_mhz=A15)
             res = fit_physical(meas, init=init, p15_mode=("fixed", p15), freeze=("a14", "a15"))
             a_text = f"({A14:.0f}/{A15:.0f})"

@@ -48,9 +48,7 @@ class IngestError(Exception):
 
 
 class NonConvergenceError(Exception):
-    def __init__(self, message: str, report_path: Path):
-        super().__init__(message)
-        self.report_path = report_path
+    pass
 
 
 # --- config schema -----------------------------------------------------------
@@ -447,7 +445,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {report_path}")
     if not result.converged:
-        raise NonConvergenceError("fit did not converge; partial report written", report_path)
+        raise NonConvergenceError("fit did not converge; partial report written")
     return EXIT_OK
 
 
@@ -516,7 +514,7 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {report_path}")
     if "fit" in report and not report["fit"]["converged"]:
-        raise NonConvergenceError("fit did not converge; partial report written", report_path)
+        raise NonConvergenceError("fit did not converge; partial report written")
     return EXIT_OK
 
 

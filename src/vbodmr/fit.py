@@ -16,7 +16,8 @@ The LM core respects box bounds with a projected step: a parameter on a
 bound whose gradient points out of the box is held for that iteration, left
 out of the step and of the gradient convergence test. A fit that ends with
 a parameter held says so in its diagnostics ("held at bound: ...").
-Every fit hands the core the closed-form Jacobian of its residuals.
+Every fit hands the core one problem callable, p -> (residuals, jacobian),
+whose ``jacobian()`` is the closed-form Jacobian at that same p.
 
 Uncertainties are 1-sigma values from the scaled covariance
 sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
@@ -182,23 +183,25 @@ def _held(p: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray)
     return ((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0))
 
 
+# p -> (residuals, jacobian), see lm_minimize
+Problem = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
+
+
 def lm_minimize(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
+    problem: Problem,
     init_params: Sequence[float],
     bounds: tuple[Sequence[float], Sequence[float]] | None = None,
     names: Sequence[str] | None = None,
     max_iter: int = LM_MAX_ITER,
-    *,
-    jacobian: Callable[[np.ndarray], np.ndarray],
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residual^2).
 
-    ``jacobian`` (required) maps the parameters to the (n_residuals, k)
-    Jacobian of ``residual_fn``; it is asked for at the initial point and at
-    each accepted trial point, each time right after ``residual_fn`` was
-    evaluated there. Neither is ever evaluated outside the box. The damping
-    factor scales the diagonal of J^T J; accepted steps shrink it, rejected
-    steps grow it.
+    ``problem(p)`` returns the residuals at p and a thunk ``jacobian()``
+    giving the closed-form (n_residuals, k) Jacobian at that same p. The
+    thunk is called only at the initial point and at accepted trial points;
+    ``problem`` is never evaluated outside the box. The damping factor
+    scales the diagonal of J^T J; accepted steps shrink it, rejected steps
+    grow it.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -230,7 +233,11 @@ def lm_minimize(
     if np.any(p < lower) or np.any(p > upper):
         raise ValueError("initial parameters violate the bounds")
 
-    r = np.asarray(residual_fn(p), dtype=float)
+    evaluated = problem(p)
+    if not (isinstance(evaluated, tuple) and len(evaluated) == 2 and callable(evaluated[1])):
+        raise TypeError("problem(p) must return a (residuals, jacobian) pair, jacobian callable")
+    r, jacobian = evaluated
+    r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual function is not finite at the initial point")
     cost = float(r @ r)
@@ -240,7 +247,7 @@ def lm_minimize(
     converged = False
     iterations = 0
     diagnostics: list[str] = []
-    jac = jacobian(p)
+    jac = jacobian()
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
         free = ~_held(p, grad, lower, upper)
@@ -260,7 +267,8 @@ def lm_minimize(
                 lam *= 10.0
                 continue
             trial = np.clip(p + step, lower, upper)
-            r_trial = np.asarray(residual_fn(trial), dtype=float)
+            r_trial, jacobian = problem(trial)
+            r_trial = np.asarray(r_trial, dtype=float)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
@@ -275,7 +283,7 @@ def lm_minimize(
         if not accepted:
             diagnostics.append("stalled: no step reduced the cost at maximum damping")
             break
-        jac = jacobian(p)
+        jac = jacobian()  # the thunk of the accepted trial
         if converged:
             break
 
@@ -360,37 +368,32 @@ def _physical_problem(
     meas: MeasuredSpectrum,
     init: SpectrumModel,
     active: Sequence[str],
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Residual and closed-form Jacobian of the physical model over the
-    ``active`` parameters; the others keep their ``init`` values. Both are
-    weighted by 1/sigma when the spectrum carries sigmas. The residual is
-    ``mixture_spectrum`` minus the data, bit for bit, from one line pass
-    (``spectrum._line_pass``) that the Jacobian reuses at the same point."""
+) -> Problem:
+    """The physical model over the ``active`` parameters as an
+    ``lm_minimize`` problem; the others keep their ``init`` values. Residual
+    and closed-form Jacobian are weighted by 1/sigma when the spectrum
+    carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
+    for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
+    thunk reuses."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
     p15_column = "p15" in active
     table = _line_table(init.populations)  # W depends on no fitted parameter
-    # lm_minimize asks for the Jacobian at the point whose residual it has
-    # just evaluated: keep that point's model and line pass
-    latest: list = [None, None, None]
 
-    def residual(p: np.ndarray) -> np.ndarray:
+    def problem(p: np.ndarray):
         model = replace(init, **dict(zip(active, p)))
         lines = _line_pass(model, grid, table, _binomial(model.p15), p15_column)
-        latest[:] = p.copy(), model, lines
         res = lines[0] - y
-        return res * weights if weights is not None else res
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        if not np.array_equal(p, latest[0]):
-            residual(p)
-        _, model, lines = latest
-        jac = _model_jacobian(model, grid, lines)[rows].T
-        return jac * weights[:, None] if weights is not None else jac
+        def jacobian() -> np.ndarray:
+            jac = _model_jacobian(model, grid, lines)[rows].T
+            return jac * weights[:, None] if weights is not None else jac
 
-    return residual, jacobian
+        return (res * weights if weights is not None else res), jacobian
+
+    return problem
 
 
 def _as_magnitudes(result: FitResult) -> FitResult:
@@ -480,7 +483,7 @@ def fit_physical(
         raise ValueError("all parameters frozen; nothing to fit")
 
     init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
-    residual, jacobian = _physical_problem(meas, init, active)
+    problem = _physical_problem(meas, init, active)
     bounds_table = {
         "f_center": (-np.inf, np.inf),
         "contrast": (1e-6, 0.999999),
@@ -491,12 +494,12 @@ def fit_physical(
     }
     bounds = ([bounds_table[n][0] for n in active], [bounds_table[n][1] for n in active])
     p0 = [getattr(init, n) for n in active]
-    result = lm_minimize(residual, p0, bounds=bounds, names=active, jacobian=jacobian)
+    result = lm_minimize(problem, p0, bounds=bounds, names=active)
 
     stuck = [n for n in ("a14", "a15") if n in active and abs(result[n]) < _COUPLING_RESTART_MHZ]
     p1 = [_COUPLING_DEFAULTS.get(n, v) for n, v in zip(active, p0)]
     if stuck and p1 != p0:
-        retry = lm_minimize(residual, p1, bounds=bounds, names=active, jacobian=jacobian)
+        retry = lm_minimize(problem, p1, bounds=bounds, names=active)
         kept = "restart" if retry.residual_norm < result.residual_norm else "first fit"
         note = (
             f"coupling restart: {', '.join(stuck)} ended below {_COUPLING_RESTART_MHZ:g} MHz;"
@@ -534,56 +537,39 @@ def initial_free_guess(meas: MeasuredSpectrum, n_lines: int) -> FreeLorentzianMo
     )
 
 
-def _free_model_from_params(n_lines: int, p: np.ndarray) -> FreeLorentzianModel:
-    return FreeLorentzianModel(
-        n_lines=n_lines,
-        f_first=float(p[0]),
-        spacing=float(p[1]),
-        depths=tuple(float(x) for x in p[2 : 2 + n_lines]),
-        widths=tuple(float(x) for x in p[2 + n_lines :]),
-    )
-
-
-def _free_problem(
-    meas: MeasuredSpectrum, n_lines: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Residual and closed-form Jacobian of n equally spaced Lorentzians over
-    p = (f_first, spacing, depth_1..n, width_1..n), both weighted by 1/sigma
-    when the spectrum carries sigmas. With r = 1 - sum_k d_k L_k - y:
+def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
+    """n equally spaced Lorentzians over p = (f_first, spacing, depth_1..n,
+    width_1..n) as an ``lm_minimize`` problem, residual and closed-form
+    Jacobian weighted by 1/sigma when the spectrum carries sigmas. With r = 1 - sum_k d_k L_k - y:
     dr/dc_k = -d_k 2 u L^2 / g (summed over k for f_first, k-weighted for
     spacing), dr/dd_k = -L_k, dr/dw_k = -d_k 2 (L_k - L_k^2) / w_k."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
     rungs = np.arange(n_lines)
-    # lm_minimize asks for the Jacobian at the point whose residual it has
-    # just accepted: keep that point's profiles
-    latest: list = [None, None]
 
-    def residual(p: np.ndarray) -> np.ndarray:
-        latest[:] = p.copy(), _free_profiles(grid, p[0], p[1], p[2 + n_lines :])
-        res = 1.0 - p[2 : 2 + n_lines] @ latest[1][2] - y
-        return res * weights if weights is not None else res
+    def problem(p: np.ndarray):
+        u, g, profiles = _free_profiles(grid, p[0], p[1], p[2 + n_lines :])
+        res = 1.0 - p[2 : 2 + n_lines] @ profiles - y
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        if not np.array_equal(p, latest[0]):
-            residual(p)
-        u, g, profiles = latest[1]
-        depths = p[2 : 2 + n_lines, None]
-        square = profiles * profiles
-        center = u * square
-        center *= 2.0 * depths / g
-        # rows of the dip sum_k d_k L_k, negated below: r = 1 - dip - y
-        jac = np.empty((2 + 2 * n_lines, grid.size))
-        jac[0] = center.sum(axis=0)
-        jac[1] = rungs @ center
-        jac[2 : 2 + n_lines] = profiles
-        np.subtract(profiles, square, out=jac[2 + n_lines :])
-        jac[2 + n_lines :] *= 2.0 * depths / p[2 + n_lines :, None]
-        jac *= -1.0 if weights is None else -weights
-        return jac.T
+        def jacobian() -> np.ndarray:
+            depths = p[2 : 2 + n_lines, None]
+            square = profiles * profiles
+            center = u * square
+            center *= 2.0 * depths / g
+            # rows of the dip sum_k d_k L_k, negated below: r = 1 - dip - y
+            jac = np.empty((2 + 2 * n_lines, grid.size))
+            jac[0] = center.sum(axis=0)
+            jac[1] = rungs @ center
+            jac[2 : 2 + n_lines] = profiles
+            np.subtract(profiles, square, out=jac[2 + n_lines :])
+            jac[2 + n_lines :] *= 2.0 * depths / p[2 + n_lines :, None]
+            jac *= -1.0 if weights is None else -weights
+            return jac.T
 
-    return residual, jacobian
+        return (res * weights if weights is not None else res), jacobian
+
+    return problem
 
 
 class _WidthCollapse(Exception):
@@ -631,12 +617,17 @@ def fit_free_lorentzians(
     lower = [-np.inf, 1e-9] + [0.0] * n_lines + [1e-6] * n_lines
     bounds = (lower, [np.inf] * len(names))
 
-    residual, jacobian = _free_problem(meas, n_lines)
+    problem = _free_problem(meas, n_lines)
 
-    def guarded(p: np.ndarray) -> np.ndarray:
-        if np.any(p[2 + n_lines :] <= lower[-1]):
-            raise _WidthCollapse
-        return jacobian(p)
+    def guarded(p: np.ndarray):
+        res, jacobian = problem(p)
+
+        def checked() -> np.ndarray:
+            if np.any(p[2 + n_lines :] <= lower[-1]):
+                raise _WidthCollapse
+            return jacobian()
+
+        return res, checked
 
     p_init = np.array(
         [init.f_first, init.spacing] + list(init.depths) + list(init.widths)
@@ -653,12 +644,12 @@ def fit_free_lorentzians(
     fits = []
     for p0 in starts:
         try:
-            fits.append(lm_minimize(residual, p0, bounds, names, jacobian=guarded))
+            fits.append(lm_minimize(guarded, p0, bounds, names))
         except _WidthCollapse:
             pass
     if fits:
         return min(fits, key=lambda result: result.residual_norm)
-    fits = [lm_minimize(residual, p0, bounds, names, jacobian=jacobian) for p0 in starts]
+    fits = [lm_minimize(problem, p0, bounds, names) for p0 in starts]
     best = min(fits, key=lambda result: result.residual_norm)
     note = "every start collapsed a width onto its 1e-6 MHz floor"
     return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
@@ -666,10 +657,14 @@ def fit_free_lorentzians(
 
 def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:
     """Materialize the fitted line set from a free-Lorentzian fit result."""
-    p = [result.values["f_first"], result.values["spacing"]]
-    p += [result.values[f"depth_{m + 1}"] for m in range(n_lines)]
-    p += [result.values[f"width_{m + 1}"] for m in range(n_lines)]
-    return _free_model_from_params(n_lines, np.array(p))
+    values = result.values
+    return FreeLorentzianModel(
+        n_lines=n_lines,
+        f_first=values["f_first"],
+        spacing=values["spacing"],
+        depths=tuple(values[f"depth_{m + 1}"] for m in range(n_lines)),
+        widths=tuple(values[f"width_{m + 1}"] for m in range(n_lines)),
+    )
 
 
 # --- photoluminescence saturation --------------------------------------------
@@ -685,24 +680,23 @@ def fit_pl_saturation(points: Sequence[tuple[float, float]]) -> FitResult:
     if np.any(powers <= 0) or len(set(powers.tolist())) != len(pts):
         raise ValueError("powers must be positive and distinct")
 
-    def residual(p: np.ndarray) -> np.ndarray:
+    def problem(p: np.ndarray):
         i_max, p_sat = p
-        return i_max * powers / (powers + p_sat) - intensities
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        # with s = P / (P + P_sat): dr/dI_max = s, dr/dP_sat = -I_max s / (P + P_sat)
-        i_max, p_sat = p
-        s = powers / (powers + p_sat)
-        return np.column_stack([s, -i_max * s / (powers + p_sat)])
+        def jacobian() -> np.ndarray:
+            # with s = P / (P + P_sat): dr/dI_max = s, dr/dP_sat = -I_max s / (P + P_sat)
+            s = powers / (powers + p_sat)
+            return np.column_stack([s, -i_max * s / (powers + p_sat)])
+
+        return i_max * powers / (powers + p_sat) - intensities, jacobian
 
     i_max0 = 2.0 * float(intensities.max())
     p_sat0 = float(np.median(powers))
     result = lm_minimize(
-        residual,
+        problem,
         [i_max0, p_sat0],
         bounds=([1e-12, 1e-12], [np.inf, np.inf]),
         names=("i_max", "p_sat"),
-        jacobian=jacobian,
     )
     if result.values["p_sat"] > 50.0 * powers.max():
         result.diagnostics = result.diagnostics + (

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -298,13 +299,11 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...], ...]:
     """Per-site projections (m_1, m_2, m_3) of every nuclear product state
-    of ``species``, in basis order: the diagonals of I_z as
-    ``_nuclear_operators`` embeds it, so labels and Kronecker rows agree by
-    construction; Ix and Iy are not built, as a spectrum needs no operators.
-    The one enumeration of product states; a tuple, so read-only."""
-    dims = [s.multiplicity for s in species]
-    iz = [_embed(spin_matrices(s.spin)[2], j, dims).diagonal().real for j, s in enumerate(species)]
-    return tuple(zip(*np.array(iz).tolist()))
+    of ``species``, in basis order: the product of the per-site projections,
+    last site fastest, as the Kronecker rows of ``_nuclear_operators`` run.
+    No operator is built, as a spectrum needs none. The one enumeration of
+    product states; a tuple, so read-only."""
+    return tuple(itertools.product(*(s.projections for s in species)))
 
 
 def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:

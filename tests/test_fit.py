@@ -62,11 +62,18 @@ def _forward_jacobian(residual_fn, p, r0, lower, upper):
     return jac
 
 
-def assert_jacobian_matches_oracle(residual, jacobian, p, lower, upper):
-    """Each column of the closed-form Jacobian within 1e-6 of the oracle
-    column's largest magnitude."""
+def paired(residual, jacobian):
+    """An lm_minimize problem from a residual function and a Jacobian
+    function of the parameters."""
+    return lambda p: (residual(p), lambda: jacobian(p))
+
+
+def assert_jacobian_matches_oracle(problem, p, lower, upper):
+    """Each column of the problem's closed-form Jacobian within 1e-6 of the
+    oracle column's largest magnitude."""
+    residual = lambda q: problem(q)[0]
     fd = _forward_jacobian(residual, p, residual(p), lower, upper)
-    jac = jacobian(p)
+    jac = problem(p)[1]()
     assert jac.shape == fd.shape
     for i in range(p.size):
         scale = np.abs(fd[:, i]).max()
@@ -119,15 +126,17 @@ def test_lm_linear_model_exact_recovery():
     x = np.linspace(0.0, 10.0, 50)
     y = 3.7 * x
 
-    res = lm_minimize(lambda p: p[0] * x - y, [1.0], names=("a",), jacobian=lambda p: x[:, None])
+    res = lm_minimize(lambda p: (p[0] * x - y, lambda: x[:, None]), [1.0], names=("a",))
     assert res.converged
     assert res.values["a"] == pytest.approx(3.7, abs=1e-10)
     assert res.residual_norm < 1e-10
 
 
 def test_lm_requires_a_jacobian():
-    with pytest.raises(TypeError, match="jacobian"):
-        lm_minimize(lambda p: p - 1.0, [0.0])
+    # a problem returning bare residuals, even two of them, is refused
+    for size in (1, 2):
+        with pytest.raises(TypeError, match=r"\(residuals, jacobian\) pair"):
+            lm_minimize(lambda p: p - 1.0, [0.0] * size)
 
 
 def test_lm_single_lorentzian_round_trip():
@@ -139,10 +148,9 @@ def test_lm_single_lorentzian_round_trip():
         return (1.0 - p[1] * lorentzian(grid, p[0], p[2])) - y
 
     res = lm_minimize(
-        residual,
+        paired(residual, lambda p: lorentzian_dips_jacobian(grid, p, 1)),
         [2300.0, 0.05, 30.0],
         names=("f0", "c", "w"),
-        jacobian=lambda p: lorentzian_dips_jacobian(grid, p, 1),
     )
     assert res.converged
     for name, true_val in zip(("f0", "c", "w"), truth):
@@ -151,7 +159,7 @@ def test_lm_single_lorentzian_round_trip():
 
 def test_lm_quadratic_bowl_fast_convergence():
     target = np.array([1.0, -2.0, 0.5])
-    res = lm_minimize(lambda p: p - target, [10.0, 10.0, 10.0], jacobian=lambda p: np.eye(3))
+    res = lm_minimize(lambda p: (p - target, lambda: np.eye(3)), [10.0, 10.0, 10.0])
     assert res.converged
     assert res.iterations < 20
     assert res.values["p0"] == pytest.approx(1.0, abs=1e-10)
@@ -160,11 +168,11 @@ def test_lm_quadratic_bowl_fast_convergence():
 def test_lm_respects_bounds():
     identity = lambda p: np.eye(1)
     res = lm_minimize(
-        lambda p: p - np.array([-5.0]), [1.0], bounds=([0.0], [np.inf]), jacobian=identity
+        paired(lambda p: p - np.array([-5.0]), identity), [1.0], bounds=([0.0], [np.inf])
     )
     assert res.values["p0"] == 0.0
     with pytest.raises(ValueError):
-        lm_minimize(lambda p: p, [-1.0], bounds=([0.0], [1.0]), jacobian=identity)
+        lm_minimize(paired(lambda p: p, identity), [-1.0], bounds=([0.0], [1.0]))
 
 
 def test_lm_converges_to_constrained_optimum_on_a_bound():
@@ -173,13 +181,43 @@ def test_lm_converges_to_constrained_optimum_on_a_bound():
     a = np.array([[1.0, 1.0], [1.0, 1.2], [1.0, 0.9]])
     b = np.array([1.0, 2.0, 0.0])
     bounds = ([0.0, -np.inf], [np.inf, np.inf])
-    res = lm_minimize(lambda p: a @ p - b, [1.0, 0.0], bounds=bounds, jacobian=lambda p: a)
+    res = lm_minimize(lambda p: (a @ p - b, lambda: a), [1.0, 0.0], bounds=bounds)
     assert res.converged
     assert res.iterations < 50
     assert res.values["p0"] == 0.0
     # minimize |a[:, 1] p1 - b|^2 alone: p1 = a1.b / a1.a1
     assert res.values["p1"] == pytest.approx(3.4 / 3.25, abs=1e-8)
     assert "held at bound: p0 = 0 (gradient points outward)" in res.diagnostics
+
+
+class ThunkLog:
+    """Wraps a problem; logs the cost of every evaluation and which
+    evaluations had their Jacobian thunk called."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.costs, self.thunk_calls = [], []
+
+    def __call__(self, p):
+        r, jacobian = self.problem(p)
+        evaluation = len(self.costs)
+        self.costs.append(float(r @ r))
+
+        def logged():
+            self.thunk_calls.append(evaluation)
+            return jacobian()
+
+        return r, logged
+
+    def accepted(self):
+        """The evaluations the LM accepts: those that lower the cost of the
+        current point, which starts at the initial one."""
+        steps, current = [], self.costs[0]
+        for evaluation, cost in enumerate(self.costs[1:], start=1):
+            if cost < current:
+                steps.append(evaluation)
+                current = cost
+        return steps
 
 
 def test_lm_never_probes_outside_the_box():
@@ -194,16 +232,19 @@ def test_lm_never_probes_outside_the_box():
         )
 
     # p0 sits in a zero-width box, p2 in one of width 1e-9
+    log = ThunkLog(paired(residual, jacobian))
     res = lm_minimize(
-        residual,
+        log,
         [2.0, 0.0, 0.0],
         bounds=([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9]),
-        jacobian=jacobian,
     )
     assert res.converged
     assert res.values["p0"] == 2.0
     assert res.values["p1"] == pytest.approx(0.75, abs=1e-8)
     assert res.values["p2"] == 1e-9
+    # one thunk call at the start and one per accepted step, none of a
+    # rejected trial
+    assert log.thunk_calls == [0] + log.accepted()
 
 
 def test_lm_iteration_cap_reports_nonconvergence():
@@ -213,7 +254,7 @@ def test_lm_iteration_cap_reports_nonconvergence():
         return np.exp(p[0] * x) - 2.0
 
     res = lm_minimize(
-        residual, [0.0], max_iter=2, jacobian=lambda p: (x * np.exp(p[0] * x))[:, None]
+        paired(residual, lambda p: (x * np.exp(p[0] * x))[:, None]), [0.0], max_iter=2
     )
     assert not res.converged
     assert res.iterations == 2
@@ -223,7 +264,10 @@ def test_lm_stall_is_not_convergence():
     # a Jacobian of the wrong sign: every damped step climbs, up to the
     # maximum damping
     target = np.array([1.0, -2.0, 0.5])
-    res = lm_minimize(lambda p: p - target, [10.0, 10.0, 10.0], jacobian=lambda p: -np.eye(3))
+    log = ThunkLog(lambda p: (p - target, lambda: -np.eye(3)))
+    res = lm_minimize(log, [10.0, 10.0, 10.0])
+    # every trial is rejected: only the start's Jacobian thunk is called
+    assert len(log.costs) > 10 and log.thunk_calls == [0] == [0] + log.accepted()
     assert not res.converged
     assert res.iterations == 1
     assert [res.values[n] for n in ("p0", "p1", "p2")] == [10.0, 10.0, 10.0]
@@ -236,7 +280,7 @@ def test_lm_degenerate_parameter_diagnostic():
 
     # p[0] and p[1] enter only through their sum: J^T J is singular
     res = lm_minimize(
-        lambda p: (p[0] + p[1]) * x - y, [0.5, 0.5], jacobian=lambda p: np.column_stack([x, x])
+        lambda p: ((p[0] + p[1]) * x - y, lambda: np.column_stack([x, x])), [0.5, 0.5]
     )
     assert any("degenerate" in d for d in res.diagnostics)
 
@@ -359,11 +403,11 @@ def test_physical_jacobian_matches_forward_differences(model, active, sigmas):
     rng = np.random.default_rng(5)
     y = mixture_spectrum(dataclasses.replace(truth, f_center=2312.0), grid).values
     meas = MeasuredSpectrum(grid, y, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
-    residual, jacobian = _physical_problem(meas, truth, active)
+    problem = _physical_problem(meas, truth, active)
     p = np.array([getattr(truth, name) for name in active])
     lower = np.array([0.0 if name == "p15" else -np.inf for name in active])
     upper = np.array([1.0 if name == "p15" else np.inf for name in active])
-    assert_jacobian_matches_oracle(residual, jacobian, p, lower, upper)
+    assert_jacobian_matches_oracle(problem, p, lower, upper)
 
 
 @pytest.mark.parametrize("p15_mode", [("fixed", 1.0), "free"], ids=["fixed", "free"])
@@ -380,10 +424,10 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
         calls["lorentzian"] += 1
         return lorentzian(*args)
 
-    def counted_lm_minimize(residual_fn, *args, **kwargs):
+    def counted_lm_minimize(problem, *args, **kwargs):
         def counted(p):
             calls["residual"] += 1
-            return residual_fn(p)
+            return problem(p)
 
         return lm_minimize(counted, *args, **kwargs)
 
@@ -437,9 +481,8 @@ def test_physical_fit_is_the_same_from_mirrored_couplings():
     active = list(BASE + ("a14", "a15"))
     init = initial_physical_guess(meas, 0.6)
     mirrored = dataclasses.replace(init, a14=-init.a14, a15=-init.a15)
-    residual, jacobian = _physical_problem(meas, mirrored, active)
     p0 = [getattr(mirrored, name) for name in active]
-    signed = lm_minimize(residual, p0, names=active, jacobian=jacobian)
+    signed = lm_minimize(_physical_problem(meas, mirrored, active), p0, names=active)
     flipped = [name for name in ("a14", "a15") if signed.values[name] < 0.0]
     assert flipped  # a coupling may cross zero on the way, both need not
     neg = _as_magnitudes(signed)
@@ -627,10 +670,10 @@ def every_start_to_the_end(monkeypatch, meas, n_lines):
     calls, dropped = [], []
     real = fit.lm_minimize
 
-    def recording(residual, p0, bounds, names, jacobian):
+    def recording(problem, p0, bounds, names):
         calls.append((p0, bounds, names))
         try:
-            return real(residual, p0, bounds, names, jacobian=jacobian)
+            return real(problem, p0, bounds, names)
         except fit._WidthCollapse:
             dropped.append(len(calls) - 1)
             raise
@@ -638,8 +681,8 @@ def every_start_to_the_end(monkeypatch, meas, n_lines):
     with monkeypatch.context() as patch:
         patch.setattr(fit, "lm_minimize", recording)
         result = fit_free_lorentzians(meas, n_lines)
-    residual, jacobian = _free_problem(meas, n_lines)
-    runs = [lm_minimize(residual, *call, jacobian=jacobian) for call in calls[:5]]
+    problem = _free_problem(meas, n_lines)
+    runs = [lm_minimize(problem, *call) for call in calls[:5]]
     return result, runs, dropped, len(calls)
 
 
@@ -713,14 +756,16 @@ def test_free_jacobian_matches_central_differences(n_lines, zero_depth, sigmas):
     grid, values = quartet_signal([0.03, 0.09, 0.09, 0.03], [45.0] * 4)
     noisy = values + rng.normal(0.0, 0.002, grid.size)
     meas = MeasuredSpectrum(grid, noisy, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
-    residual, jacobian = _free_problem(meas, n_lines)
+    problem = _free_problem(meas, n_lines)
+    residual = lambda q: problem(q)[0]
     p = random_free_params(rng, n_lines)
     if zero_depth:
         p[3] = 0.0  # depth_2 on its bound: its width column vanishes
-    jac = jacobian(p)  # no residual evaluated at p yet
-    assert np.array_equal(jacobian(p), jac)
-    residual(p + 1.0)
-    assert np.array_equal(jacobian(p), jac)
+    _, jacobian = problem(p)
+    jac = jacobian()
+    assert np.array_equal(jacobian(), jac)
+    problem(p + 1.0)  # the thunk keeps its own point
+    assert np.array_equal(jacobian(), jac)
     assert jac.shape == (grid.size, 2 + 2 * n_lines)
     for i in range(p.size):
         h = 1e-6 * max(abs(p[i]), 1.0)
@@ -772,17 +817,17 @@ def test_pl_saturation_jacobian_matches_forward_differences(monkeypatch):
     problems = []
     real = fit.lm_minimize
 
-    def recording(residual, p0, *args, jacobian, **kwargs):
-        problems.append((residual, jacobian))
-        return real(residual, p0, *args, jacobian=jacobian, **kwargs)
+    def recording(problem, p0, *args, **kwargs):
+        problems.append(problem)
+        return real(problem, p0, *args, **kwargs)
 
     monkeypatch.setattr(fit, "lm_minimize", recording)
     powers = np.array([0.2, 0.5, 1.0, 2.0, 4.0, 8.0])
     fit_pl_saturation([(p, 100.0 * p / (p + 2.0)) for p in powers])
-    (residual, jacobian), = problems
+    problem, = problems
     for p in ([100.0, 2.0], [250.0, 0.3], [40.0, 60.0], [5.0, 0.01]):
         assert_jacobian_matches_oracle(
-            residual, jacobian, np.array(p), np.full(2, 1e-12), np.full(2, np.inf)
+            problem, np.array(p), np.full(2, 1e-12), np.full(2, np.inf)
         )
 
 
