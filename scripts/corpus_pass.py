@@ -9,15 +9,19 @@ operations that fail the check, the LM iterations of the fits the operations
 return (``lm_iter``), the LM iterations of every ``lm_minimize`` run that
 returned, discarded multi-start runs and restarts included (``lm_iter_all``),
 the ``lm_minimize`` runs abandoned mid-way (``abandoned``: quartet starts that
-put a width on its floor; their iterations are in no column), the fits that
-report ``converged``, the CPU seconds (``cpu_s``, ``time.process_time``) and
-minor page faults (``minflt``, ``ru_minflt`` of this process) spent in the
-slot's operations, and a sha256 over every operation's values, sigmas,
-iterations and diagnostics. Then it prints that sha256 per slot and over all
-slots. Two checkouts print the same digest only when every fit is
-bit-identical. ``cpu_s`` and ``minflt`` vary from run to run; the page faults
-show how often the allocator hands large temporaries back to the system and
-takes them again (glibc's heap trimming).
+put a width on its floor; their iterations are in no column), the residual
+evaluations of every ``lm_minimize`` run, abandoned ones and rejected trial
+points included (``evals``), the fits that report ``converged``, the CPU
+seconds (``cpu_s``, ``time.process_time``) and minor page faults (``minflt``,
+``ru_minflt`` of this process) spent in the slot's operations, the CPU
+microseconds per residual evaluation (``us_eval``: ``cpu_s`` over ``evals``,
+so it holds the Jacobians and the slot's other work too), and a sha256 over
+every operation's values, sigmas, iterations and diagnostics. Then it prints
+that sha256 per slot and over all slots. Two checkouts print the same digest
+only when every fit is bit-identical. ``cpu_s``, ``minflt`` and ``us_eval``
+vary from run to run; the page faults show how often the allocator hands
+large temporaries back to the system and takes them again (glibc's heap
+trimming).
 
 With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
 child process) and prints, per slot, the operations whose outcome (pass or
@@ -131,14 +135,18 @@ def main() -> None:
     from vbodmr import fit
 
     # iterations of every lm_minimize call that returned, kept or discarded,
-    # and the calls abandoned by an exception
-    all_runs = [0, 0]
+    # the calls abandoned by an exception and the residual evaluations of all
+    all_runs = [0, 0, 0]
     lm_minimize = fit.lm_minimize
     abandon = getattr(fit, "_WidthCollapse", ())  # () catches nothing
 
-    def counted_lm_minimize(*a, **kw):
+    def counted_lm_minimize(problem, *a, **kw):
+        def counted(p):
+            all_runs[2] += 1
+            return problem(p)
+
         try:
-            result = lm_minimize(*a, **kw)
+            result = lm_minimize(counted, *a, **kw)
         except abandon:
             all_runs[1] += 1
             raise
@@ -153,6 +161,7 @@ def main() -> None:
     iterations = {s: 0 for s in SLOTS}
     iterations_all = {s: 0 for s in SLOTS}
     abandoned = {s: 0 for s in SLOTS}
+    evals = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
     total = {s: 0 for s in SLOTS}
     cpu_s = {s: 0.0 for s in SLOTS}
@@ -170,6 +179,7 @@ def main() -> None:
             minflt[slot] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             iterations_all[slot] += all_runs[0] - before[0]
             abandoned[slot] += all_runs[1] - before[1]
+            evals[slot] += all_runs[2] - before[2]
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
                 records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason)})
@@ -192,13 +202,14 @@ def main() -> None:
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
-        f" {'abandoned':>9} {'converged':>9} {'cpu_s':>7} {'minflt':>8}"
+        f" {'abandoned':>9} {'evals':>6} {'converged':>9} {'cpu_s':>7} {'minflt':>8}"
+        f" {'us_eval':>7}"
     )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
-            f" {iterations_all[s]:11d} {abandoned[s]:9d} {converged[s]:9d}"
-            f" {cpu_s[s]:7.3f} {minflt[s]:8d}"
+            f" {iterations_all[s]:11d} {abandoned[s]:9d} {evals[s]:6d} {converged[s]:9d}"
+            f" {cpu_s[s]:7.3f} {minflt[s]:8d} {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
         )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
     for s in SLOTS:

@@ -21,7 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult, free_model_from_result
-from .spectrum import Curve, SpectrumModel, _line_table, _merged_lines, binomial_fractions
+from .spectrum import Curve, SpectrumModel, _line_plan, _line_table, _positions, binomial_fractions
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -62,9 +62,8 @@ def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
     # a NumPy power overflows to inf, where a float power raises
     half2 = np.float64(0.5 * model.linewidth) ** 2
-    table = _line_table(model.populations)
-    _, positions, w, _ = _merged_lines(model, table, binomial_fractions(model.p15))
-    u = grid - positions[:, None]
+    keys, w, _ = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+    u = grid - _positions(model, keys)[:, None]
     return model.contrast * (w @ ((2.0 * half2 * u) / (u * u + half2) ** 2))
 
 

@@ -2,9 +2,9 @@
 
 Three fit families are provided on top of a small Levenberg-Marquardt core:
 
-* ``fit_physical`` - the constrained mixture model (binomial combination of
-  the four configurations), couplings fitted signed and reported as
-  magnitudes, its closed-form Jacobian reusing the residual's line pass,
+* ``fit_physical`` - the binomial mixture of the four configurations,
+  couplings fitted signed and reported as magnitudes; its residual and
+  closed-form Jacobian share one line pass in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
   closed-form Jacobian and a seeded multi-start that drops a start once it
@@ -35,7 +35,9 @@ from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
     _binomial,
+    _jacobian_rows,
     _line_pass,
+    _line_plan,
     _line_table,
     _model_jacobian,
 )
@@ -198,10 +200,10 @@ def lm_minimize(
 
     ``problem(p)`` returns the residuals at p and a thunk ``jacobian()``
     giving the closed-form (n_residuals, k) Jacobian at that same p. The
-    thunk is called only at the initial point and at accepted trial points;
-    ``problem`` is never evaluated outside the box. The damping factor
-    scales the diagonal of J^T J; accepted steps shrink it, rejected steps
-    grow it.
+    thunk is called only at the initial point and at accepted trial points,
+    before the next evaluation; ``problem`` is never evaluated outside the
+    box. The damping factor scales the diagonal of J^T J; accepted steps
+    shrink it, rejected steps grow it.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -257,7 +259,7 @@ def lm_minimize(
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(initial=0.0), 1.0) * 1e-12
-        jtj_free = jtj[np.ix_(free, free)]
+        jtj_free = jtj if free.all() else jtj[np.ix_(free, free)]
         step = np.zeros(k)  # held parameters keep a zero step
         accepted = False
         while lam < 1e14:
@@ -374,21 +376,33 @@ def _physical_problem(
     and closed-form Jacobian are weighted by 1/sigma when the spectrum
     carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
     for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
-    thunk reuses."""
+    thunk reuses. At fixed p15 the line plan and the Jacobian's coefficients
+    are built once. Two profile buffers alternate: a point writes the one that
+    is not current, calling its thunk makes it current, and a thunk whose
+    buffer a later point overwrote raises RuntimeError."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
-    p15_column = "p15" in active
     table = _line_table(init.populations)  # W depends on no fitted parameter
+    fixed = None if "p15" in active else _line_plan(init, table, _binomial(init.p15))
+    coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
+    profiles, scratch = np.empty((2, 2, len(table if fixed is None else fixed[0]), grid.size))
+    written, current = [None, None], 0  # the line pass each buffer holds; the current one
 
     def problem(p: np.ndarray):
         model = replace(init, **dict(zip(active, p)))
-        lines = _line_pass(model, grid, table, _binomial(model.p15), p15_column)
+        plan = fixed or _line_plan(model, table, _binomial(model.p15), True)
+        slot, n = 1 - current, len(plan[0])
+        lines = written[slot] = _line_pass(model, grid, plan, out=profiles[slot, :n])
         res = lines[0] - y
 
         def jacobian() -> np.ndarray:
-            jac = _model_jacobian(model, grid, lines)[rows].T
+            nonlocal current
+            if written[slot] is not lines:
+                raise RuntimeError("jacobian() of a point whose profiles a later point overwrote")
+            current = slot
+            jac = _model_jacobian(model, grid, lines, coef, scratch[:, :n])[rows].T
             return jac * weights[:, None] if weights is not None else jac
 
         return (res * weights if weights is not None else res), jacobian

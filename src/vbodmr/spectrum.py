@@ -208,15 +208,15 @@ def default_grid(
     return np.linspace(f_center - span_mhz, f_center + span_mhz, points)
 
 
-def lorentzian(f, f0, fwhm: float):
-    """Unit-peak Lorentzian: 1 at f0, 1/2 at f0 +- fwhm/2; f and f0 broadcast."""
+def lorentzian(f, f0, fwhm: float, out=None):
+    """Unit-peak Lorentzian: 1 at f0, 1/2 at f0 +- fwhm/2; f and f0 broadcast.
+    Computed in place in one array, returned: ``out`` when given, a float64
+    array of the broadcast shape (a fit reuses its (lines x grid) buffers)."""
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     half = 0.5 * fwhm
     g = half * half
-    # one array updated in place: a (lines x grid) temporary is large enough
-    # that each extra one costs fresh pages from the allocator
-    d = np.asarray(f, dtype=float) - f0
+    d = np.subtract(np.asarray(f, dtype=float), f0, out=out)
     d *= d
     d += g
     return np.divide(g, d, out=d if isinstance(d, np.ndarray) else None)
@@ -277,8 +277,8 @@ def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
     # fraction 1 of one configuration: the mixture at p15 = 0 or 1, bit for bit
-    fractions = tuple(float(n == n15_count) for n in range(4))
-    return Curve(grid, _line_pass(model, grid, _line_table(model.populations), fractions)[0])
+    plan = _line_plan(model, _line_table(model.populations), [n == n15_count for n in range(4)])
+    return Curve(grid, _line_pass(model, grid, plan)[0])
 
 
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
@@ -303,32 +303,32 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     """Ensemble ODMR curve: binomial mixture of the four configurations,
     one product over their 25 distinct lines (``_line_pass``). It equals
     sum(frac * config_spectrum) within 1.5 eps, not bit for bit."""
-    table = _line_table(model.populations)
-    return Curve(grid, _line_pass(model, grid, table, binomial_fractions(model.p15))[0])
+    plan = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+    return Curve(grid, _line_pass(model, grid, plan)[0])
 
 
-def _merged_lines(model: SpectrumModel, table: np.ndarray, config_fractions, p15_column=False):
-    """The lines of the configurations mixed by ``config_fractions``: (keys,
-    positions, w, dw), w = W @ fractions and dw = W @ dP/dp15 for the line
-    table W. Lines with w != 0 come first, in key order; with ``p15_column``
-    the lines with w = 0 and dw != 0 (at p15 = 0 or 1) follow them."""
+def _line_plan(model: SpectrumModel, table: np.ndarray, config_fractions, p15_column=False):
+    """What a line pass needs besides positions, width and contrast: (keys, w,
+    dw), w = W @ config_fractions and dw = W @ dP/dp15 for the line table W.
+    Lines with w != 0 come first, in key order; with ``p15_column`` the lines
+    with w = 0 and dw != 0 (at p15 = 0 or 1) follow them."""
     w = table @ np.asarray(config_fractions, dtype=float)
     dw = table @ np.array(_binomial_slopes(model.p15))
     rows = np.flatnonzero(w)
     if p15_column:
         rows = np.concatenate([rows, np.flatnonzero((w == 0.0) & (dw != 0.0))])
-    keys = _line_groups()[0][rows]
-    return keys, _positions(model, keys), w[rows], dw[rows]
+    return _line_groups()[0][rows], w[rows], dw[rows]
 
 
-def _line_pass(model: SpectrumModel, grid, table: np.ndarray, config_fractions, p15_column=False):
-    """The curve of the configurations mixed by ``config_fractions`` and the
-    lines it is summed from (``_merged_lines``): (values, keys, positions, w,
-    dw, L). L is one (lines x grid) call of ``lorentzian``, and the curve is
-    1 - C * (w @ L) over the lines with w != 0: one product over at most 25
-    lines, within 1.5 eps of a per-configuration, per-line sum."""
-    keys, positions, w, dw = _merged_lines(model, table, config_fractions, p15_column)
-    profiles = lorentzian(grid, positions[:, None], model.linewidth)
+def _line_pass(model: SpectrumModel, grid, plan: tuple, out=None):
+    """The curve of the lines of ``plan`` (``_line_plan``) for ``model`` and
+    the lines it is summed from: (values, keys, positions, w, dw, L). L is one
+    (lines x grid) call of ``lorentzian``, into ``out`` when given, and the
+    curve is 1 - C * (w @ L) over the lines with w != 0: one product over at
+    most 25 lines, within 1.5 eps of a per-configuration, per-line sum."""
+    keys, w, dw = plan
+    positions = _positions(model, keys)
+    profiles = lorentzian(grid, positions[:, None], model.linewidth, out=out)
     n = np.count_nonzero(w)
     values = 1.0 - model.contrast * (w[:n] @ profiles[:n])
     return values, keys, positions, w, dw, profiles
@@ -338,30 +338,37 @@ def _line_pass(model: SpectrumModel, grid, table: np.ndarray, config_fractions, 
 _JACOBIAN_PARAMS = ("contrast", "p15", "f_center", "a14", "a15", "linewidth")
 
 
-def _model_jacobian(model: SpectrumModel, grid, lines: tuple) -> np.ndarray:
-    """Closed-form derivatives of mixture_spectrum(model, grid) with respect
-    to the parameters _JACOBIAN_PARAMS: a (6, grid) array, one row per
-    parameter, from ``lines``, the ``_line_pass`` of the binomial fractions
-    of ``model`` on ``grid``.
+def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Rows -w, dw (made -C dw by each _model_jacobian call), w, b M14 w, b M15 w; b the branch."""
+    return np.stack([-w, dw, w, b * keys[:, 0] * w, b * keys[:, 1] * w])
+
+
+def _model_jacobian(model: SpectrumModel, grid, lines: tuple, coef=None, out=None) -> np.ndarray:
+    """Closed-form derivatives of mixture_spectrum(model, grid), one row per
+    parameter of _JACOBIAN_PARAMS, from ``lines``, the ``_line_pass`` of the
+    binomial fractions of ``model`` on ``grid``; ``coef`` (``_jacobian_rows``)
+    and the (2, lines, grid) scratch ``out`` for u and L^2 are made if None.
 
     Each line is weighted by the pass's w, in the p15 row by its dw (every
-    line p15 moves only if the pass had ``p15_column``). With u = f - f_line,
+    line p15 moves only if the plan had ``p15_column``). With u = f - f_line,
     g = (FWHM/2)^2 and the pass's L = g / (u^2 + g), dL/df_line = 2 u L^2 / g
     and dL/dFWHM = 2 (L - L^2) / FWHM: u, L^2, u L^2 and three small matrix
     products give the six rows. It evaluates no Lorentzian of its own, so a
     traced fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
     _, keys, positions, w, dw, profiles = lines
-    c, b, fwhm = model.contrast, model.branch, model.linewidth
+    coef = _jacobian_rows(model.branch, keys, w, dw) if coef is None else coef
+    u, sq = np.empty((2,) + profiles.shape) if out is None else out
+    c, fwhm = model.contrast, model.linewidth
     half = 0.5 * fwhm
     g = half * half  # as in lorentzian, bit for bit
-    u = np.asarray(grid, dtype=float) - positions[:, None]
-    sq = profiles * profiles
+    np.subtract(grid, positions[:, None], out=u)
+    np.multiply(profiles, profiles, out=sq)
     u *= sq  # u L^2
     jac = np.empty((6, u.shape[1]))
-    np.matmul(np.stack([-w, -c * dw]), profiles, out=jac[0:2])
-    coef = np.stack([w, b * keys[:, 0] * w, b * keys[:, 1] * w])
-    np.matmul((-2.0 * c / g) * coef, u, out=jac[2:5])
+    np.multiply(dw, -c, out=coef[1])
+    np.matmul(coef[:2], profiles, out=jac[0:2])
+    np.matmul((-2.0 * c / g) * coef[2:], u, out=jac[2:5])
     # the L - L^2 row from the weighted sums of L (the contrast row) and L^2
     np.matmul((2.0 * c / fwhm) * w, sq, out=jac[5])
     jac[5] += (2.0 / fwhm) * c * jac[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,60 @@ def test_physical_jacobian_matches_forward_differences(model, active, sigmas):
     assert_jacobian_matches_oracle(problem, p, lower, upper)
 
 
+def mixed_problem(active, sigmas=False):
+    """A physical problem on a 25-line p15 = 0.6 spectrum of 801 samples, and
+    the true parameters of its ``active`` ones."""
+    truth = SpectrumModel(2310.0, 0.09, 48.0, 44.0, 64.0, 0.6)
+    grid = default_grid(2312.0)
+    rng = np.random.default_rng(7)
+    y = mixture_spectrum(truth, grid).values + rng.normal(0.0, 0.002, grid.size)
+    meas = MeasuredSpectrum(grid, y, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
+    return _physical_problem(meas, truth, active), np.array([getattr(truth, n) for n in active])
+
+
+@pytest.mark.parametrize("sigmas", [False, True])
+@pytest.mark.parametrize("active", [BASE + ("a14", "a15"), BASE + ("a14", "a15", "p15")],
+                         ids=["fixed_p15", "free_p15"])
+def test_physical_jacobian_keeps_its_own_point(active, sigmas):
+    # two profile buffers alternate: a point writes the one that is not
+    # current, and calling its thunk makes its own current
+    problem, p = mixed_problem(active, sigmas)
+    res, jacobian = problem(p)
+    kept = res.copy()
+    jac = jacobian()
+    first = problem(p * 1.001)
+    q = p * 0.999
+    if "p15" in active:
+        q[-1] = 0.0  # fewer lines (17) in the same buffer
+    second = problem(q)
+    assert np.array_equal(jacobian(), jac)
+    assert np.array_equal(res, kept)
+    with pytest.raises(RuntimeError):
+        first[1]()  # the second trial overwrote its profiles
+    assert np.array_equal(second[1](), mixed_problem(active, sigmas)[0](q)[1]())
+    assert np.array_equal(jacobian(), jac)
+    assert np.array_equal(jac, mixed_problem(active, sigmas)[0](p)[1]())
+
+
+@pytest.mark.parametrize("active", [BASE + ("a14", "a15"), BASE + ("a14", "a15", "p15")],
+                         ids=["fixed_p15", "free_p15"])
+def test_physical_lm_point_allocates_less_than_one_profile_array(active):
+    # a warm LM point, problem(p) and its thunk, writes its (lines x grid)
+    # arrays into the problem's buffers: its peak of new memory stays below
+    # one such array, (25 x 801) float64 = 160 200 B
+    problem, p = mixed_problem(active, sigmas=True)
+    for q in (p, p * 1.001):  # both buffers written once
+        problem(q)[1]()
+    tracemalloc.start()
+    try:
+        problem(p * 0.999)[1]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum._line_groups()[0]) == 25
+    assert peak < 25 * 801 * 8
+
+
 @pytest.mark.parametrize("p15_mode", [("fixed", 1.0), "free"], ids=["fixed", "free"])
 def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     # the rule the benchmark's traced run checks: each residual evaluation
@@ -420,9 +475,9 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     )
     calls = {"lorentzian": 0, "residual": 0}
 
-    def counted_lorentzian(*args):
+    def counted_lorentzian(*args, **kwargs):
         calls["lorentzian"] += 1
-        return lorentzian(*args)
+        return lorentzian(*args, **kwargs)
 
     def counted_lm_minimize(problem, *args, **kwargs):
         def counted(p):

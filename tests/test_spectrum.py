@@ -16,6 +16,7 @@ from vbodmr.spectrum import (
     SpectrumModel,
     _line_groups,
     _line_pass,
+    _line_plan,
     _line_table,
     _model_jacobian,
     binomial_fractions,
@@ -484,8 +485,8 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
     for model in reference_models(512):
         grid = default_grid(model.f_center)
         slope = spectral_slope(model, grid).slope_curve.values
-        table = _line_table(model.populations)
-        lines = _line_pass(model, grid, table, binomial_fractions(model.p15))
+        plan = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+        lines = _line_pass(model, grid, plan)
         jac_row = -_model_jacobian(model, grid, lines)[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
 
@@ -495,8 +496,8 @@ def test_fit_residual_is_the_forward_model_bit_for_bit(monkeypatch, free_p15):
     # the residual and the Jacobian of the physical fit share one line pass
     passes = []
 
-    def recording(*args):
-        passes.append(_line_pass(*args))
+    def recording(*args, **kwargs):
+        passes.append(_line_pass(*args, **kwargs))
         return passes[-1]
 
     monkeypatch.setattr(fit, "_line_pass", recording)
