@@ -21,13 +21,15 @@ that sha256 per slot and over all slots. Two checkouts print the same digest
 only when every fit is bit-identical. ``cpu_s``, ``minflt`` and ``us_eval``
 vary from run to run; the page faults show how often the allocator hands
 large temporaries back to the system and takes them again (glibc's heap
-trimming).
+trimming). It also prints ``src_lines``, the ``wc -l`` total of
+``src/vbodmr/*.py`` under the checkout it ran.
 
 With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
 child process) and prints, per slot, the operations whose outcome (pass or
 fail) or ``lm_iter`` differs between the two, and the largest relative
 change of any fitted value and of any sigma, so a change that moves the
-digest by a few ulps can show that no outcome moved.
+digest by a few ulps can show that no outcome moved, and ``src_lines`` of
+both checkouts.
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -80,6 +82,11 @@ def relative_change(new: float, old: float) -> float:
     if old == 0.0 or not math.isfinite(old) or not math.isfinite(new):
         return math.inf
     return abs(new - old) / abs(old)
+
+
+def src_lines(root: Path) -> int:
+    """Line count of the package source, as ``wc -l src/vbodmr/*.py`` totals it."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "vbodmr").glob("*.py"))
 
 
 def compare(records: list, other: list, other_root: str) -> None:
@@ -215,8 +222,10 @@ def main() -> None:
     for s in SLOTS:
         print(f"sha256 {s:4}  {slot_digest[s].hexdigest()}")
     print(f"sha256 all   {digest.hexdigest()}")
+    print(f"src_lines {src_lines(root)}")
     if args.against:
         other_root = str(Path(args.against).resolve())
+        print(f"src_lines {src_lines(Path(other_root))} ({other_root})")
         child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
         other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
         compare(records, other, other_root)

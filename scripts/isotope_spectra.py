@@ -6,6 +6,7 @@ Writes one curve CSV per composition into --out and prints a parameter table.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def main() -> None:
         if 0.0 < p15 < 1.0:
             # intermediate compositions smear the hyperfine structure, so the
             # couplings are held at the pure-sample values
-            init = initial_physical_guess(meas, p15, a14_mhz=A14, a15_mhz=A15)
+            init = replace(initial_physical_guess(meas, p15), a14=A14, a15=A15)
             res = fit_physical(meas, init=init, p15_mode=("fixed", p15), freeze=("a14", "a15"))
             a_text = f"({A14:.0f}/{A15:.0f})"
         else:

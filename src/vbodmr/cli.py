@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,17 +399,9 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             p15_mode = ("fixed", float(p15_cfg))
             p15_for_init = float(p15_cfg)
         init = fitmod.initial_physical_guess(meas, p15_for_init, branch=block.get("branch", -1))
-        overrides = block.get("init", {})
-        if overrides:
-            init = SpectrumModel(
-                f_center=overrides.get("f_center_mhz", init.f_center),
-                contrast=overrides.get("contrast", init.contrast),
-                linewidth=overrides.get("linewidth_mhz", init.linewidth),
-                a14=overrides.get("a14_mhz", init.a14),
-                a15=overrides.get("a15_mhz", init.a15),
-                p15=overrides.get("p15", init.p15),
-                branch=init.branch,
-            )
+        # INIT_SCHEMA keys are the SpectrumModel fields, some with an _mhz suffix
+        overrides = {key.removesuffix("_mhz"): v for key, v in block.get("init", {}).items()}
+        init = replace(init, **overrides)
         result = fitmod.fit_physical(meas, init=init, p15_mode=p15_mode)
         report["fit"] = result.to_json_dict()
         if "d_gs_mhz" in block and "f_center" in result.values:
@@ -420,7 +413,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
                 derived["field_mt_error"] = str(exc)
     else:
         n_lines = block.get("n_lines", 4)
-        result = fitmod.fit_free_lorentzians(meas, n_lines, seed=seed)
+        result = fitmod.fit_free_lorentzians(meas, n_lines)
         report["fit"] = result.to_json_dict()
         model = fitmod.free_model_from_result(result, n_lines)
         derived["line_centers_mhz"] = list(model.centers)
@@ -498,7 +491,7 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     elif "input_csv" in block:
         _require_quartet(block, "polarization")
         meas = ingest_csv(block["input_csv"])
-        result = fitmod.fit_free_lorentzians(meas, 4, seed=seed)
+        result = fitmod.fit_free_lorentzians(meas, 4)
         pol = analysis.polarization_from_quartet_fit(result)
         report["fit"] = result.to_json_dict()
     else:

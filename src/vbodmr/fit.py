@@ -7,8 +7,8 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   closed-form Jacobian share one line pass in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
-  closed-form Jacobian and a seeded multi-start that drops a start once it
-  puts a width on its 1e-6 MHz floor,
+  closed-form Jacobian and five fixed starts, each dropped once it puts a
+  width on its 1e-6 MHz floor,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat), with a closed-form Jacobian.
 
@@ -332,16 +332,11 @@ def lm_minimize(
 # --- physical model fit ------------------------------------------------------
 
 
-def initial_physical_guess(
-    meas: MeasuredSpectrum,
-    p15: float,
-    branch: int = -1,
-    a14_mhz: float = A14_DEFAULT_MHZ,
-    a15_mhz: float = abs(A15_DEFAULT_MHZ),
-) -> SpectrumModel:
+def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1) -> SpectrumModel:
     """Heuristic starting point: center from the depression centroid,
     contrast from the deepest sample, linewidth from the width of the region
-    below half depth, couplings from their default values."""
+    below half depth, couplings at their default magnitudes. A caller that
+    knows better overrides fields with ``dataclasses.replace``."""
     f = meas.frequencies
     r = meas.ratios
     depth = np.clip(1.0 - r, 0.0, None)
@@ -359,10 +354,9 @@ def initial_physical_guess(
         f_center=f_center,
         contrast=contrast,
         linewidth=linewidth,
-        a14=abs(a14_mhz),
-        a15=abs(a15_mhz),
         p15=p15,
         branch=branch,
+        **_COUPLING_DEFAULTS,
     )
 
 
@@ -377,9 +371,10 @@ def _physical_problem(
     carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
     for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
     thunk reuses. At fixed p15 the line plan and the Jacobian's coefficients
-    are built once. Two profile buffers alternate: a point writes the one that
-    is not current, calling its thunk makes it current, and a thunk whose
-    buffer a later point overwrote raises RuntimeError."""
+    are built once. Every point writes its profiles into the one profile
+    buffer, beside the Jacobian's u and L^2 scratch: ``lm_minimize`` calls a
+    point's thunk before it evaluates the next point, and a thunk whose
+    profiles a later point overwrote raises RuntimeError."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
@@ -387,22 +382,22 @@ def _physical_problem(
     table = _line_table(init.populations)  # W depends on no fitted parameter
     fixed = None if "p15" in active else _line_plan(init, table, _binomial(init.p15))
     coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
-    profiles, scratch = np.empty((2, 2, len(table if fixed is None else fixed[0]), grid.size))
-    written, current = [None, None], 0  # the line pass each buffer holds; the current one
+    # the profile buffer, then the Jacobian's u and L^2 scratch
+    buffers = np.empty((3, len(table if fixed is None else fixed[0]), grid.size))
+    latest = None  # the line pass whose profiles the buffer holds
 
     def problem(p: np.ndarray):
+        nonlocal latest
         model = replace(init, **dict(zip(active, p)))
         plan = fixed or _line_plan(model, table, _binomial(model.p15), True)
-        slot, n = 1 - current, len(plan[0])
-        lines = written[slot] = _line_pass(model, grid, plan, out=profiles[slot, :n])
+        n = len(plan[0])
+        lines = latest = _line_pass(model, grid, plan, out=buffers[0, :n])
         res = lines[0] - y
 
         def jacobian() -> np.ndarray:
-            nonlocal current
-            if written[slot] is not lines:
+            if latest is not lines:
                 raise RuntimeError("jacobian() of a point whose profiles a later point overwrote")
-            current = slot
-            jac = _model_jacobian(model, grid, lines, coef, scratch[:, :n])[rows].T
+            jac = _model_jacobian(model, grid, lines, coef, buffers[1:, :n])[rows].T
             return jac * weights[:, None] if weights is not None else jac
 
         return (res * weights if weights is not None else res), jacobian
@@ -595,12 +590,11 @@ def fit_free_lorentzians(
     meas: MeasuredSpectrum,
     n_lines: int,
     init: FreeLorentzianModel | None = None,
-    n_starts: int = 5,
-    seed: int = 0,
 ) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    Runs a small seeded multi-start (perturbed copies of the initial guess)
+    Runs five starts, the initial guess and four perturbed copies of it
+    drawn from ``default_rng(0)`` (so a spectrum always gives the same fit),
     and keeps the lowest-cost solution. A start is dropped at the first
     accepted LM point with a width on its 1e-6 MHz lower bound: that line is
     a spike on one sample, and such runs crawl for hundreds of iterations to
@@ -646,9 +640,9 @@ def fit_free_lorentzians(
     p_init = np.array(
         [init.f_first, init.spacing] + list(init.depths) + list(init.widths)
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [p_init]
-    for _ in range(1, max(n_starts, 1)):
+    for _ in range(4):
         p0 = p_init.copy()
         p0[0] += rng.normal(0.0, 0.2) * max(init.spacing, 1.0)
         p0[1] *= math.exp(rng.normal(0.0, 0.2))

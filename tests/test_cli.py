@@ -376,6 +376,28 @@ def test_fit_quartet_polarization_report(tmp_path):
     assert report["derived"]["m_tot_assignment"]
 
 
+def test_quartet_reports_do_not_depend_on_the_seed(tmp_path):
+    # the five starts of a quartet fit are fixed, so --seed moves no report
+    sim_block = {"model": dict(SIM_BLOCK["model"], polarization=0.16), "noise_sigma": 0.002}
+    sim_config = write_config(tmp_path, {"simulate": sim_block, "seed": 3}, name="s.json")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 0
+    csv_path = str(out / "curve.csv")
+    blocks = {
+        "fit": {"input_csv": csv_path, "model": "free_lorentzians", "polarization": True},
+        "polarization": {"input_csv": csv_path},
+    }
+    for command, block in blocks.items():
+        config = write_config(tmp_path, {command: block}, name=f"{command}.json")
+        reports = []
+        for seed in ("0", "7"):
+            run_out = tmp_path / f"{command}_{seed}"
+            argv = [command, "--config", config, "--out", str(run_out), "--seed", seed, "--quiet"]
+            assert cli.main(argv) == 0
+            reports.append((run_out / f"{command}.json").read_bytes())
+        assert reports[0] == reports[1], command
+
+
 @pytest.mark.parametrize(
     "command, block",
     [

@@ -426,24 +426,25 @@ def mixed_problem(active, sigmas=False):
 @pytest.mark.parametrize("active", [BASE + ("a14", "a15"), BASE + ("a14", "a15", "p15")],
                          ids=["fixed_p15", "free_p15"])
 def test_physical_jacobian_keeps_its_own_point(active, sigmas):
-    # two profile buffers alternate: a point writes the one that is not
-    # current, and calling its thunk makes its own current
+    # one profile buffer: the thunk of the latest point gives that point's
+    # Jacobian, and the thunk of an earlier point, whose profiles a later
+    # point overwrote, raises
     problem, p = mixed_problem(active, sigmas)
-    res, jacobian = problem(p)
-    kept = res.copy()
-    jac = jacobian()
-    first = problem(p * 1.001)
     q = p * 0.999
     if "p15" in active:
-        q[-1] = 0.0  # fewer lines (17) in the same buffer
-    second = problem(q)
-    assert np.array_equal(jacobian(), jac)
-    assert np.array_equal(res, kept)
-    with pytest.raises(RuntimeError):
-        first[1]()  # the second trial overwrote its profiles
-    assert np.array_equal(second[1](), mixed_problem(active, sigmas)[0](q)[1]())
-    assert np.array_equal(jacobian(), jac)
-    assert np.array_equal(jac, mixed_problem(active, sigmas)[0](p)[1]())
+        q[-1] = 0.0  # 17 lines in the 25-line buffer, then 25 again
+    earlier = []
+    for point in (p, p * 1.001, q, p * 1.002):
+        res, jacobian = problem(point)
+        kept = res.copy()
+        for thunk in earlier:
+            with pytest.raises(RuntimeError):
+                thunk()
+        fresh_res, fresh = mixed_problem(active, sigmas)[0](point)
+        assert np.array_equal(jacobian(), fresh())
+        assert np.array_equal(jacobian(), fresh())  # a thunk may be called again
+        assert np.array_equal(res, kept) and np.array_equal(res, fresh_res)
+        earlier.append(jacobian)
 
 
 @pytest.mark.parametrize("active", [BASE + ("a14", "a15"), BASE + ("a14", "a15", "p15")],
@@ -715,7 +716,7 @@ def test_free_fit_needs_as_many_samples_as_parameters():
     with pytest.raises(ValueError, match="4 free Lorentzians have 10 parameters"):
         fit_free_lorentzians(meas, 4)
     # ten samples for ten parameters is enough
-    res = fit_free_lorentzians(MeasuredSpectrum(grid, values), 4, n_starts=1)
+    res = fit_free_lorentzians(MeasuredSpectrum(grid, values), 4)
     assert res.names[-1] == "width_4"
 
 

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "name, args, expected",
     [
-        # the only caller of fit_physical(freeze=...) and initial_physical_guess(a14_mhz=...)
+        # the only caller of fit_physical(freeze=...) with couplings set on the initial guess
         ("isotope_spectra.py", ("--out", "{tmp}"), "hB14+15N"),
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
