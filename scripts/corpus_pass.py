@@ -8,8 +8,11 @@ slot (op_a fixed-p15 fits, op_b free-p15 fits, op_c quartet fits), the
 operations that fail the check, the LM iterations of the fits the operations
 return (``lm_iter``), the LM iterations of every ``lm_minimize`` run that
 returned, discarded multi-start runs and restarts included (``lm_iter_all``),
-the ``lm_minimize`` runs abandoned mid-way (``abandoned``: quartet starts that
-put a width on its floor; their iterations are in no column), the residual
+the ``lm_minimize`` runs made, abandoned ones included (``runs``: a quartet
+fit makes one per start it tries, so starts skipped by its stop rule show as
+fewer runs), the ``lm_minimize`` runs abandoned mid-way (``abandoned``:
+quartet starts that put a width on its floor; their iterations are in no
+column), the residual
 evaluations of every ``lm_minimize`` run, abandoned ones and rejected trial
 points included (``evals``), the fits that report ``converged``, the CPU
 seconds (``cpu_s``, ``time.process_time``) and minor page faults (``minflt``,
@@ -142,8 +145,9 @@ def main() -> None:
     from vbodmr import fit
 
     # iterations of every lm_minimize call that returned, kept or discarded,
-    # the calls abandoned by an exception and the residual evaluations of all
-    all_runs = [0, 0, 0]
+    # the calls abandoned by an exception, the residual evaluations of all
+    # and the number of calls
+    all_runs = [0, 0, 0, 0]
     lm_minimize = fit.lm_minimize
     abandon = getattr(fit, "_WidthCollapse", ())  # () catches nothing
 
@@ -152,6 +156,7 @@ def main() -> None:
             all_runs[2] += 1
             return problem(p)
 
+        all_runs[3] += 1
         try:
             result = lm_minimize(counted, *a, **kw)
         except abandon:
@@ -167,6 +172,7 @@ def main() -> None:
     failed = {s: 0 for s in SLOTS}
     iterations = {s: 0 for s in SLOTS}
     iterations_all = {s: 0 for s in SLOTS}
+    runs = {s: 0 for s in SLOTS}
     abandoned = {s: 0 for s in SLOTS}
     evals = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
@@ -185,6 +191,7 @@ def main() -> None:
             cpu_s[slot] += time.process_time() - cpu
             minflt[slot] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             iterations_all[slot] += all_runs[0] - before[0]
+            runs[slot] += all_runs[3] - before[3]
             abandoned[slot] += all_runs[1] - before[1]
             evals[slot] += all_runs[2] - before[2]
             checks = batch.check(slot, inputs[slot], outputs)
@@ -209,14 +216,15 @@ def main() -> None:
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
-        f" {'abandoned':>9} {'evals':>6} {'converged':>9} {'cpu_s':>7} {'minflt':>8}"
-        f" {'us_eval':>7}"
+        f" {'runs':>5} {'abandoned':>9} {'evals':>6} {'converged':>9} {'cpu_s':>7}"
+        f" {'minflt':>8} {'us_eval':>7}"
     )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
-            f" {iterations_all[s]:11d} {abandoned[s]:9d} {evals[s]:6d} {converged[s]:9d}"
-            f" {cpu_s[s]:7.3f} {minflt[s]:8d} {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
+            f" {iterations_all[s]:11d} {runs[s]:5d} {abandoned[s]:9d} {evals[s]:6d}"
+            f" {converged[s]:9d} {cpu_s[s]:7.3f} {minflt[s]:8d}"
+            f" {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
         )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
     for s in SLOTS:

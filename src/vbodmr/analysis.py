@@ -21,7 +21,9 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult, free_model_from_result
-from .spectrum import Curve, SpectrumModel, _line_plan, _line_table, _positions, binomial_fractions
+from .spectrum import (
+    Curve, SpectrumModel, _line_plan, _line_table, _positions, binomial_fractions, lorentzian
+)
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -59,12 +61,16 @@ class RamanPoint:
 
 
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
-    """Closed-form dR/df of the mixture: sum of Lorentzian derivatives."""
-    # a NumPy power overflows to inf, where a float power raises
-    half2 = np.float64(0.5 * model.linewidth) ** 2
+    """Closed-form dR/df of the mixture from one ``lorentzian`` call: with
+    u = f - f_line, g = (FWHM/2)^2 and L = g / (u^2 + g), dR/df =
+    (2 C / g) (w @ (u L^2)), finite wherever g is."""
     keys, w, _ = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
-    u = grid - _positions(model, keys)[:, None]
-    return model.contrast * (w @ ((2.0 * half2 * u) / (u * u + half2) ** 2))
+    positions = _positions(model, keys)[:, None]
+    slopes = lorentzian(grid, positions, model.linewidth)
+    slopes *= slopes
+    slopes *= grid - positions
+    half = 0.5 * model.linewidth
+    return 2.0 * model.contrast * (w @ slopes) / (half * half)
 
 
 def spectral_slope(

@@ -7,8 +7,9 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   closed-form Jacobian share one line pass in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
-  closed-form Jacobian and five fixed starts, each dropped once it puts a
-  width on its 1e-6 MHz floor,
+  closed-form Jacobian and up to five fixed starts, run in order until two
+  of them end at the lowest cost (within 1e-6 relative in residual RMS),
+  each dropped once it puts a width on its 1e-6 MHz floor,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat), with a closed-form Jacobian.
 
@@ -581,6 +582,11 @@ def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
     return problem
 
 
+# The quartet multi-start stops once two runs end within this relative
+# residual RMS of the lowest.
+_START_AGREEMENT = 1e-6
+
+
 class _WidthCollapse(Exception):
     """A free-Lorentzian start reached an accepted point with a width on its
     lower bound: one line has become a spike on a single sample."""
@@ -593,17 +599,21 @@ def fit_free_lorentzians(
 ) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    Runs five starts, the initial guess and four perturbed copies of it
-    drawn from ``default_rng(0)`` (so a spectrum always gives the same fit),
-    and keeps the lowest-cost solution. A start is dropped at the first
-    accepted LM point with a width on its 1e-6 MHz lower bound: that line is
-    a spike on one sample, and such runs crawl for hundreds of iterations to
-    at best tie a start that did not collapse. When every start is dropped
-    (pure noise, say), the same starts are rerun to the end unchecked, the
-    lowest cost is kept with ``converged`` False, since a line of it is a
-    spike, and a diagnostic says so. The positive-spacing bound keeps the
-    reported lines ordered by center frequency. The 2 + 2 n parameters may
-    not outnumber the samples. The Jacobian is closed-form (``_free_problem``).
+    Runs up to five starts in order, the initial guess and four perturbed
+    copies of it drawn from ``default_rng(0)`` (so a spectrum always gives
+    the same fit), and stops as soon as two runs have ended with a residual
+    RMS within a relative 1e-6 of the lowest so far: that minimum has been
+    found twice, and the rest would most likely find it again. The
+    lowest-cost run made is kept. A start is dropped at the first accepted
+    LM point with a width on its 1e-6 MHz lower bound: that line is a spike
+    on one sample, and such runs crawl for hundreds of iterations to at best
+    tie a start that did not collapse. When every start is dropped (pure
+    noise, say), the same starts are rerun unchecked under the same stop
+    rule, the lowest cost is kept with ``converged`` False, since a line of
+    it is a spike, and a diagnostic says so. The positive-spacing bound
+    keeps the reported lines ordered by center frequency. The 2 + 2 n
+    parameters may not outnumber the samples. The Jacobian is closed-form
+    (``_free_problem``).
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -649,16 +659,26 @@ def fit_free_lorentzians(
         p0[2 : 2 + n_lines] *= np.exp(rng.normal(0.0, 0.3, n_lines))
         p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
         starts.append(np.clip(p0, *bounds))
-    fits = []
-    for p0 in starts:
-        try:
-            fits.append(lm_minimize(guarded, p0, bounds, names))
-        except _WidthCollapse:
-            pass
-    if fits:
-        return min(fits, key=lambda result: result.residual_norm)
-    fits = [lm_minimize(problem, p0, bounds, names) for p0 in starts]
-    best = min(fits, key=lambda result: result.residual_norm)
+
+    def lowest(problem: Problem) -> FitResult | None:
+        """The lowest-cost run of the starts, run in order until two are at
+        it; None when every start collapsed."""
+        runs, best = [], None
+        for p0 in starts:
+            try:
+                runs.append(lm_minimize(problem, p0, bounds, names))
+            except _WidthCollapse:
+                continue
+            best = min(runs, key=lambda result: result.residual_norm)
+            tie = best.residual_norm * (1.0 + _START_AGREEMENT)
+            if sum(run.residual_norm <= tie for run in runs) >= 2:
+                break
+        return best
+
+    best = lowest(guarded)
+    if best is not None:
+        return best
+    best = lowest(problem)
     note = "every start collapsed a width onto its 1e-6 MHz floor"
     return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
 

@@ -89,6 +89,18 @@ def test_slope_matches_finite_differences():
     assert np.abs(report.slope_curve.values - numeric).max() <= 1e-6
 
 
+@pytest.mark.parametrize("linewidth", [1e150, 1e151, 1e152, 1e153, 1e154])
+def test_slope_is_finite_wherever_the_squared_half_width_is(linewidth):
+    # every line is flat on the grid: L = 1 to within (u / FWHM)^2, so the
+    # slope is 2 C (f - f_center) / g with g = (FWHM/2)^2 finite
+    model = sample_model(0.6, linewidth=linewidth)
+    grid = fine_grid()
+    values = spectral_slope(model, grid, "raw").slope_curve.values
+    assert np.all(np.isfinite(values)) and np.abs(values).max() > 0.0
+    expected = 2.0 * model.contrast * (grid - model.f_center) / (0.5 * linewidth) ** 2
+    assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_slope_antisymmetric_for_unpolarized():
     model = sample_model(1.0)
     delta = np.linspace(-250.0, 250.0, 5001)

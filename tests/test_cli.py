@@ -786,10 +786,11 @@ def test_non_finite_area_key_is_a_schema_error(tmp_path, capsys, key):
     [
         # (FWHM/2)^2 overflows, so every Lorentzian is inf/inf
         ("simulate", {"model": dict(SIM_BLOCK["model"], linewidth_mhz=1e308)}, "simulated curve"),
-        # 2 (FWHM/2)^2 u overflows in the slope
+        # (FWHM/2)^2 overflows at the smallest such width, so L = inf/inf in
+        # the slope; below it the slope is finite (test_analysis)
         (
             "sensitivity",
-            {"model_a": dict(SIM_BLOCK["model"], linewidth_mhz=1e154),
+            {"model_a": dict(SIM_BLOCK["model"], linewidth_mhz=1e155),
              "model_b": dict(SIM_BLOCK["model"], p15=0.0)},
             "slope curve of model_a",
         ),

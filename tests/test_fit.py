@@ -721,8 +721,9 @@ def test_free_fit_needs_as_many_samples_as_parameters():
 
 
 def every_start_to_the_end(monkeypatch, meas, n_lines):
-    """Fit, recording each start and which starts were dropped; then run the
-    five starts to the end with the closed-form Jacobian, unchecked."""
+    """Fit, recording the starts it ran and which of them were dropped; then
+    record the five starts of a fit with the stop rule off and run each to
+    the end with the closed-form Jacobian, unchecked."""
     calls, dropped = [], []
     real = fit.lm_minimize
 
@@ -737,9 +738,12 @@ def every_start_to_the_end(monkeypatch, meas, n_lines):
     with monkeypatch.context() as patch:
         patch.setattr(fit, "lm_minimize", recording)
         result = fit_free_lorentzians(meas, n_lines)
+        n_calls = len(calls)
+        patch.setattr(fit, "_START_AGREEMENT", -np.inf)  # no two runs ever agree
+        fit_free_lorentzians(meas, n_lines)
     problem = _free_problem(meas, n_lines)
-    runs = [lm_minimize(problem, *call) for call in calls[:5]]
-    return result, runs, dropped, len(calls)
+    runs = [lm_minimize(problem, *call) for call in calls[n_calls : n_calls + 5]]
+    return result, runs, [k for k in dropped if k < n_calls], n_calls
 
 
 def fit_fields(r):
@@ -747,19 +751,70 @@ def fit_fields(r):
             r.converged, r.diagnostics)
 
 
+POLARIZED = 0.02 * np.array([0.6, 2.2, 3.8, 1.6])
+UNPOLARIZED = 0.03 * np.array([1.0, 3.0, 3.0, 1.0])
+
+
+def noisy_quartet(depths, width, noise_seed):
+    grid, values = quartet_signal(depths, [width] * 4)
+    noise = np.random.default_rng(noise_seed).normal(0.0, 0.002, grid.size)
+    return MeasuredSpectrum(grid, values + noise)
+
+
 def test_free_fit_drops_a_start_that_collapses_a_width(monkeypatch):
-    grid, values = quartet_signal(0.03 * np.array([1.0, 3.0, 3.0, 1.0]), [45.0] * 4)
-    noisy = values + np.random.default_rng(2).normal(0.0, 0.002, grid.size)
     res, runs, dropped, n_calls = every_start_to_the_end(
-        monkeypatch, MeasuredSpectrum(grid, noisy), 4
+        monkeypatch, noisy_quartet(POLARIZED, 50.0, 0), 4
     )
-    assert len(dropped) == 1 and n_calls == 5
+    assert dropped == [1] and n_calls == 3
     # run to the end, the dropped start keeps a spike far narrower than the
     # 0.625 MHz grid spacing and loses
-    assert min(runs[dropped[0]].values[f"width_{k}"] for k in range(1, 5)) < 1e-5
-    best = min(runs, key=lambda r: r.residual_norm)
-    assert runs[dropped[0]].residual_norm > best.residual_norm
+    assert min(runs[1].values[f"width_{k}"] for k in range(1, 5)) < 1e-5
+    made = [runs[k] for k in range(n_calls) if k not in dropped]
+    best = min(made, key=lambda r: r.residual_norm)
+    assert runs[1].residual_norm > best.residual_norm
+    # the kept fit is the lowest-cost run made, unchanged by the guard
     assert fit_fields(res) == fit_fields(best)
+
+
+@pytest.mark.parametrize(
+    "meas",
+    [
+        noisy_quartet(POLARIZED, 50.0, 0),
+        noisy_quartet(POLARIZED, 50.0, 7),
+        noisy_quartet(POLARIZED, 45.0, 12),
+        noisy_quartet(UNPOLARIZED, 45.0, 2),
+    ],
+    ids=["drop_1", "drop_0", "drop_0_narrow", "unpolarized"],
+)
+def test_free_fit_stops_once_its_lowest_cost_is_reached_twice(monkeypatch, meas):
+    res, runs, dropped, n_calls = every_start_to_the_end(monkeypatch, meas, 4)
+    assert n_calls < 5
+    made = [runs[k].residual_norm for k in range(n_calls) if k not in dropped]
+
+    def reached(rms):  # runs within 1e-6 (relative RMS) of the lowest so far
+        return sum(r <= min(rms) * (1.0 + 1e-6) for r in rms)
+
+    # the last run made is the first after which two runs are at the lowest cost
+    assert reached(made) == 2
+    assert all(reached(made[:j]) == 1 for j in range(1, len(made)))
+    assert res.residual_norm == min(made)
+    # no start run to the end does better than 1e-6 in relative cost
+    assert res.residual_norm**2 <= min(r.residual_norm for r in runs) ** 2 * (1.0 + 1e-6)
+
+
+def test_free_fit_stop_rule_is_a_relative_1e_6_in_residual_rms(monkeypatch):
+    # stubbed runs: the second ends 2e-6 above the first, so the rule runs a
+    # third, 5e-7 below the first; the first is then within 1e-6 of it
+    ends = iter([1.0, 1.0 + 2e-6, 1.0 - 5e-7, 1.0, 1.0])
+    made = []
+
+    def stub(problem, p0, bounds, names):
+        made.append(fit.FitResult(tuple(names), {}, {}, np.zeros((0, 0)), next(ends), 1, True))
+        return made[-1]
+
+    monkeypatch.setattr(fit, "lm_minimize", stub)
+    res = fit_free_lorentzians(noisy_quartet(UNPOLARIZED, 45.0, 2), 4)
+    assert len(made) == 3 and res is made[2]
 
 
 def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
