@@ -12,14 +12,18 @@ the ``lm_minimize`` runs made, abandoned ones included (``runs``: a quartet
 fit makes one per start it tries, so starts skipped by its stop rule show as
 fewer runs), the ``lm_minimize`` runs abandoned mid-way (``abandoned``:
 quartet starts that put a width on its floor; their iterations are in no
-column), the residual
-evaluations of every ``lm_minimize`` run, abandoned ones and rejected trial
-points included (``evals``), the fits that report ``converged``, the CPU
-seconds (``cpu_s``, ``time.process_time``) and minor page faults (``minflt``,
-``ru_minflt`` of this process) spent in the slot's operations, the CPU
-microseconds per residual evaluation (``us_eval``: ``cpu_s`` over ``evals``,
-so it holds the Jacobians and the slot's other work too), and a sha256 over
-every operation's values, sigmas, iterations and diagnostics. Then it prints
+column), the residual evaluations of every ``lm_minimize`` run, abandoned
+ones and rejected trial points included (``evals``; the quartet fit's one
+residual per start, by which it orders its starts, is outside any run and
+in no column), the trial points those runs discarded (``rejected``:
+``evals`` less the initial and accepted points, whose Jacobians the LM asks
+for; a stalled run's last trials are among them), the fits that report
+``converged``, the CPU seconds (``cpu_s``, ``time.process_time``) and minor
+page faults (``minflt``, ``ru_minflt`` of this process) spent in the slot's
+operations, the CPU microseconds per residual evaluation (``us_eval``:
+``cpu_s`` over ``evals``, so it holds the Jacobians and the slot's other
+work too), and a sha256 over every operation's values, sigmas, iterations
+and diagnostics. Then it prints
 that sha256 per slot and over all slots. Two checkouts print the same digest
 only when every fit is bit-identical. ``cpu_s``, ``minflt`` and ``us_eval``
 vary from run to run; the page faults show how often the allocator hands
@@ -145,16 +149,22 @@ def main() -> None:
     from vbodmr import fit
 
     # iterations of every lm_minimize call that returned, kept or discarded,
-    # the calls abandoned by an exception, the residual evaluations of all
-    # and the number of calls
-    all_runs = [0, 0, 0, 0]
+    # the calls abandoned by an exception, the residual evaluations of all,
+    # the number of calls and the Jacobians asked for (one per accepted point)
+    all_runs = [0, 0, 0, 0, 0]
     lm_minimize = fit.lm_minimize
     abandon = getattr(fit, "_WidthCollapse", ())  # () catches nothing
 
     def counted_lm_minimize(problem, *a, **kw):
         def counted(p):
             all_runs[2] += 1
-            return problem(p)
+            res, jacobian = problem(p)
+
+            def accepted():
+                all_runs[4] += 1
+                return jacobian()
+
+            return res, accepted
 
         all_runs[3] += 1
         try:
@@ -175,6 +185,7 @@ def main() -> None:
     runs = {s: 0 for s in SLOTS}
     abandoned = {s: 0 for s in SLOTS}
     evals = {s: 0 for s in SLOTS}
+    rejected = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
     total = {s: 0 for s in SLOTS}
     cpu_s = {s: 0.0 for s in SLOTS}
@@ -194,6 +205,7 @@ def main() -> None:
             runs[slot] += all_runs[3] - before[3]
             abandoned[slot] += all_runs[1] - before[1]
             evals[slot] += all_runs[2] - before[2]
+            rejected[slot] += all_runs[2] - before[2] - (all_runs[4] - before[4])
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
                 records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason)})
@@ -216,14 +228,14 @@ def main() -> None:
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
-        f" {'runs':>5} {'abandoned':>9} {'evals':>6} {'converged':>9} {'cpu_s':>7}"
-        f" {'minflt':>8} {'us_eval':>7}"
+        f" {'runs':>5} {'abandoned':>9} {'evals':>6} {'rejected':>8} {'converged':>9}"
+        f" {'cpu_s':>7} {'minflt':>8} {'us_eval':>7}"
     )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
             f" {iterations_all[s]:11d} {runs[s]:5d} {abandoned[s]:9d} {evals[s]:6d}"
-            f" {converged[s]:9d} {cpu_s[s]:7.3f} {minflt[s]:8d}"
+            f" {rejected[s]:8d} {converged[s]:9d} {cpu_s[s]:7.3f} {minflt[s]:8d}"
             f" {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
         )
     print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")

@@ -7,16 +7,19 @@ Three fit families are provided on top of a small Levenberg-Marquardt core:
   closed-form Jacobian share one line pass in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis, with a
-  closed-form Jacobian and up to five fixed starts, run in order until two
-  of them end at the lowest cost (within 1e-6 relative in residual RMS),
-  each dropped once it puts a width on its 1e-6 MHz floor,
+  closed-form Jacobian and up to five fixed starts, run lowest initial
+  cost first until two of them end at the lowest cost (within 1e-6
+  relative in residual RMS), each dropped once it puts a width on its
+  1e-6 MHz floor,
 * ``fit_pl_saturation`` - the photoluminescence saturation curve
   I(P) = I_max * P / (P + P_sat), with a closed-form Jacobian.
 
-The LM core respects box bounds with a projected step: a parameter on a
-bound whose gradient points out of the box is held for that iteration, left
-out of the step and of the gradient convergence test. A fit that ends with
-a parameter held says so in its diagnostics ("held at bound: ...").
+The LM core sets its damping by the gain ratio of each step (Madsen,
+Nielsen & Tingleff 2004) and respects box bounds with a projected step: a
+parameter on a bound whose gradient points out of the box is held for that
+iteration, left out of the step and of the gradient convergence test. A fit
+that ends with a parameter held says so in its diagnostics ("held at bound:
+...").
 Every fit hands the core one problem callable, p -> (residuals, jacobian),
 whose ``jacobian()`` is the closed-form Jacobian at that same p.
 
@@ -47,6 +50,9 @@ from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
 LM_COST_RTOL = 1e-10
 LM_GRAD_ATOL = 1e-10
 LM_MAX_ITER = 500
+# The gain-ratio damping shrinks lambda by at most this factor per accepted
+# step: the shrink of a step whose cost drop the linear model predicts exactly.
+_LAM_SHRINK = 0.1
 # Condition threshold of J^T J beyond which parameters count as degenerate.
 DEGENERATE_COND = 1e12
 # A fitted coupling below this magnitude sits on the symmetry plane a = 0;
@@ -203,8 +209,19 @@ def lm_minimize(
     giving the closed-form (n_residuals, k) Jacobian at that same p. The
     thunk is called only at the initial point and at accepted trial points,
     before the next evaluation; ``problem`` is never evaluated outside the
-    box. The damping factor scales the diagonal of J^T J; accepted steps
-    shrink it, rejected steps grow it.
+    box.
+
+    The damping lambda scales the diagonal of J^T J and follows the gain
+    ratio rho of each accepted step h (clipped to the box): the cost drop
+    over the drop its linear model predicts, |r|^2 - |r + J h|^2 =
+    -2 h^T g - h^T J^T J h with g = J^T r. An accepted step multiplies
+    lambda by max(1/10, 1 - (2 rho - 1)^3), floored at 1e-12, so a step the
+    model predicts exactly shrinks it tenfold and a poor one grows it; each
+    rejected (or singular) trial multiplies it by nu, which starts at 2 and
+    doubles, so rejections in a row grow it by 2, 4, 8, ... (Madsen, Nielsen
+    & Tingleff, Methods for Non-Linear Least Squares Problems, IMM DTU 2004;
+    Nielsen, IMM-REP-1999-05). The trials of one iteration stop at
+    lambda >= 1e14: from 1e-3, after 11 rejections in a row.
 
     The step is projected onto the bounds. Each iteration, a parameter is
     *held* when it sits on its lower bound with gradient (J^T r)_i > 0, or
@@ -263,11 +280,13 @@ def lm_minimize(
         jtj_free = jtj if free.all() else jtj[np.ix_(free, free)]
         step = np.zeros(k)  # held parameters keep a zero step
         accepted = False
+        nu = 2.0
         while lam < 1e14:
             try:
                 step[free] = np.linalg.solve(jtj_free + lam * np.diag(diag[free]), -grad[free])
             except np.linalg.LinAlgError:
-                lam *= 10.0
+                lam *= nu
+                nu *= 2.0
                 continue
             trial = np.clip(p + step, lower, upper)
             r_trial, jacobian = problem(trial)
@@ -275,14 +294,20 @@ def lm_minimize(
             if np.all(np.isfinite(r_trial)):
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
+                    h = trial - p
+                    predicted = -2.0 * float(h @ grad) - float(h @ jtj @ h)
+                    # a clipped step can leave the linear model predicting no
+                    # drop where the cost fell: that step counts as exact
+                    gain = (cost - cost_trial) / predicted if predicted > 0.0 else 1.0
                     rel_drop = (cost - cost_trial) / max(cost, 1e-300)
                     p, r, cost = trial, r_trial, cost_trial
-                    lam = max(lam / 10.0, 1e-12)
+                    lam = max(lam * max(_LAM_SHRINK, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
                     accepted = True
                     if rel_drop < LM_COST_RTOL or cost == 0.0:
                         converged = True
                     break
-            lam *= 10.0
+            lam *= nu
+            nu *= 2.0
         if not accepted:
             diagnostics.append("stalled: no step reduced the cost at maximum damping")
             break
@@ -599,21 +624,25 @@ def fit_free_lorentzians(
 ) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    Runs up to five starts in order, the initial guess and four perturbed
-    copies of it drawn from ``default_rng(0)`` (so a spectrum always gives
-    the same fit), and stops as soon as two runs have ended with a residual
-    RMS within a relative 1e-6 of the lowest so far: that minimum has been
+    Has five starts, the initial guess and four perturbed copies of it
+    drawn from ``default_rng(0)`` (so a spectrum always gives the same
+    fit), and runs them lowest initial cost first, as multistart methods
+    order their local searches (Rinnooy Kan & Timmer, Math. Programming 39,
+    1987). It stops as soon as two runs have ended with a residual RMS
+    within a relative 1e-6 of the lowest so far: that minimum has been
     found twice, and the rest would most likely find it again. The
     lowest-cost run made is kept. A start is dropped at the first accepted
     LM point with a width on its 1e-6 MHz lower bound: that line is a spike
     on one sample, and such runs crawl for hundreds of iterations to at best
     tie a start that did not collapse. When every start is dropped (pure
     noise, say), the same starts are rerun unchecked under the same stop
-    rule, the lowest cost is kept with ``converged`` False, since a line of
-    it is a spike, and a diagnostic says so. The positive-spacing bound
-    keeps the reported lines ordered by center frequency. The 2 + 2 n
-    parameters may not outnumber the samples. The Jacobian is closed-form
-    (``_free_problem``).
+    rule and the lowest cost is kept. If a line of it is narrower than the
+    grid's smallest sample spacing, it is a spike: the fit is returned with
+    ``converged`` False and a diagnostic says so. Otherwise the starts
+    touched the floor only on the way, and the fit stands as the LM ended
+    it. The positive-spacing bound keeps the reported lines ordered by
+    center frequency. The 2 + 2 n parameters may not outnumber the samples.
+    The Jacobian is closed-form (``_free_problem``).
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -660,6 +689,12 @@ def fit_free_lorentzians(
         p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
         starts.append(np.clip(p0, *bounds))
 
+    def start_cost(p0: np.ndarray) -> float:
+        res = problem(p0)[0]
+        return float(res @ res)
+
+    starts.sort(key=start_cost)  # the lowest cost first
+
     def lowest(problem: Problem) -> FitResult | None:
         """The lowest-cost run of the starts, run in order until two are at
         it; None when every start collapsed."""
@@ -679,6 +714,8 @@ def fit_free_lorentzians(
     if best is not None:
         return best
     best = lowest(problem)
+    if min(best.values[name] for name in names[2 + n_lines :]) >= np.diff(meas.frequencies).min():
+        return best  # the collapses were on the way: no line of the kept run is a spike
     note = "every start collapsed a width onto its 1e-6 MHz floor"
     return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
 

@@ -275,6 +275,104 @@ def test_lm_stall_is_not_convergence():
     assert "stalled: no step reduced the cost at maximum damping" in res.diagnostics
 
 
+class StepLog:
+    """Wraps a problem whose J^T J is the identity times c at every point;
+    from each trial step h = -g / (c (1 + lambda)) it reads back the damping
+    lambda the LM used, the full Gauss-Newton step being -g / c."""
+
+    def __init__(self, problem, c):
+        self.problem, self.c = problem, c
+        self.point, self.gradient = None, None
+        self.damping = []  # the lambda of every trial, in order
+
+    def __call__(self, p):
+        r, jacobian = self.problem(p)
+        if self.point is not None:
+            step = p - self.point
+            self.damping.append(float(-self.gradient[0] / (self.c * step[0]) - 1.0))
+
+        def logged():
+            jac = jacobian()
+            self.point, self.gradient = p.copy(), jac.T @ r
+            return jac
+
+        return r, logged
+
+
+def test_lm_gain_ratio_shrinks_damping_tenfold_on_a_linear_problem():
+    # the linear model is exact: every step gains as predicted (rho = 1), so
+    # each accepted step shrinks lambda by the floor factor 1/10
+    a = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    b = np.array([3.0, -5.0, 1.0])
+    log = StepLog(lambda p: (a @ p - b, lambda: a), 4.0)
+    res = lm_minimize(log, [0.0, 0.0])
+    assert res.converged
+    assert res.values["p0"] == pytest.approx(1.5) and res.values["p1"] == pytest.approx(-2.5)
+    assert len(log.damping) >= 3
+    # read back from steps down to ~1e-7, to a few 1e-5
+    expected = [1e-3 * 0.1**i for i in range(len(log.damping))]
+    assert log.damping == pytest.approx(expected, rel=1e-3)
+
+
+def wrong_sign():
+    """A Jacobian of the wrong sign: every damped step climbs, and the LM
+    stays at its start, the origin (so a trial point is its step, exactly)."""
+    target = np.array([10.0, -20.0, 5.0])
+    return lambda p: (p - target, lambda: -np.eye(3))
+
+
+def test_lm_rejections_grow_damping_by_doubling_factors():
+    # rejected trials multiply lambda by nu = 2, 4, 8, ...: nu doubles each time
+    log = StepLog(wrong_sign(), 1.0)
+    lm_minimize(log, [0.0, 0.0, 0.0])
+    growth = np.array(log.damping[1:]) / np.array(log.damping[:-1])
+    assert growth == pytest.approx(2.0 ** np.arange(1, len(growth) + 1), rel=1e-6)
+
+
+def test_lm_stall_comes_after_the_escalation_to_maximum_damping():
+    # from lambda = 1e-3, the n-th rejection (n = 0, 1, ...) leaves
+    # lambda = 1e-3 * 2^((n + 1)(n + 2) / 2); the trials stop once lambda
+    # reaches 1e14, after the start and one trial per lambda below it
+    log = ThunkLog(wrong_sign())
+    res = lm_minimize(log, [0.0, 0.0, 0.0])
+    trials = sum(1e-3 * 2.0 ** (n * (n + 1) // 2) < 1e14 for n in range(30))
+    assert trials == 11
+    assert len(log.costs) == 1 + trials
+    assert not res.converged
+    assert "stalled: no step reduced the cost at maximum damping" in res.diagnostics
+
+
+def fixed_and_free_spectra(seed):
+    """One fixed-p15 and one free-p15 spectrum of a seeded random model."""
+    rng = np.random.default_rng(seed)
+    spectra = []
+    for p15, mode in (((0.0, 1.0, 0.6)[seed % 3], "fixed"), (0.6, "free")):
+        truth = SpectrumModel(
+            f_center=rng.uniform(2280.0, 2340.0),
+            contrast=rng.uniform(0.05, 0.12),
+            linewidth=rng.uniform(45.0, 55.0),
+            a14=rng.uniform(42.0, 46.0),
+            a15=rng.uniform(62.0, 66.0),
+            p15=p15,
+        )
+        grid = default_grid(truth.f_center)
+        y = mixture_spectrum(truth, grid).values + rng.normal(0.0, 0.002, grid.size)
+        spectra.append((grid, y, ("fixed", p15) if mode == "fixed" else mode))
+    return spectra
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_physical_fit_path_does_not_swing_on_one_ulp_of_the_data(seed):
+    # the damping follows the cost drop, not its last bits: moving every
+    # sample up by one ulp leaves the number of LM iterations unchanged
+    for grid, y, p15_mode in fixed_and_free_spectra(seed):
+        fits = [
+            fit_physical(MeasuredSpectrum(grid, data), p15_mode=p15_mode)
+            for data in (y, np.nextafter(y, np.inf))
+        ]
+        assert fits[0].iterations == fits[1].iterations, p15_mode
+
+
 def test_lm_degenerate_parameter_diagnostic():
     x = np.linspace(0.0, 1.0, 30)
     y = 2.0 * x
@@ -348,10 +446,11 @@ def test_fit_p15_free_on_pure_sample_reports_degeneracy():
 
 
 def test_fit_p15_free_converges_when_held_at_zero():
-    # a noise draw whose free-p15 fit runs into p15 = 0; there the a15 column
-    # vanishes, and an unprojected step crawled along the bound to the cap
+    # a pure 14N noise draw whose best free-p15 fit lies on p15 = 0; there
+    # the a15 column vanishes, and an unprojected step crawled along the
+    # bound to the cap
     truth, meas = synthetic(
-        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.6),
+        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.0),
         seed=7,
     )
     res = fit_physical(meas, p15_mode="free")
@@ -359,6 +458,14 @@ def test_fit_p15_free_converges_when_held_at_zero():
     assert res.iterations <= 50
     assert res.values["p15"] == 0.0
     assert any(d.startswith("held at bound: p15 = 0") for d in res.diagnostics)
+    # the bound is the best fit: p15 fixed just inside it, from the bound
+    # fit's values, fits worse
+    at_bound = dataclasses.replace(truth, **{n: res.values[n] for n in BASE + ("a14",)})
+    for p15 in (0.02, 0.05, 0.1):
+        inside = fit_physical(
+            meas, init=dataclasses.replace(at_bound, p15=p15), p15_mode=("fixed", p15)
+        )
+        assert inside.residual_norm > res.residual_norm, p15
 
 
 BASE = ("f_center", "contrast", "linewidth")
@@ -763,7 +870,7 @@ def noisy_quartet(depths, width, noise_seed):
 
 def test_free_fit_drops_a_start_that_collapses_a_width(monkeypatch):
     res, runs, dropped, n_calls = every_start_to_the_end(
-        monkeypatch, noisy_quartet(POLARIZED, 50.0, 0), 4
+        monkeypatch, noisy_quartet(POLARIZED, 45.0, 3), 4
     )
     assert dropped == [1] and n_calls == 3
     # run to the end, the dropped start keeps a spike far narrower than the
@@ -802,6 +909,25 @@ def test_free_fit_stops_once_its_lowest_cost_is_reached_twice(monkeypatch, meas)
     assert res.residual_norm**2 <= min(r.residual_norm for r in runs) ** 2 * (1.0 + 1e-6)
 
 
+def test_free_fit_runs_its_starts_lowest_cost_first(monkeypatch):
+    # the five fixed starts, the initial guess among them, in order of cost
+    meas = noisy_quartet(POLARIZED, 50.0, 0)
+    starts = []
+
+    def stub(problem, p0, bounds, names):
+        starts.append(p0)
+        return fit.FitResult(tuple(names), {}, {}, np.zeros((0, 0)), 1.0 + len(starts), 1, True)
+
+    monkeypatch.setattr(fit, "lm_minimize", stub)
+    fit_free_lorentzians(meas, 4)
+    assert len(starts) == 5
+    costs = [float(np.sum(_free_problem(meas, 4)(p0)[0] ** 2)) for p0 in starts]
+    assert costs == sorted(costs)
+    guess = fit.initial_free_guess(meas, 4)
+    p_guess = [guess.f_first, guess.spacing, *guess.depths, *guess.widths]
+    assert sum(np.array_equal(p0, p_guess) for p0 in starts) == 1
+
+
 def test_free_fit_stop_rule_is_a_relative_1e_6_in_residual_rms(monkeypatch):
     # stubbed runs: the second ends 2e-6 above the first, so the rule runs a
     # third, 5e-7 below the first; the first is then within 1e-6 of it
@@ -831,6 +957,22 @@ def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
         best, converged=False, diagnostics=best.diagnostics + (note,)
     )
     assert fit_fields(res) == fit_fields(flagged)
+
+
+def test_free_fit_fallback_keeps_a_run_with_wide_lines_converged(monkeypatch):
+    # every start puts a width on its floor on the way, but the lowest-cost
+    # run, rerun unchecked, has every line wider than the grid spacing: a
+    # clean quartet, reported as the LM reported it
+    rng = np.random.default_rng(27)
+    depths = UNPOLARIZED * rng.uniform(0.5, 1.5, 4)
+    grid, values = quartet_signal(depths, rng.uniform(30.0, 60.0, 4))
+    meas = MeasuredSpectrum(grid, values + rng.normal(0.0, 0.002, grid.size))
+    res, runs, dropped, n_calls = every_start_to_the_end(monkeypatch, meas, 4)
+    assert dropped == [0, 1, 2, 3, 4] and n_calls == 10
+    best = min(runs, key=lambda r: r.residual_norm)
+    assert min(best.values[f"width_{k}"] for k in range(1, 5)) > np.diff(grid).min()
+    assert res.converged
+    assert fit_fields(res) == fit_fields(best)
 
 
 def random_free_params(rng, n_lines):
