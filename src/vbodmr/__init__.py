@@ -9,7 +9,6 @@ from .spin_core import (
     Transition,
     TransitionSet,
     axial_site,
-    build_effective_hamiltonian,
     build_full_hamiltonian,
     dipolar_azz,
     eigen_hermitian,

@@ -111,17 +111,11 @@ COMMAND_SCHEMAS = {
         "areas": (dict, False),
         "m_max": (_NUM, False),
         "input_csv": (str, False),
-        "n_lines": (int, False),
     },
     "raman": {
         "points": (list, True),
     },
-    "validate": {
-        "eigensolver_tolerance": (_NUM, False),
-        "ladder_table": (dict, False),
-        "oracle_draws": (int, False),
-        "slope_ratio_bounds": (list, False),
-    },
+    "validate": {},
 }
 
 TOP_LEVEL_KEYS = set(COMMAND_SCHEMAS) | {"out_dir", "seed"}
@@ -193,7 +187,7 @@ def _distinct_keys(pairs: list) -> dict:
 
 
 def _number(value, key: str) -> float:
-    """A JSON number inside a free-form block (list, map) as float."""
+    """A JSON number inside a free-form block (the polarization areas) as float."""
     if isinstance(value, bool) or not isinstance(value, _NUM):
         raise SchemaError([f"key '{key}' has wrong type {type(value).__name__}"])
     return float(value)
@@ -295,12 +289,6 @@ def _model_from_block(block: dict) -> SpectrumModel:
     )
 
 
-def _require_quartet(block: dict, command: str) -> None:
-    """Polarization from line areas maps exactly four lines to m_tot."""
-    if block.get("n_lines", 4) != 4:
-        raise SchemaError([f"{command}.n_lines must be 4 for polarization (15N quartet)"])
-
-
 def _grid_from_block(block: dict | None, f_center: float) -> np.ndarray:
     if block is None:
         return spectrum.default_grid(f_center)
@@ -382,8 +370,9 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     mode = block.get("model", "physical")
     if mode not in ("physical", "free_lorentzians"):
         raise SchemaError(["fit.model must be 'physical' or 'free_lorentzians'"])
-    if mode == "free_lorentzians" and block.get("polarization"):
-        _require_quartet(block, "fit")
+    # polarization from line areas maps exactly four lines to m_tot
+    if mode == "free_lorentzians" and block.get("polarization") and block.get("n_lines", 4) != 4:
+        raise SchemaError(["fit.n_lines must be 4 for polarization (15N quartet)"])
 
     report: dict = {"command": "fit", "input": meas.metadata, "mode": mode}
     derived: dict = {}
@@ -489,7 +478,6 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             raise SchemaError(["polarization.areas keys must be finite"])
         pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
     elif "input_csv" in block:
-        _require_quartet(block, "polarization")
         meas = ingest_csv(block["input_csv"])
         result = fitmod.fit_free_lorentzians(meas, 4)
         pol = analysis.polarization_from_quartet_fit(result)
@@ -541,33 +529,7 @@ def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    kwargs: dict = {}
-    if "eigensolver_tolerance" in block:
-        kwargs["eigensolver_tolerance"] = float(block["eigensolver_tolerance"])
-    if "ladder_table" in block:
-        table = block["ladder_table"]
-        # the exact strings only: int() would read "00" as 0, so two keys
-        # could name one configuration
-        unknown = [k for k in table if k not in ("0", "1", "2", "3")]
-        if unknown:
-            keys = ", ".join(json.dumps(k) for k in unknown)
-            raise SchemaError([f'validate.ladder_table keys must be "0" to "3", not {keys}'])
-        # JSON integers only: int() would read 1.9 as 1 and true as 1
-        if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in table.values()):
-            raise SchemaError(["validate.ladder_table must map n15_count to integer lists"])
-        kwargs["ladder_table"] = {int(k): v for k, v in table.items()}
-    if "oracle_draws" in block:
-        if block["oracle_draws"] < 1:
-            raise SchemaError(["validate.oracle_draws must be >= 1"])
-        kwargs["oracle_draws"] = block["oracle_draws"]
-    if "slope_ratio_bounds" in block:
-        bounds = block["slope_ratio_bounds"]
-        if len(bounds) != 2:
-            raise SchemaError(["validate.slope_ratio_bounds must be [low, high]"])
-        kwargs["slope_ratio_bounds"] = tuple(
-            _number(b, f"validate.slope_ratio_bounds[{i}]") for i, b in enumerate(bounds)
-        )
-    report = validatemod.run_validation(seed=seed, **kwargs)
+    report = validatemod.run_validation(seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validate.json", {"command": "validate", **report})
     if not quiet:
@@ -638,21 +600,15 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ValueError, RecursionError, MemoryError, OverflowError) as exc:
-        # deep JSON nesting, arrays beyond the address space, float overflow
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except IngestError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except NonConvergenceError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except RuntimeError as exc:
-        # e.g. spin_core.CharacterAmbiguityError; no config is known to reach one
+    except (ValueError, RecursionError, MemoryError, OverflowError, OSError, RuntimeError) as exc:
+        # deep JSON nesting, arrays beyond the address space, float overflow,
+        # an unwritable output directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

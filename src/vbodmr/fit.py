@@ -610,6 +610,9 @@ def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
 # The quartet multi-start stops once two runs end within this relative
 # residual RMS of the lowest.
 _START_AGREEMENT = 1e-6
+# A free-Lorentzian run that lowers the chi^2 of the flat line y = 1 by less
+# than this found no lines (40 noise draws: <= 31; corpus quartets: >= 18 641).
+_NO_LINE_DCHI2 = 100.0
 
 
 class _WidthCollapse(Exception):
@@ -640,9 +643,12 @@ def fit_free_lorentzians(
     grid's smallest sample spacing, it is a spike: the fit is returned with
     ``converged`` False and a diagnostic says so. Otherwise the starts
     touched the floor only on the way, and the fit stands as the LM ended
-    it. The positive-spacing bound keeps the reported lines ordered by
-    center frequency. The 2 + 2 n parameters may not outnumber the samples.
-    The Jacobian is closed-form (``_free_problem``).
+    it. A kept run that lowers the chi^2 of the flat line y = 1 by less than
+    ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k), as in the covariance) found
+    no lines, and is returned with ``converged`` False and a diagnostic. The
+    positive-spacing bound keeps the reported lines ordered by center
+    frequency. The 2 + 2 n parameters may not outnumber the samples. The
+    Jacobian is closed-form (``_free_problem``).
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -711,12 +717,20 @@ def fit_free_lorentzians(
         return best
 
     best = lowest(guarded)
-    if best is not None:
+    if best is None:
+        best = lowest(problem)
+        narrowest = min(best.values[name] for name in names[2 + n_lines :])
+        if narrowest < np.diff(meas.frequencies).min():
+            note = "every start collapsed a width onto its 1e-6 MHz floor"
+            return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
+        # else the collapses were on the way: no line of the kept run is a spike
+    flat = (1.0 - meas.ratios) / (1.0 if meas.sigmas is None else meas.sigmas)
+    ssr = best.residual_norm**2 * meas.n_samples
+    # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
+    drop = (float(flat @ flat) - ssr) * max(meas.n_samples - len(names), 1)
+    if drop >= _NO_LINE_DCHI2 * ssr:
         return best
-    best = lowest(problem)
-    if min(best.values[name] for name in names[2 + n_lines :]) >= np.diff(meas.frequencies).min():
-        return best  # the collapses were on the way: no line of the kept run is a spike
-    note = "every start collapsed a width onto its 1e-6 MHz floor"
+    note = f"no lines: chi^2 only {drop / ssr:.3g} below the flat line (< {_NO_LINE_DCHI2:g})"
     return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
 
 

@@ -2,15 +2,13 @@
 
 The defect electron spin (S = 1) couples to the three nearest-neighbor
 nitrogen nuclear spins (I = 1 for 14N, I = 1/2 for 15N). This module builds
-
-* the full ground-state Hamiltonian: zero-field splitting with strain,
-  electron Zeeman, nuclear Zeeman, full-tensor hyperfine coupling and
-  nuclear quadrupole terms, and
-* the secular effective Hamiltonian valid under an axial bias field, which
-  is diagonal in the product basis,
-
-diagonalizes them exactly with LAPACK (``numpy.linalg.eigh``), and extracts the
-electron spin transition frequencies used by the spectrum model.
+the full ground-state Hamiltonian (zero-field splitting with strain,
+electron Zeeman, nuclear Zeeman, full-tensor hyperfine coupling and nuclear
+quadrupole terms), diagonalizes it exactly with LAPACK
+(``numpy.linalg.eigh``), and extracts the electron spin transition
+frequencies; under an axial bias field it also evaluates them from the
+secular model, whose Hamiltonian is diagonal in the product basis, without
+building a matrix. The spectrum model uses the secular frequencies.
 
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
@@ -306,11 +304,6 @@ def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...]
     return tuple(itertools.product(*(s.projections for s in species)))
 
 
-def product_basis(sys: SpinSystem) -> list[tuple[float, tuple[float, ...]]]:
-    """Basis labels (m_S, (m_1, m_2, m_3)) in Kronecker (row) order."""
-    return [(ms, label) for ms in MS_VALUES for label in nuclear_labels(sys)]
-
-
 def nuclear_labels(sys: SpinSystem) -> list[tuple[float, ...]]:
     """All (m_1, m_2, m_3) product states in basis order."""
     return list(_label_table(tuple(s.species for s in sys.sites)))
@@ -326,24 +319,6 @@ def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- Hamiltonian builders --------------------------------------------------
-
-def build_effective_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
-    """Secular Hamiltonian D*Sz^2 + gamma_e*Bz*Sz + Sz * sum_j A_zz_j * Iz_j.
-
-    Valid for an axial bias field away from the level anticrossings. Only the
-    A_zz component of each hyperfine tensor enters; the include flags are
-    ignored. The result is diagonal in the product basis.
-    """
-    if not sys.electron.is_axial:
-        raise NonAxialFieldError("effective model requires b_field = (0, 0, Bz)")
-    e = sys.electron
-    azz = [s.a_zz for s in sys.sites]
-    diag = []
-    for ms, label in product_basis(sys):
-        hf = sum(a * m for a, m in zip(azz, label))
-        diag.append(e.d_gs * ms * ms + e.gamma_e * e.b_z * ms + ms * hf)
-    return HermitianMatrix(np.diag(np.array(diag, dtype=complex)))
-
 
 def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     """Full ground-state Hamiltonian in the product basis.

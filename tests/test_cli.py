@@ -217,8 +217,8 @@ def test_schema_rejects_bool_seed(tmp_path, capsys):
          "raman.points[0].boron_frac_10", "dict"),
         ("raman", {"points": [{"nitrogen_frac_15": 0.5}, {"nitrogen_frac_15": None}]},
          "raman.points[1].nitrogen_frac_15", "NoneType"),
-        ("validate", {"slope_ratio_bounds": [1.0, None]},
-         "validate.slope_ratio_bounds[1]", "NoneType"),
+        ("polarization", {"areas": {"-1.5": True}, "m_max": 1.5},
+         "polarization.areas.-1.5", "bool"),
         ("polarization", {"areas": {"-1.5": 1.0, "1.5": [2.0]}, "m_max": 1.5},
          "polarization.areas.1.5", "list"),
     ],
@@ -402,7 +402,6 @@ def test_quartet_reports_do_not_depend_on_the_seed(tmp_path):
     "command, block",
     [
         ("fit", {"model": "free_lorentzians", "n_lines": 5, "polarization": True}),
-        ("polarization", {"n_lines": 3}),
     ],
 )
 def test_polarization_needs_four_lines(tmp_path, capsys, command, block):
@@ -484,18 +483,37 @@ def test_polarization_nonconvergence_exits_3_with_partial_report(tmp_path, monke
     assert report["polarization"] == 0.0
 
 
-@pytest.mark.parametrize(
+# the two verbs that fit a quartet, and the report each writes
+QUARTET_VERBS = pytest.mark.parametrize(
     "command, block, report_name",
     [
         ("polarization", {}, "polarization.json"),
         ("fit", {"model": "free_lorentzians", "polarization": True}, "fit.json"),
     ],
 )
+
+
+@QUARTET_VERBS
 def test_quartet_fit_on_pure_noise_exits_3(tmp_path, command, block, report_name):
     # no lines at all: every start puts a width on its floor, and the kept
     # fit is a spike, not a converged quartet
+    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 5)
+    assert "every start collapsed a width onto its 1e-6 MHz floor" in diagnostics
+
+
+@QUARTET_VERBS
+def test_quartet_fit_finding_no_lines_exits_3(tmp_path, command, block, report_name):
+    # no start collapses on this draw, but the kept run beats the flat line
+    # only by what noise gives
+    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 1)
+    assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
+
+
+def quartet_fit_of_noise(tmp_path, command, block, report_name, seed):
+    """Run a quartet fit of 1 + noise through the CLI; it exits 3 with a
+    report that says not converged. Returns the fit's diagnostics."""
     grid = default_grid(2308.0)
-    noise = 1.0 + np.random.default_rng(5).normal(0.0, 0.002, grid.size)
+    noise = 1.0 + np.random.default_rng(seed).normal(0.0, 0.002, grid.size)
     csv_path = tmp_path / "noise.csv"
     rows = [f"{float(f)!r},{float(v)!r}" for f, v in zip(grid, noise)]
     csv_path.write_text("\n".join(["frequency_mhz,ratio"] + rows) + "\n", encoding="utf-8")
@@ -504,13 +522,14 @@ def test_quartet_fit_on_pure_noise_exits_3(tmp_path, command, block, report_name
     assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 3
     report = json.loads((out / report_name).read_text())
     assert report["fit"]["converged"] is False
-    assert "every start collapsed a width onto its 1e-6 MHz floor" in report["fit"]["diagnostics"]
+    return report["fit"]["diagnostics"]
 
 
 def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     from vbodmr.spin_core import CharacterAmbiguityError
 
-    # the RuntimeError handler comes last; none of these may be caught by it
+    # the exit-1 handler, which catches RuntimeError, comes last; none of
+    # these may be caught by it
     for handled in (SchemaError, IngestError, cli.NonConvergenceError):
         assert not issubclass(handled, RuntimeError)
 
@@ -606,78 +625,63 @@ def test_validate_default_passes(tmp_path):
     }
 
 
-def test_validate_injected_wrong_ladder_fails(tmp_path):
-    config = write_config(
-        tmp_path,
-        {"validate": {"ladder_table": {"0": [1, 3, 6, 8, 6, 3, 1]}}},
-    )
+def test_validate_injected_wrong_ladder_fails(tmp_path, monkeypatch):
+    # a wrong brute-force row for configuration #0 (8 where 7 belongs)
+    wrong = {**validate.brute_force_ladder_table(), 0: [1, 3, 6, 8, 6, 3, 1]}
+    monkeypatch.setattr(validate, "brute_force_ladder_table", lambda: wrong)
     out = tmp_path / "val"
-    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert cli.main(["validate", "--out", str(out), "--quiet"]) == 1
     report = json.loads((out / "validate.json").read_text())
+    assert report["passed"] is False
     ladder = next(g for g in report["groups"] if g["name"] == "ladder")
     assert ladder["passed"] is False
-    assert ladder["mismatches"]
-
-
-def test_validate_ladder_table_needs_json_integers(tmp_path, capsys):
-    # 1.9 and true would truncate to the correct first-row entries 1 and 1
-    table = {"0": [1.9, 3, 6, 7, 6, 3, True], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],
-             "3": [1, 3, 3, 1]}
-    config = write_config(tmp_path, {"validate": {"ladder_table": table}})
-    out = tmp_path / "val"
-    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == (
-        "config error: validate.ladder_table must map n15_count to integer lists\n"
-    )
-    assert not out.exists()
-
-
-def test_validate_ladder_table_accepts_only_keys_0_to_3(tmp_path, capsys):
-    # int() read "00" as 0, so the right row under "00" overrode the wrong
-    # one under "0", and the table for a #9 that does not exist was ignored
-    table = {"0": [1, 3, 6, 8, 6, 3, 1], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],
-             "3": [1, 3, 3, 1], "00": [1, 3, 6, 7, 6, 3, 1], "9": [4]}
-    config = write_config(tmp_path, {"validate": {"ladder_table": table, "oracle_draws": 1}})
-    out = tmp_path / "val"
-    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == (
-        'config error: validate.ladder_table keys must be "0" to "3", not "00", "9"\n'
-    )
-    assert not out.exists()
+    assert ladder["mismatches"] == [
+        {"n15_count": 0, "computed": [1, 3, 6, 7, 6, 3, 1], "expected": [1, 3, 6, 8, 6, 3, 1]}
+    ]
 
 
 def test_config_key_given_twice_is_a_schema_error(tmp_path, capsys):
-    # json.loads keeps the last of two equal keys: the right row for #0
-    # would override the wrong one
+    # json.loads keeps the last of two equal keys: the second area for
+    # m_tot = 1.5 would silently replace the first
     config = tmp_path / "config.json"
     config.write_text(
-        '{"validate": {"oracle_draws": 1, "ladder_table": {"0": [1, 3, 6, 8, 6, 3, 1],'
-        ' "0": [1, 3, 6, 7, 6, 3, 1], "1": [1, 3, 5, 5, 3, 1], "2": [1, 3, 4, 3, 1],'
-        ' "3": [1, 3, 3, 1]}}}'
+        '{"polarization": {"m_max": 1.5, "areas": {"-1.5": 1.0, "1.5": 2.0, "1.5": 3.0}}}'
     )
-    out = tmp_path / "val"
-    assert cli.main(["validate", "--config", str(config), "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == 'config error: key "0" is given more than once\n'
+    out = tmp_path / "pol"
+    assert cli.main(["polarization", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == 'config error: key "1.5" is given more than once\n'
     assert not out.exists()
 
 
-def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path):
-    config = write_config(tmp_path, {"validate": {"eigensolver_tolerance": 1e-18}})
+def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path, monkeypatch):
+    monkeypatch.setattr(validate, "DEFAULT_EIGEN_TOLERANCE", 1e-18)
     out = tmp_path / "val"
-    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert cli.main(["validate", "--out", str(out), "--quiet"]) == 1
     report = json.loads((out / "validate.json").read_text())
+    assert report["passed"] is False
     eig = next(g for g in report["groups"] if g["name"] == "eigensolver")
     assert eig["passed"] is False
     assert eig["measured_residual"] > 1e-18
     assert eig["tolerance"] == 1e-18
 
 
-@pytest.mark.parametrize("draws", [0, -1])
-def test_validate_rejects_nonpositive_oracle_draws(tmp_path, capsys, draws):
-    config = write_config(tmp_path, {"validate": {"oracle_draws": draws}})
-    out = tmp_path / "val"
-    assert cli.main(["validate", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert "validate.oracle_draws must be >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("validate", "eigensolver_tolerance", 1e-9),
+        ("validate", "ladder_table", {"0": [1, 3, 6, 7, 6, 3, 1]}),
+        ("validate", "oracle_draws", 25),
+        ("validate", "slope_ratio_bounds", [1.75, 1.85]),
+        ("polarization", "n_lines", 4),
+    ],
+)
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, key, value):
+    # the self-check's thresholds and tables are fixed, and a quartet has
+    # four lines: none of these is a setting, even at its old default
+    config = write_config(tmp_path, {command: {key: value}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: unknown key '{command}.{key}'\n"
     assert not out.exists()
 
 
@@ -697,12 +701,6 @@ def test_eigensolver_group_solves_the_full_hamiltonian_of_each_isotope_pattern(m
     assert group["passed"] and 0.0 < group["measured_residual"] <= 1e-12
     assert [n15 for n15, _ in seen] == [0, 1, 2, 3]
     assert min(off for _, off in seen) > 10.0
-
-
-@pytest.mark.parametrize("draws", [0, -1])
-def test_oracle_equivalence_requires_a_draw(draws):
-    with pytest.raises(ValueError, match="draws must be >= 1"):
-        validate.check_oracle_equivalence(draws)
 
 
 def test_usage_error_exits_1():
@@ -755,7 +753,7 @@ def test_runaway_input_exits_1_with_one_line(tmp_path, capsys, command, raw, mes
          ' "linewidth_mhz": 50.0, "p15": 1.0, "a15_mhz": -Infinity}, "model_b":'
          ' {"f_center_mhz": 2308.0, "contrast": 0.1, "linewidth_mhz": 50.0, "p15": 0.0}}}',
          "-Infinity"),
-        ("validate", '{"validate": {"ladder_table": {"0": [1e400]}}}', "1e400"),
+        ("polarization", '{"polarization": {"areas": {"0.5": 1e400}, "m_max": 1.5}}', "1e400"),
     ],
     ids=["nan-coupling", "infinite-coupling", "overflowing-literal"],
 )
@@ -856,7 +854,7 @@ JUNK = st.recursive(
 )
 # keys that set the runtime keep a small size (the oversized ones have
 # their own example tests above); other types of junk still reach them
-SIZE_KEYS = {"points": 2001, "n_lines": 8, "oracle_draws": 2}
+SIZE_KEYS = {"points": 2001, "n_lines": 8}
 
 MODEL = st.fixed_dictionaries(
     {
@@ -923,7 +921,7 @@ def verb_blocks(csv_path: str) -> dict:
                 "m_max": st.just(1.5),
             }
         )
-        | st.fixed_dictionaries({"input_csv": st.just(csv_path)}, optional={"n_lines": n_lines}),
+        | st.fixed_dictionaries({"input_csv": st.just(csv_path)}),
         "raman": st.fixed_dictionaries(
             {
                 "points": st.lists(
@@ -935,17 +933,7 @@ def verb_blocks(csv_path: str) -> dict:
                 )
             }
         ),
-        "validate": st.fixed_dictionaries(
-            {},
-            optional={
-                "eigensolver_tolerance": st.floats(1e-15, 1e-6),
-                "ladder_table": st.dictionaries(
-                    st.sampled_from(["0", "3"]), st.lists(st.integers(0, 8), max_size=8), max_size=2
-                ),
-                "oracle_draws": st.integers(1, SIZE_KEYS["oracle_draws"]),
-                "slope_ratio_bounds": st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2),
-            },
-        ),
+        "validate": st.just({}),
     }
 
 

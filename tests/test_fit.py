@@ -930,8 +930,9 @@ def test_free_fit_runs_its_starts_lowest_cost_first(monkeypatch):
 
 def test_free_fit_stop_rule_is_a_relative_1e_6_in_residual_rms(monkeypatch):
     # stubbed runs: the second ends 2e-6 above the first, so the rule runs a
-    # third, 5e-7 below the first; the first is then within 1e-6 of it
-    ends = iter([1.0, 1.0 + 2e-6, 1.0 - 5e-7, 1.0, 1.0])
+    # third, 5e-7 below the first; the first is then within 1e-6 of it. They
+    # end at the noise level, 0.002, far below the flat line's RMS.
+    ends = iter(0.002 * np.array([1.0, 1.0 + 2e-6, 1.0 - 5e-7, 1.0, 1.0]))
     made = []
 
     def stub(problem, p0, bounds, names):
@@ -957,6 +958,18 @@ def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
         best, converged=False, diagnostics=best.diagnostics + (note,)
     )
     assert fit_fields(res) == fit_fields(flagged)
+
+
+def test_free_fit_on_pure_noise_finds_no_lines():
+    # a run that beats the flat line y = 1 by a chi^2 that noise alone gives
+    # is not a converged quartet, whether its starts collapsed or not
+    grid = default_grid(2308.0)
+    for seed in range(40):
+        noise = 1.0 + np.random.default_rng(seed).normal(0.0, 0.002, grid.size)
+        res = fit_free_lorentzians(MeasuredSpectrum(grid, noise), 4)
+        assert not res.converged, seed
+        notes = [d for d in res.diagnostics if d.startswith(("no lines:", "every start"))]
+        assert len(notes) == 1, seed
 
 
 def test_free_fit_fallback_keeps_a_run_with_wide_lines_converged(monkeypatch):
