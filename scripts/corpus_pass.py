@@ -6,37 +6,35 @@ Runs each of the 40 rounds of the ``fit_batch`` workload once, from corpus
 entry 0, through ``bench/workloads.FitBatch`` and its own check. Prints, per
 slot (op_a fixed-p15 fits, op_b free-p15 fits, op_c quartet fits), the
 operations that fail the check, the LM iterations of the fits the operations
-return (``lm_iter``), the LM iterations of every ``lm_minimize`` run that
-returned, discarded multi-start runs and restarts included (``lm_iter_all``),
-the ``lm_minimize`` runs made, abandoned ones included (``runs``: a quartet
-fit makes one per start it tries, so starts skipped by its stop rule show as
-fewer runs), the ``lm_minimize`` runs abandoned mid-way (``abandoned``:
-quartet starts that put a width on its floor; their iterations are in no
-column), the residual evaluations of every ``lm_minimize`` run, abandoned
-ones and rejected trial points included (``evals``; the quartet fit's one
-residual per start, by which it orders its starts, is outside any run and
-in no column), the trial points those runs discarded (``rejected``:
-``evals`` less the initial and accepted points, whose Jacobians the LM asks
-for; a stalled run's last trials are among them), the fits that report
-``converged``, the CPU seconds (``cpu_s``, ``time.process_time``) and minor
-page faults (``minflt``, ``ru_minflt`` of this process) spent in the slot's
-operations, the CPU microseconds per residual evaluation (``us_eval``:
-``cpu_s`` over ``evals``, so it holds the Jacobians and the slot's other
-work too), and a sha256 over every operation's values, sigmas, iterations
-and diagnostics. Then it prints
-that sha256 per slot and over all slots. Two checkouts print the same digest
-only when every fit is bit-identical. ``cpu_s``, ``minflt`` and ``us_eval``
-vary from run to run; the page faults show how often the allocator hands
-large temporaries back to the system and takes them again (glibc's heap
-trimming). It also prints ``src_lines``, the ``wc -l`` total of
-``src/vbodmr/*.py`` under the checkout it ran.
+return (``lm_iter``; a quartet fit's adds up its two runs), the LM iterations
+of every ``lm_minimize`` run, restarts included (``lm_iter_all``), the
+``lm_minimize`` runs made (``runs``: a quartet fit makes two, its projected
+run and its polish, or one of no iterations on a spectrum with no lines),
+the residual evaluations of every ``lm_minimize`` run, rejected trial points
+included (``evals``; the quartet fit's evaluation of its start for the
+no-line test is outside any run and in no column), the trial points those
+runs discarded (``rejected``: ``evals`` less the initial and accepted
+points, whose Jacobians the LM asks for; a stalled run's last trials are
+among them), the fits that report ``converged``, the CPU seconds
+(``cpu_s``, ``time.process_time``) and minor page faults (``minflt``,
+``ru_minflt`` of this process) spent in the slot's operations, the CPU
+microseconds per residual evaluation (``us_eval``: ``cpu_s`` over
+``evals``, so it holds the Jacobians and the slot's other work too), and a
+sha256 over every operation's values, sigmas, iterations and diagnostics.
+Then it prints that sha256 per slot and over all slots. Two checkouts print
+the same digest only when every fit is bit-identical. ``cpu_s``, ``minflt``
+and ``us_eval`` vary from run to run; the page faults show how often the
+allocator hands large temporaries back to the system and takes them again
+(glibc's heap trimming). It also prints ``src_lines``, the ``wc -l`` total
+of ``src/vbodmr/*.py`` under the checkout it ran.
 
 With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
 child process) and prints, per slot, the operations whose outcome (pass or
 fail) or ``lm_iter`` differs between the two, and the largest relative
 change of any fitted value and of any sigma, so a change that moves the
 digest by a few ulps can show that no outcome moved, and ``src_lines`` of
-both checkouts.
+both checkouts. For op_c it also prints the largest change of the
+polarization P in units of the other checkout's sigma(P).
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -68,17 +66,24 @@ def fit_record(out) -> str:
     )
 
 
-def op_record(out, reason) -> dict:
-    """Outcome, iterations, values and sigmas of one operation, for --against."""
+def op_record(out, reason, slot) -> dict:
+    """Outcome, iterations, values and sigmas of one operation, for --against;
+    a quartet's (op_c) also P and sigma(P)."""
     if isinstance(out, Exception):
         return {"failed": reason is not None, "lm_iter": None, "values": {}, "sigmas": {}}
     res = out[0]
-    return {
+    record = {
         "failed": reason is not None,
         "lm_iter": res.iterations,
         "values": dict(res.values),
         "sigmas": dict(res.sigmas),
     }
+    if slot == "op_c":
+        from vbodmr.analysis import polarization_from_quartet_fit
+
+        report = polarization_from_quartet_fit(res)
+        record["polarization"] = (report.polarization, report.sigma)
+    return record
 
 
 def relative_change(new: float, old: float) -> float:
@@ -98,7 +103,8 @@ def src_lines(root: Path) -> int:
 
 def compare(records: list, other: list, other_root: str) -> None:
     """Per slot: operations whose outcome or lm_iter moved, and the largest
-    relative change of values and of sigmas against the other checkout."""
+    relative change of values and of sigmas against the other checkout; for
+    op_c, the largest |delta P| in units of the other checkout's sigma(P)."""
     print(f"against {other_root}")
     if [(m["round"], m["slot"], m["k"]) for m in records] != [
         (t["round"], t["slot"], t["k"]) for t in other
@@ -107,6 +113,7 @@ def compare(records: list, other: list, other_root: str) -> None:
     for s in SLOTS:
         moved = []
         worst = {"values": (0.0, None), "sigmas": (0.0, None)}
+        worst_p = (0.0, None)
         for mine, theirs in zip(records, other):
             if mine["slot"] != s:
                 continue
@@ -122,12 +129,21 @@ def compare(records: list, other: list, other_root: str) -> None:
                     change = relative_change(mine[column].get(name, math.nan), old)
                     if change > worst[column][0]:
                         worst[column] = (change, f"{where} {name}")
+            if "polarization" in mine and "polarization" in theirs:
+                (p, _), (p_other, sigma) = mine["polarization"], theirs["polarization"]
+                shift = abs(p - p_other) / sigma if sigma else (0.0 if p == p_other else math.inf)
+                if shift > worst_p[0]:
+                    worst_p = (shift, where)
         print(f"{s}: {len(moved)} operations changed outcome or lm_iter")
         for line in moved:
             print(line)
         for column, (change, where) in worst.items():
             at = f" ({where})" if where else ""
             print(f"{s}: largest relative change of {column} {change:.3g}{at}")
+        if s == "op_c":
+            shift, where = worst_p
+            at = f" ({where})" if where else ""
+            print(f"{s}: largest |delta P| {shift:.3g} sigma(P) of the other checkout{at}")
 
 
 def main() -> None:
@@ -148,30 +164,25 @@ def main() -> None:
     from workloads import FitBatch
     from vbodmr import fit
 
-    # iterations of every lm_minimize call that returned, kept or discarded,
-    # the calls abandoned by an exception, the residual evaluations of all,
-    # the number of calls and the Jacobians asked for (one per accepted point)
-    all_runs = [0, 0, 0, 0, 0]
+    # iterations of every lm_minimize call, kept or discarded, the residual
+    # evaluations of all, the number of calls and the Jacobians asked for
+    # (one per accepted point)
+    all_runs = [0, 0, 0, 0]
     lm_minimize = fit.lm_minimize
-    abandon = getattr(fit, "_WidthCollapse", ())  # () catches nothing
 
     def counted_lm_minimize(problem, *a, **kw):
         def counted(p):
-            all_runs[2] += 1
+            all_runs[1] += 1
             res, jacobian = problem(p)
 
             def accepted():
-                all_runs[4] += 1
+                all_runs[3] += 1
                 return jacobian()
 
             return res, accepted
 
-        all_runs[3] += 1
-        try:
-            result = lm_minimize(counted, *a, **kw)
-        except abandon:
-            all_runs[1] += 1
-            raise
+        all_runs[2] += 1
+        result = lm_minimize(counted, *a, **kw)
         all_runs[0] += result.iterations
         return result
 
@@ -183,7 +194,6 @@ def main() -> None:
     iterations = {s: 0 for s in SLOTS}
     iterations_all = {s: 0 for s in SLOTS}
     runs = {s: 0 for s in SLOTS}
-    abandoned = {s: 0 for s in SLOTS}
     evals = {s: 0 for s in SLOTS}
     rejected = {s: 0 for s in SLOTS}
     converged = {s: 0 for s in SLOTS}
@@ -202,13 +212,12 @@ def main() -> None:
             cpu_s[slot] += time.process_time() - cpu
             minflt[slot] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             iterations_all[slot] += all_runs[0] - before[0]
-            runs[slot] += all_runs[3] - before[3]
-            abandoned[slot] += all_runs[1] - before[1]
-            evals[slot] += all_runs[2] - before[2]
-            rejected[slot] += all_runs[2] - before[2] - (all_runs[4] - before[4])
+            runs[slot] += all_runs[2] - before[2]
+            evals[slot] += all_runs[1] - before[1]
+            rejected[slot] += all_runs[1] - before[1] - (all_runs[3] - before[3])
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
-                records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason)})
+                records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason, slot)})
                 record = fit_record(out)
                 digest.update(record.encode())
                 slot_digest[slot].update(record.encode())
@@ -228,13 +237,13 @@ def main() -> None:
     print(f"root {root}")
     print(
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
-        f" {'runs':>5} {'abandoned':>9} {'evals':>6} {'rejected':>8} {'converged':>9}"
+        f" {'runs':>5} {'evals':>6} {'rejected':>8} {'converged':>9}"
         f" {'cpu_s':>7} {'minflt':>8} {'us_eval':>7}"
     )
     for s in SLOTS:
         print(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
-            f" {iterations_all[s]:11d} {runs[s]:5d} {abandoned[s]:9d} {evals[s]:6d}"
+            f" {iterations_all[s]:11d} {runs[s]:5d} {evals[s]:6d}"
             f" {rejected[s]:8d} {converged[s]:9d} {cpu_s[s]:7.3f} {minflt[s]:8d}"
             f" {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
         )

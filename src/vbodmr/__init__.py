@@ -10,7 +10,6 @@ from .spin_core import (
     TransitionSet,
     axial_site,
     build_full_hamiltonian,
-    dipolar_azz,
     eigen_hermitian,
     make_system,
     transition_frequencies,
@@ -34,7 +33,6 @@ from .fit import (
     MeasuredSpectrum,
     fit_free_lorentzians,
     fit_physical,
-    fit_pl_saturation,
     lm_minimize,
 )
 from .analysis import (

@@ -10,17 +10,12 @@ GAMMA_E_MHZ_PER_MT = 28.0       # electron spin of the V_B defect
 GAMMA_N14_KHZ_PER_MT = 3.077    # 14N nuclear spin (I = 1)
 GAMMA_N15_KHZ_PER_MT = -4.316   # 15N nuclear spin (I = 1/2)
 
-# Zero-field splittings
+# Zero-field splitting
 D_GS_TYPICAL_MHZ = 3450.0       # typical ground-state value
-D_ES_MHZ = 2130.0               # excited state; used for ESLAC field estimates only
 
 # Default hyperfine couplings (axial component, nearest-neighbor nitrogen)
 A14_DEFAULT_MHZ = 43.0
 A15_DEFAULT_MHZ = -64.0         # sign is a convention; fits report magnitude only
-
-# SI constants (CODATA 2018 / SI 2019 exact)
-MU0_SI = 1.25663706212e-6       # vacuum permeability, T^2 m^3 / J
-H_PLANCK_SI = 6.62607015e-34    # Planck constant, J s
 
 # Atomic masses (u) and the natural 10B abundance
 MASS_B10 = 10.0129

@@ -1,18 +1,16 @@
 """Nonlinear least-squares estimation of spectrum parameters.
 
-Three fit families are provided on top of a small Levenberg-Marquardt core:
+Two fit families are provided on top of a small Levenberg-Marquardt core:
 
 * ``fit_physical`` - the binomial mixture of the four configurations,
   couplings fitted signed and reported as magnitudes; its residual and
   closed-form Jacobian share one line pass in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
-  depths and widths, used for line-area and polarization analysis, with a
-  closed-form Jacobian and up to five fixed starts, run lowest initial
-  cost first until two of them end at the lowest cost (within 1e-6
-  relative in residual RMS), each dropped once it puts a width on its
-  1e-6 MHz floor,
-* ``fit_pl_saturation`` - the photoluminescence saturation curve
-  I(P) = I_max * P / (P + P_sat), with a closed-form Jacobian.
+  depths and widths, used for line-area and polarization analysis: one
+  start, a run with the depths solved in closed form at every point
+  (variable projection, Kaufman's Jacobian), then a polish of the full
+  problem with its closed-form Jacobian; a start no better than the flat
+  line by a chi^2 of 100 is returned unfitted as having no lines.
 
 The LM core sets its damping by the gain ratio of each step (Madsen,
 Nielsen & Tingleff 2004) and respects box bounds with a projected step: a
@@ -77,14 +75,21 @@ class MeasuredSpectrum:
             raise ValueError("frequencies and ratios must be 1-d arrays of equal length")
         if f.size < 8:
             raise ValueError(f"insufficient samples: need >= 8, got {f.size}")
+        if not (np.isfinite(f).all() and np.isfinite(r).all()):
+            raise ValueError("frequencies and ratios must be finite")
         order = np.argsort(f, kind="stable")
         f = f[order]
         r = r[order]
         s = self.sigmas
         if s is not None:
-            s = np.array(s, dtype=float)[order]
+            s = np.array(s, dtype=float)
+            if s.shape != f.shape:
+                raise ValueError("sigmas must have one value per sample")
             if np.any(s <= 0):
                 raise ValueError("sigma values must be positive")
+            if not np.isfinite(s).all():
+                raise ValueError("sigma values must be finite")
+            s = s[order]
             s.setflags(write=False)
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be distinct")
@@ -572,33 +577,41 @@ def initial_free_guess(meas: MeasuredSpectrum, n_lines: int) -> FreeLorentzianMo
     )
 
 
+def _dip_rows(u: np.ndarray, g: np.ndarray, profiles: np.ndarray, depths, widths) -> np.ndarray:
+    """The derivatives of the dip sum_k d_k L_k over (f_first, spacing,
+    width_1..n) as (2 + n, grid) rows, from the ``_free_profiles`` pass of
+    the point: d/dc_k = d_k 2 u L_k^2 / g_k (summed over k for f_first,
+    k-weighted for spacing) and d/dw_k = d_k 2 (L_k - L_k^2) / w_k."""
+    n_lines = profiles.shape[0]
+    depths = np.asarray(depths)[:, None]
+    square = profiles * profiles
+    center = u * square
+    center *= 2.0 * depths / g
+    rows = np.empty((2 + n_lines, profiles.shape[1]))
+    rows[0] = center.sum(axis=0)
+    rows[1] = np.arange(n_lines) @ center
+    np.subtract(profiles, square, out=rows[2:])
+    rows[2:] *= 2.0 * depths / np.asarray(widths)[:, None]
+    return rows
+
+
 def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
     """n equally spaced Lorentzians over p = (f_first, spacing, depth_1..n,
     width_1..n) as an ``lm_minimize`` problem, residual and closed-form
-    Jacobian weighted by 1/sigma when the spectrum carries sigmas. With r = 1 - sum_k d_k L_k - y:
-    dr/dc_k = -d_k 2 u L^2 / g (summed over k for f_first, k-weighted for
-    spacing), dr/dd_k = -L_k, dr/dw_k = -d_k 2 (L_k - L_k^2) / w_k."""
+    Jacobian weighted by 1/sigma when the spectrum carries sigmas. With
+    r = 1 - sum_k d_k L_k - y: dr/dd_k = -L_k, and the f_first, spacing and
+    width columns are minus ``_dip_rows``."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
-    rungs = np.arange(n_lines)
 
     def problem(p: np.ndarray):
         u, g, profiles = _free_profiles(grid, p[0], p[1], p[2 + n_lines :])
         res = 1.0 - p[2 : 2 + n_lines] @ profiles - y
 
         def jacobian() -> np.ndarray:
-            depths = p[2 : 2 + n_lines, None]
-            square = profiles * profiles
-            center = u * square
-            center *= 2.0 * depths / g
-            # rows of the dip sum_k d_k L_k, negated below: r = 1 - dip - y
-            jac = np.empty((2 + 2 * n_lines, grid.size))
-            jac[0] = center.sum(axis=0)
-            jac[1] = rungs @ center
-            jac[2 : 2 + n_lines] = profiles
-            np.subtract(profiles, square, out=jac[2 + n_lines :])
-            jac[2 + n_lines :] *= 2.0 * depths / p[2 + n_lines :, None]
+            rows = _dip_rows(u, g, profiles, p[2 : 2 + n_lines], p[2 + n_lines :])
+            jac = np.concatenate([rows[:2], profiles, rows[2:]])
             jac *= -1.0 if weights is None else -weights
             return jac.T
 
@@ -607,17 +620,39 @@ def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
     return problem
 
 
-# The quartet multi-start stops once two runs end within this relative
-# residual RMS of the lowest.
-_START_AGREEMENT = 1e-6
-# A free-Lorentzian run that lowers the chi^2 of the flat line y = 1 by less
-# than this found no lines (40 noise draws: <= 31; corpus quartets: >= 18 641).
+def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
+    """The free Lorentzians by variable projection (Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 1973) over q = (f_first, spacing, width_1..n). At each
+    point the depths are the least-squares solution, by one QR of the
+    weighted profiles, against the weighted 1 - y, and the residual is the
+    part of it off the profiles' span. The Jacobian is Kaufman's (BIT 15,
+    1975): the full problem's f_first, spacing and width columns at those
+    depths, projected off that span. Returns the ``lm_minimize`` problem and
+    point(q) -> (depths, residual, Jacobian thunk)."""
+    grid = meas.frequencies
+    weights = 1.0 / meas.sigmas if meas.sigmas is not None else np.ones(grid.size)
+    target = (1.0 - meas.ratios) * weights
+
+    def point(q: np.ndarray):
+        u, g, profiles = _free_profiles(grid, q[0], q[1], q[2:])
+        basis, tri = np.linalg.qr((profiles * weights).T)
+        coef = basis.T @ target
+        depths = np.linalg.solve(tri, coef)
+
+        def jacobian() -> np.ndarray:
+            jac = _dip_rows(u, g, profiles, depths, q[2:]).T * -weights[:, None]
+            jac -= basis @ (basis.T @ jac)
+            return jac
+
+        return depths, target - basis @ coef, jacobian
+
+    return (lambda q: point(q)[1:]), point
+
+
+# A free-Lorentzian start that lowers the chi^2 of the flat line y = 1 by
+# less than this has no lines to fit (at the projected start, 40 noise
+# draws: <= 14; corpus quartets: >= 2552).
 _NO_LINE_DCHI2 = 100.0
-
-
-class _WidthCollapse(Exception):
-    """A free-Lorentzian start reached an accepted point with a width on its
-    lower bound: one line has become a spike on a single sample."""
 
 
 def fit_free_lorentzians(
@@ -627,28 +662,24 @@ def fit_free_lorentzians(
 ) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    Has five starts, the initial guess and four perturbed copies of it
-    drawn from ``default_rng(0)`` (so a spectrum always gives the same
-    fit), and runs them lowest initial cost first, as multistart methods
-    order their local searches (Rinnooy Kan & Timmer, Math. Programming 39,
-    1987). It stops as soon as two runs have ended with a residual RMS
-    within a relative 1e-6 of the lowest so far: that minimum has been
-    found twice, and the rest would most likely find it again. The
-    lowest-cost run made is kept. A start is dropped at the first accepted
-    LM point with a width on its 1e-6 MHz lower bound: that line is a spike
-    on one sample, and such runs crawl for hundreds of iterations to at best
-    tie a start that did not collapse. When every start is dropped (pure
-    noise, say), the same starts are rerun unchecked under the same stop
-    rule and the lowest cost is kept. If a line of it is narrower than the
-    grid's smallest sample spacing, it is a spike: the fit is returned with
-    ``converged`` False and a diagnostic says so. Otherwise the starts
-    touched the floor only on the way, and the fit stands as the LM ended
-    it. A kept run that lowers the chi^2 of the flat line y = 1 by less than
-    ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k), as in the covariance) found
-    no lines, and is returned with ``converged`` False and a diagnostic. The
-    positive-spacing bound keeps the reported lines ordered by center
-    frequency. The 2 + 2 n parameters may not outnumber the samples. The
-    Jacobian is closed-form (``_free_problem``).
+    One start, the centers and widths of ``init`` (its depths are unused),
+    so a spectrum always gives the same fit. Two LM runs follow it. The
+    first runs over the centers and widths alone, the depths solved in
+    closed form at every point (``_projected_problem``). The second, the
+    polish, runs the full problem (``_free_problem``) from where the first
+    ended, with the depths bounded at >= 0, and gives the reported values
+    and the covariance of all 2 + 2 n parameters; ``iterations`` adds up
+    both runs. A line whose projected depth is negative enters the polish
+    at depth 0 and its start width. The widths are bounded above by the
+    grid's span: a weak line could otherwise widen without end into the
+    baseline. The positive-spacing bound keeps the reported lines ordered
+    by center frequency.
+
+    Before any run, a start that lowers the chi^2 of the flat line y = 1 by
+    less than ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k), as in the
+    covariance) has no lines to fit: it is returned as it is, with
+    ``iterations`` 0, ``converged`` False and a ``no lines`` diagnostic.
+    The 2 + 2 n parameters may not outnumber the samples.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -667,71 +698,37 @@ def fit_free_lorentzians(
         + [f"depth_{m + 1}" for m in range(n_lines)]
         + [f"width_{m + 1}" for m in range(n_lines)]
     )
-    lower = [-np.inf, 1e-9] + [0.0] * n_lines + [1e-6] * n_lines
-    bounds = (lower, [np.inf] * len(names))
-
+    span = float(meas.frequencies[-1] - meas.frequencies[0])
+    lower = np.array([-np.inf, 1e-9] + [1e-6] * n_lines)
+    upper = np.array([np.inf, np.inf] + [span] * n_lines)
+    bounds = (np.insert(lower, 2, [0.0] * n_lines), np.insert(upper, 2, [np.inf] * n_lines))
+    q0 = np.clip([init.f_first, init.spacing, *init.widths], lower, upper)
+    projected, point = _projected_problem(meas, n_lines)
     problem = _free_problem(meas, n_lines)
 
-    def guarded(p: np.ndarray):
-        res, jacobian = problem(p)
+    def full(q: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """The full problem's point at q and its projected depths; a line
+        with a negative depth enters at depth 0 and its start width."""
+        negative = depths < 0.0
+        widths = np.where(negative, q0[2:], q[2:])
+        return np.concatenate([q[:2], np.where(negative, 0.0, depths), widths])
 
-        def checked() -> np.ndarray:
-            if np.any(p[2 + n_lines :] <= lower[-1]):
-                raise _WidthCollapse
-            return jacobian()
-
-        return res, checked
-
-    p_init = np.array(
-        [init.f_first, init.spacing] + list(init.depths) + list(init.widths)
-    )
-    rng = np.random.default_rng(0)
-    starts = [p_init]
-    for _ in range(4):
-        p0 = p_init.copy()
-        p0[0] += rng.normal(0.0, 0.2) * max(init.spacing, 1.0)
-        p0[1] *= math.exp(rng.normal(0.0, 0.2))
-        p0[2 : 2 + n_lines] *= np.exp(rng.normal(0.0, 0.3, n_lines))
-        p0[2 + n_lines :] *= np.exp(rng.normal(0.0, 0.3, n_lines))
-        starts.append(np.clip(p0, *bounds))
-
-    def start_cost(p0: np.ndarray) -> float:
-        res = problem(p0)[0]
-        return float(res @ res)
-
-    starts.sort(key=start_cost)  # the lowest cost first
-
-    def lowest(problem: Problem) -> FitResult | None:
-        """The lowest-cost run of the starts, run in order until two are at
-        it; None when every start collapsed."""
-        runs, best = [], None
-        for p0 in starts:
-            try:
-                runs.append(lm_minimize(problem, p0, bounds, names))
-            except _WidthCollapse:
-                continue
-            best = min(runs, key=lambda result: result.residual_norm)
-            tie = best.residual_norm * (1.0 + _START_AGREEMENT)
-            if sum(run.residual_norm <= tie for run in runs) >= 2:
-                break
-        return best
-
-    best = lowest(guarded)
-    if best is None:
-        best = lowest(problem)
-        narrowest = min(best.values[name] for name in names[2 + n_lines :])
-        if narrowest < np.diff(meas.frequencies).min():
-            note = "every start collapsed a width onto its 1e-6 MHz floor"
-            return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
-        # else the collapses were on the way: no line of the kept run is a spike
     flat = (1.0 - meas.ratios) / (1.0 if meas.sigmas is None else meas.sigmas)
-    ssr = best.residual_norm**2 * meas.n_samples
+    depths, res, _ = point(q0)
+    ssr = float(res @ res)
     # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
     drop = (float(flat @ flat) - ssr) * max(meas.n_samples - len(names), 1)
-    if drop >= _NO_LINE_DCHI2 * ssr:
-        return best
-    note = f"no lines: chi^2 only {drop / ssr:.3g} below the flat line (< {_NO_LINE_DCHI2:g})"
-    return replace(best, converged=False, diagnostics=best.diagnostics + (note,))
+    if not drop > _NO_LINE_DCHI2 * ssr:
+        start = lm_minimize(problem, full(q0, depths), bounds, names, max_iter=0)
+        note = (
+            f"no lines: chi^2 only {drop / max(ssr, 1e-300):.3g} below the flat line"
+            f" (< {_NO_LINE_DCHI2:g})"
+        )
+        return replace(start, diagnostics=start.diagnostics + (note,))
+    run = lm_minimize(projected, q0, (lower, upper), names[:2] + names[2 + n_lines :])
+    q = np.array(list(run.values.values()))
+    polish = lm_minimize(problem, full(q, point(q)[0]), bounds, names)
+    return replace(polish, iterations=run.iterations + polish.iterations)
 
 
 def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:
@@ -744,41 +741,3 @@ def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianMod
         depths=tuple(values[f"depth_{m + 1}"] for m in range(n_lines)),
         widths=tuple(values[f"width_{m + 1}"] for m in range(n_lines)),
     )
-
-
-# --- photoluminescence saturation --------------------------------------------
-
-
-def fit_pl_saturation(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit I(P) = I_max * P / (P + P_sat) to (laser power, PL intensity) data."""
-    pts = [(float(p), float(i)) for p, i in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points")
-    powers = np.array([p for p, _ in pts])
-    intensities = np.array([i for _, i in pts])
-    if np.any(powers <= 0) or len(set(powers.tolist())) != len(pts):
-        raise ValueError("powers must be positive and distinct")
-
-    def problem(p: np.ndarray):
-        i_max, p_sat = p
-
-        def jacobian() -> np.ndarray:
-            # with s = P / (P + P_sat): dr/dI_max = s, dr/dP_sat = -I_max s / (P + P_sat)
-            s = powers / (powers + p_sat)
-            return np.column_stack([s, -i_max * s / (powers + p_sat)])
-
-        return i_max * powers / (powers + p_sat) - intensities, jacobian
-
-    i_max0 = 2.0 * float(intensities.max())
-    p_sat0 = float(np.median(powers))
-    result = lm_minimize(
-        problem,
-        [i_max0, p_sat0],
-        bounds=([1e-12, 1e-12], [np.inf, np.inf]),
-        names=("i_max", "p_sat"),
-    )
-    if result.values["p_sat"] > 50.0 * powers.max():
-        result.diagnostics = result.diagnostics + (
-            "saturation not reached: i_max and p_sat identifiable only jointly",
-        )
-    return result

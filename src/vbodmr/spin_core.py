@@ -40,8 +40,6 @@ from .constants import (
     GAMMA_E_MHZ_PER_MT,
     GAMMA_N14_KHZ_PER_MT,
     GAMMA_N15_KHZ_PER_MT,
-    H_PLANCK_SI,
-    MU0_SI,
 )
 
 HERMITICITY_RTOL = 1e-12
@@ -483,28 +481,3 @@ def _full_transitions(sys: SpinSystem) -> TransitionSet:
         for branch in (1, -1)
     )
     return TransitionSet(entries)
-
-
-# --- point-dipole estimate -------------------------------------------------
-
-def dipolar_azz(
-    distance_nm: float,
-    gamma_n_khz_per_mt: float,
-    gamma_e_mhz_per_mt: float = GAMMA_E_MHZ_PER_MT,
-) -> float:
-    """Point-dipole A_zz (MHz) for an in-plane nucleus at the given distance.
-
-    With the electron localized at the vacancy and the nucleus in the plane,
-    the geometry factor is exactly -1, giving
-    ``-(mu0 / 4 pi) * h * gamma_e * gamma_n / r^3``. This is the dipolar part
-    only; the measured couplings also contain a Fermi contact term, so the
-    result is an order-of-magnitude estimate, not the full A_zz.
-    """
-    if distance_nm <= 0:
-        raise ValueError("distance must be positive")
-    r_m = distance_nm * 1e-9
-    gamma_e_hz_per_t = gamma_e_mhz_per_mt * 1e9
-    gamma_n_hz_per_t = gamma_n_khz_per_mt * 1e6
-    a_hz = -(MU0_SI / (4.0 * math.pi)) * H_PLANCK_SI \
-        * gamma_e_hz_per_t * gamma_n_hz_per_t / r_m**3
-    return a_hz * 1e-6

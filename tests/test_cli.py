@@ -495,16 +495,15 @@ QUARTET_VERBS = pytest.mark.parametrize(
 
 @QUARTET_VERBS
 def test_quartet_fit_on_pure_noise_exits_3(tmp_path, command, block, report_name):
-    # no lines at all: every start puts a width on its floor, and the kept
-    # fit is a spike, not a converged quartet
+    # no lines at all: the start beats the flat line only by what noise
+    # gives, so the fit is returned there, not converged
     diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 5)
-    assert "every start collapsed a width onto its 1e-6 MHz floor" in diagnostics
+    assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
 
 
 @QUARTET_VERBS
 def test_quartet_fit_finding_no_lines_exits_3(tmp_path, command, block, report_name):
-    # no start collapses on this draw, but the kept run beats the flat line
-    # only by what noise gives
+    # a second noise draw ends the same way
     diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 1)
     assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
 

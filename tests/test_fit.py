@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from vbodmr import fit, spectrum
+from vbodmr.analysis import (
+    QUARTET_M_ASSIGNMENT,
+    polarization_from_areas,
+    polarization_from_quartet_fit,
+)
 from vbodmr.fit import (
     FreeLorentzianModel,
     MeasuredSpectrum,
     fit_free_lorentzians,
     fit_physical,
-    fit_pl_saturation,
     free_model_from_result,
     initial_physical_guess,
     lm_minimize,
     _as_magnitudes,
     _free_problem,
+    _projected_problem,
     _line_table,
     _physical_problem,
 )
@@ -42,6 +47,38 @@ def test_measured_spectrum_sorts_and_validates():
         MeasuredSpectrum(np.arange(7.0), np.arange(7.0))  # too few
     with pytest.raises(ValueError):
         MeasuredSpectrum(np.array([1.0, 1.0, 2, 3, 4, 5, 6, 7]), np.arange(8.0))
+
+
+def with_entry(values, index, value):
+    values = np.array(values, dtype=float)
+    values[index] = value
+    return values
+
+
+GRID_10 = np.linspace(2200.0, 2400.0, 10)
+ONES_10 = np.ones(10)
+SIGMAS_10 = np.full(10, 0.002)
+
+
+@pytest.mark.parametrize(
+    "frequencies, ratios, sigmas, message",
+    [
+        (GRID_10, ONES_10, np.full(12, 0.002), "one value per sample"),
+        (GRID_10, ONES_10, SIGMAS_10[:9], "one value per sample"),
+        (GRID_10, ONES_10, with_entry(SIGMAS_10, 3, np.nan), "finite"),
+        (GRID_10, ONES_10, with_entry(SIGMAS_10, 3, np.inf), "finite"),
+        (with_entry(GRID_10, 9, np.nan), ONES_10, None, "finite"),
+        (with_entry(GRID_10, 9, np.inf), ONES_10, None, "finite"),
+        (with_entry(GRID_10, 0, -np.inf), ONES_10, None, "finite"),
+        (GRID_10, with_entry(ONES_10, 4, np.nan), None, "finite"),
+        (GRID_10, with_entry(ONES_10, 4, np.inf), None, "finite"),
+    ],
+    ids=["long_sigmas", "short_sigmas", "nan_sigma", "inf_sigma", "nan_frequency",
+         "inf_frequency", "minus_inf_frequency", "nan_ratio", "inf_ratio"],
+)
+def test_measured_spectrum_rejects_malformed_input(frequencies, ratios, sigmas, message):
+    with pytest.raises(ValueError, match=message):
+        MeasuredSpectrum(frequencies, ratios, sigmas)
 
 
 # --- finite-difference oracle ----------------------------------------------------
@@ -827,137 +864,7 @@ def test_free_fit_needs_as_many_samples_as_parameters():
     assert res.names[-1] == "width_4"
 
 
-def every_start_to_the_end(monkeypatch, meas, n_lines):
-    """Fit, recording the starts it ran and which of them were dropped; then
-    record the five starts of a fit with the stop rule off and run each to
-    the end with the closed-form Jacobian, unchecked."""
-    calls, dropped = [], []
-    real = fit.lm_minimize
-
-    def recording(problem, p0, bounds, names):
-        calls.append((p0, bounds, names))
-        try:
-            return real(problem, p0, bounds, names)
-        except fit._WidthCollapse:
-            dropped.append(len(calls) - 1)
-            raise
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fit, "lm_minimize", recording)
-        result = fit_free_lorentzians(meas, n_lines)
-        n_calls = len(calls)
-        patch.setattr(fit, "_START_AGREEMENT", -np.inf)  # no two runs ever agree
-        fit_free_lorentzians(meas, n_lines)
-    problem = _free_problem(meas, n_lines)
-    runs = [lm_minimize(problem, *call) for call in calls[n_calls : n_calls + 5]]
-    return result, runs, [k for k in dropped if k < n_calls], n_calls
-
-
-def fit_fields(r):
-    return (r.values, r.sigmas, r.covariance.tolist(), r.residual_norm, r.iterations,
-            r.converged, r.diagnostics)
-
-
-POLARIZED = 0.02 * np.array([0.6, 2.2, 3.8, 1.6])
 UNPOLARIZED = 0.03 * np.array([1.0, 3.0, 3.0, 1.0])
-
-
-def noisy_quartet(depths, width, noise_seed):
-    grid, values = quartet_signal(depths, [width] * 4)
-    noise = np.random.default_rng(noise_seed).normal(0.0, 0.002, grid.size)
-    return MeasuredSpectrum(grid, values + noise)
-
-
-def test_free_fit_drops_a_start_that_collapses_a_width(monkeypatch):
-    res, runs, dropped, n_calls = every_start_to_the_end(
-        monkeypatch, noisy_quartet(POLARIZED, 45.0, 3), 4
-    )
-    assert dropped == [1] and n_calls == 3
-    # run to the end, the dropped start keeps a spike far narrower than the
-    # 0.625 MHz grid spacing and loses
-    assert min(runs[1].values[f"width_{k}"] for k in range(1, 5)) < 1e-5
-    made = [runs[k] for k in range(n_calls) if k not in dropped]
-    best = min(made, key=lambda r: r.residual_norm)
-    assert runs[1].residual_norm > best.residual_norm
-    # the kept fit is the lowest-cost run made, unchanged by the guard
-    assert fit_fields(res) == fit_fields(best)
-
-
-@pytest.mark.parametrize(
-    "meas",
-    [
-        noisy_quartet(POLARIZED, 50.0, 0),
-        noisy_quartet(POLARIZED, 50.0, 7),
-        noisy_quartet(POLARIZED, 45.0, 12),
-        noisy_quartet(UNPOLARIZED, 45.0, 2),
-    ],
-    ids=["drop_1", "drop_0", "drop_0_narrow", "unpolarized"],
-)
-def test_free_fit_stops_once_its_lowest_cost_is_reached_twice(monkeypatch, meas):
-    res, runs, dropped, n_calls = every_start_to_the_end(monkeypatch, meas, 4)
-    assert n_calls < 5
-    made = [runs[k].residual_norm for k in range(n_calls) if k not in dropped]
-
-    def reached(rms):  # runs within 1e-6 (relative RMS) of the lowest so far
-        return sum(r <= min(rms) * (1.0 + 1e-6) for r in rms)
-
-    # the last run made is the first after which two runs are at the lowest cost
-    assert reached(made) == 2
-    assert all(reached(made[:j]) == 1 for j in range(1, len(made)))
-    assert res.residual_norm == min(made)
-    # no start run to the end does better than 1e-6 in relative cost
-    assert res.residual_norm**2 <= min(r.residual_norm for r in runs) ** 2 * (1.0 + 1e-6)
-
-
-def test_free_fit_runs_its_starts_lowest_cost_first(monkeypatch):
-    # the five fixed starts, the initial guess among them, in order of cost
-    meas = noisy_quartet(POLARIZED, 50.0, 0)
-    starts = []
-
-    def stub(problem, p0, bounds, names):
-        starts.append(p0)
-        return fit.FitResult(tuple(names), {}, {}, np.zeros((0, 0)), 1.0 + len(starts), 1, True)
-
-    monkeypatch.setattr(fit, "lm_minimize", stub)
-    fit_free_lorentzians(meas, 4)
-    assert len(starts) == 5
-    costs = [float(np.sum(_free_problem(meas, 4)(p0)[0] ** 2)) for p0 in starts]
-    assert costs == sorted(costs)
-    guess = fit.initial_free_guess(meas, 4)
-    p_guess = [guess.f_first, guess.spacing, *guess.depths, *guess.widths]
-    assert sum(np.array_equal(p0, p_guess) for p0 in starts) == 1
-
-
-def test_free_fit_stop_rule_is_a_relative_1e_6_in_residual_rms(monkeypatch):
-    # stubbed runs: the second ends 2e-6 above the first, so the rule runs a
-    # third, 5e-7 below the first; the first is then within 1e-6 of it. They
-    # end at the noise level, 0.002, far below the flat line's RMS.
-    ends = iter(0.002 * np.array([1.0, 1.0 + 2e-6, 1.0 - 5e-7, 1.0, 1.0]))
-    made = []
-
-    def stub(problem, p0, bounds, names):
-        made.append(fit.FitResult(tuple(names), {}, {}, np.zeros((0, 0)), next(ends), 1, True))
-        return made[-1]
-
-    monkeypatch.setattr(fit, "lm_minimize", stub)
-    res = fit_free_lorentzians(noisy_quartet(UNPOLARIZED, 45.0, 2), 4)
-    assert len(made) == 3 and res is made[2]
-
-
-def test_free_fit_on_pure_noise_falls_back_to_every_start(monkeypatch):
-    grid = default_grid(2308.0)
-    noise = 1.0 + np.random.default_rng(5).normal(0.0, 0.002, grid.size)
-    res, runs, dropped, n_calls = every_start_to_the_end(
-        monkeypatch, MeasuredSpectrum(grid, noise), 4
-    )
-    assert dropped == [0, 1, 2, 3, 4] and n_calls == 10
-    best = min(runs, key=lambda r: r.residual_norm)
-    note = "every start collapsed a width onto its 1e-6 MHz floor"
-    # the kept fit puts a spike on one sample: it is not reported converged
-    flagged = dataclasses.replace(
-        best, converged=False, diagnostics=best.diagnostics + (note,)
-    )
-    assert fit_fields(res) == fit_fields(flagged)
 
 
 def test_free_fit_on_pure_noise_finds_no_lines():
@@ -972,20 +879,39 @@ def test_free_fit_on_pure_noise_finds_no_lines():
         assert len(notes) == 1, seed
 
 
-def test_free_fit_fallback_keeps_a_run_with_wide_lines_converged(monkeypatch):
-    # every start puts a width on its floor on the way, but the lowest-cost
-    # run, rerun unchecked, has every line wider than the grid spacing: a
-    # clean quartet, reported as the LM reported it
+def test_free_fit_on_pure_noise_runs_no_lm_iteration():
+    # the no-line test comes before any LM run: noise is returned at its start
+    grid = default_grid(2308.0)
+    for seed in range(40):
+        noise = 1.0 + np.random.default_rng(seed).normal(0.0, 0.002, grid.size)
+        assert fit_free_lorentzians(MeasuredSpectrum(grid, noise), 4).iterations == 0, seed
+
+
+def test_free_fit_fallback_keeps_a_run_with_wide_lines_converged():
+    # a clean quartet with widths of 30-60 MHz converges with no line
+    # narrower than the grid spacing
     rng = np.random.default_rng(27)
     depths = UNPOLARIZED * rng.uniform(0.5, 1.5, 4)
     grid, values = quartet_signal(depths, rng.uniform(30.0, 60.0, 4))
     meas = MeasuredSpectrum(grid, values + rng.normal(0.0, 0.002, grid.size))
-    res, runs, dropped, n_calls = every_start_to_the_end(monkeypatch, meas, 4)
-    assert dropped == [0, 1, 2, 3, 4] and n_calls == 10
-    best = min(runs, key=lambda r: r.residual_norm)
-    assert min(best.values[f"width_{k}"] for k in range(1, 5)) > np.diff(grid).min()
+    res = fit_free_lorentzians(meas, 4)
     assert res.converged
-    assert fit_fields(res) == fit_fields(best)
+    assert min(res.values[f"width_{k}"] for k in range(1, 5)) > np.diff(grid).min()
+
+
+def test_free_fit_keeps_a_weak_first_line_narrower_than_the_grid_span():
+    # a first line of depth 0.003 in 0.002 noise, as in the weakest corpus
+    # quartets: unbounded, its width runs off to ~1e11 MHz, its area swamps
+    # the others and P = -1
+    depths, widths = np.array([0.003, 0.032, 0.054, 0.025]), [45.0] * 4
+    grid, values = quartet_signal(depths, widths, f_first=2188.0, spacing=65.8)
+    noise = np.random.default_rng(1).normal(0.0, 0.002, grid.size)
+    res = fit_free_lorentzians(MeasuredSpectrum(grid, values + noise), 4)
+    assert res.converged
+    assert max(res.values[f"width_{k}"] for k in range(1, 5)) <= grid[-1] - grid[0]
+    areas = dict(zip(QUARTET_M_ASSIGNMENT, depths * widths))
+    truth = polarization_from_areas(areas, m_max=1.5).polarization
+    assert polarization_from_quartet_fit(res).polarization == pytest.approx(truth, abs=0.02)
 
 
 def random_free_params(rng, n_lines):
@@ -1045,6 +971,33 @@ def test_free_jacobian_matches_central_differences(n_lines, zero_depth, sigmas):
         assert not jac[:, 2 + n_lines + 1].any()
 
 
+@pytest.mark.parametrize("sigmas", [False, True])
+@pytest.mark.parametrize("n_lines", range(1, 7))
+def test_projected_jacobian_matches_central_differences_at_an_exact_fit(n_lines, sigmas):
+    # at a noise-free truth the projected residual is 0, so the term that
+    # Kaufman's Jacobian drops from the Golub-Pereyra one vanishes
+    rng = np.random.default_rng(n_lines)
+    p = random_free_params(rng, n_lines)
+    grid, values = quartet_signal(p[2 : 2 + n_lines], p[2 + n_lines :], f_first=p[0], spacing=p[1])
+    meas = MeasuredSpectrum(grid, values, rng.uniform(0.001, 0.004, grid.size) if sigmas else None)
+    problem, point = _projected_problem(meas, n_lines)
+    q = np.concatenate([p[:2], p[2 + n_lines :]])
+    depths, res, jacobian = point(q)
+    assert np.allclose(depths, p[2 : 2 + n_lines], rtol=1e-9, atol=0.0)
+    assert np.abs(res).max() <= 1e-12
+    jac = jacobian()
+    problem(q + 1.0)  # the thunk keeps its own point
+    assert np.array_equal(jacobian(), jac)
+    assert jac.shape == (grid.size, 2 + n_lines)
+    for i in range(q.size):
+        h = 1e-6 * max(abs(q[i]), 1.0)
+        up, down = q.copy(), q.copy()
+        up[i] += h
+        down[i] -= h
+        central = (problem(up)[0] - problem(down)[0]) / (2.0 * h)
+        assert np.abs(jac[:, i] - central).max() <= 1e-6 * np.abs(central).max(), i
+
+
 def test_free_model_validation():
     with pytest.raises(ValueError):
         FreeLorentzianModel(2, 0.0, -1.0, (0.1, 0.1), (1.0, 1.0))
@@ -1052,55 +1005,3 @@ def test_free_model_validation():
         FreeLorentzianModel(2, 0.0, 1.0, (-0.1, 0.1), (1.0, 1.0))
     with pytest.raises(ValueError):
         FreeLorentzianModel(2, 0.0, 1.0, (0.1, 0.1), (0.0, 1.0))
-
-
-# --- PL saturation ---------------------------------------------------------------
-
-def test_pl_saturation_round_trip():
-    i_max, p_sat = 100.0, 2.0
-    powers = np.array([0.2, 0.5, 1.0, 2.0, 4.0, 8.0])
-    data = [(p, i_max * p / (p + p_sat)) for p in powers]
-    res = fit_pl_saturation(data)
-    assert res.converged
-    assert res.values["i_max"] == pytest.approx(i_max, rel=1e-8)
-    assert res.values["p_sat"] == pytest.approx(p_sat, rel=1e-8)
-    # model-form limits: I -> 0 at P -> 0 and I = I_max/2 at P = P_sat
-    fitted = lambda p: res.values["i_max"] * p / (p + res.values["p_sat"])
-    assert fitted(0.0) == 0.0
-    assert fitted(res.values["p_sat"]) == pytest.approx(res.values["i_max"] / 2.0)
-
-
-def test_pl_saturation_degenerate_when_far_from_saturation():
-    # powers far below P_sat: the curve is a straight line, only the ratio
-    # I_max/P_sat is constrained
-    i_max, p_sat = 100.0, 5000.0
-    data = [(p, i_max * p / (p + p_sat)) for p in (0.1, 0.2, 0.4, 0.8)]
-    res = fit_pl_saturation(data)
-    assert res.diagnostics
-
-
-def test_pl_saturation_jacobian_matches_forward_differences(monkeypatch):
-    problems = []
-    real = fit.lm_minimize
-
-    def recording(problem, p0, *args, **kwargs):
-        problems.append(problem)
-        return real(problem, p0, *args, **kwargs)
-
-    monkeypatch.setattr(fit, "lm_minimize", recording)
-    powers = np.array([0.2, 0.5, 1.0, 2.0, 4.0, 8.0])
-    fit_pl_saturation([(p, 100.0 * p / (p + 2.0)) for p in powers])
-    problem, = problems
-    for p in ([100.0, 2.0], [250.0, 0.3], [40.0, 60.0], [5.0, 0.01]):
-        assert_jacobian_matches_oracle(
-            problem, np.array(p), np.full(2, 1e-12), np.full(2, np.inf)
-        )
-
-
-def test_pl_saturation_input_validation():
-    with pytest.raises(ValueError):
-        fit_pl_saturation([(1.0, 2.0), (2.0, 3.0)])
-    with pytest.raises(ValueError):
-        fit_pl_saturation([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-    with pytest.raises(ValueError):
-        fit_pl_saturation([(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)])

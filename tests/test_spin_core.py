@@ -14,7 +14,6 @@ from vbodmr.spin_core import (
     SpinSystem,
     axial_site,
     build_full_hamiltonian,
-    dipolar_azz,
     eigen_hermitian,
     make_system,
     quadrupole_axes,
@@ -446,33 +445,6 @@ def test_oracle_equivalence_random_draws():
                 f_full = transition_frequencies(sys_, "full").frequencies(branch)
                 assert np.abs(f_eff - f_full).max() < 1e-6
                 assert np.all(f_eff > 0)
-
-
-# --- point dipole ------------------------------------------------------------
-
-def test_dipolar_zero_gamma():
-    assert dipolar_azz(0.14, 0.0) == 0.0
-
-
-def test_dipolar_inverse_cube():
-    a1 = dipolar_azz(0.14, -4.316)
-    a2 = dipolar_azz(0.28, -4.316)
-    assert a1 / a2 == pytest.approx(8.0, rel=1e-12)
-
-
-def test_dipolar_independent_constant_folding():
-    # independent evaluation with inline constants (mu0/4pi as 1e-7)
-    r = 0.14e-9
-    expected = -1e-7 * 6.62607015e-34 * (28.0e9) * (-4.316e6) / r**3 * 1e-6
-    got = dipolar_azz(0.14, -4.316)
-    assert got == pytest.approx(expected, rel=1e-6)
-    assert got > 0  # sign flips with gamma_n
-    assert dipolar_azz(0.14, 3.077) < 0
-
-
-def test_dipolar_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        dipolar_azz(0.0, 3.077)
 
 
 # --- spin matrix sanity ------------------------------------------------------
