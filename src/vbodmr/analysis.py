@@ -45,7 +45,7 @@ class PolarizationReport:
     """Area-weighted nuclear polarization estimate."""
 
     areas: dict[float, float]   # m_tot -> area proxy
-    polarization: float
+    polarization: float | None  # None: a quartet fit with no line area
     m_max: float
     sigma: float | None = None  # 1-sigma, from a fit covariance when there is one
 

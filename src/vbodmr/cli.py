@@ -408,7 +408,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         derived["line_centers_mhz"] = list(model.centers)
         derived["line_areas"] = list(model.areas)
         if block.get("polarization"):
-            pol = analysis.polarization_from_quartet_fit(result)
+            pol = _quartet_polarization(result)
             derived["polarization"] = pol.polarization
             derived["polarization_sigma"] = pol.sigma
             derived["areas_by_m_tot"] = {str(m): a for m, a in sorted(pol.areas.items())}
@@ -463,6 +463,15 @@ def cmd_sensitivity(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _quartet_polarization(result: fitmod.FitResult) -> analysis.PolarizationReport:
+    """The quartet fit's polarization report; P is None when the fit has no
+    line area (every depth 0, as a fit that found no lines may end)."""
+    areas = analysis.quartet_areas(result)
+    if any(areas.values()):
+        return analysis.polarization_from_quartet_fit(result)
+    return analysis.PolarizationReport(areas, polarization=None, m_max=1.5)
+
+
 def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     report: dict = {"command": "polarization"}
     if "areas" in block:
@@ -480,7 +489,7 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     elif "input_csv" in block:
         meas = ingest_csv(block["input_csv"])
         result = fitmod.fit_free_lorentzians(meas, 4)
-        pol = analysis.polarization_from_quartet_fit(result)
+        pol = _quartet_polarization(result)
         report["fit"] = result.to_json_dict()
     else:
         raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])

@@ -649,9 +649,9 @@ def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
     return (lambda q: point(q)[1:]), point
 
 
-# A free-Lorentzian start that lowers the chi^2 of the flat line y = 1 by
-# less than this has no lines to fit (at the projected start, 40 noise
-# draws: <= 14; corpus quartets: >= 2552).
+# A free-Lorentzian fit, or its start with negative depths set to 0, that
+# lowers the chi^2 of the flat line y = 1 by less than this found no lines
+# (at the start, 40 noise draws: <= 14; corpus quartets: >= 2550).
 _NO_LINE_DCHI2 = 100.0
 
 
@@ -663,23 +663,24 @@ def fit_free_lorentzians(
     """Fit n equally spaced Lorentzians with free depths and widths.
 
     One start, the centers and widths of ``init`` (its depths are unused),
-    so a spectrum always gives the same fit. Two LM runs follow it. The
-    first runs over the centers and widths alone, the depths solved in
-    closed form at every point (``_projected_problem``). The second, the
-    polish, runs the full problem (``_free_problem``) from where the first
-    ended, with the depths bounded at >= 0, and gives the reported values
-    and the covariance of all 2 + 2 n parameters; ``iterations`` adds up
-    both runs. A line whose projected depth is negative enters the polish
-    at depth 0 and its start width. The widths are bounded above by the
-    grid's span: a weak line could otherwise widen without end into the
-    baseline. The positive-spacing bound keeps the reported lines ordered
-    by center frequency.
+    and two LM runs. The first runs over the centers and widths, the depths
+    solved in closed form at every point (``_projected_problem``). The
+    polish runs the full problem (``_free_problem``) from there with the
+    depths bounded at >= 0 and gives the values, the covariance,
+    ``converged`` and the diagnostics (the projected run only moves the
+    start; its status is not reported). ``iterations`` adds up both runs.
+    A line whose projected depth is negative, or whose width is below the
+    grid's sample spacing (a spike on one sample), enters the polish at
+    depth 0 and its start width. The widths are bounded above by the grid's
+    span, since a weak line could otherwise widen without end; the positive
+    spacing keeps the lines in center order. The 2 + 2 n parameters may
+    not outnumber the samples.
 
-    Before any run, a start that lowers the chi^2 of the flat line y = 1 by
-    less than ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k), as in the
-    covariance) has no lines to fit: it is returned as it is, with
-    ``iterations`` 0, ``converged`` False and a ``no lines`` diagnostic.
-    The 2 + 2 n parameters may not outnumber the samples.
+    A fit that lowers the chi^2 of the flat line y = 1 by less than
+    ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k)) found no lines: it has
+    ``converged`` False and a ``no lines`` diagnostic. Without ``init`` the
+    test runs first on the start (negative depths at 0), and a start that
+    fails it is returned with ``iterations`` 0.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -688,8 +689,8 @@ def fit_free_lorentzians(
             f"{n_lines} free Lorentzians have {2 + 2 * n_lines} parameters,"
             f" more than the {meas.n_samples} samples"
         )
-    if init is None:
-        init = initial_free_guess(meas, n_lines)
+    gate = init is None
+    init = initial_free_guess(meas, n_lines) if gate else init
     if init.n_lines != n_lines:
         raise ValueError("init.n_lines does not match n_lines")
 
@@ -706,29 +707,40 @@ def fit_free_lorentzians(
     projected, point = _projected_problem(meas, n_lines)
     problem = _free_problem(meas, n_lines)
 
-    def full(q: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    def full(q: np.ndarray) -> np.ndarray:
         """The full problem's point at q and its projected depths; a line
-        with a negative depth enters at depth 0 and its start width."""
-        negative = depths < 0.0
-        widths = np.where(negative, q0[2:], q[2:])
-        return np.concatenate([q[:2], np.where(negative, 0.0, depths), widths])
+        with a negative depth or a spike's width enters at depth 0 and its
+        start width."""
+        depths = point(q)[0]
+        dropped = (depths < 0.0) | (q[2:] < np.diff(meas.frequencies).min())
+        widths = np.where(dropped, q0[2:], q[2:])
+        return np.concatenate([q[:2], np.where(dropped, 0.0, depths), widths])
 
     flat = (1.0 - meas.ratios) / (1.0 if meas.sigmas is None else meas.sigmas)
-    depths, res, _ = point(q0)
-    ssr = float(res @ res)
-    # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
-    drop = (float(flat @ flat) - ssr) * max(meas.n_samples - len(names), 1)
-    if not drop > _NO_LINE_DCHI2 * ssr:
-        start = lm_minimize(problem, full(q0, depths), bounds, names, max_iter=0)
-        note = (
-            f"no lines: chi^2 only {drop / max(ssr, 1e-300):.3g} below the flat line"
-            f" (< {_NO_LINE_DCHI2:g})"
-        )
-        return replace(start, diagnostics=start.diagnostics + (note,))
+
+    def no_lines(ssr: float) -> tuple[str, ...]:
+        """The no-line note of a point of weighted SSR ssr, if it has one."""
+        # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
+        drop = (float(flat @ flat) - ssr) * max(meas.n_samples - len(names), 1)
+        if drop > _NO_LINE_DCHI2 * ssr:
+            return ()
+        ratio = drop / max(ssr, 1e-300)
+        return (f"no lines: chi^2 only {ratio:.3g} below the flat line (< {_NO_LINE_DCHI2:g})",)
+
+    start = full(q0)
+    note = no_lines(float(np.sum(problem(start)[0] ** 2))) if gate else ()
+    if note:
+        start = lm_minimize(problem, start, bounds, names, max_iter=0)
+        return replace(start, diagnostics=start.diagnostics + note)
     run = lm_minimize(projected, q0, (lower, upper), names[:2] + names[2 + n_lines :])
-    q = np.array(list(run.values.values()))
-    polish = lm_minimize(problem, full(q, point(q)[0]), bounds, names)
-    return replace(polish, iterations=run.iterations + polish.iterations)
+    polish = lm_minimize(problem, full(np.array(list(run.values.values()))), bounds, names)
+    note = no_lines(polish.residual_norm**2 * meas.n_samples)
+    return replace(
+        polish,
+        iterations=run.iterations + polish.iterations,
+        converged=polish.converged and not note,
+        diagnostics=polish.diagnostics + note,
+    )
 
 
 def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:

@@ -508,6 +508,18 @@ def test_quartet_fit_finding_no_lines_exits_3(tmp_path, command, block, report_n
     assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
 
 
+@QUARTET_VERBS
+def test_quartet_fit_with_no_line_area_writes_null_p(tmp_path, command, block, report_name):
+    # noise seed 3 projects every depth of the start negative: it is
+    # returned with every depth 0, so P is undefined and written as null
+    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 3)
+    assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
+    report = json.loads((tmp_path / "out" / report_name).read_text())
+    entries = report if command == "polarization" else report["derived"]
+    assert entries["polarization"] is None and entries["polarization_sigma"] is None
+    assert set(entries["areas_by_m_tot"].values()) == {0.0}
+
+
 def quartet_fit_of_noise(tmp_path, command, block, report_name, seed):
     """Run a quartet fit of 1 + noise through the CLI; it exits 3 with a
     report that says not converged. Returns the fit's diagnostics."""

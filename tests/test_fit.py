@@ -914,6 +914,72 @@ def test_free_fit_keeps_a_weak_first_line_narrower_than_the_grid_span():
     assert polarization_from_quartet_fit(res).polarization == pytest.approx(truth, abs=0.02)
 
 
+@pytest.mark.parametrize("seed", [106, 157])
+def test_free_fit_restarts_a_line_the_projected_run_collapsed(seed, monkeypatch):
+    # a weak quartet (contrast 0.05, P = 0.2) on which the projected run
+    # shrinks a width below the sample spacing: a spike on one noise sample,
+    # with a depth of ~1e8 and P near -1 if it were kept. The line enters
+    # the polish at depth 0 and its start width, and is found again.
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(lm_minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(fit, "lm_minimize", recorded)
+    model = SpectrumModel(
+        f_center=2310.0,
+        contrast=0.05,
+        linewidth=48.0,
+        a14=44.0,
+        a15=-64.0,
+        p15=1.0,
+        populations={3: Populations.with_polarization(enumerate_ladder(3), 0.2)},
+    )
+    grid = default_grid(model.f_center)
+    noise = np.random.default_rng(seed).normal(0.0, 0.002, grid.size)
+    noisy = mixture_spectrum(model, grid).values + noise
+    res = fit_free_lorentzians(MeasuredSpectrum(grid, noisy), 4)
+    spacing = np.diff(grid).min()
+    assert min(v for n, v in runs[0].values.items() if n.startswith("width_")) < spacing
+    assert res.converged
+    assert min(res.values[f"width_{k}"] for k in range(1, 5)) > spacing
+    assert polarization_from_quartet_fit(res).polarization == pytest.approx(0.2, abs=0.03)
+
+
+def test_free_fit_above_the_flat_line_finds_no_lines():
+    # a baseline above 1 is fitted best by negative depths; with depths >= 0
+    # there are no lines, from the default start and from a caller's start
+    grid = default_grid(2308.0)
+    meas = MeasuredSpectrum(grid, 1.01 + np.random.default_rng(0).normal(0.0, 0.002, grid.size))
+    for init in (None, fit.initial_free_guess(meas, 4)):
+        res = fit_free_lorentzians(meas, 4, init=init)
+        assert not res.converged
+        assert len([d for d in res.diagnostics if d.startswith("no lines:")]) == 1
+        assert not any(res.values[f"depth_{k}"] for k in range(1, 5))
+    assert fit_free_lorentzians(meas, 4).iterations == 0
+
+
+def test_free_fit_from_a_caller_start_off_the_lines_is_fitted(monkeypatch):
+    # a caller's start is fitted even when it beats the flat line by less
+    # than the no-line test asks: only the default start is tested before
+    # any run. This one, lines of 2 MHz set 12 MHz below the quartet's,
+    # would fail that test.
+    depths = 0.02 * np.array([2.0, 1.0, 3.0, 1.5])
+    grid, values = quartet_signal(depths, [35.0] * 4)
+    meas = MeasuredSpectrum(grid, values + np.random.default_rng(0).normal(0.0, 0.002, grid.size))
+    init = FreeLorentzianModel(4, 2200.0, 64.0, (0.05,) * 4, (2.0,) * 4)
+    res = fit_free_lorentzians(meas, 4, init=init)
+    assert res.converged and res.iterations > 0
+    assert res.values["f_first"] == pytest.approx(2212.0, abs=0.5)
+    fitted = [res.values[f"depth_{k}"] for k in range(1, 5)]
+    assert np.allclose(fitted, depths, atol=0.003)
+    monkeypatch.setattr(fit, "initial_free_guess", lambda meas, n_lines: init)
+    gated = fit_free_lorentzians(meas, 4)
+    assert gated.iterations == 0
+    assert [d for d in gated.diagnostics if d.startswith("no lines:")]
+
+
 def random_free_params(rng, n_lines):
     """(f_first, spacing, depths, widths) of a seeded random line set."""
     return np.concatenate(
