@@ -28,13 +28,22 @@ allocator hands large temporaries back to the system and takes them again
 (glibc's heap trimming). It also prints ``src_lines``, the ``wc -l`` total
 of ``src/vbodmr/*.py`` under the checkout it ran.
 
+Last it prints the trust columns, which score each fit against its corpus
+truth, per fit kind (op_a split by its fixed p15 of 0, 1 and 0.6, op_b,
+op_c): the fits with a coupling more than 2 MHz off, per coupling and
+either; the RMS z of each fitted coupling, of p15 and of P; for op_b the
+fits with p15 on a bound and those with p15 more than 0.1 off away from a
+bound; for op_c the fits with |P - target| > 0.02. They are not in the
+digest, which already covers every value they derive from.
+
 With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
 child process) and prints, per slot, the operations whose outcome (pass or
 fail) or ``lm_iter`` differs between the two, and the largest relative
 change of any fitted value and of any sigma, so a change that moves the
 digest by a few ulps can show that no outcome moved, and ``src_lines`` of
 both checkouts. For op_c it also prints the largest change of the
-polarization P in units of the other checkout's sigma(P).
+polarization P in units of the other checkout's sigma(P), and the other
+checkout's trust columns after its own.
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -66,24 +75,86 @@ def fit_record(out) -> str:
     )
 
 
-def op_record(out, reason, slot) -> dict:
-    """Outcome, iterations, values and sigmas of one operation, for --against;
-    a quartet's (op_c) also P and sigma(P)."""
+def op_record(out, reason, slot, case) -> dict:
+    """Outcome, iterations, values and sigmas of one operation, for --against,
+    and the truth it is scored against in the trust columns: the coupling
+    magnitudes and p15, or a quartet's (op_c) target P; a quartet's record
+    also holds P and sigma(P)."""
+    if slot == "op_c":
+        truth = {"P": case["target"]}
+    else:
+        model = case["truth"]
+        truth = {"a14": abs(model.a14), "a15": abs(model.a15), "p15": model.p15}
+    record = {"failed": reason is not None, "truth": truth}
     if isinstance(out, Exception):
-        return {"failed": reason is not None, "lm_iter": None, "values": {}, "sigmas": {}}
+        return {**record, "lm_iter": None, "values": {}, "sigmas": {}}
     res = out[0]
-    record = {
-        "failed": reason is not None,
-        "lm_iter": res.iterations,
-        "values": dict(res.values),
-        "sigmas": dict(res.sigmas),
-    }
+    record.update(lm_iter=res.iterations, values=dict(res.values), sigmas=dict(res.sigmas))
     if slot == "op_c":
         from vbodmr.analysis import polarization_from_quartet_fit
 
         report = polarization_from_quartet_fit(res)
         record["polarization"] = (report.polarization, report.sigma)
     return record
+
+
+def rms(values: list) -> float | None:
+    return math.sqrt(sum(v * v for v in values) / len(values)) if values else None
+
+
+def trust_columns(records: list) -> dict:
+    """Per fit kind (op_a split by its fixed p15, op_b, op_c), how far the
+    fits land from their truths: the fits more than 2 MHz off in each
+    coupling and in either; the RMS z, (fitted - truth) / sigma, of each
+    coupling, of p15 and of P over the fits with a finite sigma; the op_b
+    fits with p15 on a bound, and off by more than 0.1 away from one; the
+    op_c fits with |P - target| > 0.02. None marks a column that does not
+    apply. A fit that raised is counted in ``fits`` only."""
+    kinds: dict = {}
+    for m in records:
+        kind = f"op_a p15={m['truth']['p15']:g}" if m["slot"] == "op_a" else m["slot"]
+        kinds.setdefault(kind, []).append(m)
+    table = {}
+    for kind, ops in kinds.items():
+        fits = [m for m in ops if m["lm_iter"] is not None]
+        fitted = {}  # parameter -> (value, truth, sigma) per fit that has it
+        for m in fits:
+            for name, value in m["values"].items():
+                if name in m["truth"]:
+                    fitted.setdefault(name, []).append((value, m["truth"][name], m["sigmas"][name]))
+            if "polarization" in m:
+                p, sigma = m["polarization"]
+                fitted.setdefault("P", []).append((p, m["truth"]["P"], sigma))
+        off = {n: [abs(v - t) > 2.0 for v, t, _ in fitted.get(n, [])] for n in ("a14", "a15")}
+        row = {"fits": len(ops)}
+        for name in ("a14", "a15"):
+            row[f"{name} off"] = sum(off[name]) if off[name] else None
+        both = len(off["a14"]) == len(off["a15"]) == len(fits) > 0
+        row["either off"] = sum(map(any, zip(off["a14"], off["a15"]))) if both else None
+        for name in ("a14", "a15", "p15", "P"):
+            z = [(v - t) / s for v, t, s in fitted.get(name, []) if s and math.isfinite(s)]
+            row[f"rms z {name}"] = rms(z) if name in fitted else None
+        p15 = fitted.get("p15")
+        bound = [v in (0.0, 1.0) for v, _, _ in p15 or []]
+        row["p15 at bound"] = sum(bound) if p15 else None
+        row["p15 off"] = (
+            sum(not b and abs(v - t) > 0.1 for b, (v, t, _) in zip(bound, p15)) if p15 else None
+        )
+        P = fitted.get("P")
+        row["P off"] = sum(abs(v - t) > 0.02 for v, t, _ in P) if P else None
+        table[kind] = row
+    return table
+
+
+def print_trust(table: dict, title: str) -> None:
+    """The trust columns, one row per fit kind; '-' where a column does not apply."""
+    columns = list(next(iter(table.values())))
+    print(f"trust {title}")
+    print(f"{'':12}" + "".join(f"  {c}" for c in columns))
+    for kind, row in table.items():
+        cells = ("-" if v is None else f"{v:.2f}" if isinstance(v, float) else str(v)
+                 for v in row.values())
+        print(f"{kind:12}" + "".join(f"  {v:>{len(c)}}" for c, v in zip(columns, cells)))
 
 
 def relative_change(new: float, old: float) -> float:
@@ -216,8 +287,10 @@ def main() -> None:
             evals[slot] += all_runs[1] - before[1]
             rejected[slot] += all_runs[1] - before[1] - (all_runs[3] - before[3])
             checks = batch.check(slot, inputs[slot], outputs)
-            for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
-                records.append({"round": r, "slot": slot, "k": k, **op_record(out, reason, slot)})
+            for k, (case, out, (reason, _hard)) in enumerate(zip(inputs[slot], outputs, checks)):
+                records.append(
+                    {"round": r, "slot": slot, "k": k, **op_record(out, reason, slot, case)}
+                )
                 record = fit_record(out)
                 digest.update(record.encode())
                 slot_digest[slot].update(record.encode())
@@ -252,11 +325,13 @@ def main() -> None:
         print(f"sha256 {s:4}  {slot_digest[s].hexdigest()}")
     print(f"sha256 all   {digest.hexdigest()}")
     print(f"src_lines {src_lines(root)}")
+    print_trust(trust_columns(records), str(root))
     if args.against:
         other_root = str(Path(args.against).resolve())
         print(f"src_lines {src_lines(Path(other_root))} ({other_root})")
         child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
         other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
+        print_trust(trust_columns(other), other_root)
         compare(records, other, other_root)
 
 

@@ -188,7 +188,6 @@ def min_detectable_field(
     report: SensitivityReport,
     photon_rate_hz: float,
     duration_s: float,
-    gamma_e: float = GAMMA_E_MHZ_PER_MT,
 ) -> float:
     """Shot-noise-limited field resolution (mT) for a given photon budget.
 
@@ -201,16 +200,12 @@ def min_detectable_field(
         raise ValueError("photon rate and duration must be positive")
     if report.max_slope == 0.0:
         raise ValueError("zero slope; field resolution undefined")
-    return 1.0 / (gamma_e * math.sqrt(photon_rate_hz * duration_s) * report.max_slope)
+    return 1.0 / (GAMMA_E_MHZ_PER_MT * math.sqrt(photon_rate_hz * duration_s) * report.max_slope)
 
 
-def field_from_center(
-    d_gs_mhz: float,
-    f_center_mhz: float,
-    gamma_e: float = GAMMA_E_MHZ_PER_MT,
-) -> float:
+def field_from_center(d_gs_mhz: float, f_center_mhz: float) -> float:
     """Axial field (mT) from the lower-branch center: (D - f_center)/gamma_e."""
-    b_z = (d_gs_mhz - f_center_mhz) / gamma_e
+    b_z = (d_gs_mhz - f_center_mhz) / GAMMA_E_MHZ_PER_MT
     if b_z < 0:
         raise ValueError(
             f"negative field {b_z:.3f} mT: f_center above D means the wrong branch"

@@ -408,11 +408,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         derived["line_centers_mhz"] = list(model.centers)
         derived["line_areas"] = list(model.areas)
         if block.get("polarization"):
-            pol = _quartet_polarization(result)
-            derived["polarization"] = pol.polarization
-            derived["polarization_sigma"] = pol.sigma
-            derived["areas_by_m_tot"] = {str(m): a for m, a in sorted(pol.areas.items())}
-            derived["m_tot_assignment"] = "ascending frequency -> m_tot -3/2..+3/2"
+            derived.update(_polarization_keys(_quartet_polarization(result)))
         if "d_gs_mhz" in block:
             center = model.centers[0] + 0.5 * (n_lines - 1) * result.values["spacing"]
             try:
@@ -472,6 +468,17 @@ def _quartet_polarization(result: fitmod.FitResult) -> analysis.PolarizationRepo
     return analysis.PolarizationReport(areas, polarization=None, m_max=1.5)
 
 
+def _polarization_keys(pol: analysis.PolarizationReport) -> dict:
+    """The report keys of a polarization estimate, as ``fit`` and
+    ``polarization`` write them."""
+    return {
+        "polarization": pol.polarization,
+        "polarization_sigma": pol.sigma,
+        "areas_by_m_tot": {str(m): a for m, a in sorted(pol.areas.items())},
+        "m_tot_assignment": "ascending frequency -> m_tot -3/2..+3/2",
+    }
+
+
 def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     report: dict = {"command": "polarization"}
     if "areas" in block:
@@ -493,11 +500,7 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         report["fit"] = result.to_json_dict()
     else:
         raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])
-    report["polarization"] = pol.polarization
-    report["polarization_sigma"] = pol.sigma
-    report["m_max"] = pol.m_max
-    report["areas_by_m_tot"] = {str(m): a for m, a in sorted(pol.areas.items())}
-    report["m_tot_assignment"] = "ascending frequency -> m_tot -3/2..+3/2"
+    report.update(_polarization_keys(pol), m_max=pol.m_max)
     report_path = out_dir / "polarization.json"
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report_path, report)

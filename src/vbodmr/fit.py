@@ -10,7 +10,8 @@ Two fit families are provided on top of a small Levenberg-Marquardt core:
   start, a run with the depths solved in closed form at every point
   (variable projection, Kaufman's Jacobian), then a polish of the full
   problem with its closed-form Jacobian; a start no better than the flat
-  line by a chi^2 of 100 is returned unfitted as having no lines.
+  line by a chi^2 of 100 is returned unfitted as having no lines, and a
+  fit with a line narrower than the sample spacing is not converged.
 
 The LM core sets its damping by the gain ratio of each step (Madsen,
 Nielsen & Tingleff 2004) and respects box bounds with a projected step: a
@@ -129,11 +130,6 @@ class FreeLorentzianModel:
     @property
     def centers(self) -> tuple[float, ...]:
         return tuple(self.f_first + k * self.spacing for k in range(self.n_lines))
-
-    def evaluate(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        _, _, profiles = _free_profiles(f.ravel(), self.f_first, self.spacing, self.widths)
-        return (1.0 - np.asarray(self.depths) @ profiles).reshape(f.shape)
 
     @property
     def areas(self) -> tuple[float, ...]:
@@ -471,12 +467,10 @@ def fit_physical(
     meas: MeasuredSpectrum,
     init: SpectrumModel | None = None,
     p15_mode: tuple[str, float] | str = ("fixed", 0.0),
-    freeze: Sequence[str] = (),
 ) -> FitResult:
     """Fit the constrained physical model to a measured spectrum.
 
-    ``p15_mode`` is ("fixed", value) or "free". ``freeze`` names
-    parameters held at their init value.
+    ``p15_mode`` is ("fixed", value) or "free".
 
     The hyperfine couplings start from the magnitudes of ``init.a14`` and
     ``init.a15`` and are fitted on the whole real line: the unpolarized
@@ -507,8 +501,7 @@ def fit_physical(
     if init is None:
         init = initial_physical_guess(meas, p15_fixed if p15_fixed is not None else 0.5)
 
-    frozen = set(freeze)
-    active: list[str] = ["f_center", "contrast", "linewidth"]
+    active = ["f_center", "contrast", "linewidth"]
     p15_init = init.p15 if p15_free else p15_fixed
     if p15_free or 0.0 < p15_fixed < 1.0:
         active += ["a14", "a15"]
@@ -518,9 +511,6 @@ def fit_physical(
         active += ["a15"]
     if p15_free:
         active.append("p15")
-    active = [name for name in active if name not in frozen]
-    if not active:
-        raise ValueError("all parameters frozen; nothing to fit")
 
     init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
     problem = _physical_problem(meas, init, active)
@@ -655,32 +645,31 @@ def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
 _NO_LINE_DCHI2 = 100.0
 
 
-def fit_free_lorentzians(
-    meas: MeasuredSpectrum,
-    n_lines: int,
-    init: FreeLorentzianModel | None = None,
-) -> FitResult:
+def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    One start, the centers and widths of ``init`` (its depths are unused),
-    and two LM runs. The first runs over the centers and widths, the depths
-    solved in closed form at every point (``_projected_problem``). The
-    polish runs the full problem (``_free_problem``) from there with the
-    depths bounded at >= 0 and gives the values, the covariance,
-    ``converged`` and the diagnostics (the projected run only moves the
-    start; its status is not reported). ``iterations`` adds up both runs.
-    A line whose projected depth is negative, or whose width is below the
-    grid's sample spacing (a spike on one sample), enters the polish at
-    depth 0 and its start width. The widths are bounded above by the grid's
-    span, since a weak line could otherwise widen without end; the positive
-    spacing keeps the lines in center order. The 2 + 2 n parameters may
-    not outnumber the samples.
+    One start, the centers and widths of ``initial_free_guess`` (its depths
+    are unused), and two LM runs. The first runs over the centers and
+    widths, the depths solved in closed form at every point
+    (``_projected_problem``). The polish runs the full problem
+    (``_free_problem``) from there with the depths bounded at >= 0 and gives
+    the values, the covariance, ``converged`` and the diagnostics (the
+    projected run only moves the start; its status is not reported).
+    ``iterations`` adds up both runs. A line whose projected depth is
+    negative, or whose width is below the grid's smallest sample spacing (a
+    spike on one sample), enters the polish at depth 0 and its start width.
+    The widths are bounded above by the grid's span, since a weak line could
+    otherwise widen without end; the positive spacing keeps the lines in
+    center order. The 2 + 2 n parameters may not outnumber the samples.
 
     A fit that lowers the chi^2 of the flat line y = 1 by less than
     ``_NO_LINE_DCHI2`` (sigma^2 = SSR / (N - k)) found no lines: it has
-    ``converged`` False and a ``no lines`` diagnostic. Without ``init`` the
-    test runs first on the start (negative depths at 0), and a start that
-    fails it is returned with ``iterations`` 0.
+    ``converged`` False and a ``no lines`` diagnostic. The test runs first
+    on the start (negative depths at 0), and a start that fails it is
+    returned with ``iterations`` 0. A polished line narrower than the
+    smallest sample spacing fits a noise sample, not a line: the fit has
+    ``converged`` False and a ``line narrower than the sample spacing``
+    diagnostic.
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
@@ -689,17 +678,14 @@ def fit_free_lorentzians(
             f"{n_lines} free Lorentzians have {2 + 2 * n_lines} parameters,"
             f" more than the {meas.n_samples} samples"
         )
-    gate = init is None
-    init = initial_free_guess(meas, n_lines) if gate else init
-    if init.n_lines != n_lines:
-        raise ValueError("init.n_lines does not match n_lines")
-
+    init = initial_free_guess(meas, n_lines)
     names = (
         ["f_first", "spacing"]
         + [f"depth_{m + 1}" for m in range(n_lines)]
         + [f"width_{m + 1}" for m in range(n_lines)]
     )
     span = float(meas.frequencies[-1] - meas.frequencies[0])
+    step = np.diff(meas.frequencies).min()  # the smallest sample spacing
     lower = np.array([-np.inf, 1e-9] + [1e-6] * n_lines)
     upper = np.array([np.inf, np.inf] + [span] * n_lines)
     bounds = (np.insert(lower, 2, [0.0] * n_lines), np.insert(upper, 2, [np.inf] * n_lines))
@@ -712,7 +698,7 @@ def fit_free_lorentzians(
         with a negative depth or a spike's width enters at depth 0 and its
         start width."""
         depths = point(q)[0]
-        dropped = (depths < 0.0) | (q[2:] < np.diff(meas.frequencies).min())
+        dropped = (depths < 0.0) | (q[2:] < step)
         widths = np.where(dropped, q0[2:], q[2:])
         return np.concatenate([q[:2], np.where(dropped, 0.0, depths), widths])
 
@@ -728,13 +714,16 @@ def fit_free_lorentzians(
         return (f"no lines: chi^2 only {ratio:.3g} below the flat line (< {_NO_LINE_DCHI2:g})",)
 
     start = full(q0)
-    note = no_lines(float(np.sum(problem(start)[0] ** 2))) if gate else ()
+    note = no_lines(float(np.sum(problem(start)[0] ** 2)))
     if note:
         start = lm_minimize(problem, start, bounds, names, max_iter=0)
         return replace(start, diagnostics=start.diagnostics + note)
     run = lm_minimize(projected, q0, (lower, upper), names[:2] + names[2 + n_lines :])
     polish = lm_minimize(problem, full(np.array(list(run.values.values()))), bounds, names)
     note = no_lines(polish.residual_norm**2 * meas.n_samples)
+    narrow = [f"{n} = {polish[n]:.3g} MHz" for n in names[2 + n_lines :] if polish[n] < step]
+    if narrow:
+        note += ("line narrower than the sample spacing: " + ", ".join(narrow),)
     return replace(
         polish,
         iterations=run.iterations + polish.iterations,

@@ -43,22 +43,12 @@ class LevelLadder:
         return sum(g for _, g in self.rungs)
 
     @property
-    def m_values(self) -> tuple[float, ...]:
-        return tuple(m for m, _ in self.rungs)
-
-    @property
     def degeneracies(self) -> tuple[int, ...]:
         return tuple(g for _, g in self.rungs)
 
     @property
     def m_max(self) -> float:
         return self.rungs[-1][0]
-
-    def degeneracy_of(self, m_tot: float) -> int:
-        for m, g in self.rungs:
-            if m == m_tot:
-                return g
-        raise KeyError(f"m_tot {m_tot} not on the ladder")
 
 
 def enumerate_ladder(n15_count: int) -> LevelLadder:
@@ -102,11 +92,6 @@ class Populations:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"degeneracy-weighted sum must be 1, got {total}")
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def unpolarized(cls, ladder: LevelLadder) -> "Populations":
-        n = ladder.n_level
-        return cls(ladder, tuple(1.0 / n for _ in ladder.rungs))
 
     @classmethod
     def with_polarization(cls, ladder: LevelLadder, polarization: float) -> "Populations":

@@ -2,9 +2,10 @@
 
 The defect electron spin (S = 1) couples to the three nearest-neighbor
 nitrogen nuclear spins (I = 1 for 14N, I = 1/2 for 15N). This module builds
-the full ground-state Hamiltonian (zero-field splitting with strain,
-electron Zeeman, nuclear Zeeman, full-tensor hyperfine coupling and nuclear
-quadrupole terms), diagonalizes it exactly with LAPACK
+the full ground-state Hamiltonian (zero-field splitting, with strain when
+E_x or E_y is nonzero, electron Zeeman with ``GAMMA_E_MHZ_PER_MT``,
+full-tensor hyperfine coupling, and the nuclear Zeeman and quadrupole terms
+when the system includes them), diagonalizes it exactly with LAPACK
 (``numpy.linalg.eigh``), and extracts the electron spin transition
 frequencies; under an axial bias field it also evaluates them from the
 secular model, whose Hamiltonian is diagonal in the product basis, without
@@ -119,30 +120,23 @@ class NuclearSite:
         return float(self.hfi_tensor[2, 2])
 
 
-def axial_site(
-    species: IsotopeSpecies,
-    a_zz_mhz: float,
-    site_index: int = 1,
-    quadrupole: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> NuclearSite:
-    """Site with a purely axial hyperfine tensor diag(0, 0, A_zz)."""
-    tensor = np.diag([0.0, 0.0, float(a_zz_mhz)])
-    return NuclearSite(species, tensor, quadrupole, site_index)
+def axial_site(species: IsotopeSpecies, a_zz_mhz: float, site_index: int = 1) -> NuclearSite:
+    """Site with a purely axial hyperfine tensor diag(0, 0, A_zz) and no
+    quadrupole term."""
+    return NuclearSite(species, np.diag([0.0, 0.0, float(a_zz_mhz)]), site_index=site_index)
 
 
 @dataclass(frozen=True)
 class ElectronParams:
-    """Electron spin parameters: ZFS, strain, gyromagnetic ratio, field (mT)."""
+    """Electron spin parameters: ZFS, strain and field (mT); the
+    gyromagnetic ratio is ``GAMMA_E_MHZ_PER_MT``."""
 
     d_gs: float
     b_field: tuple[float, float, float] = (0.0, 0.0, 0.0)
     e_x: float = 0.0
     e_y: float = 0.0
-    gamma_e: float = GAMMA_E_MHZ_PER_MT
 
     def __post_init__(self) -> None:
-        if self.gamma_e <= 0:
-            raise ValueError("gamma_e must be positive")
         b = tuple(float(v) for v in self.b_field)
         if len(b) != 3:
             raise ValueError("b_field must be a 3-vector (mT)")
@@ -165,7 +159,6 @@ class SpinSystem:
     sites: tuple[NuclearSite, ...]
     include_nuclear_zeeman: bool = False
     include_quadrupole: bool = False
-    include_strain: bool = False
 
     def __post_init__(self) -> None:
         sites = tuple(self.sites)
@@ -302,11 +295,6 @@ def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...]
     return tuple(itertools.product(*(s.projections for s in species)))
 
 
-def nuclear_labels(sys: SpinSystem) -> list[tuple[float, ...]]:
-    """All (m_1, m_2, m_3) product states in basis order."""
-    return list(_label_table(tuple(s.species for s in sys.sites)))
-
-
 def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Local in-plane axes of a site: p points from the vacancy to the
     nitrogen (three directions at 120 deg starting at +x), o = p x z."""
@@ -321,10 +309,10 @@ def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:
 def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     """Full ground-state Hamiltonian in the product basis.
 
-    Sum of the zero-field-splitting term (with strain when enabled), the
-    electron Zeeman term, the nuclear Zeeman terms (negative sign, when
-    enabled), the full-tensor hyperfine couplings, and the quadrupole terms
-    along each site's local (p, z, o) axes (when enabled).
+    Sum of the zero-field-splitting term (with strain when e_x or e_y is
+    nonzero), the electron Zeeman term, the nuclear Zeeman terms (negative
+    sign, when enabled), the full-tensor hyperfine couplings, and the
+    quadrupole terms along each site's local (p, z, o) axes (when enabled).
 
     The sum is assembled from its Kronecker structure,
     ``H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n``: the 3x3 electron
@@ -338,8 +326,8 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     sx, sy, sz = s_ops
     field = np.array(e.b_field)
 
-    h_e = e.d_gs * (sz @ sz) + e.gamma_e * np.tensordot(field, s_ops, axes=1)
-    if sys.include_strain:
+    h_e = e.d_gs * (sz @ sz) + GAMMA_E_MHZ_PER_MT * np.tensordot(field, s_ops, axes=1)
+    if e.e_x or e.e_y:
         h_e = h_e + e.e_x * (sy @ sy - sx @ sx) + e.e_y * (sx @ sy + sy @ sx)
 
     i_ops = _nuclear_operators(tuple(site.species for site in sys.sites))
@@ -405,10 +393,10 @@ def _effective_transitions(sys: SpinSystem) -> TransitionSet:
     e = sys.electron
     azz = [s.a_zz for s in sys.sites]
     entries = []
-    for label in nuclear_labels(sys):
+    for label in _label_table(tuple(s.species for s in sys.sites)):
         hf = sum(a * m for a, m in zip(azz, label))
         for branch in (1, -1):
-            f = e.d_gs + branch * (e.gamma_e * e.b_z + hf)
+            f = e.d_gs + branch * (GAMMA_E_MHZ_PER_MT * e.b_z + hf)
             entries.append(Transition(branch, label, f, 1.0))
     return TransitionSet(tuple(entries))
 
@@ -436,7 +424,7 @@ def _greedy_pairing(overlap: np.ndarray) -> np.ndarray:
 
 def _full_transitions(sys: SpinSystem) -> TransitionSet:
     values, vectors = eigen_hermitian(build_full_hamiltonian(sys))
-    labels = nuclear_labels(sys)
+    labels = _label_table(tuple(s.species for s in sys.sites))
     n = len(labels)
     # (m_S block, nuclear label, eigenstate), following the product basis order
     blocks = vectors.reshape(3, n, -1)

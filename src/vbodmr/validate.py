@@ -97,7 +97,7 @@ def check_ladder() -> dict:
     }
 
 
-def check_oracle_equivalence(seed: int = 20241) -> dict:
+def check_oracle_equivalence(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n15 in range(4):
@@ -139,7 +139,7 @@ def check_slope_ratio() -> dict:
     }
 
 
-def run_validation(seed: int = 20240) -> dict:
+def run_validation(seed: int) -> dict:
     groups = [
         check_eigensolver(),
         check_ladder(),

@@ -63,8 +63,8 @@ def test_criterion_2_level_structure():
         for label in itertools.product(*site_values):
             counts[sum(label)] = counts.get(sum(label), 0) + 1
         ok &= [counts[m] for m in sorted(counts)] == list(table)
-    central = enumerate_ladder(0).degeneracy_of(0.0) / enumerate_ladder(0).n_level
-    extremal = enumerate_ladder(3).degeneracy_of(0.5) / enumerate_ladder(3).n_level
+    central = dict(enumerate_ladder(0).rungs)[0.0] / enumerate_ladder(0).n_level
+    extremal = dict(enumerate_ladder(3).rungs)[0.5] / enumerate_ladder(3).n_level
     ok &= abs(central - 7 / 27) < 1e-15
     ok &= abs(extremal - 3 / 8) < 1e-15
     report(

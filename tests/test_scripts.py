@@ -1,7 +1,10 @@
 """Smoke tests of the experiment scripts: each runs as its own process on the
-package in ``src`` and prints a line of its table."""
+package in ``src`` and prints a line of its table (a regular expression).
+The trust columns of ``corpus_pass.py`` are checked against a hand count."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "name, args, expected",
     [
-        # the only caller of fit_physical(freeze=...) with couplings set on the initial guess
-        ("isotope_spectra.py", ("--out", "{tmp}"), "hB14+15N"),
+        # the mixed row prints both fitted couplings, a14/a15, and the converged flag
+        (
+            "isotope_spectra.py",
+            ("--out", "{tmp}"),
+            r"hB14\+15N( +[\d.]+){3} +\d+\.\d/\d+\.\d +[\d.]+ +True",
+        ),
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
     ],
@@ -29,4 +36,58 @@ def test_script_runs(tmp_path, name, args, expected):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert done.returncode == 0, done.stderr
-    assert expected in done.stdout
+    assert re.search(expected, done.stdout), done.stdout
+
+
+def test_corpus_pass_trust_columns_match_a_hand_count(monkeypatch):
+    # the first three rounds of the fit_batch corpus, counted by hand from
+    # the fits' values and sigmas against their truths
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    path = ROOT / "scripts" / "corpus_pass.py"
+    spec = importlib.util.spec_from_file_location("corpus_pass", path)
+    corpus_pass = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_pass)
+    from workloads import FitBatch
+
+    batch = FitBatch(seed=0)
+    batch.setup()
+    records = []
+    for r in range(3):
+        inputs = batch.inputs(r)
+        for slot in corpus_pass.SLOTS:
+            _, _, outputs = batch.run(slot, inputs[slot])
+            checks = batch.check(slot, inputs[slot], outputs)
+            for k, (case, out, (reason, _)) in enumerate(zip(inputs[slot], outputs, checks)):
+                record = corpus_pass.op_record(out, reason, slot, case)
+                records.append({"round": r, "slot": slot, "k": k, **record})
+    table = corpus_pass.trust_columns(records)
+    assert list(table) == ["op_a p15=0", "op_a p15=1", "op_a p15=0.6", "op_b", "op_c"]
+    assert all(row["fits"] == 3 for row in table.values())
+    counts = {
+        kind: {c: v for c, v in row.items() if v is not None and "rms" not in c}
+        for kind, row in table.items()
+    }
+    assert counts == {
+        "op_a p15=0": {"fits": 3, "a14 off": 0},
+        "op_a p15=1": {"fits": 3, "a15 off": 0},
+        # round 1 is the one mixed fit within 2 MHz of both couplings
+        "op_a p15=0.6": {"fits": 3, "a14 off": 2, "a15 off": 2, "either off": 2},
+        # p15 0.609, 0.769 and 0.779 against 0.6, none on a bound
+        "op_b": {
+            "fits": 3, "a14 off": 3, "a15 off": 3, "either off": 3, "p15 at bound": 0, "p15 off": 2
+        },
+        # |P - target| 0.011, 0.002 and 0.0006
+        "op_c": {"fits": 3, "P off": 0},
+    }
+    z = {
+        kind: {c: round(v, 2) for c, v in row.items() if v is not None and "rms" in c}
+        for kind, row in table.items()
+    }
+    assert z == {
+        # (45.217 - 45.549) / 0.404, (41.880 - 42.478) / 0.372, (43.852 - 43.753) / 0.348
+        "op_a p15=0": {"rms z a14": 1.06},
+        "op_a p15=1": {"rms z a15": 1.60},
+        "op_a p15=0.6": {"rms z a14": 14.92, "rms z a15": 8.77},
+        "op_b": {"rms z a14": 5.73, "rms z a15": 6.12, "rms z p15": 2.85},
+        "op_c": {"rms z P": 0.51},
+    }

@@ -41,19 +41,29 @@ def brute_force_rungs(n15_count):
     return sorted(counts.items())
 
 
+def m_values(ladder):
+    """The ladder's m_tot values, ascending."""
+    return tuple(m for m, _ in ladder.rungs)
+
+
+def unpolarized(ladder):
+    """Populations of 1/N_level on every state."""
+    return Populations(ladder, tuple(1.0 / ladder.n_level for _ in ladder.rungs))
+
+
 # --- ladders -----------------------------------------------------------------
 
 def test_ladder_n0_matches_published_table():
     ladder = enumerate_ladder(0)
     assert ladder.n_level == 27
-    assert ladder.m_values == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+    assert m_values(ladder) == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
     assert ladder.degeneracies == (1, 3, 6, 7, 6, 3, 1)
 
 
 def test_ladder_n3_matches_published_table():
     ladder = enumerate_ladder(3)
     assert ladder.n_level == 8
-    assert ladder.m_values == (-1.5, -0.5, 0.5, 1.5)
+    assert m_values(ladder) == (-1.5, -0.5, 0.5, 1.5)
     assert ladder.degeneracies == (1, 3, 3, 1)
 
 
@@ -68,7 +78,7 @@ def test_ladder_mixed_configurations(n15, expected):
 @pytest.mark.parametrize("n15", [0, 1, 2, 3])
 def test_ladder_against_brute_force(n15):
     ladder = enumerate_ladder(n15)
-    assert list(zip(ladder.m_values, ladder.degeneracies)) == brute_force_rungs(n15)
+    assert list(zip(m_values(ladder), ladder.degeneracies)) == brute_force_rungs(n15)
 
 
 @pytest.mark.parametrize("n15,n_level", [(0, 27), (1, 18), (2, 12), (3, 8)])
@@ -78,9 +88,9 @@ def test_ladder_counts_and_symmetry(n15, n_level):
     degens = ladder.degeneracies
     assert degens == degens[::-1]
     span = (3 - n15) + n15 / 2.0
-    assert ladder.m_values[0] == -span
-    assert ladder.m_values[-1] == span
-    assert np.allclose(np.diff(ladder.m_values), 1.0)
+    assert m_values(ladder)[0] == -span
+    assert m_values(ladder)[-1] == span
+    assert np.allclose(np.diff(m_values(ladder)), 1.0)
 
 
 def test_ladder_rejects_bad_count():
@@ -92,7 +102,7 @@ def test_ladder_rejects_bad_count():
 
 def test_unpolarized_population_weights():
     ladder = enumerate_ladder(3)
-    pops = Populations.unpolarized(ladder)
+    pops = unpolarized(ladder)
     assert all(w == pytest.approx(1 / 8) for w in pops.weights)
     assert pops.polarization == pytest.approx(0.0, abs=1e-15)
 
@@ -115,10 +125,10 @@ def test_population_weight_normalization_enforced():
 @pytest.mark.parametrize(
     "populations",
     [
-        {3: Populations.unpolarized(enumerate_ladder(2))},
-        {3: Populations.unpolarized(LevelLadder(3, enumerate_ladder(2).rungs))},
-        {4: Populations.unpolarized(enumerate_ladder(3))},
-        {"3": Populations.unpolarized(enumerate_ladder(3))},
+        {3: unpolarized(enumerate_ladder(2))},
+        {3: unpolarized(LevelLadder(3, enumerate_ladder(2).rungs))},
+        {4: unpolarized(enumerate_ladder(3))},
+        {"3": unpolarized(enumerate_ladder(3))},
     ],
     ids=["ladder-of-2", "rungs-of-2", "key-4", "key-str"],
 )
@@ -368,7 +378,7 @@ def reference_lines(model, n15):
         if pops is None:
             weights.append(count / n_level)
         else:
-            weights.append(count * dict(zip(pops.ladder.m_values, pops.weights))[m14 + m15])
+            weights.append(count * dict(zip(m_values(pops.ladder), pops.weights))[m14 + m15])
     return np.array(positions), np.array(weights)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vbodmr.constants import GAMMA_E_MHZ_PER_MT
 from vbodmr.spin_core import (
     CharacterAmbiguityError,
     ElectronParams,
@@ -58,11 +59,6 @@ def test_quadrupole_rejected_for_spin_half():
         NuclearSite(IsotopeSpecies.N15, np.zeros((3, 3)), quadrupole=(1.0, 0.0, 0.0))
     # allowed for spin 1
     NuclearSite(IsotopeSpecies.N14, np.zeros((3, 3)), quadrupole=(1.0, 2.0, 3.0))
-
-
-def test_gamma_e_must_be_positive():
-    with pytest.raises(ValueError):
-        ElectronParams(d_gs=3450.0, gamma_e=-1.0)
 
 
 def test_system_requires_three_sites():
@@ -135,22 +131,12 @@ def test_strain_splits_upper_pair():
     sys_ = SpinSystem(
         ElectronParams(3450.0, e_x=50.0),
         (site, axial_site(IsotopeSpecies.N14, 0.0, 2), axial_site(IsotopeSpecies.N14, 0.0, 3)),
-        include_strain=True,
     )
     values, _ = eigen_hermitian(build_full_hamiltonian(sys_))
     upper = values[27:]
     assert upper[:27].mean() == pytest.approx(3400.0, abs=1e-9)
     assert upper[27:].mean() == pytest.approx(3500.0, abs=1e-9)
     assert (upper[27:].mean() - upper[:27].mean()) == pytest.approx(100.0, abs=1e-9)
-
-
-def test_strain_ignored_unless_enabled():
-    site = axial_site(IsotopeSpecies.N14, 0.0)
-    sites = (site, axial_site(IsotopeSpecies.N14, 0.0, 2), axial_site(IsotopeSpecies.N14, 0.0, 3))
-    with_flag = SpinSystem(ElectronParams(3450.0, e_x=50.0), sites, include_strain=False)
-    h = build_full_hamiltonian(with_flag)
-    values, _ = eigen_hermitian(h)
-    assert np.allclose(values[27:], 3450.0, atol=1e-9)
 
 
 def test_trace_identity_optional_terms_off():
@@ -176,7 +162,6 @@ def test_hermiticity_of_all_terms():
             tuple(sites),
             include_nuclear_zeeman=True,
             include_quadrupole=True,
-            include_strain=True,
         )
         h = build_full_hamiltonian(sys_).entries
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
@@ -196,10 +181,9 @@ def reference_full_hamiltonian(sys_):
     dims = [3] + [site.species.multiplicity for site in sys_.sites]
     s_ops = [_embedded(op, 0, dims) for op in spin_matrices(1.0)]
     h = e.d_gs * (s_ops[2] @ s_ops[2])
-    if sys_.include_strain:
-        h = h + e.e_x * (s_ops[1] @ s_ops[1] - s_ops[0] @ s_ops[0])
-        h = h + e.e_y * (s_ops[0] @ s_ops[1] + s_ops[1] @ s_ops[0])
-    h = h + e.gamma_e * sum(b * op for b, op in zip(e.b_field, s_ops))
+    h = h + e.e_x * (s_ops[1] @ s_ops[1] - s_ops[0] @ s_ops[0])
+    h = h + e.e_y * (s_ops[0] @ s_ops[1] + s_ops[1] @ s_ops[0])
+    h = h + GAMMA_E_MHZ_PER_MT * sum(b * op for b, op in zip(e.b_field, s_ops))
     for j, site in enumerate(sys_.sites):
         i_ops = [_embedded(op, 1 + j, dims) for op in spin_matrices(site.species.spin)]
         for alpha in range(3):
@@ -236,7 +220,6 @@ def dense_system(n15):
         tuple(sites),
         include_nuclear_zeeman=True,
         include_quadrupole=True,
-        include_strain=True,
     )
 
 
@@ -423,7 +406,6 @@ def test_full_mode_flags_ambiguity_near_anticrossing():
     sys_ = SpinSystem(
         ElectronParams(3450.0, e_x=50.0),
         (site, axial_site(IsotopeSpecies.N14, 0.0, 2), axial_site(IsotopeSpecies.N14, 0.0, 3)),
-        include_strain=True,
     )
     with pytest.raises(CharacterAmbiguityError):
         transition_frequencies(sys_, "full")
