@@ -6,7 +6,8 @@ the full ground-state Hamiltonian (zero-field splitting, with strain when
 E_x or E_y is nonzero, electron Zeeman with ``GAMMA_E_MHZ_PER_MT``,
 full-tensor hyperfine coupling, and the nuclear Zeeman and quadrupole terms
 when the system includes them), diagonalizes it exactly with LAPACK
-(``numpy.linalg.eigh``), and extracts the electron spin transition
+(``numpy.linalg.eigh``; a real matrix, as under an axial field, takes the
+real symmetric driver), and extracts the electron spin transition
 frequencies; under an axial bias field it also evaluates them from the
 secular model, whose Hamiltonian is diagonal in the product basis, without
 building a matrix. The spectrum model uses the secular frequencies.
@@ -14,9 +15,10 @@ building a matrix. The spectrum model uses the secular frequencies.
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
 N x N hyperfine fields B_a seen by electron axis a, and an N x N nuclear
-part, with N the dimension of the nuclear product space (at most 27). The
-nuclear spin operators are built once per isotope pattern and cached
-read-only; no operator of the full 3N-dimensional space is built per call.
+part, with N the dimension of the nuclear product space (at most 27). Each
+of its sums, the Kronecker sum too, is one product of flattened operators.
+The nuclear spin operators and quadrupole squares are built once per isotope
+pattern and cached read-only; no 3N-dimensional operator is built per call.
 
 Conventions
 -----------
@@ -198,7 +200,7 @@ def make_system(
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square complex matrix validated to be Hermitian on construction."""
+    """Square complex matrix validated finite and Hermitian on construction."""
 
     entries: np.ndarray
 
@@ -207,14 +209,13 @@ class HermitianMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
         scale = np.linalg.norm(m)
+        # a NaN or inf entry makes the norm NaN or inf: only then scan the entries
+        if not math.isfinite(scale) and not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * max(scale, 1.0):
             raise ValueError("matrix is not Hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # (Sx, Sy, Sz) of the S = 1 electron, stacked along the first axis
 _ELECTRON_OPERATORS = _read_only(np.array(spin_matrices(1.0)))
+# Sx, Sy, Sz and 1_3 flattened to columns: the fixed part of the Kronecker sum's left operand
+_LEFT_COLUMNS = _read_only(np.stack([*_ELECTRON_OPERATORS, np.eye(3)], axis=-1).reshape(9, 4))
 
 
 @functools.lru_cache(maxsize=8)
@@ -304,6 +307,16 @@ def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:
     return p, o
 
 
+@functools.lru_cache(maxsize=72)
+def _quadrupole_squares(species: tuple[IsotopeSpecies, ...], j: int, site_index: int) -> np.ndarray:
+    """Read-only (3, N*N) array: I_p^2, I_z^2 and I_o^2 of site j of
+    ``_nuclear_operators(species)`` along ``quadrupole_axes(site_index)``,
+    flattened. At most 8 isotope patterns x 3 sites x 3 site indices."""
+    ops = _nuclear_operators(species)[j]
+    i_p, i_o = (np.tensordot(axis, ops, axes=1) for axis in quadrupole_axes(site_index))
+    return _read_only(np.array([i_p @ i_p, ops[2] @ ops[2], i_o @ i_o]).reshape(3, -1))
+
+
 # --- Hamiltonian builders --------------------------------------------------
 
 def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
@@ -319,51 +332,53 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     part H_e (zero-field splitting, strain, electron Zeeman), the N x N
     hyperfine fields ``B_a = sum_j sum_b A_j[a, b] I_j,b`` and the N x N
     nuclear part H_n (nuclear Zeeman, quadrupole), where N is the nuclear
-    dimension. The nuclear operators are built once per isotope pattern.
+    dimension. Each contraction is one matrix product of 2-D operand stacks,
+    the one ``np.tensordot`` would make; H_n is summed site by site.
     """
     e = sys.electron
-    s_ops = _ELECTRON_OPERATORS
-    sx, sy, sz = s_ops
-    field = np.array(e.b_field)
-
-    h_e = e.d_gs * (sz @ sz) + GAMMA_E_MHZ_PER_MT * np.tensordot(field, s_ops, axes=1)
+    sx, sy, sz = _ELECTRON_OPERATORS
+    field = np.array([e.b_field])  # (1, 3): B . O is field @ (3, K) stack of O
+    zeeman = (field @ _ELECTRON_OPERATORS.reshape(3, 9)).reshape(3, 3)
+    h_e = e.d_gs * (sz @ sz) + GAMMA_E_MHZ_PER_MT * zeeman
     if e.e_x or e.e_y:
         h_e = h_e + e.e_x * (sy @ sy - sx @ sx) + e.e_y * (sx @ sy + sy @ sx)
 
-    i_ops = _nuclear_operators(tuple(site.species for site in sys.sites))
+    species = tuple(site.species for site in sys.sites)
+    i_ops = _nuclear_operators(species)
     n = i_ops.shape[-1]
-    tensors = np.array([site.hfi_tensor for site in sys.sites])
-    fields = np.tensordot(tensors, i_ops, axes=([0, 2], [0, 1]))
+    # B_a = sum_j sum_b A_j[a, b] I_j,b: (3, 9) tensors, column 3j + b, @ (9, N*N)
+    tensors = np.concatenate([site.hfi_tensor for site in sys.sites], axis=1)
+    fields = tensors @ i_ops.reshape(9, n * n)
 
-    h_n = np.zeros((n, n), dtype=complex)
-    for site, ops in zip(sys.sites, i_ops):
+    h_n = np.zeros((1, n * n), dtype=complex)
+    for j, site in enumerate(sys.sites):
         if sys.include_nuclear_zeeman:
             gamma_mhz = site.species.gamma_n_khz_per_mt * 1e-3
-            h_n = h_n + (-gamma_mhz) * np.tensordot(field, ops, axes=1)
+            h_n = h_n + (-gamma_mhz) * (field @ i_ops[j].reshape(3, n * n))
         if sys.include_quadrupole:
-            p_axis, o_axis = quadrupole_axes(site.site_index)
-            i_p = np.tensordot(p_axis, ops, axes=1)
-            i_o = np.tensordot(o_axis, ops, axes=1)
+            i_p2, i_z2, i_o2 = _quadrupole_squares(species, j, site.site_index)
             p_p, p_z, p_o = site.quadrupole
-            h_n = h_n + p_p * (i_p @ i_p) + p_z * (ops[2] @ ops[2]) + p_o * (i_o @ i_o)
+            h_n = h_n + p_p * i_p2 + p_z * i_z2 + p_o * i_o2
 
-    # sum_k L_k (x) R_k over L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n),
-    # laid out m_S-major: entry [a, m, b, n] goes to row a*N + m, column b*N + n
-    left = np.concatenate([h_e[None], s_ops, np.eye(3)[None]])
-    right = np.concatenate([np.eye(n)[None], fields, h_n[None]])
-    h = np.tensordot(left, right, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    # sum_k L_k (x) R_k, L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n), as
+    # one (9, 5) @ (5, N*N) product; entry [a, b, m, n] goes to row aN + m, column bN + n
+    left = np.concatenate([h_e.reshape(9, 1), _LEFT_COLUMNS], axis=1)
+    right = np.concatenate([np.eye(n).reshape(1, n * n), fields, h_n])
+    h = (left @ right).reshape(3, 3, n, n).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
     return HermitianMatrix(h)
 
 
 # --- eigensolver -----------------------------------------------------------
 
 def eigen_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``):
+    a matrix whose imaginary part is all zero goes to the faster real
+    symmetric driver as its real part, and gets real eigenvectors.
 
     Returns (eigenvalues ascending, eigenvector columns); columns form a
     unitary matrix with M v_k = w_k v_k.
     """
-    return np.linalg.eigh(m.entries)
+    return np.linalg.eigh(m.entries if m.entries.imag.any() else m.entries.real)
 
 
 # --- transitions -----------------------------------------------------------
@@ -456,7 +471,7 @@ def _full_transitions(sys: SpinSystem) -> TransitionSet:
     # each label's m_S = 0 state and the S_x-coupled overlap with its m_S = +-1
     # partners, over all labels at once
     cols0 = col_of[MS_VALUES.index(0.0)]
-    sx_v0 = np.tensordot(_ELECTRON_OPERATORS[0], blocks[:, :, cols0], axes=1)
+    sx_v0 = (_ELECTRON_OPERATORS[0] @ blocks[:, :, cols0].reshape(3, -1)).reshape(3, n, n)
     frequency, weight = {}, {}
     for branch in (1, -1):
         cols = col_of[MS_VALUES.index(branch)]

@@ -25,8 +25,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
+        # every full-mode solve of the hamiltonian_sweep corpus passes its check
+        ("sweep_pass.py", (), r"op_b +144 +0\n(.|\n)*sha256 all +[0-9a-f]{64}"),
     ],
-    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep"],
+    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass"],
 )
 def test_script_runs(tmp_path, name, args, expected):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

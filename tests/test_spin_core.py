@@ -21,7 +21,14 @@ from vbodmr.spin_core import (
     spin_matrices,
     transition_frequencies,
 )
-from vbodmr.spin_core import MS_VALUES, _greedy_pairing, _label_table, _nuclear_operators
+from vbodmr import spin_core
+from vbodmr.spin_core import (
+    MS_VALUES,
+    _greedy_pairing,
+    _label_table,
+    _nuclear_operators,
+    _quadrupole_squares,
+)
 
 
 def secular_levels(sys_):
@@ -71,13 +78,27 @@ def test_system_requires_three_sites():
 def test_kronecker_dimensions(n15, dim):
     sys_ = make_system(3450.0, 40.0, n15)
     assert sys_.dim == dim
-    assert build_full_hamiltonian(sys_).dim == dim
+    assert build_full_hamiltonian(sys_).entries.shape == (dim, dim)
     assert secular_levels(sys_).size == dim
 
 
 def test_hermitian_matrix_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hermitian_matrix_rejects_non_finite_entries(bad):
+    # ||m - m^H|| is NaN here, and NaN > tol is False: finiteness is its own check
+    with pytest.raises(ValueError, match="finite"):
+        HermitianMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
+def test_full_mode_rejects_non_finite_input_before_the_solve():
+    # a ValueError naming the input, not a CharacterAmbiguityError from the
+    # eigenvectors LAPACK returns for a NaN matrix
+    with pytest.raises(ValueError, match="finite"):
+        transition_frequencies(make_system(math.nan, 40.0, 1, 43.0, 64.0), "full")
 
 
 # --- effective Hamiltonian ---------------------------------------------------
@@ -252,6 +273,11 @@ def test_nuclear_operators_cached_read_only():
         ops[0, 2, 0, 0] = 1.0
     with pytest.raises(ValueError):
         ops[1, 0] += 1.0
+    squares = _quadrupole_squares(pattern, 0, 1)
+    assert squares.shape == (3, 144)
+    assert _quadrupole_squares(pattern, 0, 1) is squares
+    with pytest.raises(ValueError):
+        squares[1, 0] = 1.0
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -294,6 +320,15 @@ def test_eigen_residual_and_lapack_agreement():
         res = np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k])
         assert res <= 1e-9 * scale
     assert np.abs(values - np.linalg.eigvalsh(m)).max() <= 1e-9 * scale
+
+
+def test_eigen_takes_the_real_driver_only_for_a_real_matrix():
+    real = np.array([[2.0, 1.0], [1.0, -1.0]])
+    values, vectors = eigen_hermitian(HermitianMatrix(real))
+    assert vectors.dtype == np.float64
+    assert np.array_equal(values, np.linalg.eigvalsh(real))
+    _, vectors = eigen_hermitian(HermitianMatrix(real + np.array([[0.0, 1j], [-1j, 0.0]])))
+    assert vectors.dtype == np.complex128
 
 
 # --- transitions -------------------------------------------------------------
@@ -398,6 +433,47 @@ def test_pairing_matches_argmax_reference_on_dense_system(n15):
         overlap = weights[b][:, manifold == b]
         assert overlap.shape == (sys_.dim // 3,) * 2
         assert np.array_equal(_greedy_pairing(overlap), argmax_pairing(overlap))
+
+
+def real_dense_system(n15):
+    """Field (4, 0, 40) mT, nuclear Zeeman on and diag(45, 90, 47) MHz scaled
+    by 1, 1.05 and 1.1 on sites 1-3: S_x I_x, S_y I_y, S_z I_z and B_x S_x
+    have real matrices, so the Hamiltonian is real and dense. Equal tensors
+    on all three sites would make degenerate levels whose label pairing is
+    arbitrary, and that pairing moves lines by up to 26 MHz between the two
+    LAPACK drivers."""
+    species = [IsotopeSpecies.N14] * (3 - n15) + [IsotopeSpecies.N15] * n15
+    sites = tuple(
+        NuclearSite(sp, scale * np.diag([45.0, 90.0, 47.0]), site_index=j)
+        for j, (sp, scale) in enumerate(zip(species, (1.0, 1.05, 1.1)), start=1)
+    )
+    return SpinSystem(
+        ElectronParams(3466.0, b_field=(4.0, 0.0, 40.0)), sites, include_nuclear_zeeman=True
+    )
+
+
+def line_table(ts):
+    return [(t.branch, t.nuclear_label, t.frequency_mhz, t.dipole_weight) for t in ts.entries]
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_transition_lists_do_not_depend_on_the_eigensolver_driver(monkeypatch, n15):
+    axial = [make_system(3466.0, 40.0, n15, 0.0, 64.0), make_system(3466.0, 40.0, n15, 32.0, 64.0)]
+    dense = real_dense_system(n15)
+    h = build_full_hamiltonian(dense).entries
+    assert not h.imag.any()
+    assert np.abs(h - np.diag(np.diag(h))).max() > 1.0
+    default = [line_table(transition_frequencies(s, "full")) for s in axial + [dense]]
+    monkeypatch.setattr(spin_core, "eigen_hermitian", lambda m: np.linalg.eigh(m.entries))
+    complex_driver = [line_table(transition_frequencies(s, "full")) for s in axial + [dense]]
+    # a14 = 0 and a15 = 2 a14 make exact degeneracies: bitwise
+    assert complex_driver[:2] == default[:2]
+    for (b, label, f, w), (b_ref, label_ref, f_ref, w_ref) in zip(
+        complex_driver[2], default[2], strict=True
+    ):
+        assert (b, label) == (b_ref, label_ref)
+        assert abs(f - f_ref) <= 1e-9
+        assert abs(w - w_ref) <= 1e-9
 
 
 def test_full_mode_flags_ambiguity_near_anticrossing():
