@@ -150,17 +150,13 @@ def quartet_areas(result: FitResult) -> dict[float, float]:
     """Map a free-Lorentzian quartet fit to areas keyed by m_I,tot.
 
     The fit must have exactly four lines (``depth_1`` ... ``depth_4``).
-    Lines are taken in ascending center frequency and assigned
-    m_tot = -3/2, -1/2, +1/2, +3/2 in that order.
+    Its lines lie in ascending center frequency (the spacing is positive)
+    and are assigned m_tot = -3/2, -1/2, +1/2, +3/2 in that order.
     """
     n_lines = sum(name.startswith("depth_") for name in result.names)
     if n_lines != 4:
         raise ValueError(f"the m_tot assignment is defined for quartets, not {n_lines} lines")
-    model = free_model_from_result(result, n_lines)
-    order = np.argsort(model.centers)
-    return {
-        QUARTET_M_ASSIGNMENT[i]: model.areas[j] for i, j in enumerate(order)
-    }
+    return dict(zip(QUARTET_M_ASSIGNMENT, free_model_from_result(result, n_lines).areas))
 
 
 def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
@@ -173,8 +169,7 @@ def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
     """
     report = polarization_from_areas(quartet_areas(result), m_max=1.5)
     model = free_model_from_result(result, 4)
-    m = np.empty(4)
-    m[np.argsort(model.centers)] = QUARTET_M_ASSIGNMENT
+    m = np.array(QUARTET_M_ASSIGNMENT)
     dp_da = (m - report.m_max * report.polarization) / (report.m_max * math.fsum(model.areas))
     grad = np.concatenate([dp_da * model.widths, dp_da * model.depths])
     rows = [result.names.index(f"{kind}_{k}") for kind in ("depth", "width") for k in range(1, 5)]

@@ -2,11 +2,16 @@
 
 Verbs: simulate | fit | sensitivity | polarization | raman | validate.
 Each reads a strict JSON config (unknown keys abort before anything is
-written), writes JSON reports plus plot-ready CSV into the output directory,
-and exits with 0 on success, 1 on a validation or schema error, 2 on an
-ingestion error, 3 on fit non-convergence. Numbers must be finite: a NaN,
-an infinity or an overflowing literal in the config is a schema error, a
-model whose curve is not finite is refused, and reports are strict JSON.
+written) and builds a JSON report plus plot-ready CSV curves; ``main`` alone
+writes them into the output directory, nothing unless the whole report was
+built, and prints one ``wrote <out>/<verb>.json`` line. It exits with 0 on
+success, 1 on a validation or schema error, 2 on an ingestion error, 3 on
+fit non-convergence (``fit`` and ``polarization`` write their report first).
+``--seed`` obeys the rule of the config ``seed``: a nonnegative integer.
+``polarization`` takes either ``areas`` + ``m_max`` or ``input_csv``.
+Numbers must be finite: a NaN, an infinity or an overflowing literal in the
+config is a schema error, a model whose curve is not finite is refused, and
+reports are strict JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -300,12 +305,6 @@ def _grid_from_block(block: dict | None, f_center: float) -> np.ndarray:
     return np.linspace(block["start_mhz"], block["stop_mhz"], points)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
-
-
 def _require_finite(curve: Curve, what: str) -> None:
     if not np.all(np.isfinite(curve.values)):
         raise ValueError(f"{what} is not finite: the model is out of floating-point range")
@@ -325,8 +324,10 @@ def _model_echo(model: SpectrumModel) -> dict:
 
 
 # --- commands ----------------------------------------------------------------
+# Each verb maps its config block and seed to (report, curves) and does no
+# I/O; ``curves`` maps a CSV name to the curve and its value column.
 
-def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+def cmd_simulate(block: dict, seed: int) -> tuple[dict, dict]:
     noise_sigma = block.get("noise_sigma")
     if noise_sigma is not None and not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise SchemaError(["simulate.noise_sigma must be a finite number >= 0"])
@@ -339,11 +340,7 @@ def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         values = values + rng.normal(0.0, float(noise_sigma), values.size)
         curve = Curve(grid, values)
     _require_finite(curve, "simulated curve")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "curve.csv"
-    curve.to_csv(curve_path)
     report = {
-        "command": "simulate",
         "model": _model_echo(model),
         "grid": {
             "start_mhz": float(grid[0]),
@@ -352,17 +349,14 @@ def cmd_simulate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         },
         "noise_sigma": noise_sigma,
         "seed": seed,
-        "outputs": {"curve_csv": curve_path.name},
+        "outputs": {"curve_csv": "curve.csv"},
     }
     if "polarization" in block["model"]:
         report["model"]["polarization"] = block["model"]["polarization"]
-    _write_json(out_dir / "simulate.json", report)
-    if not quiet:
-        print(f"wrote {curve_path}")
-    return EXIT_OK
+    return report, {"curve.csv": (curve, "ratio")}
 
 
-def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     meas = ingest_csv(block["input_csv"])
     for key in ("sample_id", "field_mt", "laser_power_mw"):
         if key in block:
@@ -374,9 +368,7 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if mode == "free_lorentzians" and block.get("polarization") and block.get("n_lines", 4) != 4:
         raise SchemaError(["fit.n_lines must be 4 for polarization (15N quartet)"])
 
-    report: dict = {"command": "fit", "input": meas.metadata, "mode": mode}
     derived: dict = {}
-
     if mode == "physical":
         p15_cfg = block.get("p15", 0.0)
         if isinstance(p15_cfg, str):
@@ -392,42 +384,26 @@ def cmd_fit(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         overrides = {key.removesuffix("_mhz"): v for key, v in block.get("init", {}).items()}
         init = replace(init, **overrides)
         result = fitmod.fit_physical(meas, init=init, p15_mode=p15_mode)
-        report["fit"] = result.to_json_dict()
-        if "d_gs_mhz" in block and "f_center" in result.values:
-            try:
-                derived["field_mt"] = analysis.field_from_center(
-                    float(block["d_gs_mhz"]), result.values["f_center"]
-                )
-            except ValueError as exc:
-                derived["field_mt_error"] = str(exc)
+        center = result.values["f_center"]
     else:
         n_lines = block.get("n_lines", 4)
         result = fitmod.fit_free_lorentzians(meas, n_lines)
-        report["fit"] = result.to_json_dict()
         model = fitmod.free_model_from_result(result, n_lines)
         derived["line_centers_mhz"] = list(model.centers)
         derived["line_areas"] = list(model.areas)
         if block.get("polarization"):
             derived.update(_polarization_keys(_quartet_polarization(result)))
-        if "d_gs_mhz" in block:
-            center = model.centers[0] + 0.5 * (n_lines - 1) * result.values["spacing"]
-            try:
-                derived["field_mt"] = analysis.field_from_center(float(block["d_gs_mhz"]), center)
-            except ValueError as exc:
-                derived["field_mt_error"] = str(exc)
-
-    report["derived"] = derived
-    report_path = out_dir / "fit.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report_path, report)
-    if not quiet:
-        print(f"wrote {report_path}")
-    if not result.converged:
-        raise NonConvergenceError("fit did not converge; partial report written")
-    return EXIT_OK
+        center = model.centers[0] + 0.5 * (n_lines - 1) * result.values["spacing"]
+    if "d_gs_mhz" in block:
+        try:
+            derived["field_mt"] = analysis.field_from_center(float(block["d_gs_mhz"]), center)
+        except ValueError as exc:
+            derived["field_mt_error"] = str(exc)
+    fit = result.to_json_dict()
+    return {"input": meas.metadata, "mode": mode, "fit": fit, "derived": derived}, {}
 
 
-def cmd_sensitivity(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+def cmd_sensitivity(block: dict, seed: int) -> tuple[dict, dict]:
     normalization = block.get("normalization", "per_contrast")
     model_a = _model_from_block(block["model_a"])
     model_b = _model_from_block(block["model_b"])
@@ -438,25 +414,20 @@ def cmd_sensitivity(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     report_b = analysis.spectral_slope(model_b, grid_b, normalization)
     _require_finite(report_a.slope_curve, "slope curve of model_a")
     _require_finite(report_b.slope_curve, "slope curve of model_b")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_a.slope_curve.to_csv(out_dir / "slope_a.csv", value_name="slope_per_mhz")
-    report_b.slope_curve.to_csv(out_dir / "slope_b.csv", value_name="slope_per_mhz")
-    _write_json(
-        out_dir / "sensitivity.json",
-        {
-            "command": "sensitivity",
-            "normalization": normalization,
-            "model_a": _model_echo(model_a),
-            "model_b": _model_echo(model_b),
-            "max_slope_a_per_mhz": report_a.max_slope,
-            "max_slope_b_per_mhz": report_b.max_slope,
-            "eta_a_over_eta_b": analysis.relative_sensitivity(report_a, report_b),
-            "outputs": {"slope_a_csv": "slope_a.csv", "slope_b_csv": "slope_b.csv"},
-        },
-    )
-    if not quiet:
-        print(f"wrote {out_dir / 'sensitivity.json'}")
-    return EXIT_OK
+    report = {
+        "normalization": normalization,
+        "model_a": _model_echo(model_a),
+        "model_b": _model_echo(model_b),
+        "max_slope_a_per_mhz": report_a.max_slope,
+        "max_slope_b_per_mhz": report_b.max_slope,
+        "eta_a_over_eta_b": analysis.relative_sensitivity(report_a, report_b),
+        "outputs": {"slope_a_csv": "slope_a.csv", "slope_b_csv": "slope_b.csv"},
+    }
+    curves = {
+        "slope_a.csv": (report_a.slope_curve, "slope_per_mhz"),
+        "slope_b.csv": (report_b.slope_curve, "slope_per_mhz"),
+    }
+    return report, curves
 
 
 def _quartet_polarization(result: fitmod.FitResult) -> analysis.PolarizationReport:
@@ -479,8 +450,10 @@ def _polarization_keys(pol: analysis.PolarizationReport) -> dict:
     }
 
 
-def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    report: dict = {"command": "polarization"}
+def cmd_polarization(block: dict, seed: int) -> tuple[dict, dict]:
+    if "input_csv" in block and ("areas" in block or "m_max" in block):
+        raise SchemaError(["polarization takes either 'areas' + 'm_max' or 'input_csv', not both"])
+    report: dict = {}
     if "areas" in block:
         if "m_max" not in block:
             raise SchemaError(["polarization.m_max is required with explicit areas"])
@@ -494,24 +467,16 @@ def cmd_polarization(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             raise SchemaError(["polarization.areas keys must be finite"])
         pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
     elif "input_csv" in block:
-        meas = ingest_csv(block["input_csv"])
-        result = fitmod.fit_free_lorentzians(meas, 4)
+        result = fitmod.fit_free_lorentzians(ingest_csv(block["input_csv"]), 4)
         pol = _quartet_polarization(result)
         report["fit"] = result.to_json_dict()
     else:
         raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])
     report.update(_polarization_keys(pol), m_max=pol.m_max)
-    report_path = out_dir / "polarization.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report_path, report)
-    if not quiet:
-        print(f"wrote {report_path}")
-    if "fit" in report and not report["fit"]["converged"]:
-        raise NonConvergenceError("fit did not converge; partial report written")
-    return EXIT_OK
+    return report, {}
 
 
-def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
+def cmd_raman(block: dict, seed: int) -> tuple[dict, dict]:
     schema = {"nitrogen_frac_15": (_NUM, True), "boron_frac_10": (_NUM, False)}
     points = []
     for k, entry in enumerate(block["points"]):
@@ -525,29 +490,12 @@ def cmd_raman(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
             float(entry["nitrogen_frac_15"]),
             float(entry.get("boron_frac_10", NATURAL_B10_FRACTION)),
         )
-        points.append(
-            {
-                "nitrogen_frac_15": point.nitrogen_frac_15,
-                "boron_frac_10": point.boron_frac_10,
-                "reduced_mass": point.reduced_mass,
-                "shift_cm1": point.shift_cm1,
-            }
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "raman.json", {"command": "raman", "points": points})
-    if not quiet:
-        print(f"wrote {out_dir / 'raman.json'}")
-    return EXIT_OK
+        points.append(asdict(point))
+    return {"points": points}, {}
 
 
-def cmd_validate(block: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    report = validatemod.run_validation(seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "validate.json", {"command": "validate", **report})
-    if not quiet:
-        for group in report["groups"]:
-            print(f"{group['name']}: {'pass' if group['passed'] else 'FAIL'}")
-    return EXIT_OK if report["passed"] else EXIT_SCHEMA
+def cmd_validate(block: dict, seed: int) -> tuple[dict, dict]:
+    return validatemod.run_validation(seed=seed), {}
 
 
 COMMANDS = {
@@ -571,13 +519,33 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--out", help="output directory (overrides config out_dir)")
-    common.add_argument("--seed", type=int, help="seed for synthetic noise / draws")
+    common.add_argument("--seed", type=int, help="nonnegative seed for synthetic noise / draws")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser = _Parser(prog="vbodmr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+def _write_report(command: str, out_dir: Path, report: dict, curves: dict, quiet: bool) -> int:
+    """Write the curves, then ``<command>.json``, into ``out_dir`` (the report
+    is serialized first, so one that is not strict JSON writes nothing) and
+    return the exit code; a fit that did not converge raises after writing."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **report}
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (curve, value_name) in curves.items():
+        curve.to_csv(out_dir / name, value_name=value_name)
+    report_path = out_dir / f"{command}.json"
+    report_path.write_text(text + "\n", encoding="utf-8")
+    if not quiet:
+        print(f"wrote {report_path}")
+        for group in report.get("groups", []):
+            print(f"{group['name']}: {'pass' if group['passed'] else 'FAIL'}")
+    if "fit" in report and not report["fit"]["converged"]:
+        raise NonConvergenceError("fit did not converge; partial report written")
+    return EXIT_OK if report.get("passed", True) else EXIT_SCHEMA
 
 
 def main(argv=None) -> int:
@@ -603,11 +571,14 @@ def main(argv=None) -> int:
             raise SchemaError(["--config is required for this command"])
         block = validate_config(config, args.command)
         out_dir = Path(args.out or config.get("out_dir", "."))
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        seed = config.get("seed", 0) if args.seed is None else args.seed
+        if seed < 0:  # the config seed has passed the same rule above
+            raise SchemaError(["option '--seed' must be a nonnegative integer"])
         # results are checked for finiteness instead; a floating-point
         # warning would only add lines to stderr
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](block, out_dir, int(seed), args.quiet)
+            report, curves = COMMANDS[args.command](block, seed)
+        return _write_report(args.command, out_dir, report, curves, args.quiet)
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -234,6 +234,32 @@ def test_non_number_in_free_form_block_is_a_schema_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_seed_flag_is_a_schema_error(tmp_path, capsys, command):
+    config = write_config(tmp_path, {command: SIM_BLOCK if command == "simulate" else {}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--seed=-1"]) == 1
+    err = "config error: option '--seed' must be a nonnegative integer\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"areas": {"1.5": 1.0}, "m_max": 1.5}, {"areas": {"1.5": 1.0}}, {"m_max": 1.5}],
+)
+def test_polarization_input_csv_excludes_areas_and_m_max(tmp_path, capsys, extra):
+    # the input file is not even read: the block is refused first
+    block = dict(extra, input_csv=str(tmp_path / "absent.csv"))
+    config = write_config(tmp_path, {"polarization": block})
+    out = tmp_path / "out"
+    assert cli.main(["polarization", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: polarization takes either 'areas' + 'm_max' or 'input_csv', not both\n"
+    )
+    assert not out.exists()
+
+
 # --- simulate ------------------------------------------------------------------
 
 SIM_BLOCK = {
@@ -544,12 +570,71 @@ def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     for handled in (SchemaError, IngestError, cli.NonConvergenceError):
         assert not issubclass(handled, RuntimeError)
 
-    def ambiguous(block, out_dir, seed, quiet):
+    def ambiguous(block, seed):
         raise CharacterAmbiguityError("no eigenstate has m_S character above 0.5")
 
     monkeypatch.setitem(cli.COMMANDS, "validate", ambiguous)
     assert cli.main(["validate", "--out", str(tmp_path / "val"), "--quiet"]) == 1
     assert capsys.readouterr().err == "error: no eigenstate has m_S character above 0.5\n"
+
+
+# --- outputs of every verb ----------------------------------------------------------
+
+SENS_MODEL = {"f_center_mhz": 2308.0, "contrast": 0.1, "linewidth_mhz": 50.0, "p15": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, block, files",
+    [
+        ("simulate", SIM_BLOCK, {"curve.csv", "simulate.json"}),
+        ("fit", {"p15": 1.0}, {"fit.json"}),
+        (
+            "sensitivity",
+            {"model_a": SENS_MODEL, "model_b": dict(SENS_MODEL, p15=0.0)},
+            {"slope_a.csv", "slope_b.csv", "sensitivity.json"},
+        ),
+        ("polarization", {"areas": {"-1.5": 1.0, "1.5": 2.0}, "m_max": 1.5}, {"polarization.json"}),
+        ("raman", {"points": [{"nitrogen_frac_15": 0.5}]}, {"raman.json"}),
+        ("validate", {}, {"validate.json"}),
+    ],
+)
+def test_each_verb_writes_its_files_and_one_wrote_line(tmp_path, capsys, command, block, files):
+    if command == "fit":
+        block = dict(block, input_csv=str(write_curve_csv(tmp_path)))
+    config = write_config(tmp_path, {command: block})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files
+    report = json.loads((out / f"{command}.json").read_text())
+    assert report["command"] == command and report["schema_version"] == cli.SCHEMA_VERSION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {out / f'{command}.json'}"
+    groups = [f"{g['name']}: pass" for g in report.get("groups", [])]
+    assert lines[1:] == groups
+
+
+@pytest.mark.parametrize(
+    "contrast, message",
+    [
+        # no contrast: the raw slope of model_a is 0 and the gain undefined
+        (0, "zero slope; sensitivity ratio undefined"),
+        # a subnormal contrast: the gain overflows and the report is not JSON
+        (1e-310, "Out of range float values are not JSON compliant: inf"),
+    ],
+)
+def test_verb_failing_after_its_curves_are_built_writes_nothing(
+    tmp_path, capsys, contrast, message
+):
+    block = {
+        "model_a": dict(SENS_MODEL, contrast=contrast),
+        "model_b": SENS_MODEL,
+        "normalization": "raw",
+    }
+    config = write_config(tmp_path, {"sensitivity": block})
+    out = tmp_path / "out"
+    assert cli.main(["sensitivity", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # --- other commands --------------------------------------------------------------
