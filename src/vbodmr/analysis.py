@@ -126,13 +126,17 @@ def polarization_from_areas(
     """Polarization = sum(m_tot * A_mtot) / (m_max * sum(A_mtot)).
 
     The areas are proxies (depth times width); any common scale factor
-    cancels. Equal areas over a symmetric m_tot set give exactly zero.
+    cancels. Equal areas over a symmetric m_tot set give exactly zero, and
+    P lies in [-1, 1] because every key lies in [-m_max, m_max].
     """
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     items = sorted(areas.items())
     if not items:
         raise ValueError("areas must be nonempty")
+    for m, _ in items:
+        if abs(m) > m_max:
+            raise ValueError(f"area key m_tot = {m} lies outside [-m_max, m_max], m_max = {m_max}")
     if any(a < 0 for _, a in items):
         raise ValueError("areas must be nonnegative")
     total = math.fsum(a for _, a in items)

@@ -6,9 +6,10 @@ written) and builds a JSON report plus plot-ready CSV curves; ``main`` alone
 writes them into the output directory, nothing unless the whole report was
 built, and prints one ``wrote <out>/<verb>.json`` line. It exits with 0 on
 success, 1 on a validation or schema error, 2 on an ingestion error, 3 on
-fit non-convergence (``fit`` and ``polarization`` write their report first).
+fit non-convergence (``fit`` writes its report first).
 ``--seed`` obeys the rule of the config ``seed``: a nonnegative integer.
-``polarization`` takes either ``areas`` + ``m_max`` or ``input_csv``.
+``polarization`` takes ``areas`` + ``m_max``; the polarization of a measured
+15N quartet comes from ``fit`` with ``free_lorentzians`` and ``polarization``.
 Numbers must be finite: a NaN, an infinity or an overflowing literal in the
 config is a schema error, a model whose curve is not finite is refused, and
 reports are strict JSON.
@@ -113,9 +114,8 @@ COMMAND_SCHEMAS = {
         "grid": (dict, False, GRID_SCHEMA),
     },
     "polarization": {
-        "areas": (dict, False),
-        "m_max": (_NUM, False),
-        "input_csv": (str, False),
+        "areas": (dict, True),
+        "m_max": (_NUM, True),
     },
     "raman": {
         "points": (list, True),
@@ -392,7 +392,10 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         derived["line_centers_mhz"] = list(model.centers)
         derived["line_areas"] = list(model.areas)
         if block.get("polarization"):
-            derived.update(_polarization_keys(_quartet_polarization(result)))
+            derived.update(
+                _polarization_keys(_quartet_polarization(result)),
+                m_tot_assignment="ascending frequency -> m_tot -3/2..+3/2",
+            )
         center = model.centers[0] + 0.5 * (n_lines - 1) * result.values["spacing"]
     if "d_gs_mhz" in block:
         try:
@@ -446,34 +449,18 @@ def _polarization_keys(pol: analysis.PolarizationReport) -> dict:
         "polarization": pol.polarization,
         "polarization_sigma": pol.sigma,
         "areas_by_m_tot": {str(m): a for m, a in sorted(pol.areas.items())},
-        "m_tot_assignment": "ascending frequency -> m_tot -3/2..+3/2",
     }
 
 
 def cmd_polarization(block: dict, seed: int) -> tuple[dict, dict]:
-    if "input_csv" in block and ("areas" in block or "m_max" in block):
-        raise SchemaError(["polarization takes either 'areas' + 'm_max' or 'input_csv', not both"])
-    report: dict = {}
-    if "areas" in block:
-        if "m_max" not in block:
-            raise SchemaError(["polarization.m_max is required with explicit areas"])
-        try:
-            areas = {
-                float(k): _number(v, f"polarization.areas.{k}") for k, v in block["areas"].items()
-            }
-        except ValueError:
-            raise SchemaError(["polarization.areas keys must be numeric"]) from None
-        if not all(math.isfinite(m) for m in areas):
-            raise SchemaError(["polarization.areas keys must be finite"])
-        pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
-    elif "input_csv" in block:
-        result = fitmod.fit_free_lorentzians(ingest_csv(block["input_csv"]), 4)
-        pol = _quartet_polarization(result)
-        report["fit"] = result.to_json_dict()
-    else:
-        raise SchemaError(["polarization needs either 'areas' + 'm_max' or 'input_csv'"])
-    report.update(_polarization_keys(pol), m_max=pol.m_max)
-    return report, {}
+    try:
+        areas = {float(k): _number(v, f"polarization.areas.{k}") for k, v in block["areas"].items()}
+    except ValueError:
+        raise SchemaError(["polarization.areas keys must be numeric"]) from None
+    if not all(math.isfinite(m) for m in areas):
+        raise SchemaError(["polarization.areas keys must be finite"])
+    pol = analysis.polarization_from_areas(areas, float(block["m_max"]))
+    return {**_polarization_keys(pol), "m_max": pol.m_max}, {}
 
 
 def cmd_raman(block: dict, seed: int) -> tuple[dict, dict]:

@@ -52,22 +52,16 @@ class LevelLadder:
 
 
 def enumerate_ladder(n15_count: int) -> LevelLadder:
-    """Ladder of m_I,tot values for n15_count 15N sites among the three.
-
-    Degeneracies come from the discrete convolution of the per-site
-    multiplicity vectors: (1, 1, 1) over m = -1, 0, +1 for each 14N and
-    (1, 1) over m = -1/2, +1/2 for each 15N.
-    """
+    """Ladder of m_I,tot values for n15_count 15N sites among the three: the
+    states of configuration #n in the groups of ``_line_groups`` summed by
+    m_tot = sum14 + sum15, so every line weight of W rests on these rungs."""
     if n15_count not in (0, 1, 2, 3):
         raise ValueError("n15_count must be 0..3")
-    degens = np.array([1])
-    for _ in range(3 - n15_count):
-        degens = np.convolve(degens, np.ones(3, dtype=int))
-    for _ in range(n15_count):
-        degens = np.convolve(degens, np.ones(2, dtype=int))
-    m_min = -(3 - n15_count) - n15_count / 2.0
-    rungs = tuple((m_min + k, int(g)) for k, g in enumerate(degens))
-    return LevelLadder(n15_count, rungs)
+    keys, counts = _line_groups()
+    rows = np.flatnonzero(counts[:, n15_count])
+    m_tot, rung = np.unique(keys[rows].sum(axis=1), return_inverse=True)
+    degens = np.bincount(rung, weights=counts[rows, n15_count])
+    return LevelLadder(n15_count, tuple((float(m), int(g)) for m, g in zip(m_tot, degens)))
 
 
 @dataclass(frozen=True)
@@ -109,14 +103,6 @@ class Populations:
         if any(w < 0 for w in weights):
             raise ValueError(f"polarization {polarization} not representable by a linear tilt")
         return cls(ladder, weights)
-
-    @property
-    def polarization(self) -> float:
-        num = math.fsum(m * g * w for (m, g), w in zip(self.ladder.rungs, self.weights))
-        den = self.ladder.m_max * math.fsum(
-            g * w for (_, g), w in zip(self.ladder.rungs, self.weights)
-        )
-        return num / den
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,8 @@ def check_eigensolver() -> dict:
 
 
 def check_ladder() -> dict:
+    """Each configuration's ladder, the label table's states summed by m_tot
+    as every line weight of W sums them, against direct enumeration."""
     expected = brute_force_ladder_table()
     mismatches = []
     for n in range(4):

@@ -225,6 +225,9 @@ def test_polarization_error_cases():
         polarization_from_areas({0.5: -1.0}, 1.5)
     with pytest.raises(ValueError):
         polarization_from_areas({}, 1.5)
+    # a key beyond m_max would put P outside [-1, 1]
+    with pytest.raises(ValueError, match="m_tot = -7.5 lies outside"):
+        polarization_from_areas({0.5: 1.0, -7.5: 1.0}, 1.5)
 
 
 def test_fit_area_chain_recovers_constructed_polarization():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vbodmr import cli, validate
+from vbodmr import cli, spectrum, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
 from vbodmr.spectrum import SpectrumModel, default_grid, mixture_spectrum
 
@@ -244,18 +244,27 @@ def test_negative_seed_flag_is_a_schema_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [{"areas": {"1.5": 1.0}, "m_max": 1.5}, {"areas": {"1.5": 1.0}}, {"m_max": 1.5}],
-)
-def test_polarization_input_csv_excludes_areas_and_m_max(tmp_path, capsys, extra):
-    # the input file is not even read: the block is refused first
-    block = dict(extra, input_csv=str(tmp_path / "absent.csv"))
-    config = write_config(tmp_path, {"polarization": block})
+def test_polarization_input_csv_is_an_unknown_key(tmp_path, capsys):
+    # a quartet spectrum reaches P through fit alone; the old config is
+    # refused before its input file is read
+    config = write_config(tmp_path, {"polarization": {"input_csv": str(tmp_path / "absent.csv")}})
     out = tmp_path / "out"
     assert cli.main(["polarization", "--config", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "config error: polarization takes either 'areas' + 'm_max' or 'input_csv', not both\n"
+        "config error: unknown key 'polarization.input_csv'\n"
+        "config error: missing required key 'polarization.areas'\n"
+        "config error: missing required key 'polarization.m_max'\n"
+    )
+    assert not out.exists()
+
+
+def test_polarization_area_key_beyond_m_max_exits_1(tmp_path, capsys):
+    # |m_tot| > m_max would put P outside [-1, 1]: here 7.5 / 1.5 = 5
+    config = write_config(tmp_path, {"polarization": {"areas": {"7.5": 1.0}, "m_max": 1.5}})
+    out = tmp_path / "out"
+    assert cli.main(["polarization", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: area key m_tot = 7.5 lies outside [-m_max, m_max], m_max = 1.5\n"
     )
     assert not out.exists()
 
@@ -403,25 +412,20 @@ def test_fit_quartet_polarization_report(tmp_path):
 
 
 def test_quartet_reports_do_not_depend_on_the_seed(tmp_path):
-    # the five starts of a quartet fit are fixed, so --seed moves no report
+    # the one projected start of a quartet fit is fixed, so --seed moves no report
     sim_block = {"model": dict(SIM_BLOCK["model"], polarization=0.16), "noise_sigma": 0.002}
     sim_config = write_config(tmp_path, {"simulate": sim_block, "seed": 3}, name="s.json")
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 0
-    csv_path = str(out / "curve.csv")
-    blocks = {
-        "fit": {"input_csv": csv_path, "model": "free_lorentzians", "polarization": True},
-        "polarization": {"input_csv": csv_path},
-    }
-    for command, block in blocks.items():
-        config = write_config(tmp_path, {command: block}, name=f"{command}.json")
-        reports = []
-        for seed in ("0", "7"):
-            run_out = tmp_path / f"{command}_{seed}"
-            argv = [command, "--config", config, "--out", str(run_out), "--seed", seed, "--quiet"]
-            assert cli.main(argv) == 0
-            reports.append((run_out / f"{command}.json").read_bytes())
-        assert reports[0] == reports[1], command
+    block = {"input_csv": str(out / "curve.csv"), "model": "free_lorentzians", "polarization": True}
+    config = write_config(tmp_path, {"fit": block}, name="fit.json")
+    reports = []
+    for seed in ("0", "7"):
+        run_out = tmp_path / f"fit_{seed}"
+        argv = ["fit", "--config", config, "--out", str(run_out), "--seed", seed, "--quiet"]
+        assert cli.main(argv) == 0
+        reports.append((run_out / "fit.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
@@ -501,65 +505,53 @@ def test_polarization_nonconvergence_exits_3_with_partial_report(tmp_path, monke
 
     monkeypatch.setattr(cli.fitmod, "fit_free_lorentzians", fake_fit)
     csv_path = write_curve_csv(tmp_path)
-    config = write_config(tmp_path, {"polarization": {"input_csv": str(csv_path)}})
+    block = {"input_csv": str(csv_path), "model": "free_lorentzians", "polarization": True}
+    config = write_config(tmp_path, {"fit": block})
     out = tmp_path / "partial"
-    assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 3
-    report = json.loads((out / "polarization.json").read_text())
+    assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 3
+    report = json.loads((out / "fit.json").read_text())
     assert report["fit"]["converged"] is False
-    assert report["polarization"] == 0.0
+    assert report["derived"]["polarization"] == 0.0
 
 
-# the two verbs that fit a quartet, and the report each writes
-QUARTET_VERBS = pytest.mark.parametrize(
-    "command, block, report_name",
-    [
-        ("polarization", {}, "polarization.json"),
-        ("fit", {"model": "free_lorentzians", "polarization": True}, "fit.json"),
-    ],
-)
-
-
-@QUARTET_VERBS
-def test_quartet_fit_on_pure_noise_exits_3(tmp_path, command, block, report_name):
+def test_quartet_fit_on_pure_noise_exits_3(tmp_path):
     # no lines at all: the start beats the flat line only by what noise
     # gives, so the fit is returned there, not converged
-    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 5)
+    diagnostics = quartet_fit_of_noise(tmp_path, 5)["fit"]["diagnostics"]
     assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
 
 
-@QUARTET_VERBS
-def test_quartet_fit_finding_no_lines_exits_3(tmp_path, command, block, report_name):
+def test_quartet_fit_finding_no_lines_exits_3(tmp_path):
     # a second noise draw ends the same way
-    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 1)
+    diagnostics = quartet_fit_of_noise(tmp_path, 1)["fit"]["diagnostics"]
     assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
 
 
-@QUARTET_VERBS
-def test_quartet_fit_with_no_line_area_writes_null_p(tmp_path, command, block, report_name):
+def test_quartet_fit_with_no_line_area_writes_null_p(tmp_path):
     # noise seed 3 projects every depth of the start negative: it is
     # returned with every depth 0, so P is undefined and written as null
-    diagnostics = quartet_fit_of_noise(tmp_path, command, block, report_name, 3)
-    assert [d for d in diagnostics if d.startswith("no lines: chi^2 only")]
-    report = json.loads((tmp_path / "out" / report_name).read_text())
-    entries = report if command == "polarization" else report["derived"]
-    assert entries["polarization"] is None and entries["polarization_sigma"] is None
-    assert set(entries["areas_by_m_tot"].values()) == {0.0}
+    report = quartet_fit_of_noise(tmp_path, 3)
+    assert [d for d in report["fit"]["diagnostics"] if d.startswith("no lines: chi^2 only")]
+    derived = report["derived"]
+    assert derived["polarization"] is None and derived["polarization_sigma"] is None
+    assert set(derived["areas_by_m_tot"].values()) == {0.0}
 
 
-def quartet_fit_of_noise(tmp_path, command, block, report_name, seed):
-    """Run a quartet fit of 1 + noise through the CLI; it exits 3 with a
-    report that says not converged. Returns the fit's diagnostics."""
+def quartet_fit_of_noise(tmp_path, seed):
+    """Run a quartet fit with polarization of 1 + noise through ``fit``; it
+    exits 3 with a report that says not converged. Returns the report."""
     grid = default_grid(2308.0)
     noise = 1.0 + np.random.default_rng(seed).normal(0.0, 0.002, grid.size)
     csv_path = tmp_path / "noise.csv"
     rows = [f"{float(f)!r},{float(v)!r}" for f, v in zip(grid, noise)]
     csv_path.write_text("\n".join(["frequency_mhz,ratio"] + rows) + "\n", encoding="utf-8")
-    config = write_config(tmp_path, {command: dict(block, input_csv=str(csv_path))})
+    block = {"input_csv": str(csv_path), "model": "free_lorentzians", "polarization": True}
+    config = write_config(tmp_path, {"fit": block})
     out = tmp_path / "out"
-    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 3
-    report = json.loads((out / report_name).read_text())
+    assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 3
+    report = json.loads((out / "fit.json").read_text())
     assert report["fit"]["converged"] is False
-    return report["fit"]["diagnostics"]
+    return report
 
 
 def test_runtime_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
@@ -682,6 +674,8 @@ def test_polarization_command_with_areas(tmp_path):
     report = json.loads((out / "polarization.json").read_text())
     assert report["polarization"] == pytest.approx(1.3 / 14.1, abs=1e-12)
     assert report["polarization_sigma"] is None
+    # explicit areas have no frequencies to assign m_tot by
+    assert "m_tot_assignment" not in report
 
 
 def test_raman_command(tmp_path):
@@ -736,6 +730,23 @@ def test_validate_injected_wrong_ladder_fails(tmp_path, monkeypatch):
     ]
 
 
+def test_ladder_group_guards_the_grouping_of_the_line_table(monkeypatch):
+    # one state of configuration #0 moved from an m_tot = 0 group of the
+    # line table to an m_tot = 1 group: the line weights of W would carry
+    # it, and the brute-force ladder sees it
+    keys, counts = spectrum._line_groups()
+    moved = counts.copy()
+    m_tot = keys.sum(axis=1)
+    moved[np.flatnonzero((m_tot == 0.0) & (counts[:, 0] > 0))[0], 0] -= 1
+    moved[np.flatnonzero((m_tot == 1.0) & (counts[:, 0] > 0))[0], 0] += 1
+    monkeypatch.setattr(spectrum, "_line_groups", lambda: (keys, moved))
+    group = validate.check_ladder()
+    assert group["passed"] is False
+    assert group["mismatches"] == [
+        {"n15_count": 0, "computed": [1, 3, 6, 6, 7, 3, 1], "expected": [1, 3, 6, 7, 6, 3, 1]}
+    ]
+
+
 def test_config_key_given_twice_is_a_schema_error(tmp_path, capsys):
     # json.loads keeps the last of two equal keys: the second area for
     # m_tot = 1.5 would silently replace the first
@@ -774,7 +785,8 @@ def test_validate_tightened_eigen_tolerance_reports_residual(tmp_path, monkeypat
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, key, value):
     # the self-check's thresholds and tables are fixed, and a quartet has
     # four lines: none of these is a setting, even at its old default
-    config = write_config(tmp_path, {command: {key: value}})
+    base = {"areas": {"1.5": 1.0}, "m_max": 1.5} if command == "polarization" else {}
+    config = write_config(tmp_path, {command: {**base, key: value}})
     out = tmp_path / "out"
     assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == f"config error: unknown key '{command}.{key}'\n"
@@ -908,20 +920,25 @@ def test_non_finite_curve_is_refused(tmp_path, capsys, command, block, what):
 
 
 def test_report_with_a_non_finite_value_is_not_written(tmp_path, capsys):
-    # the one area over a subnormal m_max gives polarization = inf
-    config = write_config(tmp_path, {"polarization": {"areas": {"1.5": 1.0}, "m_max": 5e-324}})
+    # the raw slope of a subnormal contrast makes eta_a / eta_b = inf
+    block = {
+        "model_a": dict(SENS_MODEL, contrast=1e-310),
+        "model_b": SENS_MODEL,
+        "normalization": "raw",
+    }
+    config = write_config(tmp_path, {"sensitivity": block})
     out = tmp_path / "out"
-    assert cli.main(["polarization", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert cli.main(["sensitivity", "--config", config, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Out of range float values") and err.count("\n") == 1
-    assert not (out / "polarization.json").exists()
+    assert not (out / "sensitivity.json").exists()
 
 
 @pytest.mark.parametrize(
     "command, block",
     [
         ("fit", {"model": "free_lorentzians", "n_lines": 6}),
-        ("polarization", {}),
+        ("fit", {"model": "free_lorentzians", "polarization": True}),
     ],
 )
 def test_free_lorentzians_outnumbering_the_samples_exit_1(tmp_path, capsys, command, block):
@@ -1016,8 +1033,7 @@ def verb_blocks(csv_path: str) -> dict:
                 "areas": st.dictionaries(M_TOT, st.floats(0.0, 10.0), min_size=1, max_size=4),
                 "m_max": st.just(1.5),
             }
-        )
-        | st.fixed_dictionaries({"input_csv": st.just(csv_path)}),
+        ),
         "raman": st.fixed_dictionaries(
             {
                 "points": st.lists(
@@ -1104,7 +1120,7 @@ def test_cli_ends_in_a_documented_exit_code(verb, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         csv_path = tmp / "input.csv"
-        if verb in ("fit", "polarization"):
+        if verb == "fit":
             csv_path.write_bytes(data.draw(mangled_csv(), label="csv"))
         block = data.draw(verb_blocks(str(csv_path))[verb], label="block")
         config = {verb: block, "seed": 3}

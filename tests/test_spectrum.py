@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vbodmr import fit
-from vbodmr.analysis import spectral_slope
+from vbodmr.analysis import polarization_from_areas, spectral_slope
 from vbodmr.fit import MeasuredSpectrum
 from vbodmr.spectrum import (
     _JACOBIAN_PARAMS,
@@ -51,6 +51,12 @@ def unpolarized(ladder):
     return Populations(ladder, tuple(1.0 / ladder.n_level for _ in ladder.rungs))
 
 
+def area_polarization(pops):
+    """P of populations from their rung areas g * w, by the one P formula."""
+    areas = {m: g * w for (m, g), w in zip(pops.ladder.rungs, pops.weights)}
+    return polarization_from_areas(areas, pops.ladder.m_max).polarization
+
+
 # --- ladders -----------------------------------------------------------------
 
 def test_ladder_n0_matches_published_table():
@@ -93,6 +99,19 @@ def test_ladder_counts_and_symmetry(n15, n_level):
     assert np.allclose(np.diff(m_values(ladder)), 1.0)
 
 
+def test_ladder_rungs_are_pinned():
+    # the (m_tot, degeneracy) rungs of each configuration: m_tot a float,
+    # the degeneracy an int, ascending m_tot
+    assert [enumerate_ladder(n).rungs for n in range(4)] == [
+        ((-3.0, 1), (-2.0, 3), (-1.0, 6), (0.0, 7), (1.0, 6), (2.0, 3), (3.0, 1)),
+        ((-2.5, 1), (-1.5, 3), (-0.5, 5), (0.5, 5), (1.5, 3), (2.5, 1)),
+        ((-2.0, 1), (-1.0, 3), (0.0, 4), (1.0, 3), (2.0, 1)),
+        ((-1.5, 1), (-0.5, 3), (0.5, 3), (1.5, 1)),
+    ]
+    for n in range(4):
+        assert all(type(m) is float and type(g) is int for m, g in enumerate_ladder(n).rungs)
+
+
 def test_ladder_rejects_bad_count():
     with pytest.raises(ValueError):
         enumerate_ladder(4)
@@ -104,14 +123,14 @@ def test_unpolarized_population_weights():
     ladder = enumerate_ladder(3)
     pops = unpolarized(ladder)
     assert all(w == pytest.approx(1 / 8) for w in pops.weights)
-    assert pops.polarization == pytest.approx(0.0, abs=1e-15)
+    assert area_polarization(pops) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("target", [0.16, 0.27, -0.1])
 def test_tilted_population_hits_target_polarization(target):
     ladder = enumerate_ladder(3)
     pops = Populations.with_polarization(ladder, target)
-    assert pops.polarization == pytest.approx(target, abs=1e-12)
+    assert area_polarization(pops) == pytest.approx(target, abs=1e-12)
 
 
 def test_population_weight_normalization_enforced():
