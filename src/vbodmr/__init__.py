@@ -29,7 +29,6 @@ from .spectrum import (
 )
 from .fit import (
     FitResult,
-    FreeLorentzianModel,
     MeasuredSpectrum,
     fit_free_lorentzians,
     fit_physical,

@@ -20,7 +20,7 @@ from .constants import (
     RAMAN_INTERCEPT_CM1,
     RAMAN_SLOPE_CM1,
 )
-from .fit import FitResult, free_model_from_result
+from .fit import FitResult
 from .spectrum import (
     Curve, SpectrumModel, _line_plan, _line_table, _positions, binomial_fractions, lorentzian
 )
@@ -28,6 +28,7 @@ from .spectrum import (
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
 QUARTET_M_ASSIGNMENT = (-1.5, -0.5, 0.5, 1.5)
+QUARTET_M_MAX = max(QUARTET_M_ASSIGNMENT)
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,14 @@ def quartet_areas(result: FitResult) -> dict[float, float]:
 
     The fit must have exactly four lines (``depth_1`` ... ``depth_4``).
     Its lines lie in ascending center frequency (the spacing is positive)
-    and are assigned m_tot = -3/2, -1/2, +1/2, +3/2 in that order.
+    and are assigned m_tot = -3/2, -1/2, +1/2, +3/2 in that order. A line's
+    area is depth times width (constant factors cancel in P).
     """
     n_lines = sum(name.startswith("depth_") for name in result.names)
     if n_lines != 4:
         raise ValueError(f"the m_tot assignment is defined for quartets, not {n_lines} lines")
-    return dict(zip(QUARTET_M_ASSIGNMENT, free_model_from_result(result, n_lines).areas))
+    v = result.values
+    return {m: v[f"depth_{k}"] * v[f"width_{k}"] for k, m in enumerate(QUARTET_M_ASSIGNMENT, 1)}
 
 
 def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
@@ -171,12 +174,14 @@ def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
     A_i = d_i w_i, so dA/dd = w and dA/dw = d. It is None when that block
     is not finite.
     """
-    report = polarization_from_areas(quartet_areas(result), m_max=1.5)
-    model = free_model_from_result(result, 4)
+    areas = quartet_areas(result)
+    report = polarization_from_areas(areas, m_max=QUARTET_M_MAX)
+    names = [f"{kind}_{k}" for kind in ("depth", "width") for k in range(1, 5)]
+    depths, widths = np.split(np.array([result.values[n] for n in names]), 2)
     m = np.array(QUARTET_M_ASSIGNMENT)
-    dp_da = (m - report.m_max * report.polarization) / (report.m_max * math.fsum(model.areas))
-    grad = np.concatenate([dp_da * model.widths, dp_da * model.depths])
-    rows = [result.names.index(f"{kind}_{k}") for kind in ("depth", "width") for k in range(1, 5)]
+    dp_da = (m - report.m_max * report.polarization) / (report.m_max * math.fsum(areas.values()))
+    grad = np.concatenate([dp_da * widths, dp_da * depths])
+    rows = [result.names.index(n) for n in names]
     block = result.covariance[np.ix_(rows, rows)]
     if not np.all(np.isfinite(block)):
         return report

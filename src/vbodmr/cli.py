@@ -54,10 +54,6 @@ class IngestError(Exception):
     pass
 
 
-class NonConvergenceError(Exception):
-    pass
-
-
 # --- config schema -----------------------------------------------------------
 
 _NUM = (int, float)
@@ -388,15 +384,16 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     else:
         n_lines = block.get("n_lines", 4)
         result = fitmod.fit_free_lorentzians(meas, n_lines)
-        model = fitmod.free_model_from_result(result, n_lines)
-        derived["line_centers_mhz"] = list(model.centers)
-        derived["line_areas"] = list(model.areas)
+        v = result.values
+        centers = [v["f_first"] + k * v["spacing"] for k in range(n_lines)]
+        derived["line_centers_mhz"] = centers
+        derived["line_areas"] = [v[f"depth_{k}"] * v[f"width_{k}"] for k in range(1, n_lines + 1)]
         if block.get("polarization"):
             derived.update(
                 _polarization_keys(_quartet_polarization(result)),
                 m_tot_assignment="ascending frequency -> m_tot -3/2..+3/2",
             )
-        center = model.centers[0] + 0.5 * (n_lines - 1) * result.values["spacing"]
+        center = centers[0] + 0.5 * (n_lines - 1) * v["spacing"]
     if "d_gs_mhz" in block:
         try:
             derived["field_mt"] = analysis.field_from_center(float(block["d_gs_mhz"]), center)
@@ -439,7 +436,7 @@ def _quartet_polarization(result: fitmod.FitResult) -> analysis.PolarizationRepo
     areas = analysis.quartet_areas(result)
     if any(areas.values()):
         return analysis.polarization_from_quartet_fit(result)
-    return analysis.PolarizationReport(areas, polarization=None, m_max=1.5)
+    return analysis.PolarizationReport(areas, polarization=None, m_max=analysis.QUARTET_M_MAX)
 
 
 def _polarization_keys(pol: analysis.PolarizationReport) -> dict:
@@ -518,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_report(command: str, out_dir: Path, report: dict, curves: dict, quiet: bool) -> int:
     """Write the curves, then ``<command>.json``, into ``out_dir`` (the report
     is serialized first, so one that is not strict JSON writes nothing) and
-    return the exit code; a fit that did not converge raises after writing."""
+    return the exit code; a fit that did not converge also gets a stderr line."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command, **report}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -531,7 +528,8 @@ def _write_report(command: str, out_dir: Path, report: dict, curves: dict, quiet
         for group in report.get("groups", []):
             print(f"{group['name']}: {'pass' if group['passed'] else 'FAIL'}")
     if "fit" in report and not report["fit"]["converged"]:
-        raise NonConvergenceError("fit did not converge; partial report written")
+        print("fit error: fit did not converge; partial report written", file=sys.stderr)
+        return EXIT_NONCONVERGED
     return EXIT_OK if report.get("passed", True) else EXIT_SCHEMA
 
 
@@ -573,9 +571,6 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except NonConvergenceError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except (ValueError, RecursionError, MemoryError, OverflowError, OSError, RuntimeError) as exc:
         # deep JSON nesting, arrays beyond the address space, float overflow,
         # an unwritable output directory

@@ -105,39 +105,6 @@ class MeasuredSpectrum:
         return int(self.frequencies.size)
 
 
-@dataclass(frozen=True)
-class FreeLorentzianModel:
-    """n equally spaced dips with shared spacing, free depths and widths."""
-
-    n_lines: int
-    f_first: float
-    spacing: float
-    depths: tuple[float, ...]
-    widths: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_lines < 1:
-            raise ValueError("need at least one line")
-        if self.spacing <= 0 and self.n_lines > 1:
-            raise ValueError("spacing must be positive")
-        if len(self.depths) != self.n_lines or len(self.widths) != self.n_lines:
-            raise ValueError("one depth and one width per line required")
-        if any(c < 0 for c in self.depths):
-            raise ValueError("depths must be nonnegative")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
-
-    @property
-    def centers(self) -> tuple[float, ...]:
-        return tuple(self.f_first + k * self.spacing for k in range(self.n_lines))
-
-    @property
-    def areas(self) -> tuple[float, ...]:
-        """Per-line area proxy: depth times width (constant factors cancel
-        in the polarization ratio)."""
-        return tuple(c * w for c, w in zip(self.depths, self.widths))
-
-
 def _free_profiles(
     f: np.ndarray, f_first: float, spacing: float, widths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -544,12 +511,11 @@ def fit_physical(
 # --- free equally spaced Lorentzians ----------------------------------------
 
 
-def initial_free_guess(meas: MeasuredSpectrum, n_lines: int) -> FreeLorentzianModel:
-    """Spread the lines over the observed depression."""
+def initial_free_guess(meas: MeasuredSpectrum, n_lines: int) -> tuple[float, float, float]:
+    """Spread the lines over the observed depression: the start
+    (f_first, spacing, width) of every line."""
     f = meas.frequencies
-    r = meas.ratios
-    depth = np.clip(1.0 - r, 0.0, None)
-    dip = float(max(depth.max(), 1e-3))
+    depth = np.clip(1.0 - meas.ratios, 0.0, None)
     if depth.sum() > 0:
         center = float((f * depth).sum() / depth.sum())
     else:
@@ -557,14 +523,7 @@ def initial_free_guess(meas: MeasuredSpectrum, n_lines: int) -> FreeLorentzianMo
     span = float(f[-1] - f[0])
     spacing = span / max(2 * n_lines, 4)
     f_first = center - 0.5 * (n_lines - 1) * spacing
-    width = max(spacing / 2.0, span / 50.0)
-    return FreeLorentzianModel(
-        n_lines=n_lines,
-        f_first=f_first,
-        spacing=spacing,
-        depths=tuple(dip / 2.0 for _ in range(n_lines)),
-        widths=tuple(width for _ in range(n_lines)),
-    )
+    return f_first, spacing, max(spacing / 2.0, span / 50.0)
 
 
 def _dip_rows(u: np.ndarray, g: np.ndarray, profiles: np.ndarray, depths, widths) -> np.ndarray:
@@ -648,9 +607,9 @@ _NO_LINE_DCHI2 = 100.0
 def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
-    One start, the centers and widths of ``initial_free_guess`` (its depths
-    are unused), and two LM runs. The first runs over the centers and
-    widths, the depths solved in closed form at every point
+    One start, the (f_first, spacing, width) of ``initial_free_guess`` with
+    every line at that width, and two LM runs. The first runs over the
+    centers and widths, the depths solved in closed form at every point
     (``_projected_problem``). The polish runs the full problem
     (``_free_problem``) from there with the depths bounded at >= 0 and gives
     the values, the covariance, ``converged`` and the diagnostics (the
@@ -678,7 +637,7 @@ def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
             f"{n_lines} free Lorentzians have {2 + 2 * n_lines} parameters,"
             f" more than the {meas.n_samples} samples"
         )
-    init = initial_free_guess(meas, n_lines)
+    f_first, spacing, width = initial_free_guess(meas, n_lines)
     names = (
         ["f_first", "spacing"]
         + [f"depth_{m + 1}" for m in range(n_lines)]
@@ -689,7 +648,7 @@ def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
     lower = np.array([-np.inf, 1e-9] + [1e-6] * n_lines)
     upper = np.array([np.inf, np.inf] + [span] * n_lines)
     bounds = (np.insert(lower, 2, [0.0] * n_lines), np.insert(upper, 2, [np.inf] * n_lines))
-    q0 = np.clip([init.f_first, init.spacing, *init.widths], lower, upper)
+    q0 = np.clip([f_first, spacing] + [width] * n_lines, lower, upper)
     projected, point = _projected_problem(meas, n_lines)
     problem = _free_problem(meas, n_lines)
 
@@ -731,14 +690,3 @@ def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
         diagnostics=polish.diagnostics + note,
     )
 
-
-def free_model_from_result(result: FitResult, n_lines: int) -> FreeLorentzianModel:
-    """Materialize the fitted line set from a free-Lorentzian fit result."""
-    values = result.values
-    return FreeLorentzianModel(
-        n_lines=n_lines,
-        f_first=values["f_first"],
-        spacing=values["spacing"],
-        depths=tuple(values[f"depth_{m + 1}"] for m in range(n_lines)),
-        widths=tuple(values[f"width_{m + 1}"] for m in range(n_lines)),
-    )
