@@ -13,9 +13,9 @@ from vbodmr.fit import MeasuredSpectrum, fit_free_lorentzians
 from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
-    config_spectrum,
     default_grid,
     enumerate_ladder,
+    mixture_spectrum,
 )
 
 
@@ -37,7 +37,7 @@ def main() -> None:
             f_center=2308.0, contrast=0.11, linewidth=51.0,
             a14=43.0, a15=-64.0, p15=1.0, populations=pops,
         )
-        clean = config_spectrum(model, 3, grid).values
+        clean = mixture_spectrum(model, grid).values
         meas = MeasuredSpectrum(grid, clean + rng.normal(0.0, args.noise, clean.size))
         res = fit_free_lorentzians(meas, 4)
         est = polarization_from_quartet_fit(res).polarization

@@ -21,9 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult
-from .spectrum import (
-    Curve, SpectrumModel, _line_plan, _line_table, _positions, binomial_fractions, lorentzian
-)
+from .spectrum import Curve, SpectrumModel, _line_plan, _line_table, _positions, lorentzian
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -33,11 +31,10 @@ QUARTET_M_MAX = max(QUARTET_M_ASSIGNMENT)
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Maximum spectral slope and the relative sensitivity figure 1/slope."""
+    """Maximum spectral slope; the relative sensitivity figure is 1/slope."""
 
     max_slope: float          # per MHz, of the (optionally C-normalized) ratio
     slope_curve: Curve        # dR/df on the evaluation grid
-    eta_relative: float       # relative field sensitivity, smaller is better
     normalization: str        # "raw" or "per_contrast"
 
 
@@ -65,7 +62,7 @@ def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
     """Closed-form dR/df of the mixture from one ``lorentzian`` call: with
     u = f - f_line, g = (FWHM/2)^2 and L = g / (u^2 + g), dR/df =
     (2 C / g) (w @ (u L^2)), finite wherever g is."""
-    keys, w, _ = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+    keys, w, _ = _line_plan(model, _line_table(model.populations))
     positions = _positions(model, keys)[:, None]
     slopes = lorentzian(grid, positions, model.linewidth)
     slopes *= slopes
@@ -106,7 +103,6 @@ def spectral_slope(
     return SensitivityReport(
         max_slope=max_slope,
         slope_curve=Curve(grid, values),
-        eta_relative=1.0 / max_slope if max_slope > 0 else math.inf,
         normalization=normalization,
     )
 

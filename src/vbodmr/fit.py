@@ -37,7 +37,6 @@ import numpy as np
 from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
-    _binomial,
     _jacobian_rows,
     _line_pass,
     _line_plan,
@@ -374,7 +373,7 @@ def _physical_problem(
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
     table = _line_table(init.populations)  # W depends on no fitted parameter
-    fixed = None if "p15" in active else _line_plan(init, table, _binomial(init.p15))
+    fixed = None if "p15" in active else _line_plan(init, table)
     coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
     # the profile buffer, then the Jacobian's u and L^2 scratch
     buffers = np.empty((3, len(table if fixed is None else fixed[0]), grid.size))
@@ -383,7 +382,7 @@ def _physical_problem(
     def problem(p: np.ndarray):
         nonlocal latest
         model = replace(init, **dict(zip(active, p)))
-        plan = fixed or _line_plan(model, table, _binomial(model.p15), True)
+        plan = fixed or _line_plan(model, table, True)
         n = len(plan[0])
         lines = latest = _line_pass(model, grid, plan, out=buffers[0, :n])
         res = lines[0] - y

@@ -28,7 +28,6 @@ from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
 from .spin_core import IsotopeSpecies, _label_table, _read_only
 
 DEFAULT_GRID_POINTS = 801
-DEFAULT_GRID_SPAN_MHZ = 250.0
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,10 @@ class Populations:
         w = tuple(float(x) for x in self.weights)
         if len(w) != len(self.ladder.rungs):
             raise ValueError("one weight per ladder rung required")
-        if any(x < 0 for x in w):
+        if not all(x >= 0 for x in w):
             raise ValueError("weights must be nonnegative")
         total = math.fsum(g * x for (_, g), x in zip(self.ladder.rungs, w))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"degeneracy-weighted sum must be 1, got {total}")
         object.__setattr__(self, "weights", w)
 
@@ -100,7 +99,7 @@ class Populations:
         sum_gm2 = math.fsum(g * m * m for m, g in ladder.rungs)
         kappa = polarization * n * ladder.m_max / sum_gm2
         weights = tuple((1.0 + kappa * m) / n for m, _ in ladder.rungs)
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise ValueError(f"polarization {polarization} not representable by a linear tilt")
         return cls(ladder, weights)
 
@@ -130,7 +129,7 @@ class SpectrumModel:
         # contrast 0 is admitted as the degenerate no-signal limit
         if not 0.0 <= self.contrast < 1.0:
             raise ValueError("contrast must lie in [0, 1)")
-        if self.linewidth <= 0.0:
+        if not self.linewidth > 0.0:
             raise ValueError("linewidth must be positive")
         if not 0.0 <= self.p15 <= 1.0:
             raise ValueError("p15 must lie in [0, 1]")
@@ -169,14 +168,10 @@ class Curve:
                 fh.write(f"{float(f)!r},{float(v)!r}\n")
 
 
-def default_grid(
-    f_center: float,
-    span_mhz: float = DEFAULT_GRID_SPAN_MHZ,
-    points: int = DEFAULT_GRID_POINTS,
-) -> np.ndarray:
-    """801 points over f_center +- 250 MHz unless overridden; covers the
+def default_grid(f_center: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """801 points (unless overridden) over f_center +- 250 MHz; covers the
     outermost 15N lines (±96 MHz) with sub-MHz resolution."""
-    return np.linspace(f_center - span_mhz, f_center + span_mhz, points)
+    return np.linspace(f_center - 250.0, f_center + 250.0, points)
 
 
 def lorentzian(f, f0, fwhm: float, out=None):
@@ -230,28 +225,6 @@ def _positions(model: SpectrumModel, keys: np.ndarray) -> np.ndarray:
     return model.f_center + model.branch * (keys[:, 0] * model.a14 + keys[:, 1] * model.a15)
 
 
-def config_lines(model: SpectrumModel, n15_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Line positions and total weights of configuration #n: one line per
-    (sum of 14N, sum of 15N projections) group of product states, in
-    ascending order of that pair, not by position. Groups that coincide for
-    particular couplings (a14 = 0, a15 = 0, a15 = +-2 a14) stay separate
-    lines; unpolarized weights sum to 1."""
-    if n15_count not in (0, 1, 2, 3):
-        raise ValueError("n15_count must be 0..3")
-    keys, counts = _line_groups()
-    rows = np.flatnonzero(counts[:, n15_count])
-    return _positions(model, keys[rows]), _line_table(model.populations)[rows, n15_count]
-
-
-def config_spectrum(model: SpectrumModel, n15_count: int, grid) -> Curve:
-    """ODMR curve of a single defect configuration on the given grid."""
-    if n15_count not in (0, 1, 2, 3):
-        raise ValueError("n15_count must be 0..3")
-    # fraction 1 of one configuration: the mixture at p15 = 0 or 1, bit for bit
-    plan = _line_plan(model, _line_table(model.populations), [n == n15_count for n in range(4)])
-    return Curve(grid, _line_pass(model, grid, plan)[0])
-
-
 def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
     """Ensemble fractions (P0, P1, P2, P3) of configurations #0..#3 for a
     spatially uniform 15N fraction."""
@@ -272,18 +245,20 @@ def _binomial_slopes(p15: float) -> tuple[float, float, float, float]:
 
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     """Ensemble ODMR curve: binomial mixture of the four configurations,
-    one product over their 25 distinct lines (``_line_pass``). It equals
-    sum(frac * config_spectrum) within 1.5 eps, not bit for bit."""
-    plan = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+    one product over their 25 distinct lines (``_line_pass``). It equals the
+    fraction-weighted sum of per-configuration curves within 1.5 eps, not bit
+    for bit."""
+    plan = _line_plan(model, _line_table(model.populations))
     return Curve(grid, _line_pass(model, grid, plan)[0])
 
 
-def _line_plan(model: SpectrumModel, table: np.ndarray, config_fractions, p15_column=False):
+def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
     """What a line pass needs besides positions, width and contrast: (keys, w,
-    dw), w = W @ config_fractions and dw = W @ dP/dp15 for the line table W.
-    Lines with w != 0 come first, in key order; with ``p15_column`` the lines
-    with w = 0 and dw != 0 (at p15 = 0 or 1) follow them."""
-    w = table @ np.asarray(config_fractions, dtype=float)
+    dw), w = W @ P and dw = W @ dP/dp15 for the line table W and the binomial
+    fractions P of ``model.p15``. Lines with w != 0 come first, in key order;
+    with ``p15_column`` the lines with w = 0 and dw != 0 (at p15 = 0 or 1)
+    follow them."""
+    w = table @ np.array(_binomial(model.p15))
     dw = table @ np.array(_binomial_slopes(model.p15))
     rows = np.flatnonzero(w)
     if p15_column:

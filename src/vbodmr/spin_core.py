@@ -169,10 +169,6 @@ class SpinSystem:
         object.__setattr__(self, "sites", sites)
 
     @property
-    def dim(self) -> int:
-        return 3 * math.prod(s.species.multiplicity for s in self.sites)
-
-    @property
     def n15_count(self) -> int:
         return sum(1 for s in self.sites if s.species is IsotopeSpecies.N15)
 

@@ -17,7 +17,6 @@ from vbodmr.fit import MeasuredSpectrum, fit_free_lorentzians, fit_physical
 from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
-    config_spectrum,
     default_grid,
     enumerate_ladder,
     mixture_spectrum,
@@ -192,7 +191,7 @@ def test_criterion_7_polarization_estimator():
             populations=pops,
         )
         grid = default_grid(2308.0)
-        clean = config_spectrum(model, 3, grid).values
+        clean = mixture_spectrum(model, grid).values
         noisy = clean + np.random.default_rng(2024).normal(0.0, 0.002, clean.size)
         res = fit_free_lorentzians(MeasuredSpectrum(grid, noisy), 4)
         est = polarization_from_quartet_fit(res).polarization

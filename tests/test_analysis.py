@@ -24,7 +24,6 @@ from vbodmr.fit import FitResult, MeasuredSpectrum, fit_free_lorentzians
 from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
-    config_spectrum,
     default_grid,
     enumerate_ladder,
     mixture_spectrum,
@@ -122,10 +121,10 @@ def test_relative_sensitivity_contract():
     s14 = spectral_slope(sample_model(0.0), grid, "per_contrast")
     # eta_14 / eta_15 = slope_15 / slope_14 ~ 1.8: 15N wins
     assert relative_sensitivity(s14, report) == pytest.approx(1.8, abs=0.05)
-    # doubling C halves eta in raw normalization
+    # doubling C doubles the raw slope, so halves eta = 1 / slope
     raw_1 = spectral_slope(sample_model(1.0, contrast=0.05), grid, "raw")
     raw_2 = spectral_slope(sample_model(1.0, contrast=0.10), grid, "raw")
-    assert raw_1.eta_relative / raw_2.eta_relative == pytest.approx(2.0, rel=1e-9)
+    assert raw_2.max_slope / raw_1.max_slope == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(ValueError):
         relative_sensitivity(report, spectral_slope(sample_model(0.0), grid, "raw"))
 
@@ -243,7 +242,7 @@ def test_fit_area_chain_recovers_constructed_polarization():
         populations=pops,
     )
     grid = default_grid(2308.0)
-    clean = config_spectrum(model, 3, grid).values
+    clean = mixture_spectrum(model, grid).values
     noisy = clean + np.random.default_rng(99).normal(0.0, 0.002, clean.size)
     res = fit_free_lorentzians(MeasuredSpectrum(grid, noisy), 4)
     report = polarization_from_quartet_fit(res)

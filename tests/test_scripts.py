@@ -27,8 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
         # every full-mode solve of the hamiltonian_sweep corpus passes its check
         ("sweep_pass.py", (), r"op_b +144 +0\n(.|\n)*sha256 all +[0-9a-f]{64}"),
+        # every fit of the fit_batch corpus runs; no digest or failure count is
+        # pinned, so a legitimate change to the fits keeps this passing
+        ("corpus_pass.py", (), r"all +200 +\d+\n(.|\n)*sha256 all +[0-9a-f]{64}"),
     ],
-    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass"],
+    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass",
+         "corpus_pass"],
 )
 def test_script_runs(tmp_path, name, args, expected):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

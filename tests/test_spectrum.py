@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from vbodmr.spectrum import (
     _line_plan,
     _line_table,
     _model_jacobian,
+    _positions,
     binomial_fractions,
-    config_lines,
-    config_spectrum,
     default_grid,
     enumerate_ladder,
     lorentzian,
@@ -139,6 +139,17 @@ def test_population_weight_normalization_enforced():
         Populations(ladder, (0.25, 0.25, 0.25, 0.25))  # ignores degeneracy
     with pytest.raises(ValueError):
         Populations(ladder, (-0.1, 0.2, 0.2, 0.1))
+    # NaN compares False both ways, so each check must fail on it
+    with pytest.raises(ValueError):
+        Populations(ladder, (math.nan, 0.125, 0.125, 0.125))
+    with pytest.raises(ValueError, match="not representable"):
+        Populations.with_polarization(ladder, math.nan)
+
+
+@pytest.mark.parametrize("linewidth", [0.0, -1.0, math.nan])
+def test_model_rejects_nonpositive_linewidth(linewidth):
+    with pytest.raises(ValueError, match="linewidth"):
+        quartet_model(linewidth=linewidth)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +193,7 @@ def test_lorentzian_rejects_bad_width():
         lorentzian(0.0, 0.0, 0.0)
 
 
-# --- configuration spectra ---------------------------------------------------
+# --- configuration lines and pure-isotope spectra ----------------------------
 
 def quartet_model(**overrides):
     params = dict(
@@ -192,13 +203,21 @@ def quartet_model(**overrides):
     return SpectrumModel(**params)
 
 
+def table_lines(model, n15):
+    """Positions and weights of configuration #n's lines, read from the line
+    table: the groups of ``_line_groups`` in which #n has states."""
+    keys, counts = _line_groups()
+    rows = np.flatnonzero(counts[:, n15])
+    return _positions(model, keys[rows]), _line_table(model.populations)[rows, n15]
+
+
 def test_quartet_dip_positions_and_depth_ratios():
     # narrow-line limit isolates each dip; depths follow the 1:3:3:1 degeneracy
     model = quartet_model(linewidth=4.0)
-    positions, weights = config_lines(model, 3)
+    positions, weights = table_lines(model, 3)
     assert np.allclose(np.sort(positions), [2308 - 96, 2308 - 32, 2308 + 32, 2308 + 96])
     grid = default_grid(2308.0)
-    curve = config_spectrum(model, 3, grid)
+    curve = mixture_spectrum(model, grid)
     depths = [1.0 - curve.values[np.argmin(np.abs(grid - p))] for p in np.sort(positions)]
     ratios = np.array(depths) / min(depths)
     assert np.allclose(ratios, [1.0, 3.0, 3.0, 1.0], rtol=0.02)
@@ -206,7 +225,7 @@ def test_quartet_dip_positions_and_depth_ratios():
 
 def test_zero_contrast_is_flat():
     model = quartet_model(contrast=0.0)
-    curve = config_spectrum(model, 3, default_grid(2308.0))
+    curve = mixture_spectrum(model, default_grid(2308.0))
     assert np.all(curve.values == 1.0)
 
 
@@ -214,7 +233,7 @@ def test_config0_central_depth_narrow_line_limit():
     # deepest dip at f_center with relative depth 7/27 when lines are isolated
     model = quartet_model(p15=0.0, linewidth=1.0, contrast=0.056)
     grid = np.linspace(2308 - 200, 2308 + 200, 8001)
-    curve = config_spectrum(model, 0, grid)
+    curve = mixture_spectrum(model, grid)
     depth = 1.0 - curve.values.min()
     assert grid[np.argmin(curve.values)] == pytest.approx(2308.0, abs=0.1)
     assert depth / model.contrast == pytest.approx(7 / 27, abs=1e-3)
@@ -231,14 +250,14 @@ def test_line_positions_match_spin_core_oracle(n15):
     for f in np.sort(oracle):
         if not oracle_unique or abs(f - oracle_unique[-1]) > 1e-9:
             oracle_unique.append(f)
-    positions, _ = config_lines(model, n15)
+    positions, _ = table_lines(model, n15)
     assert len(positions) == len(oracle_unique)
     assert np.abs(np.array(oracle_unique) - np.sort(positions)).max() < 1e-9
 
 
 @pytest.mark.parametrize("n15", [0, 1, 2, 3])
 def test_config_weights_sum_to_one(n15):
-    _, weights = config_lines(quartet_model(), n15)
+    _, weights = table_lines(quartet_model(), n15)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -255,37 +274,6 @@ def test_binomial_fractions_endpoints_and_value():
 @given(p15=st.floats(0.0, 1.0))
 def test_binomial_fractions_sum_to_one(p15):
     assert sum(binomial_fractions(p15)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mixture_reduces_to_single_config_at_endpoints():
-    grid = default_grid(2308.0)
-    model0 = quartet_model(p15=0.0)
-    assert np.array_equal(
-        mixture_spectrum(model0, grid).values, config_spectrum(model0, 0, grid).values
-    )
-    model3 = quartet_model(p15=1.0)
-    assert np.array_equal(
-        mixture_spectrum(model3, grid).values, config_spectrum(model3, 3, grid).values
-    )
-
-
-def config_sum_values(model, grid):
-    """Reference: the mixture as the weighted sum of per-configuration curves,
-    accumulated in configuration order."""
-    values = np.zeros_like(grid)
-    for n, frac in enumerate(binomial_fractions(model.p15)):
-        if frac != 0.0:
-            values += frac * config_spectrum(model, n, grid).values
-    return values
-
-
-def test_mixture_is_the_weighted_sum_within_ulps():
-    # one product over the merged lines reorders the sums of the weighted
-    # sum of the configuration curves (values near 1, so absolute eps)
-    grid = default_grid(2310.0)
-    model = quartet_model(f_center=2310.0, p15=0.6)
-    mixture = mixture_spectrum(model, grid).values
-    assert np.abs(mixture - config_sum_values(model, grid)).max() <= CURVE_ULPS * EPS
 
 
 def test_quartet_dips_resolved_at_paper_parameters():
@@ -338,8 +326,8 @@ def test_normalization_bounds(p15):
 def test_mirror_symmetry_unpolarized(n15):
     model = quartet_model(p15=n15 / 3.0)
     delta = np.linspace(0.0, 200.0, 501)
-    right = config_spectrum(model, n15, model.f_center + delta).values
-    left = config_spectrum(model, n15, np.sort(model.f_center - delta)).values[::-1]
+    right = mixture_spectrum(model, model.f_center + delta).values
+    left = mixture_spectrum(model, np.sort(model.f_center - delta)).values[::-1]
     assert np.abs(right - left).max() <= 1e-12
 
 
@@ -356,7 +344,7 @@ def test_polarized_quartet_biases_high_frequency_side():
     ladder_pops = {3: Populations.with_polarization(enumerate_ladder(3), 0.3)}
     model = quartet_model(populations=ladder_pops)
     grid = default_grid(2308.0)
-    values = config_spectrum(model, 3, grid).values
+    values = mixture_spectrum(model, grid).values
     center = np.searchsorted(grid, 2308.0)
     low_area = np.sum(1.0 - values[:center])
     high_area = np.sum(1.0 - values[center:])
@@ -459,16 +447,12 @@ def test_array_model_matches_loop_reference_within_ulps():
     for model in reference_models(512):
         grid = default_grid(model.f_center)
         for n in range(4):
-            positions, weights = config_lines(model, n)
+            positions, weights = table_lines(model, n)
             ref_positions, ref_weights = reference_lines(model, n)
             assert np.array_equal(positions, ref_positions), (model, n)
             assert np.array_equal(weights, ref_weights), (model, n)
-            values = config_spectrum(model, n, grid).values
-            ref_values = reference_config_values(model, n, grid)
-            assert np.abs(values - ref_values).max() <= CURVE_ULPS * EPS, (model, n)
         mixture = mixture_spectrum(model, grid).values
         assert np.abs(mixture - reference_mixture_values(model, grid)).max() <= CURVE_ULPS * EPS
-        assert np.abs(mixture - config_sum_values(model, grid)).max() <= CURVE_ULPS * EPS
         slope = spectral_slope(model, grid).slope_curve.values
         ref_slope = reference_slope_values(model, grid)
         bound = SLOPE_ULPS * EPS * np.abs(ref_slope).max()
@@ -500,11 +484,9 @@ def test_line_table_columns_are_the_configuration_lines(polarized):
     assert table.shape == (25, 4)
     for n in range(4):
         rows = [i for i, key in enumerate(map(tuple, keys)) if key in reference_keys(n)]
-        positions, weights = config_lines(model, n)
         ref_positions, ref_weights = reference_lines(model, n)
-        assert np.array_equal(table[rows, n], weights), n
-        assert np.array_equal(weights, ref_weights), n
-        assert np.array_equal(positions, ref_positions), n
+        assert np.array_equal(table[rows, n], ref_weights), n
+        assert np.array_equal(_positions(model, keys[rows]), ref_positions), n
         assert not np.delete(table[:, n], rows).any(), n
 
 
@@ -514,7 +496,7 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
     for model in reference_models(512):
         grid = default_grid(model.f_center)
         slope = spectral_slope(model, grid).slope_curve.values
-        plan = _line_plan(model, _line_table(model.populations), binomial_fractions(model.p15))
+        plan = _line_plan(model, _line_table(model.populations))
         lines = _line_pass(model, grid, plan)
         jac_row = -_model_jacobian(model, grid, lines)[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
@@ -561,7 +543,7 @@ def test_curve_requires_increasing_grid():
 
 def test_curve_csv_round_trip(tmp_path):
     grid = default_grid(2308.0, points=11)
-    curve = config_spectrum(quartet_model(), 3, grid)
+    curve = mixture_spectrum(quartet_model(), grid)
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     rows = path.read_text().strip().splitlines()
