@@ -184,25 +184,6 @@ def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
     return replace(report, sigma=math.sqrt(max(float(grad @ block @ grad), 0.0)))
 
 
-def min_detectable_field(
-    report: SensitivityReport,
-    photon_rate_hz: float,
-    duration_s: float,
-) -> float:
-    """Shot-noise-limited field resolution (mT) for a given photon budget.
-
-    B_min = 1 / (gamma_e * sqrt(I0 * T) * |dR/df|_max); needs the raw slope
-    of the normalized spectrum, so per-contrast reports are rejected.
-    """
-    if report.normalization != "raw":
-        raise ValueError("absolute field resolution needs a raw-normalized slope")
-    if photon_rate_hz <= 0 or duration_s <= 0:
-        raise ValueError("photon rate and duration must be positive")
-    if report.max_slope == 0.0:
-        raise ValueError("zero slope; field resolution undefined")
-    return 1.0 / (GAMMA_E_MHZ_PER_MT * math.sqrt(photon_rate_hz * duration_s) * report.max_slope)
-
-
 def field_from_center(d_gs_mhz: float, f_center_mhz: float) -> float:
     """Axial field (mT) from the lower-branch center: (D - f_center)/gamma_e."""
     b_z = (d_gs_mhz - f_center_mhz) / GAMMA_E_MHZ_PER_MT

@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Verbs: simulate | fit | sensitivity | polarization | raman | validate.
-Each reads a strict JSON config (unknown keys abort before anything is
-written) and builds a JSON report plus plot-ready CSV curves; ``main`` alone
-writes them into the output directory, nothing unless the whole report was
-built, and prints one ``wrote <out>/<verb>.json`` line. It exits with 0 on
-success, 1 on a validation or schema error, 2 on an ingestion error, 3 on
-fit non-convergence (``fit`` writes its report first).
-``--seed`` obeys the rule of the config ``seed``: a nonnegative integer.
-``polarization`` takes ``areas`` + ``m_max``; the polarization of a measured
-15N quartet comes from ``fit`` with ``free_lorentzians`` and ``polarization``.
-Numbers must be finite: a NaN, an infinity or an overflowing literal in the
-config is a schema error, a model whose curve is not finite is refused, and
-reports are strict JSON.
+Each reads a strict JSON config: a key that is unknown, or that the chosen
+``fit`` model does not read (``FIT_MODEL_KEYS``; ``init.p15`` only with
+``p15: "free"``), aborts before any file is read or written. A verb builds a
+JSON report plus plot-ready CSV curves; ``main`` alone writes them into the
+output directory, nothing unless the whole report was built, and prints one
+``wrote <out>/<verb>.json`` line. It exits with 0 on success, 1 on a
+validation or schema error, 2 on an ingestion error, 3 on fit non-convergence
+(``fit`` writes its report first). ``--seed`` obeys the rule of the config
+``seed``: a nonnegative integer. ``polarization`` takes ``areas`` +
+``m_max``; the polarization of a measured 15N quartet comes from ``fit`` with
+``free_lorentzians`` and ``polarization``. Numbers must be finite: a NaN, an
+infinity or an overflowing literal in the config is a schema error, a model
+whose curve is not finite is refused, and reports are strict JSON.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fit as fitmod, spectrum, validate as validatemod
-from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ, NATURAL_B10_FRACTION
+from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
 from .spectrum import Curve, Populations, SpectrumModel, enumerate_ladder
 
 SCHEMA_VERSION = "1"
@@ -114,12 +115,18 @@ COMMAND_SCHEMAS = {
         "m_max": (_NUM, True),
     },
     "raman": {
-        "points": (list, True),
+        "points": (list, True, {"nitrogen_frac_15": (_NUM, True), "boron_frac_10": (_NUM, False)}),
     },
     "validate": {},
 }
 
 TOP_LEVEL_KEYS = set(COMMAND_SCHEMAS) | {"out_dir", "seed"}
+
+# the ``fit`` keys that only one fit model reads; the other model refuses them
+FIT_MODEL_KEYS = {
+    "physical": ("branch", "p15", "init"),
+    "free_lorentzians": ("n_lines", "polarization"),
+}
 
 
 def _check_block(block: dict, schema: dict, path: str, problems: list[str]) -> None:
@@ -139,8 +146,13 @@ def _check_block(block: dict, schema: dict, path: str, problems: list[str]) -> N
             ok = isinstance(value, expected) and not isinstance(value, bool)
         if not ok:
             problems.append(f"key '{path}{key}' has wrong type {type(value).__name__}")
-        elif len(rule) > 2 and isinstance(value, dict):
-            _check_block(value, rule[2], f"{path}{key}.", problems)
+        elif len(rule) > 2:  # an object of that schema, or a list of such objects
+            nested = {"": value} if expected is dict else {f"[{k}]": e for k, e in enumerate(value)}
+            for at, entry in nested.items():
+                if isinstance(entry, dict):
+                    _check_block(entry, rule[2], f"{path}{key}{at}.", problems)
+                else:
+                    problems.append(f"{path}{key}{at} must be an object")
 
 
 def validate_config(config: dict, command: str) -> dict:
@@ -266,7 +278,6 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
 # --- helpers -----------------------------------------------------------------
 
 def _model_from_block(block: dict) -> SpectrumModel:
-    branch = block.get("branch", -1)
     populations = None
     if "polarization" in block:
         pol = float(block["polarization"])
@@ -285,7 +296,7 @@ def _model_from_block(block: dict) -> SpectrumModel:
         a14=float(block.get("a14_mhz", A14_DEFAULT_MHZ)),
         a15=float(block.get("a15_mhz", A15_DEFAULT_MHZ)),
         p15=float(block["p15"]),
-        branch=branch,
+        branch=block.get("branch", -1),
         populations=populations,
     )
 
@@ -353,28 +364,30 @@ def cmd_simulate(block: dict, seed: int) -> tuple[dict, dict]:
 
 
 def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
-    meas = ingest_csv(block["input_csv"])
-    for key in ("sample_id", "field_mt", "laser_power_mw"):
-        if key in block:
-            meas.metadata[key] = block[key]
     mode = block.get("model", "physical")
-    if mode not in ("physical", "free_lorentzians"):
+    if mode not in FIT_MODEL_KEYS:
         raise SchemaError(["fit.model must be 'physical' or 'free_lorentzians'"])
-    # polarization from line areas maps exactly four lines to m_tot
-    if mode == "free_lorentzians" and block.get("polarization") and block.get("n_lines", 4) != 4:
-        raise SchemaError(["fit.n_lines must be 4 for polarization (15N quartet)"])
-
+    (other,) = set(FIT_MODEL_KEYS) - {mode}
+    unread = [key for key in FIT_MODEL_KEYS[other] if key in block]
+    problems = [f"key 'fit.{key}' is read only by model '{other}'" for key in unread]
+    p15 = block.get("p15", 0.0)
+    if mode == "physical":
+        if isinstance(p15, str) and p15 != "free":
+            problems.append("fit.p15 must be a number or 'free'")
+        if "p15" in block.get("init", {}) and p15 != "free":
+            problems.append("key 'fit.init.p15' is read only when fit.p15 is 'free'")
+    elif block.get("polarization") and block.get("n_lines", 4) != 4:
+        # polarization from line areas maps exactly four lines to m_tot
+        problems.append("fit.n_lines must be 4 for polarization (15N quartet)")
+    if problems:
+        raise SchemaError(problems)
+    meas = ingest_csv(block["input_csv"])
+    labels = ("sample_id", "field_mt", "laser_power_mw")
+    meas.metadata.update({key: block[key] for key in labels if key in block})
     derived: dict = {}
     if mode == "physical":
-        p15_cfg = block.get("p15", 0.0)
-        if isinstance(p15_cfg, str):
-            if p15_cfg != "free":
-                raise SchemaError(["fit.p15 must be a number or 'free'"])
-            p15_mode = "free"
-            p15_for_init = 0.5
-        else:
-            p15_mode = ("fixed", float(p15_cfg))
-            p15_for_init = float(p15_cfg)
+        p15_mode = "free" if p15 == "free" else ("fixed", float(p15))
+        p15_for_init = 0.5 if p15 == "free" else float(p15)
         init = fitmod.initial_physical_guess(meas, p15_for_init, branch=block.get("branch", -1))
         # INIT_SCHEMA keys are the SpectrumModel fields, some with an _mhz suffix
         overrides = {key.removesuffix("_mhz"): v for key, v in block.get("init", {}).items()}
@@ -461,20 +474,11 @@ def cmd_polarization(block: dict, seed: int) -> tuple[dict, dict]:
 
 
 def cmd_raman(block: dict, seed: int) -> tuple[dict, dict]:
-    schema = {"nitrogen_frac_15": (_NUM, True), "boron_frac_10": (_NUM, False)}
-    points = []
-    for k, entry in enumerate(block["points"]):
-        if not isinstance(entry, dict):
-            raise SchemaError([f"raman.points[{k}] must be an object"])
-        problems: list[str] = []
-        _check_block(entry, schema, f"raman.points[{k}].", problems)
-        if problems:
-            raise SchemaError(problems)
-        point = analysis.raman_point(
-            float(entry["nitrogen_frac_15"]),
-            float(entry.get("boron_frac_10", NATURAL_B10_FRACTION)),
-        )
-        points.append(asdict(point))
+    # the entry keys are raman_point's parameters; it holds the natural-10B default
+    points = [
+        asdict(analysis.raman_point(**{key: float(v) for key, v in entry.items()}))
+        for entry in block["points"]
+    ]
     return {"points": points}, {}
 
 

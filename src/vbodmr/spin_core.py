@@ -168,10 +168,6 @@ class SpinSystem:
             raise ValueError("a V_B defect has exactly 3 nearest nitrogen sites")
         object.__setattr__(self, "sites", sites)
 
-    @property
-    def n15_count(self) -> int:
-        return sum(1 for s in self.sites if s.species is IsotopeSpecies.N15)
-
 
 def make_system(
     d_gs: float,
@@ -228,11 +224,8 @@ class Transition:
 class TransitionSet:
     entries: tuple[Transition, ...]
 
-    def branch(self, branch: int) -> tuple[Transition, ...]:
-        return tuple(t for t in self.entries if t.branch == branch)
-
     def frequencies(self, branch: int) -> np.ndarray:
-        return np.array(sorted(t.frequency_mhz for t in self.branch(branch)))
+        return np.array(sorted(t.frequency_mhz for t in self.entries if t.branch == branch))
 
 
 # --- spin operators and basis bookkeeping ---------------------------------

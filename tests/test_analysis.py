@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from vbodmr.analysis import (
     field_from_center,
-    min_detectable_field,
     polarization_from_areas,
     polarization_from_quartet_fit,
     quartet_areas,
@@ -137,20 +136,6 @@ def test_zero_slope_ratio_is_an_error():
         relative_sensitivity(zero, nonzero)
     with pytest.raises(ValueError):
         relative_sensitivity(nonzero, zero)
-
-
-def test_min_detectable_field_photon_budget():
-    grid = fine_grid()
-    raw = spectral_slope(sample_model(1.0), grid, "raw")
-    b1 = min_detectable_field(raw, photon_rate_hz=1e6, duration_s=1.0)
-    assert b1 == pytest.approx(1.0 / (28.0 * 1e3 * raw.max_slope), rel=1e-12)
-    # quadrupling the duration halves the resolvable field
-    b4 = min_detectable_field(raw, photon_rate_hz=1e6, duration_s=4.0)
-    assert b1 / b4 == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        min_detectable_field(
-            spectral_slope(sample_model(1.0), grid, "per_contrast"), 1e6, 1.0
-        )
 
 
 # --- polarization estimator ------------------------------------------------------

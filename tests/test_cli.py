@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from vbodmr import cli, spectrum, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
+from vbodmr.constants import NATURAL_B10_FRACTION
 from vbodmr.spectrum import SpectrumModel, default_grid, mixture_spectrum
+from vbodmr.spin_core import IsotopeSpecies
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -443,6 +445,60 @@ def test_polarization_needs_four_lines(tmp_path, capsys, command, block):
     assert not out.exists()
 
 
+def unread(key, model="free_lorentzians"):
+    return f"key 'fit.{key}' is read only by model '{model}'"
+
+
+INIT_P15_UNREAD = "key 'fit.init.p15' is read only when fit.p15 is 'free'"
+
+
+@pytest.mark.parametrize(
+    "block, problems",
+    [
+        ({"model": "free_lorentzians", "p15": 1.0}, [unread("p15", "physical")]),
+        ({"model": "free_lorentzians", "init": {"a15_mhz": 64.0}}, [unread("init", "physical")]),
+        ({"model": "free_lorentzians", "branch": -1}, [unread("branch", "physical")]),
+        ({"p15": 1.0, "n_lines": 4}, [unread("n_lines")]),
+        ({"model": "physical", "polarization": False}, [unread("polarization")]),
+        (
+            {"p15": 1.0, "polarization": True, "n_lines": 9},
+            [unread("n_lines"), unread("polarization")],
+        ),
+        ({"p15": 1.0, "init": {"p15": 0.5}}, [INIT_P15_UNREAD]),
+        ({"init": {"p15": 0.5}}, [INIT_P15_UNREAD]),
+    ],
+)
+def test_fit_refuses_a_key_its_model_does_not_read(tmp_path, capsys, block, problems):
+    # each config fits a readable spectrum once its unread keys are dropped
+    csv_path = write_curve_csv(tmp_path, rows=201)
+    config = write_config(tmp_path, {"fit": dict(block, input_csv=str(csv_path))})
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", "".join(f"config error: {p}\n" for p in problems))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block, problems",
+    [
+        ({"model": "bogus"}, ["fit.model must be 'physical' or 'free_lorentzians'"]),
+        ({"p15": "fre"}, ["fit.p15 must be a number or 'free'"]),
+        (
+            {"model": "free_lorentzians", "n_lines": 3, "polarization": True},
+            ["fit.n_lines must be 4 for polarization (15N quartet)"],
+        ),
+        ({"n_lines": 3, "polarization": True}, [unread("n_lines"), unread("polarization")]),
+    ],
+)
+def test_fit_config_error_comes_before_reading_the_input(tmp_path, capsys, block, problems):
+    # an absent input file would exit 2 had it been read
+    config = write_config(tmp_path, {"fit": dict(block, input_csv=str(tmp_path / "missing.csv"))})
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "".join(f"config error: {p}\n" for p in problems))
+    assert not out.exists()
+
+
 def test_simulate_strong_polarization_on_pure_sample(tmp_path):
     # representable on the quartet ladder even though it would not be on #0
     block = {"model": dict(SIM_BLOCK["model"], polarization=0.3)}
@@ -723,9 +779,25 @@ def test_raman_command(tmp_path):
     assert cli.main(["raman", "--config", config, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "raman.json").read_text())
     shifts = [p["shift_cm1"] for p in report["points"]]
+    # a point without boron_frac_10 has natural boron
+    assert [p["boron_frac_10"] for p in report["points"]] == [NATURAL_B10_FRACTION] * 3
     assert shifts[0] == pytest.approx(1364.6, abs=0.1)
     assert shifts[2] == pytest.approx(1345.0, abs=0.1)
     assert shifts[0] > shifts[1] > shifts[2]
+
+
+def test_raman_reports_every_bad_point(tmp_path, capsys):
+    points = [7, {"nitrogen_frac_15": 0.5, "boron": 0.2}, {"nitrogen_frac_15": "0.5"}]
+    config = write_config(tmp_path, {"raman": {"points": points}})
+    out = tmp_path / "out"
+    assert cli.main(["raman", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "config error: raman.points[0] must be an object\n"
+        "config error: unknown key 'raman.points[1].boron'\n"
+        "config error: key 'raman.points[2].nitrogen_frac_15' has wrong type str\n",
+    )
+    assert not out.exists()
 
 
 # --- validate ----------------------------------------------------------------------
@@ -829,7 +901,8 @@ def test_eigensolver_group_solves_the_full_hamiltonian_of_each_isotope_pattern(m
 
     def recording(sys_):
         h = real(sys_)
-        seen.append((sys_.n15_count, np.abs(h.entries - np.diag(np.diag(h.entries))).max()))
+        n15 = sum(site.species is IsotopeSpecies.N15 for site in sys_.sites)
+        seen.append((n15, np.abs(h.entries - np.diag(np.diag(h.entries))).max()))
         return h
 
     monkeypatch.setattr(validate, "build_full_hamiltonian", recording)
@@ -1017,25 +1090,35 @@ INIT = st.fixed_dictionaries(
 M_TOT = st.sampled_from(["-1.5", "-0.5", "0.5", "1.5"])
 
 
+def _init_p15_only_when_free(block: dict) -> dict:
+    """A physical fit block without the init.p15 that a fixed p15 leaves unread."""
+    if block.get("p15") == "free" or "init" not in block:
+        return block
+    return dict(block, init={k: v for k, v in block["init"].items() if k != "p15"})
+
+
 def verb_blocks(csv_path: str) -> dict:
     """Schema-shaped blocks of every verb, valid before perturbation."""
     n_lines = st.integers(1, SIZE_KEYS["n_lines"])
+    fit_common = {"d_gs_mhz": st.floats(3000.0, 4000.0), "sample_id": st.text(max_size=4)}
     return {
         "simulate": st.fixed_dictionaries(
             {"model": MODEL}, optional={"grid": GRID, "noise_sigma": st.floats(0.0, 0.01)}
         ),
+        # each fit block holds the keys of one fit model only
         "fit": st.fixed_dictionaries(
             {"input_csv": st.just(csv_path)},
             optional={
-                "model": st.sampled_from(["physical", "free_lorentzians"]),
+                "model": st.just("physical"),
                 "branch": st.sampled_from([-1, 1]),
                 "p15": st.floats(0.0, 1.0) | st.just("free"),
                 "init": INIT,
-                "n_lines": n_lines,
-                "d_gs_mhz": st.floats(3000.0, 4000.0),
-                "polarization": st.booleans(),
-                "sample_id": st.text(max_size=4),
+                **fit_common,
             },
+        ).map(_init_p15_only_when_free)
+        | st.fixed_dictionaries(
+            {"input_csv": st.just(csv_path), "model": st.just("free_lorentzians")},
+            optional={"n_lines": n_lines, "polarization": st.booleans(), **fit_common},
         ),
         "sensitivity": st.fixed_dictionaries(
             {"model_a": MODEL, "model_b": MODEL},

@@ -43,8 +43,8 @@ def secular_frequency(sys_, branch, label):
     """The effective transition frequency of one branch and nuclear label:
     the secular level of (m_S = branch, label)."""
     (line,) = [
-        t for t in transition_frequencies(sys_, "effective").branch(branch)
-        if t.nuclear_label == label
+        t for t in transition_frequencies(sys_, "effective").entries
+        if t.branch == branch and t.nuclear_label == label
     ]
     return line.frequency_mhz
 
@@ -392,7 +392,7 @@ def test_full_mode_transverse_tensors_match_eigenvalue_differences():
     ts = transition_frequencies(sys_, "full")
     labels = list(itertools.product((1.0, 0.0, -1.0), repeat=3))
     for branch in (1, -1):
-        assert sorted(t.nuclear_label for t in ts.branch(branch)) == sorted(labels)
+        assert sorted(t.nuclear_label for t in ts.entries if t.branch == branch) == sorted(labels)
     for t in ts.entries:
         assert np.abs(gaps - t.frequency_mhz).min() < 1e-6
         assert math.isfinite(t.dipole_weight)
