@@ -3,7 +3,8 @@
 Verbs: simulate | fit | sensitivity | polarization | raman | validate.
 Each reads a strict JSON config: a key that is unknown, or that the chosen
 ``fit`` model does not read (``FIT_MODEL_KEYS``; ``init.p15`` only with
-``p15: "free"``), aborts before any file is read or written. A verb builds a
+``p15: "free"``), and a ``fit`` p15, branch or n_lines out of its range
+abort before any file is read or written. A verb builds a
 JSON report plus plot-ready CSV curves; ``main`` alone writes them into the
 output directory, nothing unless the whole report was built, and prints one
 ``wrote <out>/<verb>.json`` line. It exits with 0 on success, 1 on a
@@ -374,8 +375,14 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     if mode == "physical":
         if isinstance(p15, str) and p15 != "free":
             problems.append("fit.p15 must be a number or 'free'")
+        elif not (isinstance(p15, str) or 0.0 <= p15 <= 1.0):
+            problems.append("fit.p15 must lie in [0, 1]")
+        if block.get("branch", -1) not in (1, -1):
+            problems.append("fit.branch must be +1 or -1")
         if "p15" in block.get("init", {}) and p15 != "free":
             problems.append("key 'fit.init.p15' is read only when fit.p15 is 'free'")
+    elif block.get("n_lines", 4) < 1:
+        problems.append("fit.n_lines must be >= 1")
     elif block.get("polarization") and block.get("n_lines", 4) != 4:
         # polarization from line areas maps exactly four lines to m_tot
         problems.append("fit.n_lines must be 4 for polarization (15N quartet)")

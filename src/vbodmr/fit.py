@@ -42,6 +42,8 @@ from .spectrum import (
     _line_plan,
     _line_table,
     _model_jacobian,
+    _positions,
+    lorentzian,
 )
 from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
 
@@ -57,6 +59,8 @@ DEGENERATE_COND = 1e12
 # fit_physical then refits once from the default couplings.
 _COUPLING_RESTART_MHZ = 1e-3
 _COUPLING_DEFAULTS = {"a14": A14_DEFAULT_MHZ, "a15": abs(A15_DEFAULT_MHZ)}
+# Lorentzian passes the physical start spends at most on its linewidth.
+_START_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -326,12 +330,19 @@ def lm_minimize(
 
 
 def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1) -> SpectrumModel:
-    """Heuristic starting point: center from the depression centroid,
-    contrast from the deepest sample, linewidth from the width of the region
-    below half depth, couplings at their default magnitudes. A caller that
-    knows better overrides fields with ``dataclasses.replace``."""
-    f = meas.frequencies
-    r = meas.ratios
+    """Start at the model's own dip. The center is the depression centroid
+    and the couplings sit at their default magnitudes; D = W @ L is the
+    unit-contrast dip of their lines (``p15``, ``branch``, unpolarized) on
+    the measured grid. The linewidth is the FWHM, at least one sample
+    spacing, at which D is as wide at half depth as the data (the extent of
+    the samples below half the deepest one): secant steps on that width,
+    the first of unit slope, until it is within the smallest sample spacing,
+    else the closest of ``_START_STEPS`` passes. The contrast is the
+    least-squares scale of D to 1 - y, clipped to [1e-3, 0.999]. With fewer
+    than two samples below half depth, the contrast is the deepest sample's
+    depth and the linewidth a tenth of the grid's span. A caller that knows
+    better overrides fields with ``dataclasses.replace``."""
+    f, r = meas.frequencies, meas.ratios
     depth = np.clip(1.0 - r, 0.0, None)
     contrast = float(min(max(depth.max(), 1e-3), 0.999))
     if depth.sum() > 0:
@@ -339,18 +350,29 @@ def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1)
     else:
         f_center = float(f[np.argmin(r)])
     below = f[r < 1.0 - contrast / 2.0]
-    if below.size >= 2:
-        linewidth = float(max(below.max() - below.min(), 1.0))
-    else:
-        linewidth = float((f[-1] - f[0]) / 10.0)
-    return SpectrumModel(
-        f_center=f_center,
-        contrast=contrast,
-        linewidth=linewidth,
-        p15=p15,
-        branch=branch,
-        **_COUPLING_DEFAULTS,
-    )
+    width = float((f[-1] - f[0]) / 10.0)
+    start = SpectrumModel(f_center, contrast, width, **_COUPLING_DEFAULTS, p15=p15, branch=branch)
+    if below.size < 2:
+        return start
+    keys, w, _ = _line_plan(start, _line_table(None))
+    step = float(np.diff(f).min())
+    target = float(below[-1] - below[0])
+    fwhm, last, tried = max(target, step), None, []
+    for _ in range(_START_STEPS):
+        dip = w @ lorentzian(f, _positions(start, keys)[:, None], fwhm)
+        above = f[dip > 0.5 * dip.max()]
+        if above.size == 0:  # the dip underflows or is not finite on this grid
+            return start
+        miss = float(above[-1] - above[0]) - target
+        tried.append((abs(miss), fwhm, dip))
+        if abs(miss) <= step:
+            break
+        slope = 1.0 if last is None or fwhm == last[0] else (miss - last[1]) / (fwhm - last[0])
+        last = (fwhm, miss)
+        fwhm = max(fwhm - miss / (slope if slope > 0.0 else 1.0), step)
+    _, fwhm, dip = min(tried, key=lambda t: t[0])
+    contrast = float(np.clip(dip @ (1.0 - r) / (dip @ dip), 1e-3, 0.999))
+    return replace(start, contrast=contrast, linewidth=fwhm)
 
 
 def _physical_problem(
@@ -445,9 +467,9 @@ def fit_physical(
     magnitudes (the sign cannot be determined from an unpolarized
     spectrum), with their covariance rows and columns flipped to match. The
     Jacobian is closed-form (``spectrum._model_jacobian``). When an active
-    coupling ends below 1e-3 MHz in magnitude (on the symmetry plane,
-    usually with a too-wide linewidth), the fit is run once more from the
-    same start with the active couplings at their default magnitudes; the
+    coupling starts or ends below 1e-3 MHz in magnitude (the symmetry plane,
+    where its gradient vanishes), the fit is run once more from the same
+    start with the active couplings at their default magnitudes; the
     lower cost is kept and a "coupling restart" diagnostic says which fit
     that was. When a free p15 ends at 0 or 1, the coupling of the absent
     species is reported with sigma inf and an "undetermined" diagnostic.
@@ -492,13 +514,14 @@ def fit_physical(
     p0 = [getattr(init, n) for n in active]
     result = lm_minimize(problem, p0, bounds=bounds, names=active)
 
-    stuck = [n for n in ("a14", "a15") if n in active and abs(result[n]) < _COUPLING_RESTART_MHZ]
+    lowest = {n: min(getattr(init, n), abs(result[n])) for n in ("a14", "a15") if n in active}
+    stuck = [n for n, a in lowest.items() if a < _COUPLING_RESTART_MHZ]
     p1 = [_COUPLING_DEFAULTS.get(n, v) for n, v in zip(active, p0)]
     if stuck and p1 != p0:
         retry = lm_minimize(problem, p1, bounds=bounds, names=active)
         kept = "restart" if retry.residual_norm < result.residual_norm else "first fit"
         note = (
-            f"coupling restart: {', '.join(stuck)} ended below {_COUPLING_RESTART_MHZ:g} MHz;"
+            f"coupling restart: {', '.join(stuck)} near 0 (< {_COUPLING_RESTART_MHZ:g} MHz);"
             f" refitted from the default couplings, kept the {kept}"
             f" (rms {result.residual_norm:.4g} -> {retry.residual_norm:.4g})"
         )

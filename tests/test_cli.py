@@ -488,6 +488,10 @@ def test_fit_refuses_a_key_its_model_does_not_read(tmp_path, capsys, block, prob
             ["fit.n_lines must be 4 for polarization (15N quartet)"],
         ),
         ({"n_lines": 3, "polarization": True}, [unread("n_lines"), unread("polarization")]),
+        # values the fit itself would refuse only after reading the input
+        ({"p15": 1.5}, ["fit.p15 must lie in [0, 1]"]),
+        ({"p15": 1.0, "branch": 7}, ["fit.branch must be +1 or -1"]),
+        ({"model": "free_lorentzians", "n_lines": 0}, ["fit.n_lines must be >= 1"]),
     ],
 )
 def test_fit_config_error_comes_before_reading_the_input(tmp_path, capsys, block, problems):
@@ -1174,14 +1178,17 @@ def perturbed(draw, config: dict) -> dict:
 
 @st.composite
 def mangled_csv(draw) -> bytes:
-    """A 15N quartet spectrum as CSV bytes, with rows and cells broken."""
-    n = draw(st.integers(0, 9) | st.integers(10, 24) | st.integers(10, 24))
+    """A 15N quartet spectrum as CSV bytes: in half of the draws intact, so
+    that a fit runs, in the others with rows and cells broken."""
+    intact = draw(st.booleans())
+    broken_n = st.integers(0, 9) | st.integers(10, 24) | st.integers(10, 24)
+    n = draw(st.integers(24, 96) if intact else broken_n)
     model = SpectrumModel(f_center=2300.0, contrast=0.1, linewidth=40.0, a14=43.0, a15=64.0, p15=1.0)
     grid = np.linspace(2100.0, 2500.0, max(n, 1))
     values = mixture_spectrum(model, grid).values
     sigma = draw(st.booleans())
     rows = [[repr(float(f)), repr(float(v))] + ["0.002"] * sigma for f, v in zip(grid[:n], values)]
-    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+    for _ in range(draw(st.integers(0, 2)) if rows and not intact else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         action = draw(st.sampled_from(["cell", "drop", "extra", "duplicate"]))
         if action == "cell":
@@ -1195,9 +1202,11 @@ def mangled_csv(draw) -> bytes:
         else:
             rows.append(list(row))
     good = "frequency_mhz,ratio" + ",sigma" * sigma
-    header = draw(st.sampled_from([good, good, "frequency_mhz,ratio", "f,r", ""]))
+    headers = [good, good, "frequency_mhz,ratio", "f,r", ""]
+    header = good if intact else draw(st.sampled_from(headers))
     text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-    return draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xe9"])) + text.encode("utf-8")
+    prefix = b"" if intact else draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xe9"]))
+    return prefix + text.encode("utf-8")
 
 
 def _reject_constant(token: str):

@@ -604,20 +604,29 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
         dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
         seed=103,
     )
+    # the start's own passes come before the LM and are not counted
     calls = {"lorentzian": 0, "residual": 0}
+    in_lm = False
 
     def counted_lorentzian(*args, **kwargs):
-        calls["lorentzian"] += 1
+        calls["lorentzian"] += in_lm
         return lorentzian(*args, **kwargs)
 
     def counted_lm_minimize(problem, *args, **kwargs):
+        nonlocal in_lm
+
         def counted(p):
             calls["residual"] += 1
             return problem(p)
 
-        return lm_minimize(counted, *args, **kwargs)
+        in_lm = True
+        try:
+            return lm_minimize(counted, *args, **kwargs)
+        finally:
+            in_lm = False
 
     monkeypatch.setattr(spectrum, "lorentzian", counted_lorentzian)
+    monkeypatch.setattr(fit, "lorentzian", counted_lorentzian)
     monkeypatch.setattr(fit, "lm_minimize", counted_lm_minimize)
     res = fit_physical(meas, p15_mode=p15_mode)
     assert calls["residual"] >= res.iterations > 1
@@ -636,6 +645,10 @@ def test_line_table_is_built_once_per_fit(monkeypatch, p15_mode, a14_start):
         dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
         seed=103,
     )
+    # the start reads the unpolarized table too, before the fit: built first
+    init = initial_physical_guess(meas, 0.6)
+    if a14_start is not None:
+        init = dataclasses.replace(init, a14=a14_start)  # starts on the plane a14 = 0
     calls = {"table": 0, "problem": 0}
 
     def counted(name, function):
@@ -647,9 +660,6 @@ def test_line_table_is_built_once_per_fit(monkeypatch, p15_mode, a14_start):
 
     monkeypatch.setattr(fit, "_line_table", counted("table", _line_table))
     monkeypatch.setattr(fit, "_physical_problem", counted("problem", _physical_problem))
-    init = initial_physical_guess(meas, 0.6)
-    if a14_start is not None:
-        init = dataclasses.replace(init, a14=a14_start)  # stays on the plane a14 = 0
     res = fit_physical(meas, init=init, p15_mode=p15_mode)
     assert res.iterations > 1
     assert any(d.startswith("coupling restart") for d in res.diagnostics) == (a14_start == 0.0)
@@ -686,9 +696,12 @@ def test_physical_fit_is_the_same_from_mirrored_couplings():
 
 @pytest.mark.parametrize("p15, name, species", [(0.0, "a15", "15N"), (1.0, "a14", "14N")])
 def test_free_p15_on_a_pure_sample_reports_the_absent_coupling_undetermined(p15, name, species):
+    # noise-free, so the least-squares minimum, a zero residual, lies on the
+    # bound. With these resolved lines the last LM step is clipped onto it; a
+    # fit that nears the bound from inside stops a rounding error short and
+    # reports no diagnostic (at 50 MHz FWHM, p15 = 1 ends at 1 - 8e-14)
     truth, meas = synthetic(
-        dict(f_center=2310.0, contrast=0.1, linewidth=50.0, a14=44.0, a15=64.0, p15=p15),
-        seed=2,
+        dict(f_center=2310.0, contrast=0.1, linewidth=10.0, a14=44.0, a15=64.0, p15=p15)
     )
     res = fit_physical(meas, p15_mode="free")
     assert res.converged
@@ -702,6 +715,23 @@ def test_free_p15_on_a_pure_sample_reports_the_absent_coupling_undetermined(p15,
     report = res.to_json_dict()
     assert report["params"][name]["sigma"] is None
     json.dumps(report, allow_nan=False)
+
+
+@pytest.mark.parametrize("p15", [0.0, 1.0])
+def test_free_p15_on_a_noisy_pure_sample_ends_no_higher_than_the_bound(p15):
+    # noise lets an admixture of the absent species fit it: on this spectrum
+    # at p15 = 1 the free fit ends at p15 = 0.9915 (a14 = 84 MHz, rms
+    # 0.0020078), below the fit held at the bound (rms 0.0020098); at p15 = 0
+    # it ends on the bound itself
+    truth, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.1, linewidth=50.0, a14=44.0, a15=64.0, p15=p15),
+        seed=2,
+    )
+    free = fit_physical(meas, p15_mode="free")
+    bound = fit_physical(meas, p15_mode=("fixed", p15))
+    assert free.converged and bound.converged
+    assert free.residual_norm <= bound.residual_norm * (1.0 + 1e-9)
+    assert (free["p15"] == p15) == (p15 == 0.0)
 
 
 def test_physical_fit_recovers_from_coupling_starts_near_zero():
@@ -788,6 +818,90 @@ def test_initial_guess_is_reasonable():
     assert init.f_center == pytest.approx(2308.0, abs=10.0)
     assert 0.0 < init.contrast < 0.2
     assert init.linewidth > 0
+
+
+def corpus_like(rng, p15):
+    """A noisy 801-point spectrum drawn like the benchmark corpus."""
+    params = dict(
+        f_center=rng.uniform(2280.0, 2340.0),
+        contrast=rng.uniform(0.05, 0.12),
+        linewidth=rng.uniform(45.0, 55.0),
+        a14=rng.uniform(42.0, 46.0),
+        a15=rng.uniform(62.0, 66.0),
+        p15=p15,
+    )
+    return synthetic(params, seed=int(rng.integers(2**31)))
+
+
+def half_depth_width(f, depth):
+    """Extent of the samples deeper than half the deepest one."""
+    deep = f[depth > 0.5 * depth.max()]
+    return deep[-1] - deep[0]
+
+
+@pytest.mark.parametrize("p15", [0.0, 1.0, 0.6])
+def test_initial_guess_matches_the_data_half_depth_width(p15):
+    rng = np.random.default_rng(2900)
+    for _ in range(5):
+        truth, meas = corpus_like(rng, p15)
+        f, y = meas.frequencies, meas.ratios
+        init = initial_physical_guess(meas, p15)
+        assert (init.a14, init.a15, init.p15, init.populations) == (43.0, 64.0, p15, None)
+        # the start model's unit-contrast dip, read back from its curve
+        dip = (1.0 - mixture_spectrum(init, f).values) / init.contrast
+        step = np.diff(f).min()
+        target = half_depth_width(f, np.clip(1.0 - y, 0.0, None))
+        assert abs(half_depth_width(f, dip) - target) <= step
+        assert init.contrast == pytest.approx(dip @ (1.0 - y) / (dip @ dip), rel=1e-12)
+        # closer to the true linewidth than the envelope's own width
+        assert abs(init.linewidth - truth.linewidth) < abs(target - truth.linewidth)
+
+
+def narrow_dip(grid):
+    return 1.0 - 0.1 * lorentzian(grid, 2310.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        (default_grid(2310.0), np.ones(801)),
+        (default_grid(2310.0), with_entry(np.ones(801), 400, 0.9)),
+        (default_grid(2310.0), narrow_dip(default_grid(2310.0))),
+        (2310.0 + 250.0 * np.linspace(-1.0, 1.0, 301) ** 3, None),
+        # a deep sample at 1e308 MHz: no Lorentzian of that width is finite
+        (
+            np.append(default_grid(2310.0, 101), 1e308),
+            np.append(1.0 - 0.6 * lorentzian(default_grid(2310.0, 101), 2310.0, 40.0), 0.5),
+        ),
+    ],
+    ids=["flat", "one_sample_spike", "narrower_than_the_comb", "non_uniform_grid", "huge_frequency"],
+)
+def test_initial_guess_of_an_edge_input_is_a_valid_model(grid, values):
+    if values is None:
+        values = mixture_spectrum(
+            SpectrumModel(f_center=2310.0, contrast=0.1, linewidth=50.0, a14=44.0, a15=64.0,
+                          p15=0.6), grid,
+        ).values
+    meas = MeasuredSpectrum(grid, values)
+    for p15 in (0.0, 0.6, 1.0):
+        with np.errstate(all="ignore"):  # as the CLI runs a verb
+            init = initial_physical_guess(meas, p15)
+        assert isinstance(init, SpectrumModel)
+        assert 1e-3 <= init.contrast <= 0.999
+        assert np.isfinite(init.f_center) and np.isfinite(init.linewidth)
+        assert init.linewidth >= np.diff(meas.frequencies).min()
+
+
+def test_pure_fits_take_few_lm_iterations():
+    # from the start at the data's own width these fits take a median of 5
+    # iterations (4-8); from the envelope's width they took 8 (7-13)
+    rng = np.random.default_rng(2901)
+    iterations = [
+        fit_physical(meas, p15_mode=("fixed", p15)).iterations
+        for p15 in (0.0, 1.0) * 10
+        for _, meas in [corpus_like(rng, p15)]
+    ]
+    assert np.median(iterations) <= 7
 
 
 # --- free equally spaced Lorentzians ---------------------------------------------

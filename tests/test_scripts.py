@@ -76,11 +76,13 @@ def test_corpus_pass_trust_columns_match_a_hand_count(monkeypatch):
     assert counts == {
         "op_a p15=0": {"fits": 3, "a14 off": 0},
         "op_a p15=1": {"fits": 3, "a15 off": 0},
-        # round 1 is the one mixed fit within 2 MHz of both couplings
-        "op_a p15=0.6": {"fits": 3, "a14 off": 2, "a15 off": 2, "either off": 2},
-        # p15 0.609, 0.769 and 0.779 against 0.6, none on a bound
+        # round 0 is the one mixed fit more than 2 MHz off: a14 25.949 vs
+        # 45.257, a15 80.260 vs 64.851
+        "op_a p15=0.6": {"fits": 3, "a14 off": 1, "a15 off": 1, "either off": 1},
+        # p15 0.591, 0.562 and 0.688 against 0.6, none on a bound; couplings
+        # within 1.9 MHz (a15 63.647 vs 65.523 the farthest)
         "op_b": {
-            "fits": 3, "a14 off": 3, "a15 off": 3, "either off": 3, "p15 at bound": 0, "p15 off": 2
+            "fits": 3, "a14 off": 0, "a15 off": 0, "either off": 0, "p15 at bound": 0, "p15 off": 0
         },
         # |P - target| 0.011, 0.002 and 0.0006
         "op_c": {"fits": 3, "P off": 0},
@@ -93,7 +95,9 @@ def test_corpus_pass_trust_columns_match_a_hand_count(monkeypatch):
         # (45.217 - 45.549) / 0.404, (41.880 - 42.478) / 0.372, (43.852 - 43.753) / 0.348
         "op_a p15=0": {"rms z a14": 1.06},
         "op_a p15=1": {"rms z a15": 1.60},
-        "op_a p15=0.6": {"rms z a14": 14.92, "rms z a15": 8.77},
-        "op_b": {"rms z a14": 5.73, "rms z a15": 6.12, "rms z p15": 2.85},
+        # (25.949 - 45.257) / 1.418, (46.756 - 45.811) / 1.706, (46.115 - 45.925) / 1.417
+        "op_a p15=0.6": {"rms z a14": 7.87, "rms z a15": 4.19},
+        # p15: (0.591 - 0.6) / 0.033, (0.562 - 0.6) / 0.031, (0.688 - 0.6) / 0.056
+        "op_b": {"rms z a14": 0.53, "rms z a15": 1.16, "rms z p15": 1.15},
         "op_c": {"rms z P": 0.51},
     }
