@@ -4,7 +4,8 @@ Two fit families are provided on top of a small Levenberg-Marquardt core:
 
 * ``fit_physical`` - the binomial mixture of the four configurations,
   couplings fitted signed and reported as magnitudes; its residual and
-  closed-form Jacobian share one line pass in buffers made once per fit,
+  closed-form Jacobian share one line pass, the lines' offsets computed
+  once per point and their profiles, in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis: one
   start, a run with the depths solved in closed form at every point
@@ -42,6 +43,7 @@ from .spectrum import (
     _line_plan,
     _line_table,
     _model_jacobian,
+    _offsets,
     _positions,
     lorentzian,
 )
@@ -112,11 +114,12 @@ def _free_profiles(
     f: np.ndarray, f_first: float, spacing: float, widths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n equally spaced lines, centers c_k = f_first + k * spacing, as
-    one (lines x grid) pass: offsets u = f - c_k, squared half widths
-    g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak Lorentzians
-    L = g / (u^2 + g)."""
+    one (lines x grid) pass: offsets u = f - c_k (``spectrum._offsets``, the
+    exact product that replaces the broadcast subtraction), squared half
+    widths g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak
+    Lorentzians L = g / (u^2 + g)."""
     widths = np.asarray(widths, dtype=float)
-    u = f - (f_first + np.arange(widths.size) * spacing)[:, None]
+    u = _offsets(f, f_first + np.arange(widths.size) * spacing)
     g = (0.5 * widths[:, None]) ** 2
     profiles = u * u
     profiles += g
@@ -248,35 +251,40 @@ def lm_minimize(
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(initial=0.0), 1.0) * 1e-12
-        jtj_free = jtj if free.all() else jtj[np.ix_(free, free)]
+        # J^T J of the free parameters, its diagonal rewritten per trial
+        damped = jtj.copy() if free.all() else jtj[np.ix_(free, free)]
+        damped_diag = damped.reshape(-1)[:: damped.shape[0] + 1]
+        undamped, scale, descent = damped_diag.copy(), diag[free], -grad[free]
         step = np.zeros(k)  # held parameters keep a zero step
         accepted = False
         nu = 2.0
         while lam < 1e14:
+            np.multiply(scale, lam, out=damped_diag)
+            damped_diag += undamped
             try:
-                step[free] = np.linalg.solve(jtj_free + lam * np.diag(diag[free]), -grad[free])
+                step[free] = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 lam *= nu
                 nu *= 2.0
                 continue
-            trial = np.clip(p + step, lower, upper)
+            trial = np.minimum(np.maximum(p + step, lower), upper)
             r_trial, jacobian = problem(trial)
             r_trial = np.asarray(r_trial, dtype=float)
-            if np.all(np.isfinite(r_trial)):
-                cost_trial = float(r_trial @ r_trial)
-                if cost_trial < cost:
-                    h = trial - p
-                    predicted = -2.0 * float(h @ grad) - float(h @ jtj @ h)
-                    # a clipped step can leave the linear model predicting no
-                    # drop where the cost fell: that step counts as exact
-                    gain = (cost - cost_trial) / predicted if predicted > 0.0 else 1.0
-                    rel_drop = (cost - cost_trial) / max(cost, 1e-300)
-                    p, r, cost = trial, r_trial, cost_trial
-                    lam = max(lam * max(_LAM_SHRINK, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
-                    accepted = True
-                    if rel_drop < LM_COST_RTOL or cost == 0.0:
-                        converged = True
-                    break
+            cost_trial = float(r_trial @ r_trial)
+            # a residual with a NaN or an inf has a NaN or inf cost, never below cost
+            if cost_trial < cost:
+                h = trial - p
+                predicted = -2.0 * float(h @ grad) - float(h @ jtj @ h)
+                # a clipped step can leave the linear model predicting no
+                # drop where the cost fell: that step counts as exact
+                gain = (cost - cost_trial) / predicted if predicted > 0.0 else 1.0
+                rel_drop = (cost - cost_trial) / max(cost, 1e-300)
+                p, r, cost = trial, r_trial, cost_trial
+                lam = max(lam * max(_LAM_SHRINK, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
+                accepted = True
+                if rel_drop < LM_COST_RTOL or cost == 0.0:
+                    converged = True
+                break
             lam *= nu
             nu *= 2.0
         if not accepted:
@@ -355,11 +363,13 @@ def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1)
     if below.size < 2:
         return start
     keys, w, _ = _line_plan(start, _line_table(None))
+    u = _offsets(f, _positions(start, keys))  # the lines stay put, only their width moves
+    profiles = np.empty_like(u)
     step = float(np.diff(f).min())
     target = float(below[-1] - below[0])
     fwhm, last, tried = max(target, step), None, []
     for _ in range(_START_STEPS):
-        dip = w @ lorentzian(f, _positions(start, keys)[:, None], fwhm)
+        dip = w @ lorentzian(u, 0.0, fwhm, out=profiles)
         above = f[dip > 0.5 * dip.max()]
         if above.size == 0:  # the dip underflows or is not finite on this grid
             return start
@@ -386,10 +396,13 @@ def _physical_problem(
     carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
     for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
     thunk reuses. At fixed p15 the line plan and the Jacobian's coefficients
-    are built once. Every point writes its profiles into the one profile
-    buffer, beside the Jacobian's u and L^2 scratch: ``lm_minimize`` calls a
-    point's thunk before it evaluates the next point, and a thunk whose
-    profiles a later point overwrote raises RuntimeError."""
+    are built once. Every point writes its line offsets u = f - f_line
+    (``spectrum._offsets``, an exact matrix product, computed once per
+    point) and its profiles into the fit's offset and profile buffers,
+    beside the Jacobian's scratch for L^2 and u L^2; the Jacobian reads u
+    and L and writes neither. ``lm_minimize`` calls a point's thunk before
+    it evaluates the next point, and a thunk whose offsets and profiles a
+    later point overwrote raises RuntimeError."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
@@ -397,22 +410,22 @@ def _physical_problem(
     table = _line_table(init.populations)  # W depends on no fitted parameter
     fixed = None if "p15" in active else _line_plan(init, table)
     coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
-    # the profile buffer, then the Jacobian's u and L^2 scratch
+    # the offset and profile buffers, then the Jacobian's scratch
     buffers = np.empty((3, len(table if fixed is None else fixed[0]), grid.size))
-    latest = None  # the line pass whose profiles the buffer holds
+    latest = None  # the line pass whose offsets and profiles the buffers hold
 
     def problem(p: np.ndarray):
         nonlocal latest
         model = replace(init, **dict(zip(active, p)))
         plan = fixed or _line_plan(model, table, True)
         n = len(plan[0])
-        lines = latest = _line_pass(model, grid, plan, out=buffers[0, :n])
+        lines = latest = _line_pass(model, grid, plan, out=buffers[:2, :n])
         res = lines[0] - y
 
         def jacobian() -> np.ndarray:
             if latest is not lines:
-                raise RuntimeError("jacobian() of a point whose profiles a later point overwrote")
-            jac = _model_jacobian(model, grid, lines, coef, buffers[1:, :n])[rows].T
+                raise RuntimeError("jacobian() of a point whose line pass a later point overwrote")
+            jac = _model_jacobian(model, lines, coef, buffers[2, :n])[rows].T
             return jac * weights[:, None] if weights is not None else jac
 
         return (res * weights if weights is not None else res), jacobian
@@ -601,17 +614,18 @@ def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
     depths, projected off that span. Returns the ``lm_minimize`` problem and
     point(q) -> (depths, residual, Jacobian thunk)."""
     grid = meas.frequencies
-    weights = 1.0 / meas.sigmas if meas.sigmas is not None else np.ones(grid.size)
-    target = (1.0 - meas.ratios) * weights
+    weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
+    target = 1.0 - meas.ratios if weights is None else (1.0 - meas.ratios) * weights
 
     def point(q: np.ndarray):
         u, g, profiles = _free_profiles(grid, q[0], q[1], q[2:])
-        basis, tri = np.linalg.qr((profiles * weights).T)
+        basis, tri = np.linalg.qr((profiles if weights is None else profiles * weights).T)
         coef = basis.T @ target
         depths = np.linalg.solve(tri, coef)
 
         def jacobian() -> np.ndarray:
-            jac = _dip_rows(u, g, profiles, depths, q[2:]).T * -weights[:, None]
+            jac = _dip_rows(u, g, profiles, depths, q[2:]).T
+            jac *= -1.0 if weights is None else -weights[:, None]
             jac -= basis @ (basis.T @ jac)
             return jac
 

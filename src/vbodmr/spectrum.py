@@ -266,18 +266,42 @@ def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
     return _line_groups()[0][rows], w[rows], dw[rows]
 
 
+def _offsets(grid, positions, out=None):
+    """The (lines x grid) offsets u = f - f_line, into ``out`` when given:
+    grid - positions[:, None] bit for bit, sign of zero included, as one
+    (lines x 2) @ (2 x grid) product [1, -f_line] . [f; 1], which BLAS runs
+    faster than NumPy's broadcast. The product is exact: both terms of an
+    entry have a factor 1.0, so it is the single rounding of f + (-f_line),
+    the subtraction's own result, whatever the BLAS order or FMA. Only a
+    zero's sign can differ, as BLAS sums from +0.0 (a sample at -0.0 on a
+    line at +0.0 gives +0.0), so samples at zero are subtracted afresh."""
+    factors = np.ones((positions.size, 2))
+    np.negative(positions, out=factors[:, 1])
+    samples = np.ones((2, np.size(grid)))
+    samples[0] = grid
+    u = np.matmul(factors, samples, out=out)
+    zero = np.flatnonzero(samples[0] == 0.0)
+    if zero.size:
+        u[:, zero] = samples[0, zero] - positions[:, None]
+    return u
+
+
 def _line_pass(model: SpectrumModel, grid, plan: tuple, out=None):
     """The curve of the lines of ``plan`` (``_line_plan``) for ``model`` and
-    the lines it is summed from: (values, keys, positions, w, dw, L). L is one
-    (lines x grid) call of ``lorentzian``, into ``out`` when given, and the
-    curve is 1 - C * (w @ L) over the lines with w != 0: one product over at
-    most 25 lines, within 1.5 eps of a per-configuration, per-line sum."""
+    the lines it is summed from: (values, keys, w, dw, u, L): the lines'
+    offsets u = f - f_line (``_offsets``, an exact product) and profiles
+    L = ``lorentzian(u, 0.0, FWHM)`` (u - 0.0 is u: one call, bit for bit the
+    Lorentzian at each line position), into the (2, lines, grid) ``out`` when
+    given. The curve is 1 - C * (w @ L) over the lines with w != 0: one
+    product over at most 25 lines, within 1.5 eps of a per-configuration,
+    per-line sum."""
     keys, w, dw = plan
-    positions = _positions(model, keys)
-    profiles = lorentzian(grid, positions[:, None], model.linewidth, out=out)
+    u, profiles = (None, None) if out is None else out
+    u = _offsets(grid, _positions(model, keys), out=u)
+    profiles = lorentzian(u, 0.0, model.linewidth, out=profiles)
     n = np.count_nonzero(w)
     values = 1.0 - model.contrast * (w[:n] @ profiles[:n])
-    return values, keys, positions, w, dw, profiles
+    return values, keys, w, dw, u, profiles
 
 
 # row order of _model_jacobian
@@ -289,35 +313,35 @@ def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, dw: np.ndarray) -> n
     return np.stack([-w, dw, w, b * keys[:, 0] * w, b * keys[:, 1] * w])
 
 
-def _model_jacobian(model: SpectrumModel, grid, lines: tuple, coef=None, out=None) -> np.ndarray:
+def _model_jacobian(model: SpectrumModel, lines: tuple, coef=None, out=None) -> np.ndarray:
     """Closed-form derivatives of mixture_spectrum(model, grid), one row per
     parameter of _JACOBIAN_PARAMS, from ``lines``, the ``_line_pass`` of the
-    binomial fractions of ``model`` on ``grid``; ``coef`` (``_jacobian_rows``)
-    and the (2, lines, grid) scratch ``out`` for u and L^2 are made if None.
+    binomial fractions of ``model`` on the grid; ``coef`` (``_jacobian_rows``)
+    and the (lines x grid) scratch ``out`` are made if None.
 
     Each line is weighted by the pass's w, in the p15 row by its dw (every
-    line p15 moves only if the plan had ``p15_column``). With u = f - f_line,
-    g = (FWHM/2)^2 and the pass's L = g / (u^2 + g), dL/df_line = 2 u L^2 / g
-    and dL/dFWHM = 2 (L - L^2) / FWHM: u, L^2, u L^2 and three small matrix
-    products give the six rows. It evaluates no Lorentzian of its own, so a
-    traced fit counts one ``lorentzian`` call per residual, none per Jacobian.
+    line p15 moves only if the plan had ``p15_column``). With the pass's
+    offsets u = f - f_line, g = (FWHM/2)^2 and its L = g / (u^2 + g),
+    dL/df_line = 2 u L^2 / g and dL/dFWHM = 2 (L - L^2) / FWHM: L^2, then
+    u L^2 in the scratch, and three small matrix products give the six rows.
+    It reads u and L and writes neither, so a second call returns the same
+    rows; it evaluates no Lorentzian and no offsets of its own, so a traced
+    fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
-    _, keys, positions, w, dw, profiles = lines
+    _, keys, w, dw, u, profiles = lines
     coef = _jacobian_rows(model.branch, keys, w, dw) if coef is None else coef
-    u, sq = np.empty((2,) + profiles.shape) if out is None else out
+    sq = np.multiply(profiles, profiles, out=out)
     c, fwhm = model.contrast, model.linewidth
     half = 0.5 * fwhm
     g = half * half  # as in lorentzian, bit for bit
-    np.subtract(grid, positions[:, None], out=u)
-    np.multiply(profiles, profiles, out=sq)
-    u *= sq  # u L^2
     jac = np.empty((6, u.shape[1]))
     np.multiply(dw, -c, out=coef[1])
     np.matmul(coef[:2], profiles, out=jac[0:2])
-    np.matmul((-2.0 * c / g) * coef[2:], u, out=jac[2:5])
     # the L - L^2 row from the weighted sums of L (the contrast row) and L^2
     np.matmul((2.0 * c / fwhm) * w, sq, out=jac[5])
     jac[5] += (2.0 / fwhm) * c * jac[0]
+    sq *= u  # u L^2
+    np.matmul((-2.0 * c / g) * coef[2:], sq, out=jac[2:5])
     return jac
 
 

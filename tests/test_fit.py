@@ -26,6 +26,8 @@ from vbodmr.fit import (
 from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
+    _line_pass,
+    _offsets,
     default_grid,
     enumerate_ladder,
     lorentzian,
@@ -555,10 +557,18 @@ def mixed_problem(active, sigmas=False):
 @pytest.mark.parametrize("sigmas", [False, True])
 @pytest.mark.parametrize("active", [BASE + ("a14", "a15"), BASE + ("a14", "a15", "p15")],
                          ids=["fixed_p15", "free_p15"])
-def test_physical_jacobian_keeps_its_own_point(active, sigmas):
-    # one profile buffer: the thunk of the latest point gives that point's
-    # Jacobian, and the thunk of an earlier point, whose profiles a later
-    # point overwrote, raises
+def test_physical_jacobian_keeps_its_own_point(monkeypatch, active, sigmas):
+    # one offset and one profile buffer: the thunk of the latest point gives
+    # that point's Jacobian and leaves the point's offsets and profiles as
+    # they were, and the thunk of an earlier point, whose offsets and
+    # profiles a later point overwrote, raises
+    passes = []
+
+    def recording(*args, **kwargs):
+        passes.append(_line_pass(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(fit, "_line_pass", recording)
     problem, p = mixed_problem(active, sigmas)
     q = p * 0.999
     if "p15" in active:
@@ -566,6 +576,8 @@ def test_physical_jacobian_keeps_its_own_point(active, sigmas):
     earlier = []
     for point in (p, p * 1.001, q, p * 1.002):
         res, jacobian = problem(point)
+        offsets, profiles = passes[-1][4:]
+        shared = offsets.copy(), profiles.copy()
         kept = res.copy()
         for thunk in earlier:
             with pytest.raises(RuntimeError):
@@ -574,6 +586,7 @@ def test_physical_jacobian_keeps_its_own_point(active, sigmas):
         assert np.array_equal(jacobian(), fresh())
         assert np.array_equal(jacobian(), fresh())  # a thunk may be called again
         assert np.array_equal(res, kept) and np.array_equal(res, fresh_res)
+        assert np.array_equal(offsets, shared[0]) and np.array_equal(profiles, shared[1])
         earlier.append(jacobian)
 
 
@@ -631,6 +644,56 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     res = fit_physical(meas, p15_mode=p15_mode)
     assert calls["residual"] >= res.iterations > 1
     assert calls["lorentzian"] == calls["residual"]
+
+
+@pytest.mark.parametrize("kind", ["fixed", "free", "quartet"])
+def test_one_offsets_computation_per_lm_point_and_none_per_jacobian(monkeypatch, kind):
+    # each point computes its line offsets once (``spectrum._offsets``), and
+    # its Jacobian thunk reads them: the start's own offsets come before the
+    # LM and are not counted
+    calls = {"offsets": 0, "points": 0, "in_jacobian": 0}
+    in_lm = False
+
+    def counted_offsets(*args, **kwargs):
+        calls["offsets"] += in_lm
+        return _offsets(*args, **kwargs)
+
+    def counted_lm_minimize(problem, *args, **kwargs):
+        nonlocal in_lm
+
+        def counted(p):
+            calls["points"] += 1
+            res, jacobian = problem(p)
+
+            def counted_jacobian():
+                before = calls["offsets"]
+                jac = jacobian()
+                calls["in_jacobian"] += calls["offsets"] - before
+                return jac
+
+            return res, counted_jacobian
+
+        in_lm = True
+        try:
+            return lm_minimize(counted, *args, **kwargs)
+        finally:
+            in_lm = False
+
+    monkeypatch.setattr(spectrum, "_offsets", counted_offsets)
+    monkeypatch.setattr(fit, "_offsets", counted_offsets)
+    monkeypatch.setattr(fit, "lm_minimize", counted_lm_minimize)
+    if kind == "quartet":
+        grid, values = quartet_signal(0.03 * np.array([1.0, 3.0, 3.0, 1.0]), [40.0] * 4)
+        noise = np.random.default_rng(5).normal(0.0, 0.001, values.size)
+        res = fit_free_lorentzians(MeasuredSpectrum(grid, values + noise), 4)
+    else:
+        _, meas = synthetic(
+            dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
+            seed=103,
+        )
+        res = fit_physical(meas, p15_mode=("fixed", 0.6) if kind == "fixed" else "free")
+    assert calls["points"] >= res.iterations > 1
+    assert calls["offsets"] == calls["points"] and calls["in_jacobian"] == 0
 
 
 @pytest.mark.parametrize(

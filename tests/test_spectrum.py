@@ -20,6 +20,7 @@ from vbodmr.spectrum import (
     _line_plan,
     _line_table,
     _model_jacobian,
+    _offsets,
     _positions,
     binomial_fractions,
     default_grid,
@@ -191,6 +192,26 @@ def test_lorentzian_bounds_and_symmetry(f0, fwhm, offset):
 def test_lorentzian_rejects_bad_width():
     with pytest.raises(ValueError):
         lorentzian(0.0, 0.0, 0.0)
+
+
+# up to 1e300 in magnitude, signed zeros drawn often
+SAMPLE_VALUES = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0]))
+
+
+@given(
+    grid=st.lists(SAMPLE_VALUES, min_size=1, max_size=40).map(np.sort),
+    data=st.data(),
+)
+def test_offsets_are_the_broadcast_subtraction_bit_for_bit(grid, data):
+    # a non-uniform grid, 1-25 lines, some of them exactly on a sample
+    positions = np.array(data.draw(
+        st.lists(st.one_of(SAMPLE_VALUES, st.sampled_from(list(grid))), min_size=1, max_size=25)
+    ))
+    expected = (grid - positions[:, None]).view(np.int64)  # the sign of zero too
+    assert np.array_equal(_offsets(grid, positions).view(np.int64), expected)
+    out = np.full((2, 25, grid.size), np.nan)[1, : positions.size]  # a fit's buffer slice
+    assert _offsets(grid, positions, out=out) is out
+    assert np.array_equal(out.view(np.int64), expected)
 
 
 # --- configuration lines and pure-isotope spectra ----------------------------
@@ -498,7 +519,7 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
         slope = spectral_slope(model, grid).slope_curve.values
         plan = _line_plan(model, _line_table(model.populations))
         lines = _line_pass(model, grid, plan)
-        jac_row = -_model_jacobian(model, grid, lines)[row]
+        jac_row = -_model_jacobian(model, lines)[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
 
 
@@ -519,7 +540,7 @@ def test_fit_residual_is_the_forward_model_bit_for_bit(monkeypatch, free_p15):
         p = np.array([getattr(model, name) for name in active])
         res, jacobian = fit._physical_problem(meas, model, active)(p)
         assert np.array_equal(res, mixture_spectrum(model, grid).values - meas.ratios), model
-        _, keys, _, w, dw, _ = passes[-1]
+        _, keys, w, dw, _, _ = passes[-1]
         curve = np.count_nonzero(w)  # the curve's lines come first
         assert w[:curve].all() and not w[curve:].any() and dw[curve:].all(), model
         slope_only = {tuple(key) for key in keys[curve:]}
