@@ -114,12 +114,13 @@ def _free_profiles(
     f: np.ndarray, f_first: float, spacing: float, widths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n equally spaced lines, centers c_k = f_first + k * spacing, as
-    one (lines x grid) pass: offsets u = f - c_k (``spectrum._offsets``, the
-    exact product that replaces the broadcast subtraction), squared half
-    widths g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak
-    Lorentzians L = g / (u^2 + g)."""
+    one (lines x grid) pass: offsets u = f - c_k, squared half widths
+    g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak Lorentzians
+    L = g / (u^2 + g). The offsets are the broadcast subtraction, not the
+    ``spectrum._offsets`` product: a quartet's four lines are too few for
+    the product's fixed cost to pay."""
     widths = np.asarray(widths, dtype=float)
-    u = _offsets(f, f_first + np.arange(widths.size) * spacing)
+    u = f - (f_first + np.arange(widths.size) * spacing)[:, None]
     g = (0.5 * widths[:, None]) ** 2
     profiles = u * u
     profiles += g

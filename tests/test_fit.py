@@ -646,8 +646,8 @@ def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     assert calls["lorentzian"] == calls["residual"]
 
 
-@pytest.mark.parametrize("kind", ["fixed", "free", "quartet"])
-def test_one_offsets_computation_per_lm_point_and_none_per_jacobian(monkeypatch, kind):
+@pytest.mark.parametrize("p15_mode", [("fixed", 0.6), "free"], ids=["fixed", "free"])
+def test_one_offsets_computation_per_lm_point_and_none_per_jacobian(monkeypatch, p15_mode):
     # each point computes its line offsets once (``spectrum._offsets``), and
     # its Jacobian thunk reads them: the start's own offsets come before the
     # LM and are not counted
@@ -682,16 +682,11 @@ def test_one_offsets_computation_per_lm_point_and_none_per_jacobian(monkeypatch,
     monkeypatch.setattr(spectrum, "_offsets", counted_offsets)
     monkeypatch.setattr(fit, "_offsets", counted_offsets)
     monkeypatch.setattr(fit, "lm_minimize", counted_lm_minimize)
-    if kind == "quartet":
-        grid, values = quartet_signal(0.03 * np.array([1.0, 3.0, 3.0, 1.0]), [40.0] * 4)
-        noise = np.random.default_rng(5).normal(0.0, 0.001, values.size)
-        res = fit_free_lorentzians(MeasuredSpectrum(grid, values + noise), 4)
-    else:
-        _, meas = synthetic(
-            dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
-            seed=103,
-        )
-        res = fit_physical(meas, p15_mode=("fixed", 0.6) if kind == "fixed" else "free")
+    _, meas = synthetic(
+        dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
+        seed=103,
+    )
+    res = fit_physical(meas, p15_mode=p15_mode)
     assert calls["points"] >= res.iterations > 1
     assert calls["offsets"] == calls["points"] and calls["in_jacobian"] == 0
 
