@@ -4,8 +4,8 @@ Two fit families are provided on top of a small Levenberg-Marquardt core:
 
 * ``fit_physical`` - the binomial mixture of the four configurations,
   couplings fitted signed and reported as magnitudes; its residual and
-  closed-form Jacobian share one line pass, the lines' offsets computed
-  once per point and their profiles, in buffers made once per fit,
+  closed-form Jacobian share one line pass (the lines' offsets, computed
+  once per point, and their profiles) in buffers made once per fit,
 * ``fit_free_lorentzians`` - n equally spaced Lorentzians with independent
   depths and widths, used for line-area and polarization analysis: one
   start, a run with the depths solved in closed form at every point

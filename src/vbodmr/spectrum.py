@@ -269,12 +269,14 @@ def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
 def _offsets(grid, positions, out=None):
     """The (lines x grid) offsets u = f - f_line, into ``out`` when given:
     grid - positions[:, None] bit for bit, sign of zero included, as one
-    (lines x 2) @ (2 x grid) product [1, -f_line] . [f; 1], which BLAS runs
-    faster than NumPy's broadcast. The product is exact: both terms of an
-    entry have a factor 1.0, so it is the single rounding of f + (-f_line),
-    the subtraction's own result, whatever the BLAS order or FMA. Only a
-    zero's sign can differ, as BLAS sums from +0.0 (a sample at -0.0 on a
-    line at +0.0 gives +0.0), so samples at zero are subtracted afresh."""
+    (lines x 2) @ (2 x grid) product [1, -f_line] . [f; 1]. BLAS runs it
+    faster than NumPy's broadcast at the mixture's 25 lines, not below about
+    12, where the fixed cost of the two small factors and the zero scan
+    dominates. The product is exact: both terms of an entry have a factor
+    1.0, so it is the single rounding of f + (-f_line), the subtraction's
+    own result, whatever the BLAS order or FMA. Only a zero's sign can
+    differ, as BLAS sums from +0.0 (a sample at -0.0 on a line at +0.0
+    gives +0.0), so samples at zero are subtracted afresh."""
     factors = np.ones((positions.size, 2))
     np.negative(positions, out=factors[:, 1])
     samples = np.ones((2, np.size(grid)))
