@@ -43,7 +43,10 @@ change of any fitted value and of any sigma, so a change that moves the
 digest by a few ulps can show that no outcome moved, and ``src_lines`` of
 both checkouts. For op_c it also prints the largest change of the
 polarization P in units of the other checkout's sigma(P), and the other
-checkout's trust columns after its own.
+checkout's trust columns after its own. It exits with status 1, as ``cmp``
+does, when any operation differs between the two: its fit record (the text
+the digest hashes: values, sigmas, iterations and diagnostics), its outcome
+or its ``lm_iter``; 0 when none does.
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -172,24 +175,31 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "vbodmr").glob("*.py"))
 
 
-def compare(records: list, other: list, other_root: str) -> None:
-    """Per slot: operations whose outcome or lm_iter moved, and the largest
-    relative change of values and of sigmas against the other checkout; for
-    op_c, the largest |delta P| in units of the other checkout's sigma(P)."""
+def compare(records: list, other: list, other_root: str) -> int:
+    """Per slot: operations whose outcome or lm_iter moved, those whose fit
+    record differs, and the largest relative change of values and of sigmas
+    against the other checkout; for op_c, the largest |delta P| in units of
+    the other checkout's sigma(P). Returns the number of operations that
+    differ in any of these."""
     print(f"against {other_root}")
     if [(m["round"], m["slot"], m["k"]) for m in records] != [
         (t["round"], t["slot"], t["k"]) for t in other
     ]:
         raise SystemExit("the two checkouts ran different operations")
+    differ = 0
     for s in SLOTS:
         moved = []
+        refit = 0  # operations whose fit record differs
         worst = {"values": (0.0, None), "sigmas": (0.0, None)}
         worst_p = (0.0, None)
         for mine, theirs in zip(records, other):
             if mine["slot"] != s:
                 continue
             where = f"round {mine['round']} {s} #{mine['k']}"
-            if mine["failed"] != theirs["failed"] or mine["lm_iter"] != theirs["lm_iter"]:
+            refit += mine["fit"] != theirs["fit"]
+            outcome = mine["failed"] != theirs["failed"] or mine["lm_iter"] != theirs["lm_iter"]
+            differ += outcome or mine["fit"] != theirs["fit"]
+            if outcome:
                 moved.append(
                     f"  {where}: {'fail' if theirs['failed'] else 'ok'} ->"
                     f" {'fail' if mine['failed'] else 'ok'},"
@@ -208,6 +218,7 @@ def compare(records: list, other: list, other_root: str) -> None:
         print(f"{s}: {len(moved)} operations changed outcome or lm_iter")
         for line in moved:
             print(line)
+        print(f"{s}: {refit} fit records differ")
         for column, (change, where) in worst.items():
             at = f" ({where})" if where else ""
             print(f"{s}: largest relative change of {column} {change:.3g}{at}")
@@ -215,6 +226,7 @@ def compare(records: list, other: list, other_root: str) -> None:
             shift, where = worst_p
             at = f" ({where})" if where else ""
             print(f"{s}: largest |delta P| {shift:.3g} sigma(P) of the other checkout{at}")
+    return differ
 
 
 def main() -> None:
@@ -288,10 +300,11 @@ def main() -> None:
             rejected[slot] += all_runs[1] - before[1] - (all_runs[3] - before[3])
             checks = batch.check(slot, inputs[slot], outputs)
             for k, (case, out, (reason, _hard)) in enumerate(zip(inputs[slot], outputs, checks)):
-                records.append(
-                    {"round": r, "slot": slot, "k": k, **op_record(out, reason, slot, case)}
-                )
                 record = fit_record(out)
+                records.append(
+                    {"round": r, "slot": slot, "k": k, "fit": record,
+                     **op_record(out, reason, slot, case)}
+                )
                 digest.update(record.encode())
                 slot_digest[slot].update(record.encode())
                 res = None if isinstance(out, Exception) else out[0]
@@ -332,7 +345,8 @@ def main() -> None:
         child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
         other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
         print_trust(trust_columns(other), other_root)
-        compare(records, other, other_root)
+        if compare(records, other, other_root):
+            sys.exit(1)
 
 
 if __name__ == "__main__":

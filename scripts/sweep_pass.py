@@ -16,7 +16,9 @@ With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
 child process) and prints, per slot, each system whose list changed, with
 its largest |delta f| (MHz) and |delta weight|, and the largest of both over
 the slot; a list whose branches or labels differ, or that raised on one side
-only, counts as changed by inf.
+only, counts as changed by inf. A list counts as changed when its JSON
+text, the one the digest hashes, differs. It exits with status 1, as ``cmp``
+does, when any list changed; 0 when none did.
 
     python3 scripts/sweep_pass.py                  # this checkout
     python3 scripts/sweep_pass.py --root OTHER     # another checkout
@@ -57,19 +59,21 @@ def list_change(mine, theirs) -> tuple[float, float]:
     )
 
 
-def compare(records: list, other: list, other_root: str) -> None:
+def compare(records: list, other: list, other_root: str) -> int:
     """Per slot: the systems whose transition list changed against the
-    other checkout, and the largest |delta f| and |delta weight|."""
+    other checkout, and the largest |delta f| and |delta weight|. Returns
+    the number of lists that changed."""
     print(f"against {other_root}")
     if [(m["round"], m["slot"], m["k"]) for m in records] != [
         (t["round"], t["slot"], t["k"]) for t in other
     ]:
         raise SystemExit("the two checkouts ran different operations")
+    differ = 0
     for s in SLOTS:
         changed = []
         worst_f = worst_w = 0.0
         for mine, theirs in zip(records, other):
-            if mine["slot"] != s or mine["lines"] == theirs["lines"]:
+            if mine["slot"] != s or json.dumps(mine["lines"]) == json.dumps(theirs["lines"]):
                 continue
             d_f, d_w = list_change(mine["lines"], theirs["lines"])
             changed.append(
@@ -82,6 +86,8 @@ def compare(records: list, other: list, other_root: str) -> None:
         for line in changed:
             print(line)
         print(f"{s}: largest |delta f| {worst_f:.3g} MHz, largest |delta weight| {worst_w:.3g}")
+        differ += len(changed)
+    return differ
 
 
 def main() -> None:
@@ -134,7 +140,8 @@ def main() -> None:
         other_root = str(Path(args.against).resolve())
         child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
         other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
-        compare(records, other, other_root)
+        if compare(records, other, other_root):
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .constants import (
     RAMAN_SLOPE_CM1,
 )
 from .fit import FitResult
-from .spectrum import Curve, SpectrumModel, _line_pass, _line_plan, _line_table
+from .spectrum import Curve, SpectrumModel, _grid_constants, _line_pass, _line_plan, _line_table
 
 # Ascending-frequency quartet lines map to these m_I,tot values. The mapping
 # assumes the 15N coupling convention that puts high m_tot at high frequency.
@@ -59,12 +59,12 @@ class RamanPoint:
 
 
 def _slope_values(model: SpectrumModel, grid: np.ndarray) -> np.ndarray:
-    """Closed-form dR/df of the mixture from its line pass
-    (``spectrum._line_pass``, one ``lorentzian`` call): with the pass's
-    offsets u = f - f_line, g = (FWHM/2)^2 and its L = g / (u^2 + g), dR/df =
-    (2 C / g) (w @ (u L^2)), finite wherever g is."""
+    """Closed-form dR/df of the mixture from its lines
+    (``spectrum._line_pass``, one ``lorentzian`` call), not its curve: with
+    their offsets u = f - f_line, g = (FWHM/2)^2 and L = g / (u^2 + g),
+    dR/df = (2 C / g) (w @ (u L^2)), finite wherever g is."""
     plan = _line_plan(model, _line_table(model.populations))
-    _, _, w, _, u, slopes = _line_pass(model, grid, plan)
+    _, w, _, u, slopes = _line_pass(model, _grid_constants(grid, len(plan[0])), plan)
     slopes *= slopes
     slopes *= u
     half = 0.5 * model.linewidth

@@ -38,6 +38,7 @@ import numpy as np
 from .spectrum import (
     _JACOBIAN_PARAMS,
     SpectrumModel,
+    _grid_constants,
     _jacobian_rows,
     _line_pass,
     _line_plan,
@@ -117,8 +118,8 @@ def _free_profiles(
     one (lines x grid) pass: offsets u = f - c_k, squared half widths
     g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak Lorentzians
     L = g / (u^2 + g). The offsets are the broadcast subtraction, not the
-    ``spectrum._offsets`` product: a quartet's four lines are too few for
-    the product's fixed cost to pay."""
+    ``spectrum._offsets`` product: at a quartet's four lines the product is
+    no faster, even with its grid constants built once per problem."""
     widths = np.asarray(widths, dtype=float)
     u = f - (f_first + np.arange(widths.size) * spacing)[:, None]
     g = (0.5 * widths[:, None]) ** 2
@@ -363,14 +364,14 @@ def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1)
     start = SpectrumModel(f_center, contrast, width, **_COUPLING_DEFAULTS, p15=p15, branch=branch)
     if below.size < 2:
         return start
-    keys, w, _ = _line_plan(start, _line_table(None))
-    u = _offsets(f, _positions(start, keys))  # the lines stay put, only their width moves
+    keys, w, _ = _line_plan(start, _line_table(None))  # the lines stay put, only their width moves
+    u = _offsets(_grid_constants(f, len(keys)), _positions(start, keys))
     profiles = np.empty_like(u)
     step = float(np.diff(f).min())
     target = float(below[-1] - below[0])
     fwhm, last, tried = max(target, step), None, []
     for _ in range(_START_STEPS):
-        dip = w @ lorentzian(u, 0.0, fwhm, out=profiles)
+        dip = w @ lorentzian(u, fwhm, out=profiles)
         above = f[dip > 0.5 * dip.max()]
         if above.size == 0:  # the dip underflows or is not finite on this grid
             return start
@@ -396,14 +397,15 @@ def _physical_problem(
     and closed-form Jacobian are weighted by 1/sigma when the spectrum
     carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
     for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
-    thunk reuses. At fixed p15 the line plan and the Jacobian's coefficients
-    are built once. Every point writes its line offsets u = f - f_line
-    (``spectrum._offsets``, an exact matrix product, computed once per
-    point) and its profiles into the fit's offset and profile buffers,
-    beside the Jacobian's scratch for L^2 and u L^2; the Jacobian reads u
-    and L and writes neither. ``lm_minimize`` calls a point's thunk before
-    it evaluates the next point, and a thunk whose offsets and profiles a
-    later point overwrote raises RuntimeError."""
+    thunk reuses. The grid constants of the offsets are built once, and at
+    fixed p15 the line plan and the Jacobian's coefficients too. Every
+    point writes its line offsets u = f - f_line (``spectrum._offsets``, an
+    exact matrix product, computed once per point) and its profiles into
+    the fit's offset and profile buffers, beside the Jacobian's scratch for
+    L^2 and u L^2; the Jacobian reads u and L and writes neither.
+    ``lm_minimize`` calls a point's thunk before it evaluates the next
+    point, and a thunk whose offsets and profiles a later point overwrote
+    raises RuntimeError."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
@@ -413,6 +415,7 @@ def _physical_problem(
     coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
     # the offset and profile buffers, then the Jacobian's scratch
     buffers = np.empty((3, len(table if fixed is None else fixed[0]), grid.size))
+    constants = _grid_constants(grid, buffers.shape[1])
     latest = None  # the line pass whose offsets and profiles the buffers hold
 
     def problem(p: np.ndarray):
@@ -420,8 +423,10 @@ def _physical_problem(
         model = replace(init, **dict(zip(active, p)))
         plan = fixed or _line_plan(model, table, True)
         n = len(plan[0])
-        lines = latest = _line_pass(model, grid, plan, out=buffers[:2, :n])
-        res = lines[0] - y
+        lines = latest = _line_pass(model, constants, plan, out=buffers[:2, :n])
+        w, profiles = lines[1], lines[4]
+        curve = np.count_nonzero(w)  # the lines of the curve, w != 0, come first
+        res = 1.0 - model.contrast * (w[:curve] @ profiles[:curve]) - y
 
         def jacobian() -> np.ndarray:
             if latest is not lines:

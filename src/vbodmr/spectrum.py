@@ -174,16 +174,16 @@ def default_grid(f_center: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarr
     return np.linspace(f_center - 250.0, f_center + 250.0, points)
 
 
-def lorentzian(f, f0, fwhm: float, out=None):
-    """Unit-peak Lorentzian: 1 at f0, 1/2 at f0 +- fwhm/2; f and f0 broadcast.
-    Computed in place in one array, returned: ``out`` when given, a float64
-    array of the broadcast shape (a fit reuses its (lines x grid) buffers)."""
+def lorentzian(u, fwhm: float, out=None):
+    """Unit-peak Lorentzian of the offsets u = f - f0: 1 at u = 0, 1/2 at
+    u = +-fwhm/2. Computed in place in one array, returned: ``out`` when
+    given, a float64 array of u's shape (a fit reuses its (lines x grid)
+    buffers)."""
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     half = 0.5 * fwhm
     g = half * half
-    d = np.subtract(np.asarray(f, dtype=float), f0, out=out)
-    d *= d
+    d = np.multiply(u, u, out=out, dtype=float)
     d += g
     return np.divide(g, d, out=d if isinstance(d, np.ndarray) else None)
 
@@ -206,15 +206,25 @@ def _line_groups() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(keys), _read_only(counts)
 
 
+@functools.lru_cache(maxsize=1)
+def _unpolarized_table() -> np.ndarray:
+    """``_line_table`` without populations. Read-only."""
+    counts = _line_groups()[1]
+    return _read_only(counts / counts.sum(axis=0))
+
+
 def _line_table(populations: dict | None) -> np.ndarray:
     """The (25 x 4) weight matrix W of the lines of ``_line_groups``: column
     n holds configuration #n's weight of each group, its share of the states
     when unpolarized, otherwise its state count times the population of its
     m_tot rung, and 0 where #n has no states. W @ (P0, P1, P2, P3) weights
-    every distinct line of a mixture; W depends on the populations only."""
+    every distinct line of a mixture; W depends on the populations only.
+    Without populations it is the cached, read-only ``_unpolarized_table``."""
+    if not populations:
+        return _unpolarized_table()
     keys, counts = _line_groups()
     table = counts / counts.sum(axis=0)
-    for n, pops in (populations or {}).items():
+    for n, pops in populations.items():
         rung = np.rint(keys.sum(axis=1) + pops.ladder.m_max).astype(np.intp)
         table[:, n] = counts[:, n] * np.take(pops.weights, rung, mode="clip")
     return table
@@ -249,7 +259,8 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     fraction-weighted sum of per-configuration curves within 1.5 eps, not bit
     for bit."""
     plan = _line_plan(model, _line_table(model.populations))
-    return Curve(grid, _line_pass(model, grid, plan)[0])
+    _, w, _, _, profiles = _line_pass(model, _grid_constants(grid, len(plan[0])), plan)
+    return Curve(grid, 1.0 - model.contrast * (w @ profiles))
 
 
 def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
@@ -257,53 +268,65 @@ def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
     dw), w = W @ P and dw = W @ dP/dp15 for the line table W and the binomial
     fractions P of ``model.p15``. Lines with w != 0 come first, in key order;
     with ``p15_column`` the lines with w = 0 and dw != 0 (at p15 = 0 or 1)
-    follow them."""
-    w = table @ np.array(_binomial(model.p15))
-    dw = table @ np.array(_binomial_slopes(model.p15))
+    follow them. Without ``p15_column``, the plans of the unpolarized table
+    are cached read-only per p15 and its sign: a fit at fixed p15 builds one."""
+    if not p15_column and table is _unpolarized_table():
+        return _unpolarized_plan(model.p15, math.copysign(1.0, model.p15))
+    return _plan(table, model.p15, p15_column)
+
+
+@functools.lru_cache(maxsize=16)
+def _unpolarized_plan(p15: float, sign: float) -> tuple:
+    return tuple(map(_read_only, _plan(_unpolarized_table(), p15)))
+
+
+def _plan(table: np.ndarray, p15: float, p15_column=False) -> tuple:
+    w = table @ np.array(_binomial(p15))
+    dw = table @ np.array(_binomial_slopes(p15))
     rows = np.flatnonzero(w)
     if p15_column:
         rows = np.concatenate([rows, np.flatnonzero((w == 0.0) & (dw != 0.0))])
     return _line_groups()[0][rows], w[rows], dw[rows]
 
 
-def _offsets(grid, positions, out=None):
-    """The (lines x grid) offsets u = f - f_line, into ``out`` when given:
-    grid - positions[:, None] bit for bit, sign of zero included, as one
-    (lines x 2) @ (2 x grid) product [1, -f_line] . [f; 1]. BLAS runs it
-    faster than NumPy's broadcast at the mixture's 25 lines, not below about
-    12, where the fixed cost of the two small factors and the zero scan
-    dominates. The product is exact: both terms of an entry have a factor
-    1.0, so it is the single rounding of f + (-f_line), the subtraction's
-    own result, whatever the BLAS order or FMA. Only a zero's sign can
-    differ, as BLAS sums from +0.0 (a sample at -0.0 on a line at +0.0
-    gives +0.0), so samples at zero are subtracted afresh."""
-    factors = np.ones((positions.size, 2))
-    np.negative(positions, out=factors[:, 1])
+def _grid_constants(grid, lines: int) -> tuple:
+    """What ``_offsets`` needs of ``grid``, built once per fit or call: [f; 1],
+    the indices of the samples at zero and a (lines x 2) buffer of ones."""
     samples = np.ones((2, np.size(grid)))
     samples[0] = grid
+    return samples, np.flatnonzero(samples[0] == 0.0), np.ones((lines, 2))
+
+
+def _offsets(constants: tuple, positions, out=None):
+    """The (lines x grid) offsets u = f - f_line on the grid of ``constants``
+    (``_grid_constants``), into ``out`` when given: grid - positions[:, None]
+    bit for bit, sign of zero included, as one (lines x 2) @ (2 x grid)
+    product [1, -f_line] . [f; 1]. The product is exact: both terms of an
+    entry have a factor 1.0, so it is the single rounding of f + (-f_line),
+    the subtraction's own result, whatever the BLAS order or FMA. Only a
+    zero's sign can differ, as BLAS sums from +0.0 (a sample at -0.0 on a
+    line at +0.0 gives +0.0), so samples at zero are subtracted afresh."""
+    samples, zero, factors = constants
+    factors = factors[: positions.size]
+    np.negative(positions, out=factors[:, 1])
     u = np.matmul(factors, samples, out=out)
-    zero = np.flatnonzero(samples[0] == 0.0)
     if zero.size:
         u[:, zero] = samples[0, zero] - positions[:, None]
     return u
 
 
-def _line_pass(model: SpectrumModel, grid, plan: tuple, out=None):
-    """The curve of the lines of ``plan`` (``_line_plan``) for ``model`` and
-    the lines it is summed from: (values, keys, w, dw, u, L): the lines'
-    offsets u = f - f_line (``_offsets``, an exact product) and profiles
-    L = ``lorentzian(u, 0.0, FWHM)`` (u - 0.0 is u: one call, bit for bit the
-    Lorentzian at each line position), into the (2, lines, grid) ``out`` when
-    given. The curve is 1 - C * (w @ L) over the lines with w != 0: one
+def _line_pass(model: SpectrumModel, constants: tuple, plan: tuple, out=None):
+    """The lines of ``plan`` (``_line_plan``) for ``model``, (keys, w, dw, u,
+    L): their offsets u = f - f_line (``_offsets`` on the grid
+    ``constants``, an exact product) and profiles L = ``lorentzian(u,
+    FWHM)``, one call, into the (2, lines, grid) ``out`` when given. The
+    curve 1 - C * (w @ L) sums the lines with w != 0, which come first: one
     product over at most 25 lines, within 1.5 eps of a per-configuration,
     per-line sum."""
     keys, w, dw = plan
     u, profiles = (None, None) if out is None else out
-    u = _offsets(grid, _positions(model, keys), out=u)
-    profiles = lorentzian(u, 0.0, model.linewidth, out=profiles)
-    n = np.count_nonzero(w)
-    values = 1.0 - model.contrast * (w[:n] @ profiles[:n])
-    return values, keys, w, dw, u, profiles
+    u = _offsets(constants, _positions(model, keys), out=u)
+    return keys, w, dw, u, lorentzian(u, model.linewidth, out=profiles)
 
 
 # row order of _model_jacobian
@@ -330,7 +353,7 @@ def _model_jacobian(model: SpectrumModel, lines: tuple, coef=None, out=None) -> 
     rows; it evaluates no Lorentzian and no offsets of its own, so a traced
     fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
-    _, keys, w, dw, u, profiles = lines
+    keys, w, dw, u, profiles = lines
     coef = _jacobian_rows(model.branch, keys, w, dw) if coef is None else coef
     sq = np.multiply(profiles, profiles, out=out)
     c, fwhm = model.contrast, model.linewidth

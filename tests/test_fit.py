@@ -146,7 +146,7 @@ def test_forward_jacobian_matches_analytic_lorentzian_derivatives():
         def residual(p):
             out = np.ones_like(grid)
             for k in range(3):
-                out -= p[3 + k] * lorentzian(grid, p[k], p[6 + k])
+                out -= p[3 + k] * lorentzian(grid - p[k], p[6 + k])
             return out
 
         p = np.concatenate([centers, depths, widths])
@@ -180,10 +180,10 @@ def test_lm_requires_a_jacobian():
 def test_lm_single_lorentzian_round_trip():
     truth = (2310.0, 0.08, 45.0)
     grid = default_grid(2310.0)
-    y = 1.0 - truth[1] * lorentzian(grid, truth[0], truth[2])
+    y = 1.0 - truth[1] * lorentzian(grid - truth[0], truth[2])
 
     def residual(p):
-        return (1.0 - p[1] * lorentzian(grid, p[0], p[2])) - y
+        return (1.0 - p[1] * lorentzian(grid - p[0], p[2])) - y
 
     res = lm_minimize(
         paired(residual, lambda p: lorentzian_dips_jacobian(grid, p, 1)),
@@ -576,7 +576,7 @@ def test_physical_jacobian_keeps_its_own_point(monkeypatch, active, sigmas):
     earlier = []
     for point in (p, p * 1.001, q, p * 1.002):
         res, jacobian = problem(point)
-        offsets, profiles = passes[-1][4:]
+        offsets, profiles = passes[-1][3:]
         shared = offsets.copy(), profiles.copy()
         kept = res.copy()
         for thunk in earlier:
@@ -722,6 +722,62 @@ def test_line_table_is_built_once_per_fit(monkeypatch, p15_mode, a14_start):
     assert res.iterations > 1
     assert any(d.startswith("coupling restart") for d in res.diagnostics) == (a14_start == 0.0)
     assert calls == {"table": 1, "problem": 1}
+
+
+@pytest.mark.parametrize(
+    "p15_mode, a14_start",
+    [(("fixed", 0.6), None), ("free", None), (("fixed", 0.6), 0.0)],
+    ids=["fixed", "free", "coupling_restart"],
+)
+def test_grid_constants_are_built_once_per_fit_and_never_in_the_lm(
+    monkeypatch, p15_mode, a14_start
+):
+    # [f; 1], the zero samples and the ones column of the offsets' factors
+    # depend on the grid only: one build per physical fit, shared by the
+    # restart, and none at an LM point or in a Jacobian
+    _, meas = synthetic(
+        dict(f_center=2308.0, contrast=0.11, linewidth=51.0, a14=43.0, a15=64.0, p15=0.6),
+        seed=103,
+    )
+    init = initial_physical_guess(meas, 0.6)  # the start builds its own, before the fit
+    if a14_start is not None:
+        init = dataclasses.replace(init, a14=a14_start)
+    calls = {"built": 0, "in_lm": 0, "runs": 0}
+    in_lm = False
+
+    def counted_constants(*args):
+        calls["built"] += 1
+        calls["in_lm"] += in_lm
+        return spectrum._grid_constants(*args)
+
+    def counted_lm_minimize(problem, *args, **kwargs):
+        def flagged(p):
+            nonlocal in_lm
+            in_lm = True
+            try:
+                res, jacobian = problem(p)
+                return res, lambda: flagged_jacobian(jacobian)
+            finally:
+                in_lm = False
+
+        def flagged_jacobian(jacobian):
+            nonlocal in_lm
+            in_lm = True
+            try:
+                return jacobian()
+            finally:
+                in_lm = False
+
+        calls["runs"] += 1
+        return lm_minimize(flagged, *args, **kwargs)
+
+    monkeypatch.setattr(fit, "_grid_constants", counted_constants)
+    monkeypatch.setattr(fit, "lm_minimize", counted_lm_minimize)
+    res = fit_physical(meas, init=init, p15_mode=p15_mode)
+    assert res.iterations > 1
+    restarted = any(d.startswith("coupling restart") for d in res.diagnostics)
+    assert restarted == (a14_start == 0.0)
+    assert calls == {"built": 1, "in_lm": 0, "runs": 1 + restarted}
 
 
 def test_physical_fit_is_the_same_from_mirrored_couplings():
@@ -916,7 +972,7 @@ def test_initial_guess_matches_the_data_half_depth_width(p15):
 
 
 def narrow_dip(grid):
-    return 1.0 - 0.1 * lorentzian(grid, 2310.0, 4.0)
+    return 1.0 - 0.1 * lorentzian(grid - 2310.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -929,7 +985,7 @@ def narrow_dip(grid):
         # a deep sample at 1e308 MHz: no Lorentzian of that width is finite
         (
             np.append(default_grid(2310.0, 101), 1e308),
-            np.append(1.0 - 0.6 * lorentzian(default_grid(2310.0, 101), 2310.0, 40.0), 0.5),
+            np.append(1.0 - 0.6 * lorentzian(default_grid(2310.0, 101) - 2310.0, 40.0), 0.5),
         ),
     ],
     ids=["flat", "one_sample_spike", "narrower_than_the_comb", "non_uniform_grid", "huge_frequency"],
@@ -968,7 +1024,7 @@ def quartet_signal(depths, widths, f_first=2212.0, spacing=64.0, grid=None):
     grid = default_grid(2308.0) if grid is None else grid
     values = np.ones_like(grid)
     for k, (c, w) in enumerate(zip(depths, widths)):
-        values -= c * lorentzian(grid, f_first + k * spacing, w)
+        values -= c * lorentzian(grid - (f_first + k * spacing), w)
     return grid, values
 
 

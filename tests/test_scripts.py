@@ -45,14 +45,19 @@ def test_script_runs(tmp_path, name, args, expected):
     assert re.search(expected, done.stdout), done.stdout
 
 
+def load_script(name: str):
+    """A script of ``scripts/`` as a module, its ``main`` not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_corpus_pass_trust_columns_match_a_hand_count(monkeypatch):
     # the first three rounds of the fit_batch corpus, counted by hand from
     # the fits' values and sigmas against their truths
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    path = ROOT / "scripts" / "corpus_pass.py"
-    spec = importlib.util.spec_from_file_location("corpus_pass", path)
-    corpus_pass = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus_pass)
+    corpus_pass = load_script("corpus_pass")
     from workloads import FitBatch
 
     batch = FitBatch(seed=0)
@@ -101,3 +106,46 @@ def test_corpus_pass_trust_columns_match_a_hand_count(monkeypatch):
         "op_b": {"rms z a14": 0.53, "rms z a15": 1.16, "rms z p15": 1.15},
         "op_c": {"rms z P": 0.51},
     }
+
+
+def test_corpus_pass_compare_counts_every_operation_that_differs(capsys):
+    # synthetic records: --against exits 1 on a nonzero count, as cmp does
+    corpus_pass = load_script("corpus_pass")
+    records = [
+        {"round": r, "slot": slot, "k": 0, "failed": False, "lm_iter": 5,
+         "values": {"a14": 44.0}, "sigmas": {"a14": 0.4}, "fit": f"fit {r} {slot}"}
+        for r in range(2) for slot in corpus_pass.SLOTS
+    ]
+    other = [dict(m) for m in records]
+    assert corpus_pass.compare(records, other, "other") == 0
+    capsys.readouterr()
+    other[0] = {**other[0], "fit": "the same values, another diagnostic"}
+    other[1] = {**other[1], "lm_iter": 6}
+    other[4] = {**other[4], "failed": True, "fit": "a fit that moved"}
+    assert corpus_pass.compare(records, other, "other") == 3
+    out = capsys.readouterr().out
+    assert "op_a: 1 fit records differ" in out and "op_b: 2 operations changed outcome" in out
+    assert "op_b: 1 fit records differ" in out and "op_c: 0 fit records differ" in out
+    with pytest.raises(SystemExit, match="different operations"):
+        corpus_pass.compare(records, other[:-1], "other")
+
+
+def test_sweep_pass_compare_counts_every_list_that_differs(capsys):
+    sweep_pass = load_script("sweep_pass")
+    line = [-1, [1.0, 0.0, -1.0], 2870.0, 0.5]
+    records = [
+        {"round": r, "slot": slot, "k": 0, "lines": [list(line)]}
+        for r in range(2) for slot in sweep_pass.SLOTS
+    ]
+    other = [dict(m) for m in records]
+    assert sweep_pass.compare(records, other, "other") == 0
+    capsys.readouterr()
+    # a frequency one ulp off, a zero whose sign differs (equal as numbers),
+    # and an operation that raised on one side only
+    other[0] = {**other[0], "lines": [[-1, [1.0, 0.0, -1.0], 2870.0000000000005, 0.5]]}
+    other[2] = {**other[2], "lines": [[-1, [1.0, -0.0, -1.0], 2870.0, 0.5]]}
+    other[5] = {**other[5], "lines": "LinAlgError: did not converge"}
+    assert sweep_pass.compare(records, other, "other") == 3
+    out = capsys.readouterr().out
+    assert "op_a: 1 of 2 transition lists changed" in out
+    assert "op_c: 2 of 2 transition lists changed" in out

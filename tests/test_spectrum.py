@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vbodmr import fit
+from vbodmr import fit, spectrum
 from vbodmr.analysis import polarization_from_areas, spectral_slope
 from vbodmr.fit import MeasuredSpectrum
 from vbodmr.spectrum import (
@@ -15,6 +15,7 @@ from vbodmr.spectrum import (
     LevelLadder,
     Populations,
     SpectrumModel,
+    _grid_constants,
     _line_groups,
     _line_pass,
     _line_plan,
@@ -173,9 +174,9 @@ def test_model_rejects_populations_that_are_not_their_configurations(populations
 # --- lorentzian --------------------------------------------------------------
 
 def test_lorentzian_closed_form_points():
-    assert lorentzian(10.0, 10.0, 4.0) == 1.0
-    assert lorentzian(12.0, 10.0, 4.0) == pytest.approx(0.5)
-    assert lorentzian(14.0, 10.0, 4.0) == pytest.approx(0.2)
+    assert lorentzian(10.0 - 10.0, 4.0) == 1.0
+    assert lorentzian(12.0 - 10.0, 4.0) == pytest.approx(0.5)
+    assert lorentzian(14.0 - 10.0, 4.0) == pytest.approx(0.2)
 
 
 @given(
@@ -184,14 +185,14 @@ def test_lorentzian_closed_form_points():
     offset=st.floats(-1e4, 1e4),
 )
 def test_lorentzian_bounds_and_symmetry(f0, fwhm, offset):
-    val = lorentzian(f0 + offset, f0, fwhm)
+    val = lorentzian((f0 + offset) - f0, fwhm)
     assert 0.0 < val <= 1.0
-    assert val == pytest.approx(lorentzian(f0 - offset, f0, fwhm), rel=1e-12)
+    assert val == pytest.approx(lorentzian((f0 - offset) - f0, fwhm), rel=1e-12)
 
 
 def test_lorentzian_rejects_bad_width():
     with pytest.raises(ValueError):
-        lorentzian(0.0, 0.0, 0.0)
+        lorentzian(0.0 - 0.0, 0.0)
 
 
 # up to 1e300 in magnitude, signed zeros drawn often
@@ -208,10 +209,40 @@ def test_offsets_are_the_broadcast_subtraction_bit_for_bit(grid, data):
         st.lists(st.one_of(SAMPLE_VALUES, st.sampled_from(list(grid))), min_size=1, max_size=25)
     ))
     expected = (grid - positions[:, None]).view(np.int64)  # the sign of zero too
-    assert np.array_equal(_offsets(grid, positions).view(np.int64), expected)
+    constants = _grid_constants(grid, 25)  # built for a fit's 25 lines
+    assert np.array_equal(_offsets(constants, positions).view(np.int64), expected)
     out = np.full((2, 25, grid.size), np.nan)[1, : positions.size]  # a fit's buffer slice
-    assert _offsets(grid, positions, out=out) is out
+    assert _offsets(constants, positions, out=out) is out
     assert np.array_equal(out.view(np.int64), expected)
+
+
+def centred_lorentzian(f, f0, fwhm, out=None):
+    """The Lorentzian of frequencies f about a center f0, as ``lorentzian``
+    computed it when it took both: (f - f0)^2, then g / (that + g)."""
+    half = 0.5 * fwhm
+    g = half * half
+    d = np.subtract(np.asarray(f, dtype=float), f0, out=out)
+    d *= d
+    d += g
+    return np.divide(g, d, out=d if isinstance(d, np.ndarray) else None)
+
+
+@given(
+    u=st.lists(SAMPLE_VALUES, min_size=1, max_size=40).map(np.array),
+    fwhm=st.one_of(st.floats(1e-300, 1e300), st.floats(0.01, 1e3)),
+)
+def test_lorentzian_of_offsets_is_the_centred_form_bit_for_bit(u, fwhm):
+    # (u - 0.0)^2 is u^2 exactly, signed zeros and overflow included
+    with np.errstate(all="ignore"):
+        expected = centred_lorentzian(u, 0.0, fwhm).view(np.int64)
+        assert np.array_equal(lorentzian(u, fwhm).view(np.int64), expected)
+        out = np.full((2, u.size), np.nan)[1]
+        assert lorentzian(u, fwhm, out=out) is out
+        assert np.array_equal(out.view(np.int64), expected)
+        for x in (u[0], float(u[0])):  # a scalar offset gives a scalar
+            value = lorentzian(x, fwhm)
+            assert np.ndim(value) == 0
+            assert np.float64(value).view(np.int64) == expected[0]
 
 
 # --- configuration lines and pure-isotope spectra ----------------------------
@@ -511,6 +542,43 @@ def test_line_table_columns_are_the_configuration_lines(polarized):
         assert not np.delete(table[:, n], rows).any(), n
 
 
+def test_unpolarized_table_and_fixed_plans_are_cached_read_only(monkeypatch):
+    table = _line_table(None)
+    assert table is _line_table({}) and not table.flags.writeable
+    for p15 in (0.0, -0.0, 0.6, 1.0):
+        model = quartet_model(p15=p15)
+        plan = _line_plan(model, table)
+        assert plan is _line_plan(model, table)
+        assert not any(a.flags.writeable for a in plan)
+        # bit for bit the plan of an uncached copy of the table
+        for cached, fresh in zip(plan, _line_plan(model, np.array(table))):
+            assert np.array_equal(cached.view(np.int64), fresh.view(np.int64)), p15
+    # p15 = -0.0 has its own entry; a free-p15 plan bypasses the cache
+    assert _line_plan(quartet_model(p15=-0.0), table) is not _line_plan(quartet_model(), table)
+    free = _line_plan(quartet_model(p15=0.6), table, True)
+    assert free is not _line_plan(quartet_model(p15=0.6), table, True)
+    assert all(a.flags.writeable for a in free)
+    # a polarized model builds its own table and plans and reads no cached
+    # plan: its curve, slope and fit residual
+    def refuse(*args):
+        raise AssertionError("a polarized model read a cached unpolarized plan")
+
+    monkeypatch.setattr(spectrum, "_unpolarized_plan", refuse)
+    pops = {n: Populations.with_polarization(enumerate_ladder(n), 0.17) for n in range(4)}
+    model = quartet_model(p15=0.6, populations=pops)
+    polarized = _line_table(model.populations)
+    assert polarized is not table and polarized.flags.writeable
+    grid = default_grid(model.f_center)
+    curve = mixture_spectrum(model, grid).values
+    assert np.abs(curve - reference_mixture_values(model, grid)).max() <= CURVE_ULPS * EPS
+    spectral_slope(model, grid)
+    active = ["f_center", "contrast", "linewidth", "a14", "a15"]
+    res, _ = fit._physical_problem(MeasuredSpectrum(grid, curve), model, active)(
+        np.array([getattr(model, name) for name in active])
+    )
+    assert not res.any()
+
+
 def test_slope_is_minus_the_f_center_row_of_the_jacobian():
     # dR/df = -dR/df_center: the slope and the Jacobian read the same lines
     row = _JACOBIAN_PARAMS.index("f_center")
@@ -518,7 +586,7 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
         grid = default_grid(model.f_center)
         slope = spectral_slope(model, grid).slope_curve.values
         plan = _line_plan(model, _line_table(model.populations))
-        lines = _line_pass(model, grid, plan)
+        lines = _line_pass(model, _grid_constants(grid, len(plan[0])), plan)
         jac_row = -_model_jacobian(model, lines)[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
 
@@ -540,7 +608,7 @@ def test_fit_residual_is_the_forward_model_bit_for_bit(monkeypatch, free_p15):
         p = np.array([getattr(model, name) for name in active])
         res, jacobian = fit._physical_problem(meas, model, active)(p)
         assert np.array_equal(res, mixture_spectrum(model, grid).values - meas.ratios), model
-        _, keys, w, dw, _, _ = passes[-1]
+        keys, w, dw, _, _ = passes[-1]
         curve = np.count_nonzero(w)  # the curve's lines come first
         assert w[:curve].all() and not w[curve:].any() and dw[curve:].all(), model
         slope_only = {tuple(key) for key in keys[curve:]}
