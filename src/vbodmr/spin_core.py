@@ -426,6 +426,23 @@ def _greedy_pairing(overlap: np.ndarray) -> np.ndarray:
     return np.array(col_of)
 
 
+def _pair_labels(weights: np.ndarray, col_block: np.ndarray) -> np.ndarray:
+    """(M, N) eigenstate that ``_greedy_pairing`` pairs with each label of each
+    manifold, from (M, N, K) overlaps whose eigenstate k lies in manifold
+    ``col_block[k]``, N per manifold. One argmax takes each label's first
+    maximum. Where a manifold's first maxima are its own N states, each once,
+    they are the walk's answer: the walk reaches a row first at its first
+    maximum, and every row paired before was paired at its own (induction), so
+    only a row with the same first maximum could hold that column. Others walk."""
+    col_of = weights.argmax(axis=2)
+    block_of = col_block.tolist()
+    for b, row in enumerate(col_of.tolist()):
+        if len({k for k in row if block_of[k] == b}) < len(row):
+            cols = np.flatnonzero(col_block == b)
+            col_of[b] = cols[_greedy_pairing(weights[b][:, cols])]
+    return col_of
+
+
 def _full_transitions(sys: SpinSystem) -> TransitionSet:
     values, vectors = eigen_hermitian(build_full_hamiltonian(sys))
     labels = _label_table(tuple(s.species for s in sys.sites))
@@ -444,32 +461,25 @@ def _full_transitions(sys: SpinSystem) -> TransitionSet:
             f"{MS_CHARACTER_THRESHOLD} (best {character[k]:.3f}); "
             "too close to a level anticrossing"
         )
+    for ms, size in zip(MS_VALUES, np.bincount(col_block, minlength=3).tolist()):
+        if size != n:
+            raise CharacterAmbiguityError(
+                f"manifold m_S={ms:+.0f} collected {size} states, expected {n}"
+            )
 
     # Within each m_S manifold, greedily match eigenstates to nuclear labels
     # by their overlap with the corresponding basis state. Ties only occur
     # between degenerate states, where any assignment gives the same energies.
-    col_of = np.empty((3, n), dtype=int)
-    for b, ms in enumerate(MS_VALUES):
-        cols = np.flatnonzero(col_block == b)
-        if len(cols) != n:
-            raise CharacterAmbiguityError(
-                f"manifold m_S={ms:+.0f} collected {len(cols)} states, expected {n}"
-            )
-        col_of[b] = cols[_greedy_pairing(weights[b][:, cols])]
-
-    # each label's m_S = 0 state and the S_x-coupled overlap with its m_S = +-1
-    # partners, over all labels at once
-    cols0 = col_of[MS_VALUES.index(0.0)]
+    col_of = _pair_labels(weights, col_block)
+    # each label's m_S = 0 state (row 1) and the S_x-coupled overlap with its
+    # m_S = +1 and -1 partners (rows 0 and 2), one (3, N, N) product per branch
+    cols0, cols_pm = col_of[1], col_of[::2]
     sx_v0 = (_ELECTRON_OPERATORS[0] @ blocks[:, :, cols0].reshape(3, -1)).reshape(3, n, n)
-    frequency, weight = {}, {}
-    for branch in (1, -1):
-        cols = col_of[MS_VALUES.index(branch)]
-        element = (blocks[:, :, cols].conj() * sx_v0).sum(axis=(0, 1))
-        weight[branch] = 2.0 * np.abs(element) ** 2
-        frequency[branch] = values[cols] - values[cols0]
-    entries = tuple(
-        Transition(branch, label, float(frequency[branch][i]), float(weight[branch][i]))
-        for i, label in enumerate(labels)
-        for branch in (1, -1)
-    )
-    return TransitionSet(entries)
+    element = np.array([(blocks[:, :, cols].conj() * sx_v0).sum(axis=(0, 1)) for cols in cols_pm])
+    frequency = (values[cols_pm] - values[cols0]).T.tolist()
+    weight = (2.0 * np.abs(element) ** 2).T.tolist()
+    return TransitionSet(tuple(
+        Transition(branch, label, f[k], w[k])
+        for label, f, w in zip(labels, frequency, weight)
+        for k, branch in enumerate((1, -1))
+    ))

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from vbodmr.spin_core import (
     _greedy_pairing,
     _label_table,
     _nuclear_operators,
+    _pair_labels,
     _quadrupole_squares,
 )
 
@@ -474,6 +480,154 @@ def test_transition_lists_do_not_depend_on_the_eigensolver_driver(monkeypatch, n
         assert (b, label) == (b_ref, label_ref)
         assert abs(f - f_ref) <= 1e-9
         assert abs(w - w_ref) <= 1e-9
+
+
+def reference_full_lines(sys_):
+    """The full-mode extraction one manifold and one branch at a time: each
+    manifold paired by ``argmax_pairing``, each branch's S_x elements as
+    their own product, each value converted by ``float``."""
+    values, vectors = eigen_hermitian(build_full_hamiltonian(sys_))
+    labels = _label_table(tuple(s.species for s in sys_.sites))
+    n = len(labels)
+    blocks = vectors.reshape(3, n, -1)
+    weights = np.abs(blocks) ** 2
+    col_block = np.argmax(weights.sum(axis=1), axis=0)
+    col_of = np.empty((3, n), dtype=int)
+    for b in range(len(MS_VALUES)):
+        cols = np.flatnonzero(col_block == b)
+        col_of[b] = cols[argmax_pairing(weights[b][:, cols])]
+    cols0 = col_of[MS_VALUES.index(0.0)]
+    sx_v0 = (spin_matrices(1.0)[0] @ blocks[:, :, cols0].reshape(3, -1)).reshape(3, n, n)
+    frequency, weight = {}, {}
+    for branch in (1, -1):
+        cols = col_of[MS_VALUES.index(branch)]
+        element = (blocks[:, :, cols].conj() * sx_v0).sum(axis=(0, 1))
+        weight[branch] = 2.0 * np.abs(element) ** 2
+        frequency[branch] = values[cols] - values[cols0]
+    return [
+        (branch, label, float(frequency[branch][i]), float(weight[branch][i]))
+        for i, label in enumerate(labels)
+        for branch in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_full_mode_is_the_per_branch_extraction_bit_for_bit(n15):
+    rng = np.random.default_rng(300 + n15)
+    # a14 = 0 and a15 = 2 a14 make exact degeneracies; the draws span the
+    # benchmark corpus's axial ranges
+    couplings = [(43.0, 64.0), (0.0, 64.0), (32.0, 64.0)] + [
+        tuple(rng.uniform(-80.0, 80.0, size=2)) for _ in range(3)
+    ]
+    systems = [
+        make_system(rng.uniform(3300.0, 3600.0), rng.uniform(10.0, 100.0), n15, a14, a15,
+                    include_nuclear_zeeman=zeeman)
+        for a14, a15 in couplings
+        for zeeman in (False, True)
+    ]
+    for sys_ in systems + [dense_system(n15), real_dense_system(n15)]:
+        assert line_table(transition_frequencies(sys_, "full")) == reference_full_lines(sys_)
+
+
+def overlaps_with_distinct_bests(rng, n):
+    """n x n overlaps whose rows take their first maxima in distinct
+    columns, with ties after each row's maximum and maxima shared by rows."""
+    top = rng.integers(2, 5, size=n) / 4.0
+    overlap = np.minimum(rng.integers(0, 5, size=(n, n)) / 4.0, top[:, None])
+    for i, j in enumerate(rng.permutation(n)):
+        overlap[i, :j] = np.minimum(overlap[i, :j], top[i] - 0.25)
+        overlap[i, j] = top[i]
+    return overlap
+
+
+def record_walks(monkeypatch):
+    """Manifold sizes passed to ``_greedy_pairing`` from ``_pair_labels``."""
+    walked = []
+
+    def walk(overlap):
+        walked.append(len(overlap))
+        return _greedy_pairing(overlap)
+
+    monkeypatch.setattr(spin_core, "_greedy_pairing", walk)
+    return walked
+
+
+def test_argmax_pairing_of_distinct_bests_is_the_walk(monkeypatch):
+    walked = record_walks(monkeypatch)
+    rng = np.random.default_rng(23)
+    ties_in_rows = ties_across_rows = 0
+    for k in range(300):
+        n = k % 27 + 1
+        overlap = overlaps_with_distinct_bests(rng, n)
+        top = overlap.max(axis=1)
+        ties_in_rows += int(((overlap == top[:, None]).sum(axis=1) > 1).any())
+        ties_across_rows += len(set(top.tolist())) < n
+        (paired,) = _pair_labels(overlap[None], np.zeros(n, dtype=int))
+        assert np.array_equal(paired, _greedy_pairing(overlap)), overlap
+        assert np.array_equal(paired, argmax_pairing(overlap)), overlap
+    assert walked == []
+    assert ties_in_rows > 100 and ties_across_rows > 100
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_colliding_bests_take_the_walk_and_match(monkeypatch, n15):
+    _, vectors = eigen_hermitian(build_full_hamiltonian(dense_system(n15)))
+    n = vectors.shape[0] // 3
+    weights = np.abs(vectors.reshape(3, n, -1)) ** 2
+    col_block = np.argmax(weights.sum(axis=1), axis=0)
+    collide = [len(set(row.tolist())) < n for row in weights.argmax(axis=2)]
+    assert any(collide)
+    walked = record_walks(monkeypatch)
+    col_of = _pair_labels(weights, col_block)
+    assert len(walked) == sum(collide)
+    for b in range(len(MS_VALUES)):
+        cols = np.flatnonzero(col_block == b)
+        overlap = weights[b][:, cols]
+        assert np.array_equal(col_of[b], cols[_greedy_pairing(overlap)])
+        assert np.array_equal(col_of[b], cols[argmax_pairing(overlap)])
+
+
+def test_a_best_outside_its_manifold_takes_the_walk():
+    # manifold 0's bests (2, 1) are distinct, but state 2 lies in manifold 1,
+    # whose own bests collide on state 3 and leave state 2 untaken
+    weights = np.array([
+        [[0.5, 0.1, 0.9, 0.0], [0.1, 0.6, 0.0, 0.0]],
+        [[0.0, 0.0, 0.1, 0.8], [0.0, 0.0, 0.2, 0.7]],
+    ])
+    col_of = _pair_labels(weights, np.array([0, 0, 1, 1]))
+    assert col_of.tolist() == [[0, 1], [3, 2]]
+
+
+def test_full_mode_loads_no_module_beyond_its_import():
+    # a NumPy function that imports a submodule on its first call (np.unique
+    # loads numpy.ma) costs every fresh process that import; the systems are
+    # axial and dense, real and complex, and some take the pairing walk
+    script = textwrap.dedent("""
+        import sys
+        from vbodmr import spin_core as sc
+        loaded = set(sys.modules)
+        for n15 in range(4):
+            species = [sc.IsotopeSpecies.N14] * (3 - n15) + [sc.IsotopeSpecies.N15] * n15
+            sites = tuple(
+                sc.NuclearSite(sp, [[45.0 * k, 0.0, 0.0], [0.0, 90.0 * k, 0.0], [0.0, 0.0, 47.0 * k]],
+                               site_index=j)
+                for j, (sp, k) in enumerate(zip(species, (1.0, 1.05, 1.1)), start=1)
+            )
+            systems = [sc.make_system(3466.0, 40.0, n15, 43.0, 64.0)] + [
+                sc.SpinSystem(sc.ElectronParams(3466.0, field), sites, include_nuclear_zeeman=True)
+                for field in ((4.0, 0.0, 40.0), (4.0, -2.5, 40.0))
+            ]
+            for system in systems:
+                sc.transition_frequencies(system, "full")
+        print(sorted(set(sys.modules) - loaded))
+    """)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_full_mode_flags_ambiguity_near_anticrossing():
