@@ -41,8 +41,6 @@ EXIT_SCHEMA = 1
 EXIT_INGEST = 2
 EXIT_NONCONVERGED = 3
 
-DUPLICATE_FREQ_TOL_MHZ = 1e-9
-
 
 class SchemaError(Exception):
     """Config file violates the schema; carries every violation found."""
@@ -60,13 +58,20 @@ class IngestError(Exception):
 
 _NUM = (int, float)
 
+# the config key of each numeric SpectrumModel field, and the keys a model
+# may leave out, with their values
+MODEL_FIELDS = {
+    "f_center_mhz": "f_center",
+    "contrast": "contrast",
+    "linewidth_mhz": "linewidth",
+    "a14_mhz": "a14",
+    "a15_mhz": "a15",
+    "p15": "p15",
+}
+MODEL_DEFAULTS = {"a14_mhz": A14_DEFAULT_MHZ, "a15_mhz": A15_DEFAULT_MHZ}
+
 MODEL_SCHEMA = {
-    "f_center_mhz": (_NUM, True),
-    "contrast": (_NUM, True),
-    "linewidth_mhz": (_NUM, True),
-    "p15": (_NUM, True),
-    "a14_mhz": (_NUM, False),
-    "a15_mhz": (_NUM, False),
+    **{key: (_NUM, key not in MODEL_DEFAULTS) for key in MODEL_FIELDS},
     "branch": (int, False),
     "polarization": (_NUM, False),
 }
@@ -77,14 +82,7 @@ GRID_SCHEMA = {
     "points": (int, True),
 }
 
-INIT_SCHEMA = {
-    "f_center_mhz": (_NUM, False),
-    "contrast": (_NUM, False),
-    "linewidth_mhz": (_NUM, False),
-    "a14_mhz": (_NUM, False),
-    "a15_mhz": (_NUM, False),
-    "p15": (_NUM, False),
-}
+INIT_SCHEMA = {key: (_NUM, False) for key in MODEL_FIELDS}
 
 COMMAND_SCHEMAS = {
     "simulate": {
@@ -212,8 +210,8 @@ def _number(value, key: str) -> float:
 def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     """Read a spectrum CSV with header frequency_mhz,ratio[,sigma].
 
-    Rows are sorted by frequency; duplicate frequencies are rejected, and
-    malformed or non-finite cells are rejected with the offending line number.
+    Malformed or non-finite cells are rejected with their line number; the
+    sample rules are ``MeasuredSpectrum``'s, and its refusals name the path.
     """
     path = Path(path)
     if not path.exists():
@@ -238,7 +236,6 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
             f"{path}: header must be 'frequency_mhz,ratio' or "
             f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
         )
-    has_sigma = len(header) == 3
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -252,26 +249,9 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
         if not all(math.isfinite(v) for v in values):
             raise IngestError(f"{path}:{lineno}: non-finite numeric cell")
         rows.append(values)
-    if len(rows) < 8:
-        raise IngestError(f"{path}: insufficient samples ({len(rows)} rows, need >= 8)")
-    rows.sort(key=lambda t: t[0])
-    freqs = np.array([r[0] for r in rows])
-    if np.any(np.diff(freqs) <= DUPLICATE_FREQ_TOL_MHZ):
-        raise IngestError(f"{path}: duplicate frequencies within {DUPLICATE_FREQ_TOL_MHZ} MHz")
-    ratios = np.array([r[1] for r in rows])
-    sigmas = np.array([r[2] for r in rows]) if has_sigma else None
+    freqs, ratios, *sigmas = np.array(rows).reshape(-1, len(header)).T
     try:
-        return fitmod.MeasuredSpectrum(
-            freqs,
-            ratios,
-            sigmas,
-            metadata={
-                "source": str(path),
-                "rows": len(rows),
-                "f_min_mhz": float(freqs[0]),
-                "f_max_mhz": float(freqs[-1]),
-            },
-        )
+        return fitmod.MeasuredSpectrum(freqs, ratios, *sigmas)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
 
@@ -290,13 +270,9 @@ def _model_from_block(block: dict) -> SpectrumModel:
             for n in range(4)
             if fractions[n] > 0.0
         }
+    values = {**MODEL_DEFAULTS, **block}
     return SpectrumModel(
-        f_center=float(block["f_center_mhz"]),
-        contrast=float(block["contrast"]),
-        linewidth=float(block["linewidth_mhz"]),
-        a14=float(block.get("a14_mhz", A14_DEFAULT_MHZ)),
-        a15=float(block.get("a15_mhz", A15_DEFAULT_MHZ)),
-        p15=float(block["p15"]),
+        **{field: float(values[key]) for key, field in MODEL_FIELDS.items()},
         branch=block.get("branch", -1),
         populations=populations,
     )
@@ -320,12 +296,7 @@ def _require_finite(curve: Curve, what: str) -> None:
 
 def _model_echo(model: SpectrumModel) -> dict:
     return {
-        "f_center_mhz": model.f_center,
-        "contrast": model.contrast,
-        "linewidth_mhz": model.linewidth,
-        "a14_mhz": model.a14,
-        "a15_mhz": model.a15,
-        "p15": model.p15,
+        **{key: getattr(model, field) for key, field in MODEL_FIELDS.items()},
         "branch": model.branch,
         "binomial_fractions": list(spectrum.binomial_fractions(model.p15)),
     }
@@ -390,14 +361,15 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         raise SchemaError(problems)
     meas = ingest_csv(block["input_csv"])
     labels = ("sample_id", "field_mt", "laser_power_mw")
-    meas.metadata.update({key: block[key] for key in labels if key in block})
+    source = {"source": str(Path(block["input_csv"])), "rows": meas.n_samples,
+              "f_min_mhz": float(meas.frequencies[0]), "f_max_mhz": float(meas.frequencies[-1]),
+              **{key: block[key] for key in labels if key in block}}
     derived: dict = {}
     if mode == "physical":
         p15_mode = "free" if p15 == "free" else ("fixed", float(p15))
         p15_for_init = 0.5 if p15 == "free" else float(p15)
         init = fitmod.initial_physical_guess(meas, p15_for_init, branch=block.get("branch", -1))
-        # INIT_SCHEMA keys are the SpectrumModel fields, some with an _mhz suffix
-        overrides = {key.removesuffix("_mhz"): v for key, v in block.get("init", {}).items()}
+        overrides = {MODEL_FIELDS[key]: v for key, v in block.get("init", {}).items()}
         init = replace(init, **overrides)
         result = fitmod.fit_physical(meas, init=init, p15_mode=p15_mode)
         center = result.values["f_center"]
@@ -420,7 +392,7 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         except ValueError as exc:
             derived["field_mt_error"] = str(exc)
     fit = result.to_json_dict()
-    return {"input": meas.metadata, "mode": mode, "fit": fit, "derived": derived}, {}
+    return {"input": source, "mode": mode, "fit": fit, "derived": derived}, {}
 
 
 def cmd_sensitivity(block: dict, seed: int) -> tuple[dict, dict]:

@@ -30,7 +30,7 @@ sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,16 +64,20 @@ _COUPLING_RESTART_MHZ = 1e-3
 _COUPLING_DEFAULTS = {"a14": A14_DEFAULT_MHZ, "a15": abs(A15_DEFAULT_MHZ)}
 # Lorentzian passes the physical start spends at most on its linewidth.
 _START_STEPS = 8
+# Samples closer than this in frequency count as one frequency given twice.
+DUPLICATE_FREQ_TOL_MHZ = 1e-9
 
 
 @dataclass(frozen=True)
 class MeasuredSpectrum:
-    """Ingested ODMR samples: (frequency MHz, PL ratio, optional sigma)."""
+    """Ingested ODMR samples: (frequency MHz, PL ratio, optional sigma),
+    sorted by frequency. Every sample rule is checked here: at least 8
+    samples, all finite, positive sigmas and frequencies more than
+    ``DUPLICATE_FREQ_TOL_MHZ`` apart."""
 
     frequencies: np.ndarray
     ratios: np.ndarray
     sigmas: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         f = np.array(self.frequencies, dtype=float)
@@ -87,6 +91,8 @@ class MeasuredSpectrum:
         order = np.argsort(f, kind="stable")
         f = f[order]
         r = r[order]
+        if np.any(np.diff(f) <= DUPLICATE_FREQ_TOL_MHZ):
+            raise ValueError(f"duplicate frequencies within {DUPLICATE_FREQ_TOL_MHZ} MHz")
         s = self.sigmas
         if s is not None:
             s = np.array(s, dtype=float)
@@ -98,8 +104,6 @@ class MeasuredSpectrum:
                 raise ValueError("sigma values must be finite")
             s = s[order]
             s.setflags(write=False)
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("frequencies must be distinct")
         f.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "frequencies", f)

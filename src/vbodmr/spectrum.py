@@ -50,6 +50,7 @@ class LevelLadder:
         return self.rungs[-1][0]
 
 
+@functools.lru_cache(maxsize=4)
 def enumerate_ladder(n15_count: int) -> LevelLadder:
     """Ladder of m_I,tot values for n15_count 15N sites among the three: the
     states of configuration #n in the groups of ``_line_groups`` summed by
@@ -240,10 +241,6 @@ def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
     spatially uniform 15N fraction."""
     if not 0.0 <= p15 <= 1.0:
         raise ValueError("p15 must lie in [0, 1]")
-    return _binomial(p15)
-
-
-def _binomial(p15: float) -> tuple[float, float, float, float]:
     q = 1.0 - p15
     return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
 
@@ -281,7 +278,7 @@ def _unpolarized_plan(p15: float, sign: float) -> tuple:
 
 
 def _plan(table: np.ndarray, p15: float, p15_column=False) -> tuple:
-    w = table @ np.array(_binomial(p15))
+    w = table @ np.array(binomial_fractions(p15))
     dw = table @ np.array(_binomial_slopes(p15))
     rows = np.flatnonzero(w)
     if p15_column:

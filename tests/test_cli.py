@@ -3,7 +3,9 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vbodmr import cli, spectrum, validate
+from vbodmr import cli, fit, spectrum, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
 from vbodmr.constants import NATURAL_B10_FRACTION
+from vbodmr.fit import MeasuredSpectrum
 from vbodmr.spectrum import SpectrumModel, default_grid, mixture_spectrum
 from vbodmr.spin_core import IsotopeSpecies
 
@@ -45,7 +48,6 @@ def test_ingest_well_formed(tmp_path):
     path = write_curve_csv(tmp_path, rows=801)
     meas = ingest_csv(path)
     assert meas.n_samples == 801
-    assert meas.metadata["rows"] == 801
     assert meas.sigmas is None
 
 
@@ -151,6 +153,50 @@ def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     bad.write_bytes(b"\xef\xbb\xbffrequency_mhz,ratio\n1,1.0 \xe9\n")
     with pytest.raises(IngestError, match="offset 29"):
         ingest_csv(bad)
+
+
+TEN = [2300.0 + 2.5 * k for k in range(10)]
+# (frequencies, sigmas or None, refused): the sample rules at their edges
+SAMPLE_SETS = {
+    "ten": (TEN, None, False),
+    "ten_with_sigmas": (TEN, [0.002] * 10, False),
+    "unsorted": (TEN[5:] + TEN[:5], [0.001 * (k + 1) for k in range(10)], False),
+    "eight": (TEN[:8], None, False),
+    "seven": (TEN[:7], None, True),
+    "none": ([], None, True),
+    "duplicate": (TEN[:9] + [TEN[4]], None, True),
+    "near_duplicate": (TEN[:9] + [TEN[4] + 1e-10], None, True),
+    "just_apart": (TEN[:9] + [TEN[4] + 1e-6], None, False),
+    "zero_sigma": (TEN, [0.002] * 9 + [0.0], True),
+    "negative_sigma": (TEN, [-0.002] + [0.002] * 9, True),
+}
+
+
+@pytest.mark.parametrize(
+    "frequencies, sigmas, refused", list(SAMPLE_SETS.values()), ids=list(SAMPLE_SETS)
+)
+def test_ingest_refuses_exactly_what_measured_spectrum_refuses(
+    tmp_path, frequencies, sigmas, refused
+):
+    ratios = [1.0 - 0.001 * k for k in range(len(frequencies))]
+    columns = [frequencies, ratios] + ([sigmas] if sigmas is not None else [])
+    path = tmp_path / "samples.csv"
+    lines = ["frequency_mhz,ratio" + (",sigma" if sigmas is not None else "")]
+    lines += [",".join(repr(float(v)) for v in cells) for cells in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        expected = MeasuredSpectrum(*(np.array(c, dtype=float) for c in columns))
+    except ValueError as exc:
+        assert refused
+        with pytest.raises(IngestError, match=re.escape(f"{path}: {exc}")):
+            ingest_csv(path)
+        return
+    assert not refused
+    meas = ingest_csv(path)
+    assert np.array_equal(meas.frequencies, expected.frequencies)
+    assert np.array_equal(meas.ratios, expected.ratios)
+    assert (meas.sigmas is None) == (expected.sigmas is None)
+    assert sigmas is None or np.array_equal(meas.sigmas, expected.sigmas)
 
 
 # --- schema --------------------------------------------------------------------
@@ -295,6 +341,44 @@ def test_simulate_deterministic_outputs(tmp_path):
     report = json.loads((out1 / "simulate.json").read_text())
     assert report["schema_version"] == "1"
     assert report["model"]["binomial_fractions"] == [0.0, 0.0, 0.0, 1.0]
+
+
+# a value for every key of the key table, none of them a default
+MODEL_VALUES = {
+    "f_center_mhz": 2301.5,
+    "contrast": 0.0731,
+    "linewidth_mhz": 47.25,
+    "a14_mhz": 41.5,
+    "a15_mhz": -66.5,
+    "p15": 0.37,
+}
+
+
+def test_simulate_echoes_each_model_key_with_its_value():
+    assert set(MODEL_VALUES) == set(cli.MODEL_FIELDS)
+    block = validate_config({"simulate": {"model": MODEL_VALUES}}, "simulate")
+    report, _ = cli.cmd_simulate(block, seed=0)
+    assert {key: report["model"][key] for key in cli.MODEL_FIELDS} == MODEL_VALUES
+
+
+@pytest.mark.parametrize("key", list(cli.MODEL_FIELDS))
+def test_fit_init_key_reaches_the_fit_as_its_field(tmp_path, monkeypatch, key):
+    class Reached(Exception):
+        pass
+
+    def fit_physical(meas, init, p15_mode):
+        raise Reached(meas, init)
+
+    monkeypatch.setattr(fit, "fit_physical", fit_physical)
+    csv_path = write_curve_csv(tmp_path, rows=101)
+    config = {"fit": {"input_csv": str(csv_path), "p15": "free", "init": {key: MODEL_VALUES[key]}}}
+    with pytest.raises(Reached) as reached:
+        cli.cmd_fit(validate_config(config, "fit"), seed=0)
+    meas, init = reached.value.args
+    start = fit.initial_physical_guess(meas, 0.5, branch=-1)
+    # exactly the named field moved off the data's own start
+    assert getattr(start, cli.MODEL_FIELDS[key]) != MODEL_VALUES[key]
+    assert init == replace(start, **{cli.MODEL_FIELDS[key]: MODEL_VALUES[key]})
 
 
 def test_simulate_rejects_bad_p15(tmp_path, capsys):
@@ -844,6 +928,8 @@ def test_ladder_group_guards_the_grouping_of_the_line_table(monkeypatch):
     moved[np.flatnonzero((m_tot == 0.0) & (counts[:, 0] > 0))[0], 0] -= 1
     moved[np.flatnonzero((m_tot == 1.0) & (counts[:, 0] > 0))[0], 0] += 1
     monkeypatch.setattr(spectrum, "_line_groups", lambda: (keys, moved))
+    # the cached ladders were built from the true groups
+    monkeypatch.setattr(validate, "enumerate_ladder", spectrum.enumerate_ladder.__wrapped__)
     group = validate.check_ladder()
     assert group["passed"] is False
     assert group["mismatches"] == [
