@@ -360,10 +360,13 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     if problems:
         raise SchemaError(problems)
     meas = ingest_csv(block["input_csv"])
-    labels = ("sample_id", "field_mt", "laser_power_mw")
-    source = {"source": str(Path(block["input_csv"])), "rows": meas.n_samples,
-              "f_min_mhz": float(meas.frequencies[0]), "f_max_mhz": float(meas.frequencies[-1]),
-              **{key: block[key] for key in labels if key in block}}
+    input_block = {
+        "source": str(Path(block["input_csv"])),
+        "rows": meas.n_samples,
+        "f_min_mhz": float(meas.frequencies[0]),
+        "f_max_mhz": float(meas.frequencies[-1]),
+        **{k: block[k] for k in ("sample_id", "field_mt", "laser_power_mw") if k in block},
+    }
     derived: dict = {}
     if mode == "physical":
         p15_mode = "free" if p15 == "free" else ("fixed", float(p15))
@@ -392,7 +395,7 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         except ValueError as exc:
             derived["field_mt_error"] = str(exc)
     fit = result.to_json_dict()
-    return {"input": source, "mode": mode, "fit": fit, "derived": derived}, {}
+    return {"input": input_block, "mode": mode, "fit": fit, "derived": derived}, {}
 
 
 def cmd_sensitivity(block: dict, seed: int) -> tuple[dict, dict]:

@@ -50,7 +50,6 @@ class LevelLadder:
         return self.rungs[-1][0]
 
 
-@functools.lru_cache(maxsize=4)
 def enumerate_ladder(n15_count: int) -> LevelLadder:
     """Ladder of m_I,tot values for n15_count 15N sites among the three: the
     states of configuration #n in the groups of ``_line_groups`` summed by

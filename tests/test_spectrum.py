@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -578,19 +577,6 @@ def test_unpolarized_table_and_fixed_plans_are_cached_read_only(monkeypatch):
         np.array([getattr(model, name) for name in active])
     )
     assert not res.any()
-
-
-def test_polarized_model_builds_its_ladders_once(monkeypatch):
-    # a fit builds one model per point with dataclasses.replace, and each
-    # checks its populations against the (cached) ladders
-    pops = {n: Populations.with_polarization(enumerate_ladder(n), 0.17) for n in range(4)}
-    model = quartet_model(p15=0.6, populations=pops)
-    calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
-    moved = replace(model, f_center=2310.0, a15=-60.0)
-    assert moved.populations is pops and calls == []
-    assert all(enumerate_ladder(n) is pops[n].ladder for n in range(4))
 
 
 def test_slope_is_minus_the_f_center_row_of_the_jacobian():
