@@ -184,13 +184,13 @@ def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
     return replace(report, sigma=math.sqrt(max(float(grad @ block @ grad), 0.0)))
 
 
-def field_from_center(d_gs_mhz: float, f_center_mhz: float) -> float:
-    """Axial field (mT) from the lower-branch center: (D - f_center)/gamma_e."""
-    b_z = (d_gs_mhz - f_center_mhz) / GAMMA_E_MHZ_PER_MT
+def field_from_center(d_gs_mhz: float, f_center_mhz: float, branch: int = -1) -> float:
+    """Axial field (mT) from the center of the ``branch`` resonance (-1
+    lower, +1 upper): branch * (f_center - D)/gamma_e."""
+    b_z = -branch * (d_gs_mhz - f_center_mhz) / GAMMA_E_MHZ_PER_MT
     if b_z < 0:
-        raise ValueError(
-            f"negative field {b_z:.3f} mT: f_center above D means the wrong branch"
-        )
+        side = "above" if branch < 0 else "below"
+        raise ValueError(f"negative field {b_z:.3f} mT: f_center {side} D means the wrong branch")
     return b_z
 
 

@@ -3,18 +3,19 @@
 Verbs: simulate | fit | sensitivity | polarization | raman | validate.
 Each reads a strict JSON config: a key that is unknown, or that the chosen
 ``fit`` model does not read (``FIT_MODEL_KEYS``; ``init.p15`` only with
-``p15: "free"``), and a ``fit`` p15, branch or n_lines out of its range
-abort before any file is read or written. A verb builds a
-JSON report plus plot-ready CSV curves; ``main`` alone writes them into the
-output directory, nothing unless the whole report was built, and prints one
-``wrote <out>/<verb>.json`` line. It exits with 0 on success, 1 on a
-validation or schema error, 2 on an ingestion error, 3 on fit non-convergence
-(``fit`` writes its report first). ``--seed`` obeys the rule of the config
-``seed``: a nonnegative integer. ``polarization`` takes ``areas`` +
-``m_max``; the polarization of a measured 15N quartet comes from ``fit`` with
-``free_lorentzians`` and ``polarization``. Numbers must be finite: a NaN, an
-infinity or an overflowing literal in the config is a schema error, a model
-whose curve is not finite is refused, and reports are strict JSON.
+``p15: "free"``), and a ``fit`` p15, branch, n_lines or init value out of
+its range (``fit.PHYSICAL_BOUNDS`` for init) abort before any file is read
+or written. A verb builds a JSON report plus plot-ready CSV curves; ``main``
+alone writes them into the output directory, nothing unless the whole report
+was built, and prints one ``wrote <out>/<verb>.json`` line. It exits with 0
+on success, 1 on a validation or schema error, 2 on an ingestion error, 3 on
+fit non-convergence (``fit`` writes its report first). ``--seed`` obeys the
+rule of the config ``seed``: a nonnegative integer. ``polarization`` takes
+``areas`` + ``m_max``; the polarization of a measured 15N quartet comes from
+``fit`` with ``free_lorentzians`` and ``polarization``. Numbers must be
+finite: a NaN, an infinity or an overflowing literal in the config is a
+schema error, a model whose curve is not finite is refused, and reports are
+strict JSON.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ COMMAND_SCHEMAS = {
     "validate": {},
 }
 
-TOP_LEVEL_KEYS = set(COMMAND_SCHEMAS) | {"out_dir", "seed"}
-
 # the ``fit`` keys that only one fit model reads; the other model refuses them
 FIT_MODEL_KEYS = {
     "physical": ("branch", "p15", "init"),
@@ -155,28 +154,20 @@ def _check_block(block: dict, schema: dict, path: str, problems: list[str]) -> N
 
 
 def validate_config(config: dict, command: str) -> dict:
-    """Strict schema check; returns the command block or raises SchemaError."""
-    problems: list[str] = []
+    """Strict schema check of the command's block, the other verbs' blocks (as
+    objects), out_dir and seed; returns the command block or raises SchemaError."""
     if not isinstance(config, dict):
         raise SchemaError(["config root must be a JSON object"])
-    for key in config:
-        if key not in TOP_LEVEL_KEYS:
-            problems.append(f"unknown key '{key}'")
-    block = config.get(command)
-    if block is None:
-        problems.append(f"missing '{command}' block")
-    elif not isinstance(block, dict):
-        problems.append(f"'{command}' block must be an object")
-    else:
-        _check_block(block, COMMAND_SCHEMAS[command], f"{command}.", problems)
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    schema = {verb: (dict, False) for verb in COMMAND_SCHEMAS}
+    schema[command] = (dict, True, COMMAND_SCHEMAS[command])
+    schema.update(out_dir=(str, False), seed=(int, False))
+    problems: list[str] = []
+    _check_block(config, schema, "", problems)
+    if isinstance(config.get("seed"), int) and config["seed"] < 0:
         problems.append("key 'seed' must be a nonnegative integer")
-    if "out_dir" in config and not isinstance(config["out_dir"], str):
-        problems.append("key 'out_dir' must be a string")
     if problems:
         raise SchemaError(problems)
-    return block
+    return config[command]
 
 
 def _finite_float(text: str) -> float:
@@ -343,15 +334,20 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     unread = [key for key in FIT_MODEL_KEYS[other] if key in block]
     problems = [f"key 'fit.{key}' is read only by model '{other}'" for key in unread]
     p15 = block.get("p15", 0.0)
+    branch = block.get("branch", -1)
     if mode == "physical":
         if isinstance(p15, str) and p15 != "free":
             problems.append("fit.p15 must be a number or 'free'")
         elif not (isinstance(p15, str) or 0.0 <= p15 <= 1.0):
             problems.append("fit.p15 must lie in [0, 1]")
-        if block.get("branch", -1) not in (1, -1):
+        if branch not in (1, -1):
             problems.append("fit.branch must be +1 or -1")
         if "p15" in block.get("init", {}) and p15 != "free":
             problems.append("key 'fit.init.p15' is read only when fit.p15 is 'free'")
+        for key, value in block.get("init", {}).items():
+            low, high = fitmod.PHYSICAL_BOUNDS[MODEL_FIELDS[key]]
+            if not low <= value <= high:
+                problems.append(f"fit.init.{key} must lie in [{low:g}, {high:g}]")
     elif block.get("n_lines", 4) < 1:
         problems.append("fit.n_lines must be >= 1")
     elif block.get("polarization") and block.get("n_lines", 4) != 4:
@@ -371,7 +367,7 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     if mode == "physical":
         p15_mode = "free" if p15 == "free" else ("fixed", float(p15))
         p15_for_init = 0.5 if p15 == "free" else float(p15)
-        init = fitmod.initial_physical_guess(meas, p15_for_init, branch=block.get("branch", -1))
+        init = fitmod.initial_physical_guess(meas, p15_for_init, branch=branch)
         overrides = {MODEL_FIELDS[key]: v for key, v in block.get("init", {}).items()}
         init = replace(init, **overrides)
         result = fitmod.fit_physical(meas, init=init, p15_mode=p15_mode)
@@ -391,7 +387,7 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         center = centers[0] + 0.5 * (n_lines - 1) * v["spacing"]
     if "d_gs_mhz" in block:
         try:
-            derived["field_mt"] = analysis.field_from_center(float(block["d_gs_mhz"]), center)
+            derived["field_mt"] = analysis.field_from_center(block["d_gs_mhz"], center, branch)
         except ValueError as exc:
             derived["field_mt_error"] = str(exc)
     fit = result.to_json_dict()

@@ -66,6 +66,15 @@ _COUPLING_DEFAULTS = {"a14": A14_DEFAULT_MHZ, "a15": abs(A15_DEFAULT_MHZ)}
 _START_STEPS = 8
 # Samples closer than this in frequency count as one frequency given twice.
 DUPLICATE_FREQ_TOL_MHZ = 1e-9
+# The box of each physical-model parameter in ``fit_physical``'s LM runs.
+PHYSICAL_BOUNDS = {
+    "f_center": (-np.inf, np.inf),
+    "contrast": (1e-6, 0.999999),
+    "linewidth": (1e-6, np.inf),
+    "a14": (-np.inf, np.inf),
+    "a15": (-np.inf, np.inf),
+    "p15": (0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -116,16 +125,15 @@ class MeasuredSpectrum:
 
 
 def _free_profiles(
-    f: np.ndarray, f_first: float, spacing: float, widths
+    constants: tuple, f_first: float, spacing: float, widths
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n equally spaced lines, centers c_k = f_first + k * spacing, as
-    one (lines x grid) pass: offsets u = f - c_k, squared half widths
-    g_k = (w_k / 2)^2 as a (lines, 1) column and unit-peak Lorentzians
-    L = g / (u^2 + g). The offsets are the broadcast subtraction, not the
-    ``spectrum._offsets`` product: at a quartet's four lines the product is
-    no faster, even with its grid constants built once per problem."""
+    one (lines x grid) pass on the grid of ``constants``
+    (``spectrum._grid_constants``): offsets u = f - c_k
+    (``spectrum._offsets``), squared half widths g_k = (w_k / 2)^2 as a
+    (lines, 1) column and unit-peak Lorentzians L = g / (u^2 + g)."""
     widths = np.asarray(widths, dtype=float)
-    u = f - (f_first + np.arange(widths.size) * spacing)[:, None]
+    u = _offsets(constants, f_first + np.arange(widths.size) * spacing)
     g = (0.5 * widths[:, None]) ** 2
     profiles = u * u
     profiles += g
@@ -525,15 +533,7 @@ def fit_physical(
 
     init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
     problem = _physical_problem(meas, init, active)
-    bounds_table = {
-        "f_center": (-np.inf, np.inf),
-        "contrast": (1e-6, 0.999999),
-        "linewidth": (1e-6, np.inf),
-        "a14": (-np.inf, np.inf),
-        "a15": (-np.inf, np.inf),
-        "p15": (0.0, 1.0),
-    }
-    bounds = ([bounds_table[n][0] for n in active], [bounds_table[n][1] for n in active])
+    bounds = ([PHYSICAL_BOUNDS[n][0] for n in active], [PHYSICAL_BOUNDS[n][1] for n in active])
     p0 = [getattr(init, n) for n in active]
     result = lm_minimize(problem, p0, bounds=bounds, names=active)
 
@@ -597,10 +597,10 @@ def _free_problem(meas: MeasuredSpectrum, n_lines: int) -> Problem:
     width columns are minus ``_dip_rows``."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
-    grid = meas.frequencies
+    constants = _grid_constants(meas.frequencies, n_lines)
 
     def problem(p: np.ndarray):
-        u, g, profiles = _free_profiles(grid, p[0], p[1], p[2 + n_lines :])
+        u, g, profiles = _free_profiles(constants, p[0], p[1], p[2 + n_lines :])
         res = 1.0 - p[2 : 2 + n_lines] @ profiles - y
 
         def jacobian() -> np.ndarray:
@@ -623,12 +623,12 @@ def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
     1975): the full problem's f_first, spacing and width columns at those
     depths, projected off that span. Returns the ``lm_minimize`` problem and
     point(q) -> (depths, residual, Jacobian thunk)."""
-    grid = meas.frequencies
+    constants = _grid_constants(meas.frequencies, n_lines)
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     target = 1.0 - meas.ratios if weights is None else (1.0 - meas.ratios) * weights
 
     def point(q: np.ndarray):
-        u, g, profiles = _free_profiles(grid, q[0], q[1], q[2:])
+        u, g, profiles = _free_profiles(constants, q[0], q[1], q[2:])
         basis, tri = np.linalg.qr((profiles if weights is None else profiles * weights).T)
         coef = basis.T @ target
         depths = np.linalg.solve(tri, coef)

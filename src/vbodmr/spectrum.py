@@ -240,13 +240,14 @@ def binomial_fractions(p15: float) -> tuple[float, float, float, float]:
     spatially uniform 15N fraction."""
     if not 0.0 <= p15 <= 1.0:
         raise ValueError("p15 must lie in [0, 1]")
-    q = 1.0 - p15
-    return (q**3, 3.0 * q**2 * p15, 3.0 * q * p15**2, p15**3)
+    return _binomial(p15)[0]
 
 
-def _binomial_slopes(p15: float) -> tuple[float, float, float, float]:
+def _binomial(p15: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The fractions P of ``binomial_fractions`` and dP/dp15, unchecked."""
     p, q = p15, 1.0 - p15
-    return (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
+    fractions = (q**3, 3.0 * q**2 * p, 3.0 * q * p**2, p**3)
+    return fractions, (-3.0 * q**2, 3.0 * q * (q - 2.0 * p), 3.0 * p * (2.0 * q - p), 3.0 * p**2)
 
 
 def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
@@ -265,20 +266,19 @@ def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
     fractions P of ``model.p15``. Lines with w != 0 come first, in key order;
     with ``p15_column`` the lines with w = 0 and dw != 0 (at p15 = 0 or 1)
     follow them. Without ``p15_column``, the plans of the unpolarized table
-    are cached read-only per p15 and its sign: a fit at fixed p15 builds one."""
+    are cached read-only per p15: a fit at fixed p15 builds one."""
     if not p15_column and table is _unpolarized_table():
-        return _unpolarized_plan(model.p15, math.copysign(1.0, model.p15))
+        return _unpolarized_plan(model.p15)
     return _plan(table, model.p15, p15_column)
 
 
 @functools.lru_cache(maxsize=16)
-def _unpolarized_plan(p15: float, sign: float) -> tuple:
+def _unpolarized_plan(p15: float) -> tuple:
     return tuple(map(_read_only, _plan(_unpolarized_table(), p15)))
 
 
 def _plan(table: np.ndarray, p15: float, p15_column=False) -> tuple:
-    w = table @ np.array(binomial_fractions(p15))
-    dw = table @ np.array(_binomial_slopes(p15))
+    w, dw = (table @ np.array(weights) for weights in _binomial(p15))
     rows = np.flatnonzero(w)
     if p15_column:
         rows = np.concatenate([rows, np.flatnonzero((w == 0.0) & (dw != 0.0))])

@@ -332,17 +332,20 @@ def test_field_from_center_values():
     assert field_from_center(3466.0, 2312.0) == pytest.approx(41.2142857, abs=1e-6)
     assert field_from_center(2130.0, 0.0) == pytest.approx(76.0714286, abs=1e-6)
     assert field_from_center(3466.0, 3466.0) == 0.0
+    assert field_from_center(3466.0, 4620.0, branch=1) == pytest.approx(41.2142857, abs=1e-6)
 
 
 def test_field_from_center_wrong_branch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f_center above D"):
         field_from_center(3466.0, 3500.0)
+    with pytest.raises(ValueError, match="f_center below D"):
+        field_from_center(3466.0, 2312.0, branch=1)
 
 
-@given(d=st.floats(2000.0, 4000.0), b=st.floats(0.0, 120.0))
-def test_field_round_trip(d, b):
-    f_center = d - 28.0 * b
-    assert field_from_center(d, f_center) == pytest.approx(b, abs=1e-9)
+@given(d=st.floats(2000.0, 4000.0), b=st.floats(0.0, 120.0), branch=st.sampled_from([-1, 1]))
+def test_field_round_trip(d, b, branch):
+    f_center = d + branch * 28.0 * b
+    assert field_from_center(d, f_center, branch) == pytest.approx(b, abs=1e-9)
 
 
 # --- reduced mass and Raman -------------------------------------------------------

@@ -222,8 +222,11 @@ def test_schema_rejects_unknown_keys_exhaustively():
 
 
 def test_schema_requires_command_block():
-    with pytest.raises(SchemaError, match="missing 'fit' block"):
+    with pytest.raises(SchemaError, match="missing required key 'fit'"):
         validate_config({"simulate": {}}, "fit")
+    # another verb's block is not checked, but must be an object
+    with pytest.raises(SchemaError, match="key 'simulate' has wrong type list"):
+        validate_config({"fit": {"input_csv": "x.csv"}, "simulate": []}, "fit")
 
 
 def test_schema_type_checks():
@@ -250,11 +253,13 @@ def test_schema_rejects_bool_p15(tmp_path, capsys):
 
 
 def test_schema_rejects_bool_seed(tmp_path, capsys):
-    with pytest.raises(SchemaError, match="key 'seed' must be a nonnegative integer"):
+    with pytest.raises(SchemaError, match="key 'seed' has wrong type bool"):
         validate_config({"validate": {}, "seed": True}, "validate")
+    with pytest.raises(SchemaError, match="key 'seed' must be a nonnegative integer"):
+        validate_config({"validate": {}, "seed": -1}, "validate")
     config = write_config(tmp_path, {"validate": {}, "seed": True})
     assert cli.main(["validate", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 1
-    assert "key 'seed' must be a nonnegative integer" in capsys.readouterr().err
+    assert "key 'seed' has wrong type bool" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -449,6 +454,19 @@ def test_fit_round_trip_via_cli(tmp_path):
     assert report["derived"]["field_mt"] == pytest.approx((3466.0 - 2308.0) / 28.0, abs=0.2)
 
 
+def test_upper_branch_fit_reports_its_field(tmp_path):
+    sim_block = dict(SIM_BLOCK, model=dict(SIM_BLOCK["model"], f_center_mhz=4616.0, branch=1))
+    sim_config = write_config(tmp_path, {"simulate": sim_block, "seed": 7}, name="sim.json")
+    out = tmp_path / "sim_out"
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 0
+    fit_block = {"input_csv": str(out / "curve.csv"), "p15": 1.0, "branch": 1, "d_gs_mhz": 3466}
+    fit_config = write_config(tmp_path, {"fit": fit_block}, name="fit.json")
+    fit_out = tmp_path / "fit_out"
+    assert cli.main(["fit", "--config", fit_config, "--out", str(fit_out), "--quiet"]) == 0
+    derived = json.loads((fit_out / "fit.json").read_text())["derived"]
+    assert derived["field_mt"] == pytest.approx((4616.0 - 3466.0) / 28.0, abs=0.2)
+
+
 def test_fit_from_a_zero_coupling_start_via_cli(tmp_path):
     # a start on the symmetry plane a14 = 0, where the a14 gradient vanishes
     sim_block = dict(SIM_BLOCK, model=dict(SIM_BLOCK["model"], p15=0.6, a14_mhz=44.0))
@@ -576,6 +594,10 @@ def test_fit_refuses_a_key_its_model_does_not_read(tmp_path, capsys, block, prob
         ({"p15": 1.5}, ["fit.p15 must lie in [0, 1]"]),
         ({"p15": 1.0, "branch": 7}, ["fit.branch must be +1 or -1"]),
         ({"model": "free_lorentzians", "n_lines": 0}, ["fit.n_lines must be >= 1"]),
+        # an init value outside the fit's box (fit.PHYSICAL_BOUNDS)
+        ({"init": {"contrast": 0}}, ["fit.init.contrast must lie in [1e-06, 0.999999]"]),
+        ({"init": {"linewidth_mhz": 0.0}}, ["fit.init.linewidth_mhz must lie in [1e-06, inf]"]),
+        ({"p15": "free", "init": {"p15": 1.5}}, ["fit.init.p15 must lie in [0, 1]"]),
     ],
 )
 def test_fit_config_error_comes_before_reading_the_input(tmp_path, capsys, block, problems):

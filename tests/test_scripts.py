@@ -154,8 +154,7 @@ def test_sweep_pass_compare_counts_every_list_that_differs(capsys):
 def test_benchmark_tracer_self_test_passes(monkeypatch):
     # the self-test fits at fixed p15: a public spectrum function called
     # under that fit's residual counts as a forward-model call and fails it.
-    # A free-p15 residual's binomial_fractions call (through _plan) counts
-    # too, but no fixed-p15 fit makes it, so this guard does not see it
+    # The free-p15 path is guarded by the test below
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import worker
 
@@ -165,3 +164,31 @@ def test_benchmark_tracer_self_test_passes(monkeypatch):
         pytest.fail(str(exc))
     # the benchmark still names the two deleted per-configuration curves
     assert set(absent) <= {"spectrum.config_lines", "spectrum.config_spectrum"}
+
+
+def test_traced_free_p15_fit_counts_one_forward_call_per_residual(monkeypatch):
+    # the benchmark's tracer around one free-p15 fit, as the self-test runs
+    # its fixed-p15 one: each residual evaluation makes one spectrum-layer
+    # call (its lorentzian), and no public function besides
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import numpy as np
+    import tracer
+    import worker
+
+    import vbodmr.cli  # noqa: F401  (loads every layer module)
+    from vbodmr import fit, spectrum
+
+    model = spectrum.SpectrumModel(2308.0, 0.11, 51.0, 43.0, 64.0, 0.6)
+    grid = spectrum.default_grid(model.f_center, points=101)
+    y = spectrum.mixture_spectrum(model, grid).values
+    y = y + np.random.default_rng(0).normal(0.0, 0.002, y.size)
+    t = tracer.Tracer()
+    t.install(worker.NAMED_FUNCTIONS)
+    try:
+        t.enabled = True
+        fit.fit_physical(fit.MeasuredSpectrum(grid, y), p15_mode="free")
+        t.enabled = False
+    finally:
+        t.uninstall()
+    assert t.model_evals > 0
+    assert t.forward_calls_under_lm() == t.model_evals
