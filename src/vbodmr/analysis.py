@@ -23,8 +23,10 @@ from .constants import (
 from .fit import FitResult
 from .spectrum import Curve, SpectrumModel, _grid_constants, _line_pass, _line_plan, _line_table
 
-# Ascending-frequency quartet lines map to these m_I,tot values. The mapping
-# assumes the 15N coupling convention that puts high m_tot at high frequency.
+# Ascending-frequency quartet lines of the lower branch map to these m_I,tot
+# values. The mapping assumes the 15N coupling convention that puts high m_tot
+# at high frequency there; the upper branch, whose lines lie at f_center +
+# branch * (coupling shift), runs the other way.
 QUARTET_M_ASSIGNMENT = (-1.5, -0.5, 0.5, 1.5)
 QUARTET_M_MAX = max(QUARTET_M_ASSIGNMENT)
 
@@ -147,34 +149,38 @@ def polarization_from_areas(
     )
 
 
-def quartet_areas(result: FitResult) -> dict[float, float]:
+def quartet_areas(result: FitResult, branch: int = -1) -> dict[float, float]:
     """Map a free-Lorentzian quartet fit to areas keyed by m_I,tot.
 
     The fit must have exactly four lines (``depth_1`` ... ``depth_4``).
     Its lines lie in ascending center frequency (the spacing is positive)
-    and are assigned m_tot = -3/2, -1/2, +1/2, +3/2 in that order. A line's
-    area is depth times width (constant factors cancel in P).
+    and are assigned m_tot = -3/2, -1/2, +1/2, +3/2 in that order on the
+    lower branch, +3/2 ... -3/2 on the upper one. A line's area is depth
+    times width (constant factors cancel in P).
     """
     n_lines = sum(name.startswith("depth_") for name in result.names)
     if n_lines != 4:
         raise ValueError(f"the m_tot assignment is defined for quartets, not {n_lines} lines")
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
     v = result.values
-    return {m: v[f"depth_{k}"] * v[f"width_{k}"] for k, m in enumerate(QUARTET_M_ASSIGNMENT, 1)}
+    assignment = QUARTET_M_ASSIGNMENT[::-branch]
+    return {m: v[f"depth_{k}"] * v[f"width_{k}"] for k, m in enumerate(assignment, 1)}
 
 
-def polarization_from_quartet_fit(result: FitResult) -> PolarizationReport:
-    """Fit -> area -> polarization chain for the 15N quartet.
+def polarization_from_quartet_fit(result: FitResult, branch: int = -1) -> PolarizationReport:
+    """Fit -> area -> polarization chain for the 15N quartet on ``branch``.
 
     sigma comes from the delta method on the depth and width block of the
     fit covariance: dP/dA_i = (m_i - m_max P) / (m_max sum A) with
     A_i = d_i w_i, so dA/dd = w and dA/dw = d. It is None when that block
     is not finite.
     """
-    areas = quartet_areas(result)
+    areas = quartet_areas(result, branch)
     report = polarization_from_areas(areas, m_max=QUARTET_M_MAX)
     names = [f"{kind}_{k}" for kind in ("depth", "width") for k in range(1, 5)]
     depths, widths = np.split(np.array([result.values[n] for n in names]), 2)
-    m = np.array(QUARTET_M_ASSIGNMENT)
+    m = np.array(list(areas))  # in line order
     dp_da = (m - report.m_max * report.polarization) / (report.m_max * math.fsum(areas.values()))
     grad = np.concatenate([dp_da * widths, dp_da * depths])
     rows = [result.names.index(n) for n in names]

@@ -122,7 +122,7 @@ COMMAND_SCHEMAS = {
 
 # the ``fit`` keys that only one fit model reads; the other model refuses them
 FIT_MODEL_KEYS = {
-    "physical": ("branch", "p15", "init"),
+    "physical": ("p15", "init"),
     "free_lorentzians": ("n_lines", "polarization"),
 }
 
@@ -335,13 +335,13 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
     problems = [f"key 'fit.{key}' is read only by model '{other}'" for key in unread]
     p15 = block.get("p15", 0.0)
     branch = block.get("branch", -1)
+    if branch not in (1, -1):
+        problems.append("fit.branch must be +1 or -1")
     if mode == "physical":
         if isinstance(p15, str) and p15 != "free":
             problems.append("fit.p15 must be a number or 'free'")
         elif not (isinstance(p15, str) or 0.0 <= p15 <= 1.0):
             problems.append("fit.p15 must lie in [0, 1]")
-        if branch not in (1, -1):
-            problems.append("fit.branch must be +1 or -1")
         if "p15" in block.get("init", {}) and p15 != "free":
             problems.append("key 'fit.init.p15' is read only when fit.p15 is 'free'")
         for key, value in block.get("init", {}).items():
@@ -380,9 +380,10 @@ def cmd_fit(block: dict, seed: int) -> tuple[dict, dict]:
         derived["line_centers_mhz"] = centers
         derived["line_areas"] = [v[f"depth_{k}"] * v[f"width_{k}"] for k in range(1, n_lines + 1)]
         if block.get("polarization"):
+            order = "-3/2..+3/2" if branch == -1 else "+3/2..-3/2"
             derived.update(
-                _polarization_keys(_quartet_polarization(result)),
-                m_tot_assignment="ascending frequency -> m_tot -3/2..+3/2",
+                _polarization_keys(_quartet_polarization(result, branch)),
+                m_tot_assignment=f"ascending frequency -> m_tot {order}",
             )
         center = centers[0] + 0.5 * (n_lines - 1) * v["spacing"]
     if "d_gs_mhz" in block:
@@ -421,12 +422,12 @@ def cmd_sensitivity(block: dict, seed: int) -> tuple[dict, dict]:
     return report, curves
 
 
-def _quartet_polarization(result: fitmod.FitResult) -> analysis.PolarizationReport:
-    """The quartet fit's polarization report; P is None when the fit has no
-    line area (every depth 0, as a fit that found no lines may end)."""
-    areas = analysis.quartet_areas(result)
+def _quartet_polarization(result: fitmod.FitResult, branch: int) -> analysis.PolarizationReport:
+    """The ``branch`` quartet fit's polarization report; P is None when the
+    fit has no line area (every depth 0, as a fit that found no lines may end)."""
+    areas = analysis.quartet_areas(result, branch)
     if any(areas.values()):
-        return analysis.polarization_from_quartet_fit(result)
+        return analysis.polarization_from_quartet_fit(result, branch)
     return analysis.PolarizationReport(areas, polarization=None, m_max=analysis.QUARTET_M_MAX)
 
 

@@ -278,20 +278,35 @@ def quartet_result(covariance):
 @pytest.mark.parametrize("i", range(2, 10))
 def test_polarization_sigma_is_the_delta_method(i):
     # one nonzero variance: sigma(P) = |dP/dp_i| sigma_i, against central
-    # differences of the area chain
+    # differences of the area chain, on either branch's m_tot order
     covariance = np.zeros((10, 10))
     covariance[i, i] = 1e-6
     result = quartet_result(covariance)
     h = 1e-7 * result.values[result.names[i]]
+    for branch in (-1, 1):
 
-    def chain(step):
-        values = dict(result.values)
-        values[result.names[i]] += step
-        return polarization_from_areas(quartet_areas(replace(result, values=values)), 1.5)
+        def chain(step):
+            values = dict(result.values)
+            values[result.names[i]] += step
+            areas = quartet_areas(replace(result, values=values), branch)
+            return polarization_from_areas(areas, 1.5)
 
-    slope = (chain(h).polarization - chain(-h).polarization) / (2.0 * h)
-    sigma = polarization_from_quartet_fit(result).sigma
-    assert sigma == pytest.approx(abs(slope) * 1e-3, rel=1e-6)
+        slope = (chain(h).polarization - chain(-h).polarization) / (2.0 * h)
+        sigma = polarization_from_quartet_fit(result, branch).sigma
+        assert sigma == pytest.approx(abs(slope) * 1e-3, rel=1e-6)
+
+
+def test_upper_branch_quartet_reverses_the_m_tot_order():
+    result = quartet_result(np.eye(10))
+    lower, upper = quartet_areas(result, -1), quartet_areas(result, 1)
+    # the same lines in the same order, keyed by opposite m_tot
+    assert list(lower) == list(QUARTET_M) and list(upper) == list(QUARTET_M[::-1])
+    assert list(lower.values()) == list(upper.values())
+    assert polarization_from_quartet_fit(result, 1).polarization == -(
+        polarization_from_quartet_fit(result, -1).polarization
+    )
+    with pytest.raises(ValueError, match="branch must be"):
+        quartet_areas(result, 0)
 
 
 def test_polarization_sigma_is_none_without_a_covariance():

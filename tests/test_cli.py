@@ -467,6 +467,35 @@ def test_upper_branch_fit_reports_its_field(tmp_path):
     assert derived["field_mt"] == pytest.approx((4616.0 - 3466.0) / 28.0, abs=0.2)
 
 
+@pytest.mark.parametrize("branch, f_center", [(-1, 2308.0), (1, 4616.0)])
+def test_polarized_quartet_reads_its_polarization_and_field_on_either_branch(
+    tmp_path, branch, f_center
+):
+    # a pure 15N quartet at P = 0.2: the upper branch's lines run from
+    # m_tot = +3/2 at low frequency, so ascending order maps to descending m_tot
+    model = dict(
+        SIM_BLOCK["model"], f_center_mhz=f_center, branch=branch, linewidth_mhz=20.0,
+        polarization=0.2,
+    )
+    sim_config = write_config(
+        tmp_path, {"simulate": dict(SIM_BLOCK, model=model), "seed": 9}, name="sim.json"
+    )
+    out = tmp_path / "sim_out"
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 0
+    fit_block = {
+        "input_csv": str(out / "curve.csv"), "model": "free_lorentzians", "polarization": True,
+        "branch": branch, "d_gs_mhz": 3466.0,
+    }
+    fit_config = write_config(tmp_path, {"fit": fit_block}, name="fit.json")
+    fit_out = tmp_path / "fit_out"
+    assert cli.main(["fit", "--config", fit_config, "--out", str(fit_out), "--quiet"]) == 0
+    derived = json.loads((fit_out / "fit.json").read_text())["derived"]
+    assert derived["polarization"] == pytest.approx(0.2, abs=0.02)
+    order = "-3/2..+3/2" if branch == -1 else "+3/2..-3/2"
+    assert derived["m_tot_assignment"] == f"ascending frequency -> m_tot {order}"
+    assert derived["field_mt"] == pytest.approx(abs(f_center - 3466.0) / 28.0, abs=0.2)
+
+
 def test_fit_from_a_zero_coupling_start_via_cli(tmp_path):
     # a start on the symmetry plane a14 = 0, where the a14 gradient vanishes
     sim_block = dict(SIM_BLOCK, model=dict(SIM_BLOCK["model"], p15=0.6, a14_mhz=44.0))
@@ -559,7 +588,10 @@ INIT_P15_UNREAD = "key 'fit.init.p15' is read only when fit.p15 is 'free'"
     [
         ({"model": "free_lorentzians", "p15": 1.0}, [unread("p15", "physical")]),
         ({"model": "free_lorentzians", "init": {"a15_mhz": 64.0}}, [unread("init", "physical")]),
-        ({"model": "free_lorentzians", "branch": -1}, [unread("branch", "physical")]),
+        (
+            {"model": "free_lorentzians", "p15": "free", "init": {"p15": 0.5}},
+            [unread("p15", "physical"), unread("init", "physical")],
+        ),
         ({"p15": 1.0, "n_lines": 4}, [unread("n_lines")]),
         ({"model": "physical", "polarization": False}, [unread("polarization")]),
         (
@@ -598,6 +630,8 @@ def test_fit_refuses_a_key_its_model_does_not_read(tmp_path, capsys, block, prob
         ({"init": {"contrast": 0}}, ["fit.init.contrast must lie in [1e-06, 0.999999]"]),
         ({"init": {"linewidth_mhz": 0.0}}, ["fit.init.linewidth_mhz must lie in [1e-06, inf]"]),
         ({"p15": "free", "init": {"p15": 1.5}}, ["fit.init.p15 must lie in [0, 1]"]),
+        # the quartet reads its branch too
+        ({"model": "free_lorentzians", "branch": 0}, ["fit.branch must be +1 or -1"]),
     ],
 )
 def test_fit_config_error_comes_before_reading_the_input(tmp_path, capsys, block, problems):
@@ -1210,7 +1244,11 @@ def _init_p15_only_when_free(block: dict) -> dict:
 def verb_blocks(csv_path: str) -> dict:
     """Schema-shaped blocks of every verb, valid before perturbation."""
     n_lines = st.integers(1, SIZE_KEYS["n_lines"])
-    fit_common = {"d_gs_mhz": st.floats(3000.0, 4000.0), "sample_id": st.text(max_size=4)}
+    fit_common = {
+        "branch": st.sampled_from([-1, 1]),
+        "d_gs_mhz": st.floats(3000.0, 4000.0),
+        "sample_id": st.text(max_size=4),
+    }
     return {
         "simulate": st.fixed_dictionaries(
             {"model": MODEL}, optional={"grid": GRID, "noise_sigma": st.floats(0.0, 0.01)}
@@ -1220,7 +1258,6 @@ def verb_blocks(csv_path: str) -> dict:
             {"input_csv": st.just(csv_path)},
             optional={
                 "model": st.just("physical"),
-                "branch": st.sampled_from([-1, 1]),
                 "p15": st.floats(0.0, 1.0) | st.just("free"),
                 "init": INIT,
                 **fit_common,

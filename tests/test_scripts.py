@@ -30,9 +30,15 @@ ROOT = Path(__file__).resolve().parents[1]
         # every fit of the fit_batch corpus runs; no digest or failure count is
         # pinned, so a legitimate change to the fits keeps this passing
         ("corpus_pass.py", (), r"all +200 +\d+\n(.|\n)*sha256 all +[0-9a-f]{64}"),
+        # four stage times and their total per slot, in microseconds per solve
+        (
+            "solve_stages.py",
+            ("--rounds", "1", "--passes", "1"),
+            r"op_b +4( +\d+\.\d){5}\n",
+        ),
     ],
     ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass",
-         "corpus_pass"],
+         "corpus_pass", "solve_stages"],
 )
 def test_script_runs(tmp_path, name, args, expected):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

@@ -529,6 +529,81 @@ def test_full_mode_is_the_per_branch_extraction_bit_for_bit(n15):
         assert line_table(transition_frequencies(sys_, "full")) == reference_full_lines(sys_)
 
 
+def reference_effective_lines(sys_):
+    """The secular lines as they used to be listed: label by label, branch
+    +1 first, each hyperfine shift a Python sum from 0, site by site."""
+    e = sys_.electron
+    azz = [s.a_zz for s in sys_.sites]
+    lines = []
+    for label in _label_table(tuple(s.species for s in sys_.sites)):
+        hf = sum(a * m for a, m in zip(azz, label))
+        for branch in (1, -1):
+            lines.append((branch, label, e.d_gs + branch * (GAMMA_E_MHZ_PER_MT * e.b_z + hf), 1.0))
+    return lines
+
+
+def transition_cases(n15):
+    """(mode, system) pairs: secular and full solves of axial systems, among
+    them exact degeneracies (a14 = 0, a15 = 2 a14), zero field and
+    signed zeros, and full solves of the two dense systems."""
+    axial = [
+        make_system(3466.0, 40.0, n15, 43.0, -64.0),
+        make_system(3466.0, 40.0, n15, 0.0, 64.0),
+        make_system(3466.0, 40.0, n15, 32.0, 64.0),
+        make_system(3466, 0.0, n15, -0.0, 64.0),
+        make_system(3410.5, -0.0, n15, 43.0, -0.0, include_nuclear_zeeman=True),
+    ]
+    return [(mode, s) for s in axial for mode in ("effective", "full")] + [
+        ("full", dense_system(n15)), ("full", real_dense_system(n15))
+    ]
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_effective_mode_lists_the_secular_lines_bit_for_bit(n15):
+    for mode, sys_ in transition_cases(n15):
+        if mode == "effective":
+            assert line_table(transition_frequencies(sys_, mode)) == reference_effective_lines(sys_)
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_transition_set_arrays_are_its_entries(n15):
+    for mode, sys_ in transition_cases(n15):
+        ts = transition_frequencies(sys_, mode)
+        n = len(ts.labels)
+        assert ts.frequency_mhz.shape == ts.dipole_weight.shape == (n, 2)
+        for a in (ts.frequency_mhz, ts.dipole_weight):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        # the entries are the arrays, label by label, branch +1 first
+        assert line_table(ts) == [
+            (branch, label, ts.frequency_mhz[i, k], ts.dipole_weight[i, k])
+            for i, label in enumerate(ts.labels)
+            for k, branch in enumerate((1, -1))
+        ]
+        assert all(type(t.frequency_mhz) is float for t in ts.entries)
+        assert ts.entries is ts.entries
+        for branch in (1, -1):
+            expected = np.array(sorted(t.frequency_mhz for t in ts.entries if t.branch == branch))
+            got = ts.frequencies(branch)
+            assert got.dtype == expected.dtype and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_a_solve_and_its_frequencies_build_no_transition(monkeypatch, n15):
+    def refuse(*args):
+        raise AssertionError("a Transition was built")
+
+    monkeypatch.setattr(spin_core, "Transition", refuse)
+    for mode, sys_ in transition_cases(n15):
+        ts = transition_frequencies(sys_, mode)
+        for branch in (1, -1):
+            ts.frequencies(branch)
+        with pytest.raises(AssertionError, match="a Transition was built"):
+            ts.entries
+
+
 def overlaps_with_distinct_bests(rng, n):
     """n x n overlaps whose rows take their first maxima in distinct
     columns, with ties after each row's maximum and maxima shared by rows."""
