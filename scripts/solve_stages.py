@@ -5,9 +5,11 @@ hamiltonian_sweep benchmark corpus.
 Takes the systems of the first ``--rounds`` rounds of the
 ``hamiltonian_sweep`` workload (``bench/workloads.HamiltonianSweep``, round r
 reading corpus entry r) and prints, per slot (op_a axial solves, op_b
-transverse dense solves, op_c axial solves with nuclear Zeeman), the mean
-microseconds per solve of four stages of ``spin_core.transition_frequencies
-(system, "full")``:
+transverse dense solves, op_c axial solves with nuclear Zeeman) the dtype
+the slot's checked matrices are stored in (``HermitianMatrix`` decides it:
+float64 takes the real path, complex128 the complex one; slots that mix both
+print both, joined by '/'), then the mean microseconds per solve of four
+stages of ``spin_core.transition_frequencies(system, "full")``:
 
 * build: ``build_full_hamiltonian`` with its ``HermitianMatrix`` check
   replaced by a pass-through, so the assembly alone;
@@ -47,6 +49,12 @@ def mean_us(call, items) -> float:
     for item in items:
         call(item)
     return (time.perf_counter() - t0) / len(items) * 1e6
+
+
+def entry_dtypes(spin_core, systems: list) -> str:
+    """The dtypes of the checked matrices of ``systems``, sorted, joined by '/'."""
+    dtypes = {spin_core.build_full_hamiltonian(s).entries.dtype.name for s in systems}
+    return "/".join(sorted(dtypes))
 
 
 def stage_times(spin_core, systems: list, passes: int) -> dict:
@@ -105,11 +113,12 @@ def main() -> None:
     print(f"root {root}")
     print(f"{rounds} rounds, median of {args.passes} passes, mean us per solve, BLAS on one thread")
     header = "".join(f" {stage:>10}" for stage in (*STAGES, "total"))
-    print(f"{'slot':5} {'solves':>6}{header}")
+    print(f"{'slot':5} {'solves':>6} {'dtype':>10}{header}")
     for s in SLOTS:
         times = stage_times(spin_core, systems[s], args.passes)
         cells = "".join(f" {times[stage]:10.1f}" for stage in STAGES)
-        print(f"{s:5} {len(systems[s]):6d}{cells} {sum(times.values()):10.1f}")
+        dtype = entry_dtypes(spin_core, systems[s])
+        print(f"{s:5} {len(systems[s]):6d} {dtype:>10}{cells} {sum(times.values()):10.1f}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ the full ground-state Hamiltonian (zero-field splitting, with strain when
 E_x or E_y is nonzero, electron Zeeman with ``GAMMA_E_MHZ_PER_MT``,
 full-tensor hyperfine coupling, and the nuclear Zeeman and quadrupole terms
 when the system includes them), diagonalizes it exactly with LAPACK
-(``numpy.linalg.eigh``; a real matrix, as under an axial field, takes the
-real symmetric driver), and extracts the electron spin transition
+(``numpy.linalg.eigh``; ``HermitianMatrix`` alone decides the dtype, and
+an axial field's real Hamiltonian stays float64 from assembly to the real
+symmetric driver), and extracts the electron spin transition
 frequencies; under an axial bias field it also evaluates them from the
 secular model, whose Hamiltonian is diagonal in the product basis, without
 building a matrix. The spectrum model uses the secular frequencies.
@@ -194,12 +195,15 @@ def make_system(
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square complex matrix validated finite and Hermitian on construction."""
+    """Square matrix validated finite and Hermitian, the one place a dtype is decided:
+    float64 when its imaginary part is all zero, complex otherwise, checked in that dtype."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = np.asarray(self.entries)
+        real = not (np.iscomplexobj(m) and m.imag.any())
+        m = np.array(m.real, dtype=float) if real else np.array(m, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
         scale = np.linalg.norm(m)
@@ -372,25 +376,27 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
             p_p, p_z, p_o = site.quadrupole
             h_n = h_n + p_p * i_p2 + p_z * i_z2 + p_o * i_o2
 
-    # sum_k L_k (x) R_k, L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n), as
-    # one (9, 5) @ (5, N*N) product; entry [a, b, m, n] goes to row aN + m, column bN + n
+    # sum_k L_k (x) R_k, L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n), as one
+    # (9, 5) @ (5, N*N) product, real if its imaginary part is all zero (axial systems);
+    # entry [a, b, m, n] goes to row aN + m, column bN + n
     left = np.concatenate([h_e.reshape(9, 1), _LEFT_COLUMNS], axis=1)
     right = np.concatenate([np.eye(n).reshape(1, n * n), fields, h_n])
-    h = (left @ right).reshape(3, 3, n, n).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    return HermitianMatrix(h)
+    h = left @ right
+    h = (h if h.imag.any() else h.real).reshape(3, 3, n, n).transpose(0, 2, 1, 3)
+    return HermitianMatrix(h.reshape(3 * n, 3 * n))
 
 
 # --- eigensolver -----------------------------------------------------------
 
 def eigen_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``):
-    a matrix whose imaginary part is all zero goes to the faster real
-    symmetric driver as its real part, and gets real eigenvectors.
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``)
+    in the dtype ``HermitianMatrix`` chose: a real matrix takes the faster
+    real symmetric driver and gets real eigenvectors.
 
     Returns (eigenvalues ascending, eigenvector columns); columns form a
     unitary matrix with M v_k = w_k v_k.
     """
-    return np.linalg.eigh(m.entries if m.entries.imag.any() else m.entries.real)
+    return np.linalg.eigh(m.entries)
 
 
 # --- transitions -----------------------------------------------------------

@@ -30,11 +30,13 @@ ROOT = Path(__file__).resolve().parents[1]
         # every fit of the fit_batch corpus runs; no digest or failure count is
         # pinned, so a legitimate change to the fits keeps this passing
         ("corpus_pass.py", (), r"all +200 +\d+\n(.|\n)*sha256 all +[0-9a-f]{64}"),
-        # four stage times and their total per slot, in microseconds per solve
+        # the dtype of each slot's matrices, then four stage times and their
+        # total per slot, in microseconds per solve: axial slots are real
         (
             "solve_stages.py",
             ("--rounds", "1", "--passes", "1"),
-            r"op_b +4( +\d+\.\d){5}\n",
+            r"op_a +4 +float64( +\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d){5}\n"
+            r"op_c +4 +float64( +\d+\.\d){5}\n",
         ),
     ],
     ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass",

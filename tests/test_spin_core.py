@@ -97,6 +97,28 @@ def test_hermitian_matrix_rejects_non_finite_entries(bad):
     # ||m - m^H|| is NaN here, and NaN > tol is False: finiteness is its own check
     with pytest.raises(ValueError, match="finite"):
         HermitianMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
+    # a non-finite imaginary part keeps the matrix complex, and is checked there
+    with pytest.raises(ValueError, match="finite"):
+        HermitianMatrix(np.array([[0.0, complex(0.0, bad)], [1.0, 0.0]]))
+
+
+def test_hermitian_matrix_rejects_a_complex_symmetric_matrix():
+    # symmetric but not Hermitian: only the complex check can see it
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(np.array([[0, 1j], [1j, 0]]))
+
+
+@pytest.mark.parametrize("dtype", [int, float, complex])
+def test_hermitian_matrix_stores_a_matrix_without_imaginary_part_as_float64(dtype):
+    raw = np.array([[2, 1], [1, -1]], dtype=dtype)
+    entries = HermitianMatrix(raw).entries
+    assert entries.dtype == np.float64
+    assert not entries.flags.writeable
+    assert raw.flags.writeable
+    assert np.array_equal(entries, raw.real)
+    hermitian = HermitianMatrix(raw + np.array([[0.0, 1j], [-1j, 0.0]])).entries
+    assert hermitian.dtype == np.complex128
+    assert not hermitian.flags.writeable
 
 
 def test_full_mode_rejects_non_finite_input_before_the_solve():
@@ -458,6 +480,21 @@ def real_dense_system(n15):
     )
 
 
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_real_hamiltonians_are_assembled_real_and_match_the_reference(n15):
+    real = [
+        make_system(3466.0, 40.0, n15, 43.0, -64.0),
+        make_system(3466.0, 40.0, n15, 43.0, -64.0, include_nuclear_zeeman=True),
+        real_dense_system(n15),
+    ]
+    for sys_ in real:
+        h = build_full_hamiltonian(sys_).entries
+        h_ref = reference_full_hamiltonian(sys_)
+        assert h.dtype == np.float64
+        assert np.linalg.norm(h - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+    assert build_full_hamiltonian(dense_system(n15)).entries.dtype == np.complex128
+
+
 def line_table(ts):
     return [(t.branch, t.nuclear_label, t.frequency_mhz, t.dipole_weight) for t in ts.entries]
 
@@ -467,10 +504,12 @@ def test_transition_lists_do_not_depend_on_the_eigensolver_driver(monkeypatch, n
     axial = [make_system(3466.0, 40.0, n15, 0.0, 64.0), make_system(3466.0, 40.0, n15, 32.0, 64.0)]
     dense = real_dense_system(n15)
     h = build_full_hamiltonian(dense).entries
-    assert not h.imag.any()
+    assert h.dtype == np.float64
     assert np.abs(h - np.diag(np.diag(h))).max() > 1.0
     default = [line_table(transition_frequencies(s, "full")) for s in axial + [dense]]
-    monkeypatch.setattr(spin_core, "eigen_hermitian", lambda m: np.linalg.eigh(m.entries))
+    monkeypatch.setattr(
+        spin_core, "eigen_hermitian", lambda m: np.linalg.eigh(m.entries.astype(complex))
+    )
     complex_driver = [line_table(transition_frequencies(s, "full")) for s in axial + [dense]]
     # a14 = 0 and a15 = 2 a14 make exact degeneracies: bitwise
     assert complex_driver[:2] == default[:2]
