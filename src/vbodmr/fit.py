@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,6 +399,20 @@ def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1)
     return replace(start, contrast=contrast, linewidth=fwhm)
 
 
+class _Point(NamedTuple):
+    """An LM point of ``_physical_problem``: the ``SpectrumModel`` fields a
+    line pass and its Jacobian read, as numbers, unchecked, for
+    ``PHYSICAL_BOUNDS`` keeps every point in the model's domain."""
+
+    f_center: float
+    contrast: float
+    linewidth: float
+    a14: float
+    a15: float
+    p15: float
+    branch: int
+
+
 def _physical_problem(
     meas: MeasuredSpectrum,
     init: SpectrumModel,
@@ -409,41 +423,48 @@ def _physical_problem(
     and closed-form Jacobian are weighted by 1/sigma when the spectrum
     carries sigmas. The residual is ``mixture_spectrum`` minus the data, bit
     for bit, from one line pass (``spectrum._line_pass``) that the Jacobian
-    thunk reuses. The grid constants of the offsets are built once, and at
-    fixed p15 the line plan and the Jacobian's coefficients too. Every
-    point writes its line offsets u = f - f_line (``spectrum._offsets``, an
-    exact matrix product, computed once per point) and its profiles into
-    the fit's offset and profile buffers, beside the Jacobian's scratch for
-    L^2 and u L^2; the Jacobian reads u and L and writes neither.
-    ``lm_minimize`` calls a point's thunk before it evaluates the next
-    point, and a thunk whose offsets and profiles a later point overwrote
-    raises RuntimeError."""
+    thunk reuses; a point reaches it as a ``_Point``. The grid constants of
+    the offsets and the buffers are made once, and at fixed p15 the line
+    plan and the Jacobian's coefficients too. Every point writes its line
+    offsets u = f - f_line (``spectrum._offsets``, an exact matrix product,
+    computed once per point) and its profiles into the fit's offset and
+    profile buffers, beside the Jacobian's scratch for L^2 and u L^2; the
+    Jacobian reads u and L and writes neither. ``lm_minimize`` calls a
+    point's thunk before it evaluates the next point, and a thunk whose
+    offsets and profiles a later point overwrote raises RuntimeError."""
     y = meas.ratios
     weights = 1.0 / meas.sigmas if meas.sigmas is not None else None
     grid = meas.frequencies
     rows = [_JACOBIAN_PARAMS.index(name) for name in active]
+    start = [getattr(init, name) for name in _Point._fields]
+    slots = [_Point._fields.index(name) for name in active]
     table = _line_table(init.populations)  # W depends on no fitted parameter
     fixed = None if "p15" in active else _line_plan(init, table)
-    coef = None if fixed is None else _jacobian_rows(init.branch, *fixed)
+    # the Jacobian's coefficient rows, once at fixed p15, else each point's in one buffer
+    coef = _jacobian_rows(init.branch, *fixed[:2]) if fixed else np.empty((5, len(table)))
     # the offset and profile buffers, then the Jacobian's scratch
-    buffers = np.empty((3, len(table if fixed is None else fixed[0]), grid.size))
-    constants = _grid_constants(grid, buffers.shape[1])
+    buffers = np.empty((3, coef.shape[1], grid.size))
+    constants = _grid_constants(grid, coef.shape[1])
     latest = None  # the line pass whose offsets and profiles the buffers hold
 
     def problem(p: np.ndarray):
         nonlocal latest
-        model = replace(init, **dict(zip(active, p)))
-        plan = fixed or _line_plan(model, table, True)
+        values = start.copy()
+        for slot, value in zip(slots, p):
+            values[slot] = value
+        point = _Point(*values)
+        plan = fixed or _line_plan(point, table, True)
         n = len(plan[0])
-        lines = latest = _line_pass(model, constants, plan, out=buffers[:2, :n])
+        lines = latest = _line_pass(point, constants, plan, out=buffers[:2, :n])
         w, profiles = lines[1], lines[4]
         curve = np.count_nonzero(w)  # the lines of the curve, w != 0, come first
-        res = 1.0 - model.contrast * (w[:curve] @ profiles[:curve]) - y
+        res = 1.0 - point.contrast * (w[:curve] @ profiles[:curve]) - y
 
         def jacobian() -> np.ndarray:
             if latest is not lines:
                 raise RuntimeError("jacobian() of a point whose line pass a later point overwrote")
-            jac = _model_jacobian(model, lines, coef, buffers[2, :n])[rows].T
+            point_coef = coef if fixed else _jacobian_rows(point.branch, *plan[:2], out=coef)
+            jac = _model_jacobian(point, lines, point_coef, buffers[2, :n])[rows].T
             return jac * weights[:, None] if weights is not None else jac
 
         return (res * weights if weights is not None else res), jacobian

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
-from .spin_core import IsotopeSpecies, _label_table, _read_only
+from .isotopes import IsotopeSpecies, _label_table, _read_only
 
 DEFAULT_GRID_POINTS = 801
 
@@ -191,7 +191,7 @@ def lorentzian(u, fwhm: float, out=None):
 @functools.lru_cache(maxsize=1)
 def _line_groups() -> tuple[np.ndarray, np.ndarray]:
     """The nuclear product states of the four configurations (the label
-    tables of ``spin_core``, 14N sites first) grouped by (sum of 14N, sum of
+    tables of ``isotopes``, 14N sites first) grouped by (sum of 14N, sum of
     15N projections), states that share a line position for any couplings:
     the 25 distinct sums (25, 2), ascending, and a (25, 4) matrix of the
     number of states of configuration #n in each group. Read-only."""
@@ -279,10 +279,13 @@ def _unpolarized_plan(p15: float) -> tuple:
 
 def _plan(table: np.ndarray, p15: float, p15_column=False) -> tuple:
     w, dw = (table @ np.array(weights) for weights in _binomial(p15))
+    keys = _line_groups()[0]
+    if np.count_nonzero(w) == w.size:  # every line on the curve, as inside 0 < p15 < 1
+        return keys.copy(), w, dw
     rows = np.flatnonzero(w)
     if p15_column:
         rows = np.concatenate([rows, np.flatnonzero((w == 0.0) & (dw != 0.0))])
-    return _line_groups()[0][rows], w[rows], dw[rows]
+    return keys[rows], w[rows], dw[rows]
 
 
 def _grid_constants(grid, lines: int) -> tuple:
@@ -318,7 +321,8 @@ def _line_pass(model: SpectrumModel, constants: tuple, plan: tuple, out=None):
     FWHM)``, one call, into the (2, lines, grid) ``out`` when given. The
     curve 1 - C * (w @ L) sums the lines with w != 0, which come first: one
     product over at most 25 lines, within 1.5 eps of a per-configuration,
-    per-line sum."""
+    per-line sum. ``model`` is a SpectrumModel or a fit's ``_Point`` of the
+    same numbers; ``_model_jacobian`` reads either too."""
     keys, w, dw = plan
     u, profiles = (None, None) if out is None else out
     u = _offsets(constants, _positions(model, keys), out=u)
@@ -329,9 +333,14 @@ def _line_pass(model: SpectrumModel, constants: tuple, plan: tuple, out=None):
 _JACOBIAN_PARAMS = ("contrast", "p15", "f_center", "a14", "a15", "linewidth")
 
 
-def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Rows -w, dw (made -C dw by each _model_jacobian call), w, b M14 w, b M15 w; b the branch."""
-    return np.stack([-w, dw, w, b * keys[:, 0] * w, b * keys[:, 1] * w])
+def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """Rows -w, -C dw (each _model_jacobian call writes it), w, b M14 w, b M15 w; b the branch;
+    into the first len(w) columns of the (5 x lines) ``out`` when given."""
+    coef = np.empty((5, w.size)) if out is None else out[:, : w.size]
+    np.negative(w, out=coef[0])
+    coef[2] = w
+    np.multiply(b * keys, w[:, None], out=coef[3:].T)
+    return coef
 
 
 def _model_jacobian(model: SpectrumModel, lines: tuple, coef=None, out=None) -> np.ndarray:
@@ -350,7 +359,7 @@ def _model_jacobian(model: SpectrumModel, lines: tuple, coef=None, out=None) -> 
     fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
     keys, w, dw, u, profiles = lines
-    coef = _jacobian_rows(model.branch, keys, w, dw) if coef is None else coef
+    coef = _jacobian_rows(model.branch, keys, w) if coef is None else coef
     sq = np.multiply(profiles, profiles, out=out)
     c, fwhm = model.contrast, model.linewidth
     half = 0.5 * fwhm

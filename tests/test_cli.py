@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -153,6 +156,66 @@ def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     bad.write_bytes(b"\xef\xbb\xbffrequency_mhz,ratio\n1,1.0 \xe9\n")
     with pytest.raises(IngestError, match="offset 29"):
         ingest_csv(bad)
+
+
+# (newline, data lines, the samples they give): what a spreadsheet or a
+# script writes and Python's float() takes, each accepted as it was row by row
+ACCEPTED_ROWS = {
+    "crlf": ("\r\n", ["1,0.9"], [(1.0, 0.9)]),
+    "lone_cr": ("\r", ["1,0.9"], [(1.0, 0.9)]),
+    "blank_lines": ("\n", ["", "1,0.9", " \t", ""], [(1.0, 0.9)]),
+    "spaces": ("\n", [" 1 ,\t0.9 "], [(1.0, 0.9)]),
+    "nbsp": ("\n", ["\xa01,0.9\xa0"], [(1.0, 0.9)]),
+    "underscores": ("\n", ["1_000,0.9_5"], [(1000.0, 0.95)]),
+    "signs_exponents": ("\n", ["+1e0,-.5E-1"], [(1.0, -0.05)]),
+    "quoted": ("\n", ['"1","0.9"'], [(1.0, 0.9)]),
+}
+
+
+def csv_text(newline: str, lines) -> str:
+    """A frequency_mhz,ratio CSV of ``lines`` after eight good rows, 20-27 MHz."""
+    rows = ["frequency_mhz,ratio"] + [f"{20 + k},1.0" for k in range(8)] + list(lines)
+    return newline.join(rows) + newline
+
+
+@pytest.mark.parametrize("newline, lines, samples", ACCEPTED_ROWS.values(), ids=list(ACCEPTED_ROWS))
+def test_ingest_accepts_what_float_takes_in_any_line_layout(tmp_path, newline, lines, samples):
+    path = tmp_path / "layout.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + csv_text(newline, lines).encode())
+    meas = ingest_csv(path)
+    expected = sorted([(20.0 + k, 1.0) for k in range(8)] + samples)
+    assert meas.frequencies.tolist() == [f for f, _ in expected]
+    assert meas.ratios.tolist() == [r for _, r in expected]
+
+
+# (newline, data lines, message after "<path>:"): the first refused line by
+# its number, the header and blank lines counted
+REFUSED_ROWS = {
+    "three_cells": ("\n", ["1,0.9,3"], "10: expected 2 cells, got 3"),
+    "one_cell": ("\n", ["1"], "10: expected 2 cells, got 1"),
+    "empty_cell": ("\n", ["1, ,"], "10: expected 2 cells, got 3"),
+    "hex": ("\n", ["0x10,0.9"], "10: malformed numeric cell"),
+    "double_underscore": ("\n", ["1__0,0.9"], "10: malformed numeric cell"),
+    "comma_in_quotes": ("\n", ['"1,5",0.9'], "10: malformed numeric cell"),
+    "nan": ("\n", ["1,nan"], "10: non-finite numeric cell"),
+    "minus_infinity": ("\n", ["-Infinity,0.9"], "10: non-finite numeric cell"),
+    "overflow": ("\n", ["1,1e999"], "10: non-finite numeric cell"),
+    "after_blank_crlf": ("\r\n", ["", "", "1,x"], "12: malformed numeric cell"),
+    "first_of_two": ("\n", ["1,inf", "2,x"], "10: non-finite numeric cell"),
+    "width_before_value": ("\n", ["1,0.9,3", "2,inf"], "10: expected 2 cells, got 3"),
+}
+
+
+@pytest.mark.parametrize("newline, lines, message", REFUSED_ROWS.values(), ids=list(REFUSED_ROWS))
+def test_ingest_names_the_first_refused_line(tmp_path, capsys, newline, lines, message):
+    path = tmp_path / "refused.csv"
+    path.write_text(csv_text(newline, lines), encoding="utf-8", newline="")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(path)
+    assert str(exc.value) == f"{path}:{message}"
+    config = write_config(tmp_path, {"fit": {"input_csv": str(path)}})
+    assert cli.main(["fit", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"ingestion error: {path}:{message}\n"
 
 
 TEN = [2300.0 + 2.5 * k for k in range(10)]
@@ -945,6 +1008,19 @@ def test_raman_reports_every_bad_point(tmp_path, capsys):
 
 
 # --- validate ----------------------------------------------------------------------
+
+def test_cli_import_leaves_the_hamiltonian_code_unloaded():
+    # simulate and fit build no Hamiltonian: a fresh process that imports the
+    # CLI loads neither spin_core nor validate, which cmd_validate imports
+    code = "import sys, vbodmr.cli; print([m for m in ('vbodmr.spin_core', 'vbodmr.validate') if m in sys.modules])"
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 def test_validate_default_passes(tmp_path):
     out = tmp_path / "val"

@@ -609,6 +609,57 @@ def test_physical_lm_point_allocates_less_than_one_profile_array(active):
     assert peak < 25 * 801 * 8
 
 
+def stacked_jacobian(model, lines):
+    """The closed-form Jacobian of ``spectrum._model_jacobian`` from its
+    coefficient rows stacked afresh, one ``np.stack`` per call."""
+    keys, w, dw, u, profiles = lines
+    b, c, fwhm = model.branch, model.contrast, model.linewidth
+    coef = np.stack([-w, dw * -c, w, b * keys[:, 0] * w, b * keys[:, 1] * w])
+    half = 0.5 * fwhm
+    g = half * half
+    sq = profiles * profiles
+    jac = np.empty((6, u.shape[1]))
+    jac[0:2] = coef[:2] @ profiles
+    jac[5] = ((2.0 * c / fwhm) * w) @ sq
+    jac[5] += (2.0 / fwhm) * c * jac[0]
+    jac[2:5] = ((-2.0 * c / g) * coef[2:]) @ (sq * u)
+    return jac
+
+
+@pytest.mark.parametrize("branch", [-1, 1])
+@pytest.mark.parametrize("p15", [0.0, 1e-300, 1e-12, 0.6, 1.0 - 1e-12, 1.0])
+def test_free_p15_point_is_the_forward_model_and_the_stacked_jacobian(monkeypatch, p15, branch):
+    # a free-p15 point, bit for bit: its residual is mixture_spectrum - y and
+    # its Jacobian the closed form from stacked coefficient rows. The lines
+    # of the curve (w != 0) come first, then those only p15 moves (w = 0,
+    # dw != 0), in key order: inside the box all 25 are on the curve, unless
+    # a population underflows (P3 = p15^3 = 0 at p15 = 1e-300)
+    passes = []
+
+    def recording(*args, **kwargs):
+        passes.append(_line_pass(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(fit, "_line_pass", recording)
+    model = SpectrumModel(2310.0, 0.09, 48.0, 44.0, 64.0, p15, branch)
+    grid = default_grid(2312.0)
+    y = mixture_spectrum(dataclasses.replace(model, p15=0.6), grid).values
+    meas = MeasuredSpectrum(grid, y + np.random.default_rng(3).normal(0.0, 0.002, grid.size))
+    active = BASE + ("a14", "a15", "p15")
+    problem = _physical_problem(meas, model, active)
+    for _ in range(2):  # the second point reuses the fit's buffers
+        res, jacobian = problem(np.array([getattr(model, name) for name in active]))
+        expected = mixture_spectrum(model, grid).values - meas.ratios
+        assert res.tobytes() == expected.tobytes()
+        full_w, full_dw = (_line_table(None) @ np.array(v) for v in spectrum._binomial(p15))
+        order = np.concatenate([np.flatnonzero(full_w), np.flatnonzero((full_w == 0) & (full_dw != 0))])
+        keys, w = passes[-1][:2]
+        assert keys.tobytes() == spectrum._line_groups()[0][order].tobytes()
+        assert (len(keys) == 25 and w.all()) == (p15 in (1e-12, 0.6, 1.0 - 1e-12))
+        rows = [spectrum._JACOBIAN_PARAMS.index(name) for name in active]
+        assert jacobian().tobytes() == stacked_jacobian(model, passes[-1])[rows].T.tobytes()
+
+
 @pytest.mark.parametrize("p15_mode", [("fixed", 1.0), "free"], ids=["fixed", "free"])
 def test_one_lorentzian_call_per_residual_evaluation(monkeypatch, p15_mode):
     # the rule the benchmark's traced run checks: each residual evaluation
