@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fit as fitmod, spectrum
+from . import analysis, fit as fitmod, spectrum, validate as validatemod
 from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
 from .spectrum import Curve, Populations, SpectrumModel, enumerate_ladder
 
@@ -227,17 +227,23 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
             f"{path}: header must be 'frequency_mhz,ratio' or "
             f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
         )
-    # the cells of every row but the blank ones in one pass; the offending
-    # row is looked for only when that pass fails
+    # the cells of every row but the blank ones in one pass, each row kept
+    # with its line number; the offending row is looked for only on failure
+    rows = []
     try:
-        rows = [row for row in reader if row and (len(row) > 1 or row[0].strip())]
-        if any(len(row) != len(header) for row in rows):
+        for lineno, row in enumerate(reader, start=2):
+            if row and (len(row) > 1 or row[0].strip()):
+                rows.append((lineno, row))
+        if any(len(row) != len(header) for _, row in rows):
             raise ValueError
-        values = np.array([float(cell) for row in rows for cell in row])
+        values = np.array([float(cell) for _, row in rows for cell in row])
         if not np.isfinite(values).all():
             raise ValueError
     except (ValueError, csv.Error):
-        raise IngestError(_offending_row(path, text, len(header))) from None
+        message = _offending_row(rows, len(header))
+        if message is None:
+            raise  # the reader's own error (a cell over csv.field_size_limit)
+        raise IngestError(f"{path}:{message}") from None
     freqs, ratios, *sigmas = values.reshape(-1, len(header)).T
     try:
         return fitmod.MeasuredSpectrum(freqs, ratios, *sigmas)
@@ -245,23 +251,20 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
         raise IngestError(f"{path}: {exc}") from None
 
 
-def _offending_row(path: Path, text: str, cells: int) -> str:
-    """The message of the first data row of ``text`` that ``ingest_csv``
-    refuses: its line number, then too many or too few cells, a cell that
-    ``float`` does not take, or one that is not finite. The reader's own
-    error (a cell over ``csv.field_size_limit``) is raised where the rows
-    reach it, as a row by row read would."""
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if lineno == 1 or not row or (len(row) == 1 and not row[0].strip()):
-            continue
+def _offending_row(rows, cells: int) -> str | None:
+    """``line: reason`` of the first of the (line number, cells) ``rows``
+    that ``ingest_csv`` refuses: too many or too few cells, a cell that
+    ``float`` does not take, or one that is not finite; None if none is."""
+    for lineno, row in rows:
         if len(row) != cells:
-            return f"{path}:{lineno}: expected {cells} cells, got {len(row)}"
+            return f"{lineno}: expected {cells} cells, got {len(row)}"
         try:
             values = [float(cell) for cell in row]
         except ValueError:
-            return f"{path}:{lineno}: malformed numeric cell"
+            return f"{lineno}: malformed numeric cell"
         if not all(map(math.isfinite, values)):
-            return f"{path}:{lineno}: non-finite numeric cell"
+            return f"{lineno}: non-finite numeric cell"
+    return None
 
 
 # --- helpers -----------------------------------------------------------------
@@ -479,9 +482,7 @@ def cmd_raman(block: dict, seed: int) -> tuple[dict, dict]:
 
 
 def cmd_validate(block: dict, seed: int) -> tuple[dict, dict]:
-    from . import validate  # here: the other verbs build no Hamiltonian, so load no spin_core
-
-    return validate.run_validation(seed=seed), {}
+    return validatemod.run_validation(seed=seed), {}
 
 
 COMMANDS = {

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
-from .isotopes import IsotopeSpecies, _label_table, _read_only
+from .spin_core import IsotopeSpecies, _label_table, _read_only
 
 DEFAULT_GRID_POINTS = 801
 
@@ -191,7 +191,7 @@ def lorentzian(u, fwhm: float, out=None):
 @functools.lru_cache(maxsize=1)
 def _line_groups() -> tuple[np.ndarray, np.ndarray]:
     """The nuclear product states of the four configurations (the label
-    tables of ``isotopes``, 14N sites first) grouped by (sum of 14N, sum of
+    tables of ``spin_core``, 14N sites first) grouped by (sum of 14N, sum of
     15N projections), states that share a line position for any couplings:
     the 25 distinct sums (25, 2), ascending, and a (25, 4) matrix of the
     number of states of configuration #n in each group. Read-only."""
@@ -230,8 +230,9 @@ def _line_table(populations: dict | None) -> np.ndarray:
     return table
 
 
-def _positions(model: SpectrumModel, keys: np.ndarray) -> np.ndarray:
-    """Line positions f_center + branch * (sum14 * a14 + sum15 * a15)."""
+def _positions(model, keys: np.ndarray) -> np.ndarray:
+    """Line positions f_center + branch * (sum14 * a14 + sum15 * a15) of
+    ``model``, a SpectrumModel or a fit's ``_Point``."""
     return model.f_center + model.branch * (keys[:, 0] * model.a14 + keys[:, 1] * model.a15)
 
 
@@ -260,12 +261,12 @@ def mixture_spectrum(model: SpectrumModel, grid) -> Curve:
     return Curve(grid, 1.0 - model.contrast * (w @ profiles))
 
 
-def _line_plan(model: SpectrumModel, table: np.ndarray, p15_column=False):
+def _line_plan(model, table: np.ndarray, p15_column=False):
     """What a line pass needs besides positions, width and contrast: (keys, w,
     dw), w = W @ P and dw = W @ dP/dp15 for the line table W and the binomial
-    fractions P of ``model.p15``. Lines with w != 0 come first, in key order;
-    with ``p15_column`` the lines with w = 0 and dw != 0 (at p15 = 0 or 1)
-    follow them. Without ``p15_column``, the plans of the unpolarized table
+    fractions P of ``model.p15`` (a SpectrumModel or a fit's ``_Point``).
+    Lines with w != 0 come first, in key order; with ``p15_column`` the
+    lines with w = 0 and dw != 0 (at p15 = 0 or 1) follow them. Without ``p15_column``, the plans of the unpolarized table
     are cached read-only per p15: a fit at fixed p15 builds one."""
     if not p15_column and table is _unpolarized_table():
         return _unpolarized_plan(model.p15)
@@ -314,7 +315,7 @@ def _offsets(constants: tuple, positions, out=None):
     return u
 
 
-def _line_pass(model: SpectrumModel, constants: tuple, plan: tuple, out=None):
+def _line_pass(model, constants: tuple, plan: tuple, out=None):
     """The lines of ``plan`` (``_line_plan``) for ``model``, (keys, w, dw, u,
     L): their offsets u = f - f_line (``_offsets`` on the grid
     ``constants``, an exact product) and profiles L = ``lorentzian(u,
@@ -322,7 +323,7 @@ def _line_pass(model: SpectrumModel, constants: tuple, plan: tuple, out=None):
     curve 1 - C * (w @ L) sums the lines with w != 0, which come first: one
     product over at most 25 lines, within 1.5 eps of a per-configuration,
     per-line sum. ``model`` is a SpectrumModel or a fit's ``_Point`` of the
-    same numbers; ``_model_jacobian`` reads either too."""
+    same numbers."""
     keys, w, dw = plan
     u, profiles = (None, None) if out is None else out
     u = _offsets(constants, _positions(model, keys), out=u)
@@ -343,11 +344,12 @@ def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, out=None) -> np.ndar
     return coef
 
 
-def _model_jacobian(model: SpectrumModel, lines: tuple, coef=None, out=None) -> np.ndarray:
+def _model_jacobian(model, lines: tuple, coef=None, out=None) -> np.ndarray:
     """Closed-form derivatives of mixture_spectrum(model, grid), one row per
     parameter of _JACOBIAN_PARAMS, from ``lines``, the ``_line_pass`` of the
-    binomial fractions of ``model`` on the grid; ``coef`` (``_jacobian_rows``)
-    and the (lines x grid) scratch ``out`` are made if None.
+    binomial fractions of ``model`` (a SpectrumModel or a fit's ``_Point``)
+    on the grid; ``coef`` (``_jacobian_rows``) and the (lines x grid) scratch
+    ``out`` are made if None.
 
     Each line is weighted by the pass's w, in the p15 row by its dw (every
     line p15 moves only if the plan had ``p15_column``). With the pass's

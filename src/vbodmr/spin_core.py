@@ -32,6 +32,7 @@ Conventions
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import math
@@ -39,8 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_E_MHZ_PER_MT
-from .isotopes import IsotopeSpecies, _label_table, _read_only
+from .constants import (
+    GAMMA_E_MHZ_PER_MT,
+    GAMMA_N14_KHZ_PER_MT,
+    GAMMA_N15_KHZ_PER_MT,
+)
 
 HERMITICITY_RTOL = 1e-12
 # Electron spin projections in basis order: row b*N + i of an N-label system
@@ -60,6 +64,32 @@ class NonAxialFieldError(ValueError):
 
 class CharacterAmbiguityError(RuntimeError):
     """No dominant electron spin projection; state mixing is too strong."""
+
+
+class IsotopeSpecies(enum.Enum):
+    """Stable nitrogen isotopes with their spin data."""
+
+    N14 = "N14"
+    N15 = "N15"
+
+    @property
+    def spin(self) -> float:
+        return 1.0 if self is IsotopeSpecies.N14 else 0.5
+
+    @property
+    def gamma_n_khz_per_mt(self) -> float:
+        if self is IsotopeSpecies.N14:
+            return GAMMA_N14_KHZ_PER_MT
+        return GAMMA_N15_KHZ_PER_MT
+
+    @property
+    def multiplicity(self) -> int:
+        return int(round(2.0 * self.spin)) + 1
+
+    @property
+    def projections(self) -> tuple[float, ...]:
+        """Allowed m_I values, highest first."""
+        return tuple(self.spin - k for k in range(self.multiplicity))
 
 
 @dataclass(frozen=True)
@@ -249,6 +279,11 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 # (Sx, Sy, Sz) of the S = 1 electron, stacked along the first axis
 _ELECTRON_OPERATORS = _read_only(np.array(spin_matrices(1.0)))
 # Sx, Sy, Sz and 1_3 flattened to columns: the fixed part of the Kronecker sum's left operand
@@ -267,6 +302,16 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
         [_embed(op, j, dims) for op in spin_matrices(sp.spin)]
         for j, sp in enumerate(species)
     ]))
+
+
+@functools.lru_cache(maxsize=8)
+def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...], ...]:
+    """Per-site projections (m_1, m_2, m_3) of every nuclear product state
+    of ``species``, in basis order: the product of the per-site projections,
+    last site fastest, as the Kronecker rows of ``_nuclear_operators`` run.
+    No operator is built, as a spectrum needs none. The one enumeration of
+    product states; a tuple, so read-only."""
+    return tuple(itertools.product(*(s.projections for s in species)))
 
 
 def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:

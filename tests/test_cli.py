@@ -3,10 +3,7 @@ import copy
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -1008,19 +1005,6 @@ def test_raman_reports_every_bad_point(tmp_path, capsys):
 
 
 # --- validate ----------------------------------------------------------------------
-
-def test_cli_import_leaves_the_hamiltonian_code_unloaded():
-    # simulate and fit build no Hamiltonian: a fresh process that imports the
-    # CLI loads neither spin_core nor validate, which cmd_validate imports
-    code = "import sys, vbodmr.cli; print([m for m in ('vbodmr.spin_core', 'vbodmr.validate') if m in sys.modules])"
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-
 
 def test_validate_default_passes(tmp_path):
     out = tmp_path / "val"

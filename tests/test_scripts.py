@@ -174,12 +174,6 @@ def test_benchmark_tracer_self_test_passes(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import worker
 
-    # the tracer wraps loaded modules only, and importing the CLI loads
-    # neither of the two that build Hamiltonians: load them, so that every
-    # layer the benchmark names is seen
-    import vbodmr.spin_core  # noqa: F401
-    import vbodmr.validate  # noqa: F401
-
     try:
         absent = worker.tracer_self_test()
     except SystemExit as exc:
