@@ -201,8 +201,9 @@ def _number(value, key: str) -> float:
 def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     """Read a spectrum CSV with header frequency_mhz,ratio[,sigma].
 
-    Malformed or non-finite cells are rejected with their line number; the
-    sample rules are ``MeasuredSpectrum``'s, and its refusals name the path.
+    Malformed, non-finite or oversized cells (over ``csv.field_size_limit``)
+    are rejected with the line number of the first; the sample rules are
+    ``MeasuredSpectrum``'s, and its refusals name the path.
     """
     path = Path(path)
     if not path.exists():
@@ -218,10 +219,11 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
         raise IngestError(f"cannot open input file: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise IngestError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
     if header not in (["frequency_mhz", "ratio"], ["frequency_mhz", "ratio", "sigma"]):
         raise IngestError(
             f"{path}: header must be 'frequency_mhz,ratio' or "
@@ -239,10 +241,8 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
         values = np.array([float(cell) for _, row in rows for cell in row])
         if not np.isfinite(values).all():
             raise ValueError
-    except (ValueError, csv.Error):
-        message = _offending_row(rows, len(header))
-        if message is None:
-            raise  # the reader's own error (a cell over csv.field_size_limit)
+    except (ValueError, csv.Error) as exc:
+        message = _offending_row(rows, len(header)) or f"{reader.line_num}: {exc}"
         raise IngestError(f"{path}:{message}") from None
     freqs, ratios, *sigmas = values.reshape(-1, len(header)).T
     try:
@@ -482,7 +482,7 @@ def cmd_raman(block: dict, seed: int) -> tuple[dict, dict]:
 
 
 def cmd_validate(block: dict, seed: int) -> tuple[dict, dict]:
-    return validatemod.run_validation(seed=seed), {}
+    return validatemod.run_validation(), {}
 
 
 COMMANDS = {
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--out", help="output directory (overrides config out_dir)")
-    common.add_argument("--seed", type=int, help="nonnegative seed for synthetic noise / draws")
+    common.add_argument("--seed", type=int, help="nonnegative seed for simulate's noise")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser = _Parser(prog="vbodmr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

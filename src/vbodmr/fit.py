@@ -21,7 +21,8 @@ iteration, left out of the step and of the gradient convergence test. A fit
 that ends with a parameter held says so in its diagnostics ("held at bound:
 ...").
 Every fit hands the core one problem callable, p -> (residuals, jacobian),
-whose ``jacobian()`` is the closed-form Jacobian at that same p.
+whose ``jacobian()`` is the closed-form Jacobian at that same p, with the
+box and the names of the parameters, both required.
 
 Uncertainties are 1-sigma values from the scaled covariance
 sigma^2 (J^T J)^-1 with sigma^2 = SSR / (N - k).
@@ -66,7 +67,7 @@ _COUPLING_DEFAULTS = {"a14": A14_DEFAULT_MHZ, "a15": abs(A15_DEFAULT_MHZ)}
 _START_STEPS = 8
 # Samples closer than this in frequency count as one frequency given twice.
 DUPLICATE_FREQ_TOL_MHZ = 1e-9
-# The box of each physical-model parameter in ``fit_physical``'s LM runs.
+# The physical model's fitted parameters, in LM order, and the box of each.
 PHYSICAL_BOUNDS = {
     "f_center": (-np.inf, np.inf),
     "contrast": (1e-6, 0.999999),
@@ -187,8 +188,8 @@ Problem = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 def lm_minimize(
     problem: Problem,
     init_params: Sequence[float],
-    bounds: tuple[Sequence[float], Sequence[float]] | None = None,
-    names: Sequence[str] | None = None,
+    bounds: tuple[Sequence[float], Sequence[float]],
+    names: Sequence[str],
     max_iter: int = LM_MAX_ITER,
 ) -> FitResult:
     """Levenberg-Marquardt minimization of sum(residual^2).
@@ -197,7 +198,8 @@ def lm_minimize(
     giving the closed-form (n_residuals, k) Jacobian at that same p. The
     thunk is called only at the initial point and at accepted trial points,
     before the next evaluation; ``problem`` is never evaluated outside the
-    box.
+    box ``bounds``, (lower, upper) with inf where a parameter has no bound.
+    ``names`` names the parameters of p; both are required.
 
     The damping lambda scales the diagonal of J^T J and follows the gain
     ratio rho of each accepted step h (clipped to the box): the cost drop
@@ -229,15 +231,8 @@ def lm_minimize(
     """
     p = np.array(init_params, dtype=float)
     k = p.size
-    if names is None:
-        names = tuple(f"p{i}" for i in range(k))
     names = tuple(names)
-    if bounds is None:
-        lower = np.full(k, -np.inf)
-        upper = np.full(k, np.inf)
-    else:
-        lower = np.array(bounds[0], dtype=float)
-        upper = np.array(bounds[1], dtype=float)
+    lower, upper = (np.array(bound, dtype=float) for bound in bounds)
     if np.any(p < lower) or np.any(p > upper):
         raise ValueError("initial parameters violate the bounds")
 
@@ -399,18 +394,9 @@ def initial_physical_guess(meas: MeasuredSpectrum, p15: float, branch: int = -1)
     return replace(start, contrast=contrast, linewidth=fwhm)
 
 
-class _Point(NamedTuple):
-    """An LM point of ``_physical_problem``: the ``SpectrumModel`` fields a
-    line pass and its Jacobian read, as numbers, unchecked, for
-    ``PHYSICAL_BOUNDS`` keeps every point in the model's domain."""
-
-    f_center: float
-    contrast: float
-    linewidth: float
-    a14: float
-    a15: float
-    p15: float
-    branch: int
+# An LM point of ``_physical_problem``: the ``SpectrumModel`` numbers a line
+# pass reads, unchecked, for the fit's box keeps it in the model's domain.
+_Point = NamedTuple("_Point", [*((name, float) for name in PHYSICAL_BOUNDS), ("branch", int)])
 
 
 def _physical_problem(
@@ -510,7 +496,10 @@ def fit_physical(
 ) -> FitResult:
     """Fit the constrained physical model to a measured spectrum.
 
-    ``p15_mode`` is ("fixed", value) or "free".
+    ``p15_mode`` is "free" or ("fixed", value), a tuple or a list. The fit
+    runs over the ``PHYSICAL_BOUNDS`` parameters in their order and box: a
+    coupling where its species has lines (a14 at p15 < 1, a15 at p15 > 0)
+    and p15 when it is free.
 
     The hyperfine couplings start from the magnitudes of ``init.a14`` and
     ``init.a15`` and are fitted on the whole real line: the unpolarized
@@ -526,43 +515,26 @@ def fit_physical(
     that was. When a free p15 ends at 0 or 1, the coupling of the absent
     species is reported with sigma inf and an "undetermined" diagnostic.
     """
-    if isinstance(p15_mode, str):
-        if p15_mode != "free":
-            raise ValueError("p15_mode must be ('fixed', value) or 'free'")
-        p15_free = True
-        p15_fixed = None
-    else:
-        mode, value = p15_mode
-        if mode != "fixed":
-            raise ValueError("p15_mode must be ('fixed', value) or 'free'")
-        p15_free = False
-        p15_fixed = float(value)
-
+    free = p15_mode == "free"
+    fixed = isinstance(p15_mode, (tuple, list)) and len(p15_mode) == 2 and p15_mode[0] == "fixed"
+    if not (free or fixed):
+        raise ValueError("p15_mode must be ('fixed', value) or 'free'")
+    p15 = None if free else float(p15_mode[1])
     if init is None:
-        init = initial_physical_guess(meas, p15_fixed if p15_fixed is not None else 0.5)
-
-    active = ["f_center", "contrast", "linewidth"]
-    p15_init = init.p15 if p15_free else p15_fixed
-    if p15_free or 0.0 < p15_fixed < 1.0:
-        active += ["a14", "a15"]
-    elif p15_fixed == 0.0:
-        active += ["a14"]
-    else:
-        active += ["a15"]
-    if p15_free:
-        active.append("p15")
-
-    init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=p15_init)
+        init = initial_physical_guess(meas, 0.5 if free else p15)
+    init = replace(init, a14=abs(init.a14), a15=abs(init.a15), p15=init.p15 if free else p15)
+    fitted = {"a14": free or p15 < 1.0, "a15": free or p15 > 0.0, "p15": free}
+    active = [n for n in PHYSICAL_BOUNDS if fitted.get(n, True)]
     problem = _physical_problem(meas, init, active)
-    bounds = ([PHYSICAL_BOUNDS[n][0] for n in active], [PHYSICAL_BOUNDS[n][1] for n in active])
+    bounds = tuple(zip(*(PHYSICAL_BOUNDS[n] for n in active)))
     p0 = [getattr(init, n) for n in active]
-    result = lm_minimize(problem, p0, bounds=bounds, names=active)
+    result = lm_minimize(problem, p0, bounds, active)
 
     lowest = {n: min(getattr(init, n), abs(result[n])) for n in ("a14", "a15") if n in active}
     stuck = [n for n, a in lowest.items() if a < _COUPLING_RESTART_MHZ]
     p1 = [_COUPLING_DEFAULTS.get(n, v) for n, v in zip(active, p0)]
     if stuck and p1 != p0:
-        retry = lm_minimize(problem, p1, bounds=bounds, names=active)
+        retry = lm_minimize(problem, p1, bounds, active)
         kept = "restart" if retry.residual_norm < result.residual_norm else "first fit"
         note = (
             f"coupling restart: {', '.join(stuck)} near 0 (< {_COUPLING_RESTART_MHZ:g} MHz);"

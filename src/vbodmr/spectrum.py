@@ -266,8 +266,9 @@ def _line_plan(model, table: np.ndarray, p15_column=False):
     dw), w = W @ P and dw = W @ dP/dp15 for the line table W and the binomial
     fractions P of ``model.p15`` (a SpectrumModel or a fit's ``_Point``).
     Lines with w != 0 come first, in key order; with ``p15_column`` the
-    lines with w = 0 and dw != 0 (at p15 = 0 or 1) follow them. Without ``p15_column``, the plans of the unpolarized table
-    are cached read-only per p15: a fit at fixed p15 builds one."""
+    lines with w = 0 and dw != 0 (at p15 = 0 or 1) follow them. Without
+    ``p15_column``, the plans of the unpolarized table are cached read-only
+    per p15: a fit at fixed p15 builds one."""
     if not p15_column and table is _unpolarized_table():
         return _unpolarized_plan(model.p15)
     return _plan(table, model.p15, p15_column)
@@ -344,12 +345,12 @@ def _jacobian_rows(b: int, keys: np.ndarray, w: np.ndarray, out=None) -> np.ndar
     return coef
 
 
-def _model_jacobian(model, lines: tuple, coef=None, out=None) -> np.ndarray:
+def _model_jacobian(model, lines: tuple, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Closed-form derivatives of mixture_spectrum(model, grid), one row per
     parameter of _JACOBIAN_PARAMS, from ``lines``, the ``_line_pass`` of the
     binomial fractions of ``model`` (a SpectrumModel or a fit's ``_Point``)
-    on the grid; ``coef`` (``_jacobian_rows``) and the (lines x grid) scratch
-    ``out`` are made if None.
+    on the grid, with its coefficient rows ``coef`` (``_jacobian_rows``, row 1
+    rewritten) and the (lines x grid) scratch ``out``.
 
     Each line is weighted by the pass's w, in the p15 row by its dw (every
     line p15 moves only if the plan had ``p15_column``). With the pass's
@@ -360,8 +361,7 @@ def _model_jacobian(model, lines: tuple, coef=None, out=None) -> np.ndarray:
     rows; it evaluates no Lorentzian and no offsets of its own, so a traced
     fit counts one ``lorentzian`` call per residual, none per Jacobian.
     """
-    keys, w, dw, u, profiles = lines
-    coef = _jacobian_rows(model.branch, keys, w) if coef is None else coef
+    _, w, dw, u, profiles = lines
     sq = np.multiply(profiles, profiles, out=out)
     c, fwhm = model.contrast, model.linewidth
     half = 0.5 * fwhm

@@ -401,7 +401,7 @@ def eigen_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 # --- transitions -----------------------------------------------------------
 
-def transition_frequencies(sys: SpinSystem, mode: str = "effective") -> TransitionSet:
+def transition_frequencies(sys: SpinSystem, mode: str) -> TransitionSet:
     """Electron spin transition frequencies m_S = 0 <-> +-1, one line per
     nuclear product state and branch, as arrays.
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -207,6 +208,30 @@ REFUSED_ROWS = {
 def test_ingest_names_the_first_refused_line(tmp_path, capsys, newline, lines, message):
     path = tmp_path / "refused.csv"
     path.write_text(csv_text(newline, lines), encoding="utf-8", newline="")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(path)
+    assert str(exc.value) == f"{path}:{message}"
+    config = write_config(tmp_path, {"fit": {"input_csv": str(path)}})
+    assert cli.main(["fit", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"ingestion error: {path}:{message}\n"
+
+
+# a cell one character over the csv reader's field limit
+OVERSIZED = "9" * (csv.field_size_limit() + 1)
+LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+# (CSV text, message after "<path>:"): the reader's refusal is named by its
+# line, after any row refused before it
+OVERSIZED_CELLS = {
+    "header": (f"frequency_mhz,{OVERSIZED}\n1,1.0\n", f"1: {LIMIT}"),
+    "data": (csv_text("\n", [f"1,{OVERSIZED}", "2,0.9"]), f"10: {LIMIT}"),
+    "refused_row_first": (csv_text("\n", ["1,x", f"2,{OVERSIZED}"]), "10: malformed numeric cell"),
+}
+
+
+@pytest.mark.parametrize("text, message", OVERSIZED_CELLS.values(), ids=list(OVERSIZED_CELLS))
+def test_ingest_names_the_line_of_a_cell_over_the_field_limit(tmp_path, capsys, text, message):
+    path = tmp_path / "oversized.csv"
+    path.write_text(text, encoding="utf-8", newline="")
     with pytest.raises(IngestError) as exc:
         ingest_csv(path)
     assert str(exc.value) == f"{path}:{message}"
@@ -1017,6 +1042,24 @@ def test_validate_default_passes(tmp_path):
         "oracle_equivalence",
         "slope_ratio",
     }
+
+
+def test_validate_does_not_read_the_seed(tmp_path, monkeypatch):
+    # the oracle draws come from validate.ORACLE_SEED: a self-check whose
+    # report does not move with --seed
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(validate.np.random, "default_rng", recorded)
+    outs = [tmp_path / "default", tmp_path / "seed7"]
+    assert cli.main(["validate", "--out", str(outs[0]), "--quiet"]) == 0
+    assert cli.main(["validate", "--out", str(outs[1]), "--seed", "7", "--quiet"]) == 0
+    assert seeds == [validate.ORACLE_SEED] * 2 == [1, 1]
+    assert (outs[0] / "validate.json").read_bytes() == (outs[1] / "validate.json").read_bytes()
 
 
 def test_validate_injected_wrong_ladder_fails(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from vbodmr.analysis import (
     polarization_from_quartet_fit,
 )
 from vbodmr.fit import (
+    PHYSICAL_BOUNDS,
     MeasuredSpectrum,
     fit_free_lorentzians,
     fit_physical,
@@ -100,6 +101,12 @@ def _forward_jacobian(residual_fn, p, r0, lower, upper):
     return jac
 
 
+def unbounded(k, names=None):
+    """The box (lower, upper) with no bounds and the names, p0..p{k-1} unless
+    given, of a k-parameter test problem, as lm_minimize takes them."""
+    return ([-np.inf] * k, [np.inf] * k), names or tuple(f"p{i}" for i in range(k))
+
+
 def paired(residual, jacobian):
     """An lm_minimize problem from a residual function and a Jacobian
     function of the parameters."""
@@ -164,7 +171,7 @@ def test_lm_linear_model_exact_recovery():
     x = np.linspace(0.0, 10.0, 50)
     y = 3.7 * x
 
-    res = lm_minimize(lambda p: (p[0] * x - y, lambda: x[:, None]), [1.0], names=("a",))
+    res = lm_minimize(lambda p: (p[0] * x - y, lambda: x[:, None]), [1.0], *unbounded(1, ("a",)))
     assert res.converged
     assert res.values["a"] == pytest.approx(3.7, abs=1e-10)
     assert res.residual_norm < 1e-10
@@ -174,7 +181,7 @@ def test_lm_requires_a_jacobian():
     # a problem returning bare residuals, even two of them, is refused
     for size in (1, 2):
         with pytest.raises(TypeError, match=r"\(residuals, jacobian\) pair"):
-            lm_minimize(lambda p: p - 1.0, [0.0] * size)
+            lm_minimize(lambda p: p - 1.0, [0.0] * size, *unbounded(size))
 
 
 def test_lm_single_lorentzian_round_trip():
@@ -188,7 +195,7 @@ def test_lm_single_lorentzian_round_trip():
     res = lm_minimize(
         paired(residual, lambda p: lorentzian_dips_jacobian(grid, p, 1)),
         [2300.0, 0.05, 30.0],
-        names=("f0", "c", "w"),
+        *unbounded(3, ("f0", "c", "w")),
     )
     assert res.converged
     for name, true_val in zip(("f0", "c", "w"), truth):
@@ -197,7 +204,7 @@ def test_lm_single_lorentzian_round_trip():
 
 def test_lm_quadratic_bowl_fast_convergence():
     target = np.array([1.0, -2.0, 0.5])
-    res = lm_minimize(lambda p: (p - target, lambda: np.eye(3)), [10.0, 10.0, 10.0])
+    res = lm_minimize(lambda p: (p - target, lambda: np.eye(3)), [10.0, 10.0, 10.0], *unbounded(3))
     assert res.converged
     assert res.iterations < 20
     assert res.values["p0"] == pytest.approx(1.0, abs=1e-10)
@@ -206,11 +213,11 @@ def test_lm_quadratic_bowl_fast_convergence():
 def test_lm_respects_bounds():
     identity = lambda p: np.eye(1)
     res = lm_minimize(
-        paired(lambda p: p - np.array([-5.0]), identity), [1.0], bounds=([0.0], [np.inf])
+        paired(lambda p: p - np.array([-5.0]), identity), [1.0], ([0.0], [np.inf]), ("p0",)
     )
     assert res.values["p0"] == 0.0
     with pytest.raises(ValueError):
-        lm_minimize(paired(lambda p: p, identity), [-1.0], bounds=([0.0], [1.0]))
+        lm_minimize(paired(lambda p: p, identity), [-1.0], ([0.0], [1.0]), ("p0",))
 
 
 def test_lm_converges_to_constrained_optimum_on_a_bound():
@@ -219,7 +226,7 @@ def test_lm_converges_to_constrained_optimum_on_a_bound():
     a = np.array([[1.0, 1.0], [1.0, 1.2], [1.0, 0.9]])
     b = np.array([1.0, 2.0, 0.0])
     bounds = ([0.0, -np.inf], [np.inf, np.inf])
-    res = lm_minimize(lambda p: (a @ p - b, lambda: a), [1.0, 0.0], bounds=bounds)
+    res = lm_minimize(lambda p: (a @ p - b, lambda: a), [1.0, 0.0], bounds, ("p0", "p1"))
     assert res.converged
     assert res.iterations < 50
     assert res.values["p0"] == 0.0
@@ -274,7 +281,8 @@ def test_lm_never_probes_outside_the_box():
     res = lm_minimize(
         log,
         [2.0, 0.0, 0.0],
-        bounds=([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9]),
+        ([2.0, -np.inf, 0.0], [2.0, np.inf, 1e-9]),
+        ("p0", "p1", "p2"),
     )
     assert res.converged
     assert res.values["p0"] == 2.0
@@ -292,7 +300,10 @@ def test_lm_iteration_cap_reports_nonconvergence():
         return np.exp(p[0] * x) - 2.0
 
     res = lm_minimize(
-        paired(residual, lambda p: (x * np.exp(p[0] * x))[:, None]), [0.0], max_iter=2
+        paired(residual, lambda p: (x * np.exp(p[0] * x))[:, None]),
+        [0.0],
+        *unbounded(1),
+        max_iter=2,
     )
     assert not res.converged
     assert res.iterations == 2
@@ -303,7 +314,7 @@ def test_lm_stall_is_not_convergence():
     # maximum damping
     target = np.array([1.0, -2.0, 0.5])
     log = ThunkLog(lambda p: (p - target, lambda: -np.eye(3)))
-    res = lm_minimize(log, [10.0, 10.0, 10.0])
+    res = lm_minimize(log, [10.0, 10.0, 10.0], *unbounded(3))
     # every trial is rejected: only the start's Jacobian thunk is called
     assert len(log.costs) > 10 and log.thunk_calls == [0] == [0] + log.accepted()
     assert not res.converged
@@ -342,7 +353,7 @@ def test_lm_gain_ratio_shrinks_damping_tenfold_on_a_linear_problem():
     a = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     b = np.array([3.0, -5.0, 1.0])
     log = StepLog(lambda p: (a @ p - b, lambda: a), 4.0)
-    res = lm_minimize(log, [0.0, 0.0])
+    res = lm_minimize(log, [0.0, 0.0], *unbounded(2))
     assert res.converged
     assert res.values["p0"] == pytest.approx(1.5) and res.values["p1"] == pytest.approx(-2.5)
     assert len(log.damping) >= 3
@@ -361,7 +372,7 @@ def wrong_sign():
 def test_lm_rejections_grow_damping_by_doubling_factors():
     # rejected trials multiply lambda by nu = 2, 4, 8, ...: nu doubles each time
     log = StepLog(wrong_sign(), 1.0)
-    lm_minimize(log, [0.0, 0.0, 0.0])
+    lm_minimize(log, [0.0, 0.0, 0.0], *unbounded(3))
     growth = np.array(log.damping[1:]) / np.array(log.damping[:-1])
     assert growth == pytest.approx(2.0 ** np.arange(1, len(growth) + 1), rel=1e-6)
 
@@ -371,7 +382,7 @@ def test_lm_stall_comes_after_the_escalation_to_maximum_damping():
     # lambda = 1e-3 * 2^((n + 1)(n + 2) / 2); the trials stop once lambda
     # reaches 1e14, after the start and one trial per lambda below it
     log = ThunkLog(wrong_sign())
-    res = lm_minimize(log, [0.0, 0.0, 0.0])
+    res = lm_minimize(log, [0.0, 0.0, 0.0], *unbounded(3))
     trials = sum(1e-3 * 2.0 ** (n * (n + 1) // 2) < 1e14 for n in range(30))
     assert trials == 11
     assert len(log.costs) == 1 + trials
@@ -416,7 +427,9 @@ def test_lm_degenerate_parameter_diagnostic():
 
     # p[0] and p[1] enter only through their sum: J^T J is singular
     res = lm_minimize(
-        lambda p: ((p[0] + p[1]) * x - y, lambda: np.column_stack([x, x])), [0.5, 0.5]
+        lambda p: ((p[0] + p[1]) * x - y, lambda: np.column_stack([x, x])),
+        [0.5, 0.5],
+        *unbounded(2),
     )
     assert any("degenerate" in d for d in res.diagnostics)
 
@@ -494,6 +507,42 @@ def test_fit_p15_free_converges_when_held_at_zero():
 
 
 BASE = ("f_center", "contrast", "linewidth")
+
+
+@pytest.mark.parametrize(
+    "p15_mode, names",
+    [
+        (("fixed", 0.0), BASE + ("a14",)),
+        (("fixed", -0.0), BASE + ("a14",)),
+        (("fixed", 1.0), BASE + ("a15",)),
+        (("fixed", 0.6), BASE + ("a14", "a15")),
+        (["fixed", 0.6], BASE + ("a14", "a15")),
+        ("free", BASE + ("a14", "a15", "p15")),
+    ],
+    ids=["fixed_0", "fixed_minus_0", "fixed_1", "fixed_0.6", "fixed_0.6_list", "free"],
+)
+def test_physical_fit_names_its_parameters_by_p15_mode(p15_mode, names):
+    # a coupling is fitted where its species has lines, p15 when it is free,
+    # in the order of PHYSICAL_BOUNDS
+    _, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.6),
+        seed=12,
+    )
+    assert fit_physical(meas, p15_mode=p15_mode).names == names
+
+
+@pytest.mark.parametrize(
+    "p15_mode",
+    [0.6, ("fixed",), ("fixed", 0.6, 1.0), ("free", 0.6), "fixed"],
+    ids=["float", "one_item", "three_items", "free_with_value", "fixed_without_value"],
+)
+def test_physical_fit_refuses_every_other_p15_mode(p15_mode):
+    _, meas = synthetic(
+        dict(f_center=2310.0, contrast=0.08, linewidth=50.0, a14=44.0, a15=64.0, p15=0.6)
+    )
+    with pytest.raises(ValueError) as exc:
+        fit_physical(meas, p15_mode=p15_mode)
+    assert str(exc.value) == "p15_mode must be ('fixed', value) or 'free'"
 
 
 # the ids are the names these cases have always run under
@@ -843,7 +892,8 @@ def test_physical_fit_is_the_same_from_mirrored_couplings():
     init = initial_physical_guess(meas, 0.6)
     mirrored = dataclasses.replace(init, a14=-init.a14, a15=-init.a15)
     p0 = [getattr(mirrored, name) for name in active]
-    signed = lm_minimize(_physical_problem(meas, mirrored, active), p0, names=active)
+    bounds = tuple(zip(*(PHYSICAL_BOUNDS[name] for name in active)))
+    signed = lm_minimize(_physical_problem(meas, mirrored, active), p0, bounds, active)
     flipped = [name for name in ("a14", "a15") if signed.values[name] < 0.0]
     assert flipped  # a coupling may cross zero on the way, both need not
     neg = _as_magnitudes(signed)

@@ -16,6 +16,7 @@ from vbodmr.spectrum import (
     Populations,
     SpectrumModel,
     _grid_constants,
+    _jacobian_rows,
     _line_groups,
     _line_pass,
     _line_plan,
@@ -588,7 +589,8 @@ def test_slope_is_minus_the_f_center_row_of_the_jacobian():
         slope = spectral_slope(model, grid).slope_curve.values
         plan = _line_plan(model, _line_table(model.populations))
         lines = _line_pass(model, _grid_constants(grid, len(plan[0])), plan)
-        jac_row = -_model_jacobian(model, lines)[row]
+        coef = _jacobian_rows(model.branch, *lines[:2])
+        jac_row = -_model_jacobian(model, lines, coef, np.empty_like(lines[4]))[row]
         assert np.abs(slope - jac_row).max() <= 1e-12 * np.abs(slope).max(), model
 
 
