@@ -201,9 +201,11 @@ def _number(value, key: str) -> float:
 def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     """Read a spectrum CSV with header frequency_mhz,ratio[,sigma].
 
-    Malformed, non-finite or oversized cells (over ``csv.field_size_limit``)
-    are rejected with the line number of the first; the sample rules are
-    ``MeasuredSpectrum``'s, and its refusals name the path.
+    One pass judges each row as the reader yields it: a blank row is
+    skipped, and the first row with the wrong cell count or a malformed,
+    non-finite or oversized cell (over ``csv.field_size_limit``) is refused
+    with the reader's line number, the line where its record ends. The
+    sample rules are ``MeasuredSpectrum``'s, and its refusals name the path.
     """
     path = Path(path)
     if not path.exists():
@@ -218,53 +220,35 @@ def ingest_csv(path) -> fitmod.MeasuredSpectrum:
     except OSError as exc:
         raise IngestError(f"cannot open input file: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    values = []
     try:
         header = [h.strip() for h in next(reader)]
+        if header not in (["frequency_mhz", "ratio"], ["frequency_mhz", "ratio", "sigma"]):
+            raise IngestError(
+                f"{path}: header must be 'frequency_mhz,ratio' or "
+                f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
+            )
+        for row in reader:
+            if len(row) < 2 and not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            try:
+                cells = [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError("malformed numeric cell") from None
+            if not all(map(math.isfinite, cells)):
+                raise ValueError("non-finite numeric cell")
+            values += cells
     except StopIteration:
         raise IngestError(f"{path}: empty file") from None
-    except csv.Error as exc:
-        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
-    if header not in (["frequency_mhz", "ratio"], ["frequency_mhz", "ratio", "sigma"]):
-        raise IngestError(
-            f"{path}: header must be 'frequency_mhz,ratio' or "
-            f"'frequency_mhz,ratio,sigma', got {','.join(header)!r}"
-        )
-    # the cells of every row but the blank ones in one pass, each row kept
-    # with its line number; the offending row is looked for only on failure
-    rows = []
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            if row and (len(row) > 1 or row[0].strip()):
-                rows.append((lineno, row))
-        if any(len(row) != len(header) for _, row in rows):
-            raise ValueError
-        values = np.array([float(cell) for _, row in rows for cell in row])
-        if not np.isfinite(values).all():
-            raise ValueError
     except (ValueError, csv.Error) as exc:
-        message = _offending_row(rows, len(header)) or f"{reader.line_num}: {exc}"
-        raise IngestError(f"{path}:{message}") from None
-    freqs, ratios, *sigmas = values.reshape(-1, len(header)).T
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+    freqs, ratios, *sigmas = np.array(values).reshape(-1, len(header)).T
     try:
         return fitmod.MeasuredSpectrum(freqs, ratios, *sigmas)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
-
-
-def _offending_row(rows, cells: int) -> str | None:
-    """``line: reason`` of the first of the (line number, cells) ``rows``
-    that ``ingest_csv`` refuses: too many or too few cells, a cell that
-    ``float`` does not take, or one that is not finite; None if none is."""
-    for lineno, row in rows:
-        if len(row) != cells:
-            return f"{lineno}: expected {cells} cells, got {len(row)}"
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            return f"{lineno}: malformed numeric cell"
-        if not all(map(math.isfinite, values)):
-            return f"{lineno}: non-finite numeric cell"
-    return None
 
 
 # --- helpers -----------------------------------------------------------------

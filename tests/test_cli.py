@@ -4,8 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import random
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,6 +172,7 @@ ACCEPTED_ROWS = {
     "underscores": ("\n", ["1_000,0.9_5"], [(1000.0, 0.95)]),
     "signs_exponents": ("\n", ["+1e0,-.5E-1"], [(1.0, -0.05)]),
     "quoted": ("\n", ['"1","0.9"'], [(1.0, 0.9)]),
+    "quoted_across_lines": ("\n", ['"', '1', '",0.9'], [(1.0, 0.9)]),
 }
 
 
@@ -187,7 +193,8 @@ def test_ingest_accepts_what_float_takes_in_any_line_layout(tmp_path, newline, l
 
 
 # (newline, data lines, message after "<path>:"): the first refused line by
-# its number, the header and blank lines counted
+# its number, the header and blank lines counted; a record that spans lines
+# (a quoted cell may) by the line where it ends
 REFUSED_ROWS = {
     "three_cells": ("\n", ["1,0.9,3"], "10: expected 2 cells, got 3"),
     "one_cell": ("\n", ["1"], "10: expected 2 cells, got 1"),
@@ -201,6 +208,12 @@ REFUSED_ROWS = {
     "after_blank_crlf": ("\r\n", ["", "", "1,x"], "12: malformed numeric cell"),
     "first_of_two": ("\n", ["1,inf", "2,x"], "10: non-finite numeric cell"),
     "width_before_value": ("\n", ["1,0.9,3", "2,inf"], "10: expected 2 cells, got 3"),
+    "malformed_before_non_finite": ("\n", ["1,x", "2,inf"], "10: malformed numeric cell"),
+    "non_finite_before_width": ("\n", ["1,inf", "2,0.9,3"], "10: non-finite numeric cell"),
+    "malformed_before_width": ("\n", ["1,x", "2"], "10: malformed numeric cell"),
+    "after_a_spanning_cell": ("\n", ['"1', '",1.0', "2,x"], "12: malformed numeric cell"),
+    "spanning_and_refused": ("\n", ['"1', 'x",1.0'], "11: malformed numeric cell"),
+    "unterminated_quote": ("\n", ['"1,0.9', "2,0.9"], "11: expected 2 cells, got 1"),
 }
 
 
@@ -225,6 +238,11 @@ OVERSIZED_CELLS = {
     "header": (f"frequency_mhz,{OVERSIZED}\n1,1.0\n", f"1: {LIMIT}"),
     "data": (csv_text("\n", [f"1,{OVERSIZED}", "2,0.9"]), f"10: {LIMIT}"),
     "refused_row_first": (csv_text("\n", ["1,x", f"2,{OVERSIZED}"]), "10: malformed numeric cell"),
+    "non_finite_row_first": (
+        csv_text("\n", ["1,inf", f"2,{OVERSIZED}"]), "10: non-finite numeric cell"
+    ),
+    "oversized_row_first": (csv_text("\n", [f"1,{OVERSIZED}", "2,x"]), f"10: {LIMIT}"),
+    "after_a_spanning_cell": (csv_text("\n", ['"1', '",1.0', f"2,{OVERSIZED}"]), f"12: {LIMIT}"),
 }
 
 
@@ -1048,18 +1066,36 @@ def test_validate_does_not_read_the_seed(tmp_path, monkeypatch):
     # the oracle draws come from validate.ORACLE_SEED: a self-check whose
     # report does not move with --seed
     seeds = []
-    default_rng = np.random.default_rng
+    generator = random.Random
 
     def recorded(seed=None):
         seeds.append(seed)
-        return default_rng(seed)
+        return generator(seed)
 
-    monkeypatch.setattr(validate.np.random, "default_rng", recorded)
+    monkeypatch.setattr(validate.random, "Random", recorded)
     outs = [tmp_path / "default", tmp_path / "seed7"]
     assert cli.main(["validate", "--out", str(outs[0]), "--quiet"]) == 0
     assert cli.main(["validate", "--out", str(outs[1]), "--seed", "7", "--quiet"]) == 0
     assert seeds == [validate.ORACLE_SEED] * 2 == [1, 1]
     assert (outs[0] / "validate.json").read_bytes() == (outs[1] / "validate.json").read_bytes()
+
+
+def test_validate_does_not_load_numpy_random(tmp_path):
+    # the oracle draws come from the standard library's generator, so a
+    # validate process never pays numpy.random's import
+    script = textwrap.dedent(f"""
+        import sys
+        from vbodmr import cli
+        assert cli.main(["validate", "--out", {str(tmp_path / "val")!r}, "--quiet"]) == 0
+        print("numpy.random" in sys.modules)
+    """)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_validate_injected_wrong_ladder_fails(tmp_path, monkeypatch):
