@@ -38,11 +38,17 @@ SLOTS = ("op_a", "op_b", "op_c")
 
 def lines_of(out) -> list | str:
     """(branch, label, frequency, weight) of each line of a transition list,
-    in list order, or the text of the exception the operation raised."""
+    label by label, branch +1 first, read from its arrays; or the text of the
+    exception the operation raised."""
+    from vbodmr.spin_core import BRANCHES  # the package of --root, on sys.path by now
+
     if isinstance(out, Exception):
         return f"{type(out).__name__}: {out}"
+    rows = zip(out.labels, out.frequency_mhz.tolist(), out.dipole_weight.tolist())
     return [
-        [t.branch, list(t.nuclear_label), t.frequency_mhz, t.dipole_weight] for t in out.entries
+        [branch, list(label), f[k], w[k]]
+        for label, f, w in rows
+        for k, branch in enumerate(BRANCHES)
     ]
 
 

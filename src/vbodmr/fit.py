@@ -49,7 +49,7 @@ from .spectrum import (
     _positions,
     lorentzian,
 )
-from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ
+from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ, _read_only
 
 LM_COST_RTOL = 1e-10
 LM_GRAD_ATOL = 1e-10
@@ -112,12 +112,9 @@ class MeasuredSpectrum:
                 raise ValueError("sigma values must be positive")
             if not np.isfinite(s).all():
                 raise ValueError("sigma values must be finite")
-            s = s[order]
-            s.setflags(write=False)
-        f.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "ratios", r)
+            s = _read_only(s[order])
+        object.__setattr__(self, "frequencies", _read_only(f))
+        object.__setattr__(self, "ratios", _read_only(r))
         object.__setattr__(self, "sigmas", s)
 
     @property
@@ -153,9 +150,6 @@ class FitResult:
     iterations: int
     converged: bool
     diagnostics: tuple[str, ...] = ()
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
 
     def to_json_dict(self) -> dict:
         """JSON-ready report; a non-finite sigma (an undetermined parameter)
@@ -530,7 +524,9 @@ def fit_physical(
     p0 = [getattr(init, n) for n in active]
     result = lm_minimize(problem, p0, bounds, active)
 
-    lowest = {n: min(getattr(init, n), abs(result[n])) for n in ("a14", "a15") if n in active}
+    lowest = {
+        n: min(getattr(init, n), abs(result.values[n])) for n in ("a14", "a15") if n in active
+    }
     stuck = [n for n, a in lowest.items() if a < _COUPLING_RESTART_MHZ]
     p1 = [_COUPLING_DEFAULTS.get(n, v) for n, v in zip(active, p0)]
     if stuck and p1 != p0:
@@ -719,7 +715,8 @@ def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
     run = lm_minimize(projected, q0, (lower, upper), names[:2] + names[2 + n_lines :])
     polish = lm_minimize(problem, full(np.array(list(run.values.values()))), bounds, names)
     note = no_lines(polish.residual_norm**2 * meas.n_samples)
-    narrow = [f"{n} = {polish[n]:.3g} MHz" for n in names[2 + n_lines :] if polish[n] < step]
+    widths = {n: polish.values[n] for n in names[2 + n_lines :]}
+    narrow = [f"{n} = {w:.3g} MHz" for n, w in widths.items() if w < step]
     if narrow:
         note += ("line narrower than the sample spacing: " + ", ".join(narrow),)
     return replace(

@@ -14,7 +14,7 @@ binomial weights P_n. Their 30 groups have 25 distinct keys (#2 shares (m, 0)
 with #0, #3 shares (0, +-1/2) with #1): the mixture is one matrix product over
 a line per key, weighted by sum_n P_n W_n(key), within 1.5 eps of a per-line
 loop over each configuration. Lines that coincide for particular couplings
-are not merged."""
+are not merged. The states come from ``constants``, not ``spin_core``."""
 
 from __future__ import annotations
 
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT
-from .spin_core import IsotopeSpecies, _label_table, _read_only
+from .constants import (
+    GAMMA_N14_KHZ_PER_MT, GAMMA_N15_KHZ_PER_MT, IsotopeSpecies, _label_table, _read_only
+)
 
 DEFAULT_GRID_POINTS = 801
 
@@ -156,10 +157,8 @@ class Curve:
             raise ValueError("grid must be nonempty")
         if f.size > 1 and not np.all(np.diff(f) > 0):
             raise ValueError("frequency grid must be strictly increasing")
-        f.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "frequencies", _read_only(f))
+        object.__setattr__(self, "values", _read_only(v))
 
     def to_csv(self, path, value_name: str = "ratio") -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -191,7 +190,7 @@ def lorentzian(u, fwhm: float, out=None):
 @functools.lru_cache(maxsize=1)
 def _line_groups() -> tuple[np.ndarray, np.ndarray]:
     """The nuclear product states of the four configurations (the label
-    tables of ``spin_core``, 14N sites first) grouped by (sum of 14N, sum of
+    tables of ``constants``, 14N sites first) grouped by (sum of 14N, sum of
     15N projections), states that share a line position for any couplings:
     the 25 distinct sums (25, 2), ascending, and a (25, 4) matrix of the
     number of states of configuration #n in each group. Read-only."""

@@ -8,10 +8,10 @@ full-tensor hyperfine coupling, and the nuclear Zeeman and quadrupole terms
 when the system includes them), diagonalizes it exactly with LAPACK
 (``numpy.linalg.eigh``; ``HermitianMatrix`` alone decides the dtype, and
 an axial field's real Hamiltonian stays float64 from assembly to the real
-symmetric driver), and extracts the electron spin transition
-frequencies; under an axial bias field it also evaluates them from the
-secular model, whose Hamiltonian is diagonal in the product basis, without
-building a matrix. The spectrum model uses the secular frequencies.
+symmetric driver), and extracts the electron spin transition frequencies;
+under an axial bias field it also evaluates them from the secular model,
+whose Hamiltonian is diagonal in the product basis, without building a
+matrix. Isotopes and labels come from ``constants``, shared with ``spectrum``.
 
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
@@ -32,7 +32,6 @@ Conventions
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -40,11 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    GAMMA_E_MHZ_PER_MT,
-    GAMMA_N14_KHZ_PER_MT,
-    GAMMA_N15_KHZ_PER_MT,
-)
+from .constants import GAMMA_E_MHZ_PER_MT, IsotopeSpecies, _label_table, _read_only
 
 HERMITICITY_RTOL = 1e-12
 # Electron spin projections in basis order: row b*N + i of an N-label system
@@ -66,32 +61,6 @@ class CharacterAmbiguityError(RuntimeError):
     """No dominant electron spin projection; state mixing is too strong."""
 
 
-class IsotopeSpecies(enum.Enum):
-    """Stable nitrogen isotopes with their spin data."""
-
-    N14 = "N14"
-    N15 = "N15"
-
-    @property
-    def spin(self) -> float:
-        return 1.0 if self is IsotopeSpecies.N14 else 0.5
-
-    @property
-    def gamma_n_khz_per_mt(self) -> float:
-        if self is IsotopeSpecies.N14:
-            return GAMMA_N14_KHZ_PER_MT
-        return GAMMA_N15_KHZ_PER_MT
-
-    @property
-    def multiplicity(self) -> int:
-        return int(round(2.0 * self.spin)) + 1
-
-    @property
-    def projections(self) -> tuple[float, ...]:
-        """Allowed m_I values, highest first."""
-        return tuple(self.spin - k for k in range(self.multiplicity))
-
-
 @dataclass(frozen=True)
 class NuclearSite:
     """One nearest-neighbor nitrogen: isotope, hyperfine tensor, quadrupole.
@@ -111,8 +80,7 @@ class NuclearSite:
         tensor = np.array(self.hfi_tensor, dtype=float)
         if tensor.shape != (3, 3):
             raise ValueError(f"hfi_tensor must be 3x3, got shape {tensor.shape}")
-        tensor.setflags(write=False)
-        object.__setattr__(self, "hfi_tensor", tensor)
+        object.__setattr__(self, "hfi_tensor", _read_only(tensor))
         if self.site_index not in (1, 2, 3):
             raise ValueError(f"site_index must be 1, 2 or 3, got {self.site_index}")
         if len(self.quadrupole) != 3:
@@ -212,8 +180,7 @@ class HermitianMatrix:
             raise ValueError("matrix entries must be finite")
         if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * max(scale, 1.0):
             raise ValueError("matrix is not Hermitian within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _read_only(m))
 
 
 @dataclass(frozen=True)
@@ -279,11 +246,6 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
     return out
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # (Sx, Sy, Sz) of the S = 1 electron, stacked along the first axis
 _ELECTRON_OPERATORS = _read_only(np.array(spin_matrices(1.0)))
 # Sx, Sy, Sz and 1_3 flattened to columns: the fixed part of the Kronecker sum's left operand
@@ -302,16 +264,6 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
         [_embed(op, j, dims) for op in spin_matrices(sp.spin)]
         for j, sp in enumerate(species)
     ]))
-
-
-@functools.lru_cache(maxsize=8)
-def _label_table(species: tuple[IsotopeSpecies, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per-site projections (m_1, m_2, m_3) of every nuclear product state
-    of ``species``, in basis order: the product of the per-site projections,
-    last site fastest, as the Kronecker rows of ``_nuclear_operators`` run.
-    No operator is built, as a spectrum needs none. The one enumeration of
-    product states; a tuple, so read-only."""
-    return tuple(itertools.product(*(s.projections for s in species)))
 
 
 def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:

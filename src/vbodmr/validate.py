@@ -16,11 +16,10 @@ import random
 import numpy as np
 
 from .analysis import relative_sensitivity, spectral_slope
-from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ, D_GS_TYPICAL_MHZ
+from .constants import A14_DEFAULT_MHZ, A15_DEFAULT_MHZ, D_GS_TYPICAL_MHZ, IsotopeSpecies
 from .spectrum import SpectrumModel, enumerate_ladder, predict_a15_from_a14
 from .spin_core import (
     ElectronParams,
-    IsotopeSpecies,
     NuclearSite,
     SpinSystem,
     build_full_hamiltonian,

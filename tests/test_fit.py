@@ -946,7 +946,7 @@ def test_free_p15_on_a_noisy_pure_sample_ends_no_higher_than_the_bound(p15):
     bound = fit_physical(meas, p15_mode=("fixed", p15))
     assert free.converged and bound.converged
     assert free.residual_norm <= bound.residual_norm * (1.0 + 1e-9)
-    assert (free["p15"] == p15) == (p15 == 0.0)
+    assert (free.values["p15"] == p15) == (p15 == 0.0)
 
 
 def test_physical_fit_recovers_from_coupling_starts_near_zero():

@@ -182,6 +182,24 @@ def test_benchmark_tracer_self_test_passes(monkeypatch):
     assert set(absent) <= {"spectrum.config_lines", "spectrum.config_spectrum"}
 
 
+def test_cli_import_loads_every_traced_layer(monkeypatch):
+    # the tracer wraps only the modules loaded when it installs, and the
+    # self-test and traced_cli.py install it right after `import vbodmr.cli`:
+    # a layer the CLI stops importing drops out of the trace. A fresh process,
+    # so no other test's imports can hide it
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracer
+
+    script = "import sys, vbodmr.cli; print(' '.join(m for m in sys.modules if 'vbodmr' in m))"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert {f"vbodmr.{layer}" for layer in tracer.LAYERS} <= set(done.stdout.split())
+
+
 def test_traced_free_p15_fit_counts_one_forward_call_per_residual(monkeypatch):
     # the benchmark's tracer around one free-p15 fit, as the self-test runs
     # its fixed-p15 one: each residual evaluation makes one spectrum-layer

@@ -26,7 +26,7 @@ from vbodmr.spin_core import (
     spin_matrices,
     transition_frequencies,
 )
-from vbodmr import spin_core
+from vbodmr import constants, spin_core
 from vbodmr.spin_core import (
     MS_VALUES,
     _greedy_pairing,
@@ -289,6 +289,29 @@ def test_labels_are_the_iz_diagonals_of_the_nuclear_operators(n15):
     diagonals = np.diagonal(_nuclear_operators(pattern)[:, 2], axis1=1, axis2=2).real
     labels = np.array(_label_table(pattern))
     assert labels.tobytes() == np.ascontiguousarray(diagonals.T).tobytes()
+
+
+def test_isotopes_and_labels_are_the_objects_of_constants():
+    # one enumeration of product states, read by spin_core and spectrum alike
+    assert spin_core.IsotopeSpecies is constants.IsotopeSpecies
+    assert spin_core._label_table is constants._label_table
+
+
+def test_forward_model_and_fit_load_no_hamiltonian():
+    # spin_core is the oracle of the forward model, not a layer under it:
+    # a fit-only process never compiles it, nor validate, which reads it
+    script = textwrap.dedent("""
+        import sys
+        import vbodmr.spectrum, vbodmr.fit, vbodmr.analysis
+        print(sorted(m for m in ("vbodmr.spin_core", "vbodmr.validate") if m in sys.modules))
+    """)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_nuclear_operators_cached_read_only():
