@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""One untimed pass of the fit_batch benchmark corpus: fit outcomes per slot
-and a digest of every fit.
+"""One untimed pass of both benchmark corpora: fit outcomes per slot and a
+digest of every fit (fit_batch), then a digest of every full-mode transition
+list (hamiltonian_sweep).
 
 Runs each of the 40 rounds of the ``fit_batch`` workload once, from corpus
 entry 0, through ``bench/workloads.FitBatch`` and its own check. Prints, per
@@ -36,17 +37,35 @@ fits with p15 on a bound and those with p15 more than 0.1 off away from a
 bound; for op_c the fits with |P - target| > 0.02. They are not in the
 digest, which already covers every value they derive from.
 
-With ``--against OTHER`` it runs the same pass on the checkout OTHER (in a
-child process) and prints, per slot, the operations whose outcome (pass or
-fail) or ``lm_iter`` differs between the two, and the largest relative
-change of any fitted value and of any sigma, so a change that moves the
-digest by a few ulps can show that no outcome moved, and ``src_lines`` of
-both checkouts. For op_c it also prints the largest change of the
-polarization P in units of the other checkout's sigma(P), and the other
-checkout's trust columns after its own. It exits with status 1, as ``cmp``
-does, when any operation differs between the two: its fit record (the text
-the digest hashes: values, sigmas, iterations and diagnostics), its outcome
-or its ``lm_iter``; 0 when none does.
+Then, under a ``hamiltonian_sweep`` header line, it runs each of the 36
+rounds of the ``hamiltonian_sweep`` workload once, from corpus entry 0,
+through ``bench/workloads.HamiltonianSweep`` and its own check. It prints,
+per slot (op_a axial solves, op_b transverse dense solves with nuclear
+Zeeman and quadrupole, op_c axial solves with nuclear Zeeman), the
+operations and those that fail the check, then a sha256 over every
+transition list (branch, nuclear label, frequency and weight of each line,
+in list order, or the exception the operation raised) per slot and over all
+slots. Two checkouts print the same digest only when every transition list
+is bit-identical.
+
+With ``--against OTHER`` it runs the same passes on the checkout OTHER (in a
+child process). The fit_batch section then prints, per slot, the operations
+whose outcome (pass or fail) or ``lm_iter`` differs between the two, and the
+largest relative change of any fitted value and of any sigma, so a change
+that moves the digest by a few ulps can show that no outcome moved, and
+``src_lines`` of both checkouts. For op_c it also prints the largest change
+of the polarization P in units of the other checkout's sigma(P), and the
+other checkout's trust columns after its own. The hamiltonian_sweep section
+prints, per slot, each system whose list changed, with its largest
+|delta f| (MHz) and |delta weight|, and the largest of both over the slot; a
+list whose branches or labels differ, or that raised on one side only,
+counts as changed by inf. A list counts as changed when its JSON text, the
+one the digest hashes, differs. It exits with status 1, as ``cmp`` does,
+when any operation differs between the two: its fit record (the text the
+digest hashes: values, sigmas, iterations and diagnostics), its outcome, its
+``lm_iter`` or its transition list; 0 when none does. As ``cmp`` does for
+trouble, it exits with status 2 when a root is not a checkout or the pass on
+OTHER fails, and then prints the last lines of that pass's error output.
 
     python3 scripts/corpus_pass.py                  # this checkout
     python3 scripts/corpus_pass.py --root OTHER     # another checkout
@@ -175,24 +194,31 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "vbodmr").glob("*.py"))
 
 
+def paired(records: list, other: list, other_root: str) -> list:
+    """The ``against`` line, then the two checkouts' records operation by
+    operation; exits when the two ran different operations."""
+    print(f"against {other_root}")
+    if [(m["round"], m["slot"], m["k"]) for m in records] != [
+        (t["round"], t["slot"], t["k"]) for t in other
+    ]:
+        raise SystemExit("the two checkouts ran different operations")
+    return list(zip(records, other))
+
+
 def compare(records: list, other: list, other_root: str) -> int:
     """Per slot: operations whose outcome or lm_iter moved, those whose fit
     record differs, and the largest relative change of values and of sigmas
     against the other checkout; for op_c, the largest |delta P| in units of
     the other checkout's sigma(P). Returns the number of operations that
     differ in any of these."""
-    print(f"against {other_root}")
-    if [(m["round"], m["slot"], m["k"]) for m in records] != [
-        (t["round"], t["slot"], t["k"]) for t in other
-    ]:
-        raise SystemExit("the two checkouts ran different operations")
+    pairs = paired(records, other, other_root)
     differ = 0
     for s in SLOTS:
         moved = []
         refit = 0  # operations whose fit record differs
         worst = {"values": (0.0, None), "sigmas": (0.0, None)}
         worst_p = (0.0, None)
-        for mine, theirs in zip(records, other):
+        for mine, theirs in pairs:
             if mine["slot"] != s:
                 continue
             where = f"round {mine['round']} {s} #{mine['k']}"
@@ -229,21 +255,79 @@ def compare(records: list, other: list, other_root: str) -> int:
     return differ
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--root", default=str(Path(__file__).resolve().parent.parent),
-        help="checkout whose src/ and bench/ to run (default: this one)",
+def lines_of(out) -> list | str:
+    """(branch, label, frequency, weight) of each line of a transition list,
+    label by label, branch +1 first, read from its arrays; or the text of the
+    exception the operation raised."""
+    from vbodmr.spin_core import BRANCHES  # the package of --root, on sys.path by now
+
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}"
+    rows = zip(out.labels, out.frequency_mhz.tolist(), out.dipole_weight.tolist())
+    return [
+        [branch, list(label), f[k], w[k]]
+        for label, f, w in rows
+        for k, branch in enumerate(BRANCHES)
+    ]
+
+
+def list_change(mine, theirs) -> tuple[float, float]:
+    """Largest |delta f| and |delta weight| between two transition lists;
+    inf when they do not hold the same lines in the same order."""
+    if isinstance(mine, str) or isinstance(theirs, str) or len(mine) != len(theirs) or any(
+        a[:2] != b[:2] for a, b in zip(mine, theirs)
+    ):
+        return math.inf, math.inf
+    return (
+        max(abs(a[2] - b[2]) for a, b in zip(mine, theirs)),
+        max(abs(a[3] - b[3]) for a, b in zip(mine, theirs)),
     )
-    parser.add_argument("--ops", action="store_true", help="print one line per operation")
-    parser.add_argument(
-        "--against", metavar="OTHER_ROOT",
-        help="also run the checkout OTHER_ROOT and print what moved between the two",
-    )
-    parser.add_argument("--records", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    root = Path(args.root).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+
+
+def compare_lists(records: list, other: list, other_root: str) -> int:
+    """Per slot: the systems whose transition list changed against the
+    other checkout, and the largest |delta f| and |delta weight|. Returns
+    the number of lists that changed."""
+    pairs = paired(records, other, other_root)
+    differ = 0
+    for s in SLOTS:
+        changed = []
+        worst_f = worst_w = 0.0
+        for mine, theirs in pairs:
+            if mine["slot"] != s or json.dumps(mine["lines"]) == json.dumps(theirs["lines"]):
+                continue
+            d_f, d_w = list_change(mine["lines"], theirs["lines"])
+            changed.append(
+                f"  round {mine['round']} {s} #{mine['k']}: |delta f| {d_f:.3g} MHz,"
+                f" |delta weight| {d_w:.3g}"
+            )
+            worst_f, worst_w = max(worst_f, d_f), max(worst_w, d_w)
+        total = sum(m["slot"] == s for m in records)
+        print(f"{s}: {len(changed)} of {total} transition lists changed")
+        for line in changed:
+            print(line)
+        print(f"{s}: largest |delta f| {worst_f:.3g} MHz, largest |delta weight| {worst_w:.3g}")
+        differ += len(changed)
+    return differ
+
+
+def digest_lines(texts: list) -> list:
+    """The sha256 lines of a pass: one per slot over its operations'
+    (slot, text) pairs in run order, then one over all slots."""
+    digest = hashlib.sha256()
+    slot_digest = {s: hashlib.sha256() for s in SLOTS}
+    for slot, text in texts:
+        digest.update(text.encode())
+        slot_digest[slot].update(text.encode())
+    return [f"sha256 {s:4}  {slot_digest[s].hexdigest()}" for s in SLOTS] + [
+        f"sha256 all   {digest.hexdigest()}"
+    ]
+
+
+def fit_pass(ops: bool) -> tuple[list, list]:
+    """The fit_batch pass: every operation's record, and the lines of its
+    slot table and digests. With ``ops``, prints one line per operation as
+    it goes."""
     from workloads import FitBatch
     from vbodmr import fit
 
@@ -283,8 +367,6 @@ def main() -> None:
     total = {s: 0 for s in SLOTS}
     cpu_s = {s: 0.0 for s in SLOTS}
     minflt = {s: 0 for s in SLOTS}
-    digest = hashlib.sha256()
-    slot_digest = {s: hashlib.sha256() for s in SLOTS}
     records = []
     for r in range(batch.corpus_rounds):
         inputs = batch.inputs(r)
@@ -305,48 +387,107 @@ def main() -> None:
                     {"round": r, "slot": slot, "k": k, "fit": record,
                      **op_record(out, reason, slot, case)}
                 )
-                digest.update(record.encode())
-                slot_digest[slot].update(record.encode())
                 res = None if isinstance(out, Exception) else out[0]
                 total[slot] += 1
                 failed[slot] += reason is not None
                 if res is not None:
                     iterations[slot] += res.iterations
                     converged[slot] += res.converged
-                if args.ops:
+                if ops:
                     its, conv = ("-", "-") if res is None else (res.iterations, res.converged)
                     short = hashlib.sha256(record.encode()).hexdigest()[:12]
                     print(f"{r:2d} {slot} {k} it={its} conv={conv} {short} {reason or 'ok'}")
-    if args.records:
-        json.dump(records, sys.stdout)
-        return
-    print(f"root {root}")
-    print(
+    table = [
         f"{'slot':5} {'ops':>4} {'failed':>6} {'lm_iter':>7} {'lm_iter_all':>11}"
         f" {'runs':>5} {'evals':>6} {'rejected':>8} {'converged':>9}"
         f" {'cpu_s':>7} {'minflt':>8} {'us_eval':>7}"
-    )
+    ]
     for s in SLOTS:
-        print(
+        table.append(
             f"{s:5} {total[s]:4d} {failed[s]:6d} {iterations[s]:7d}"
             f" {iterations_all[s]:11d} {runs[s]:5d} {evals[s]:6d}"
             f" {rejected[s]:8d} {converged[s]:9d} {cpu_s[s]:7.3f} {minflt[s]:8d}"
             f" {1e6 * cpu_s[s] / max(evals[s], 1):7.1f}"
         )
-    print(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
-    for s in SLOTS:
-        print(f"sha256 {s:4}  {slot_digest[s].hexdigest()}")
-    print(f"sha256 all   {digest.hexdigest()}")
+    table.append(f"all   {sum(total.values()):4d} {sum(failed.values()):6d}")
+    return records, table + digest_lines([(m["slot"], m["fit"]) for m in records])
+
+
+def sweep_pass() -> tuple[list, list]:
+    """The hamiltonian_sweep pass: every operation's transition list, and
+    the lines of its slot table and digests."""
+    from workloads import HamiltonianSweep
+
+    sweep = HamiltonianSweep(seed=0)  # round r reads corpus entry r
+    sweep.setup()
+    total = {s: 0 for s in SLOTS}
+    failed = {s: 0 for s in SLOTS}
+    records = []
+    for r in range(sweep.corpus_rounds):
+        inputs = sweep.inputs(r)
+        for slot in SLOTS:
+            _, _, outputs = sweep.run(slot, inputs[slot])
+            checks = sweep.check(slot, inputs[slot], outputs)
+            for k, (out, (reason, _hard)) in enumerate(zip(outputs, checks)):
+                records.append({"round": r, "slot": slot, "k": k, "lines": lines_of(out)})
+                total[slot] += 1
+                failed[slot] += reason is not None
+    table = [f"{'slot':5} {'ops':>4} {'failed':>6}"]
+    table += [f"{s:5} {total[s]:4d} {failed[s]:6d}" for s in SLOTS]
+    return records, table + digest_lines([(m["slot"], json.dumps(m["lines"])) for m in records])
+
+
+def records_of(other_root: str) -> dict:
+    """Both passes' records on the checkout OTHER_ROOT, from a child
+    process; when the child fails, its last error lines and exit status 2."""
+    child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
+    done = subprocess.run(child, capture_output=True, text=True)
+    if done.returncode:
+        print(f"the pass on {other_root} failed with status {done.returncode}:", file=sys.stderr)
+        print(*done.stderr.splitlines()[-5:], sep="\n", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(done.stdout)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--root", default=str(Path(__file__).resolve().parent.parent),
+        help="checkout whose src/ and bench/ to run (default: this one)",
+    )
+    parser.add_argument("--ops", action="store_true", help="print one line per fit operation")
+    parser.add_argument(
+        "--against", metavar="OTHER_ROOT",
+        help="also run the checkout OTHER_ROOT and print what moved between the two",
+    )
+    parser.add_argument("--records", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    root = Path(args.root).resolve()
+    if not (root / "bench" / "workloads.py").is_file():
+        parser.error(f"{root} is not a checkout: it has no bench/workloads.py")
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    fits, fit_table = fit_pass(args.ops)
+    lists, list_table = sweep_pass()
+    if args.records:
+        json.dump({"fits": fits, "lists": lists}, sys.stdout)
+        return
+    other_root = str(Path(args.against).resolve()) if args.against else None
+    other = records_of(other_root) if other_root else None
+    print(f"root {root}")
+    print(*fit_table, sep="\n")
     print(f"src_lines {src_lines(root)}")
-    print_trust(trust_columns(records), str(root))
-    if args.against:
-        other_root = str(Path(args.against).resolve())
+    print_trust(trust_columns(fits), str(root))
+    differ = 0
+    if other:
         print(f"src_lines {src_lines(Path(other_root))} ({other_root})")
-        child = [sys.executable, str(Path(__file__).resolve()), "--root", other_root, "--records"]
-        other = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
-        print_trust(trust_columns(other), other_root)
-        if compare(records, other, other_root):
-            sys.exit(1)
+        print_trust(trust_columns(other["fits"]), other_root)
+        differ += compare(fits, other["fits"], other_root)
+    print("hamiltonian_sweep")
+    print(*list_table, sep="\n")
+    if other:
+        differ += compare_lists(lists, other["lists"], other_root)
+    if differ:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

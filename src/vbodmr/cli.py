@@ -82,6 +82,8 @@ GRID_SCHEMA = {
     "stop_mhz": (_NUM, True),
     "points": (int, True),
 }
+# a 25-line forward-model pass then needs about 20 MB per (lines x grid) buffer
+MAX_GRID_POINTS = 100_000
 
 INIT_SCHEMA = {key: (_NUM, False) for key in MODEL_FIELDS}
 
@@ -279,9 +281,13 @@ def _grid_from_block(block: dict | None, f_center: float) -> np.ndarray:
     points = block["points"]
     if points < 2:
         raise SchemaError(["grid.points must be >= 2"])
-    if block["stop_mhz"] <= block["start_mhz"]:
+    if points > MAX_GRID_POINTS:
+        raise SchemaError([f"grid.points must be <= {MAX_GRID_POINTS}"])
+    # an integer bound beyond float range raises OverflowError here
+    start, stop = float(block["start_mhz"]), float(block["stop_mhz"])
+    if stop <= start:
         raise SchemaError(["grid.stop_mhz must exceed grid.start_mhz"])
-    return np.linspace(block["start_mhz"], block["stop_mhz"], points)
+    return np.linspace(start, stop, points)
 
 
 def _require_finite(curve: Curve, what: str) -> None:

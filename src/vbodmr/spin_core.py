@@ -6,12 +6,16 @@ the full ground-state Hamiltonian (zero-field splitting, with strain when
 E_x or E_y is nonzero, electron Zeeman with ``GAMMA_E_MHZ_PER_MT``,
 full-tensor hyperfine coupling, and the nuclear Zeeman and quadrupole terms
 when the system includes them), diagonalizes it exactly with LAPACK
-(``numpy.linalg.eigh``; ``HermitianMatrix`` alone decides the dtype, and
-an axial field's real Hamiltonian stays float64 from assembly to the real
-symmetric driver), and extracts the electron spin transition frequencies;
+(``numpy.linalg.eigh``), and extracts the electron spin transition frequencies;
 under an axial bias field it also evaluates them from the secular model,
 whose Hamiltonian is diagonal in the product basis, without building a
 matrix. Isotopes and labels come from ``constants``, shared with ``spectrum``.
+
+A matrix is float64 when its imaginary part is all zero, complex otherwise.
+``build_full_hamiltonian`` applies that rule to its assembled product before
+the transpose copy, and ``HermitianMatrix`` applies it again to every matrix
+it checks, so an axial field's real Hamiltonian stays float64 from assembly
+to the real symmetric driver.
 
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
@@ -163,8 +167,9 @@ def make_system(
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square matrix validated finite and Hermitian, the one place a dtype is decided:
-    float64 when its imaginary part is all zero, complex otherwise, checked in that dtype."""
+    """Square matrix validated finite and Hermitian, checked and stored as float64 when
+    its imaginary part is all zero, complex otherwise; ``build_full_hamiltonian``
+    applies the same rule to its product before this check."""
 
     entries: np.ndarray
 

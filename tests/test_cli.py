@@ -1204,35 +1204,69 @@ def test_usage_error_exits_1():
 # --- runaway and non-finite inputs -------------------------------------------------
 
 @pytest.mark.parametrize(
-    "command, raw, message",
+    "command, raw, line",
     [
         # json's decoder recurses once per nesting level
-        ("validate", "[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
-        # 10**15 grid points ask for 7.11 PiB, beyond the address space, so
-        # the allocation fails at once
+        ("validate", "[" * 200_000 + "]" * 200_000, "error: maximum recursion depth exceeded"),
+        # 10**15 grid points would ask for 7.11 PiB; the cap refuses them
+        # before anything is allocated
         (
             "simulate",
             json.dumps(
                 {"simulate": {"model": SIM_BLOCK["model"],
                               "grid": {"start_mhz": 2000.0, "stop_mhz": 2600.0, "points": 10**15}}}
             ),
-            "Unable to allocate",
+            f"config error: grid.points must be <= {cli.MAX_GRID_POINTS}",
         ),
         (
             "polarization",
             json.dumps({"polarization": {"areas": {"1": 1e308, "0.5": 1e308}, "m_max": 1.5}}),
-            "overflow",
+            "error: intermediate overflow",
         ),
     ],
     ids=["recursion", "memory", "overflow"],
 )
-def test_runaway_input_exits_1_with_one_line(tmp_path, capsys, command, raw, message):
+def test_runaway_input_exits_1_with_one_line(tmp_path, capsys, command, raw, line):
     config = tmp_path / "config.json"
     config.write_text(raw, encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert err.startswith(line) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, line",
+    [
+        # two JSON integers beyond 64 bits that round to the same float span
+        # no grid; NumPy once made them an object array and raised
+        (
+            {"start_mhz": 10**30, "stop_mhz": 10**30 + 1, "points": 101},
+            "config error: grid.stop_mhz must exceed grid.start_mhz",
+        ),
+        (
+            {"start_mhz": 2000, "stop_mhz": 10**400, "points": 101},
+            "error: int too large to convert to float",
+        ),
+        # NumPy's linspace once raised IndexError at this count
+        (
+            {"start_mhz": 2000.0, "stop_mhz": 2600.0, "points": 2**63 - 1},
+            f"config error: grid.points must be <= {cli.MAX_GRID_POINTS}",
+        ),
+    ],
+    ids=["integer_bounds_1e30", "integer_bound_1e400", "points_2_63_minus_1"],
+)
+@pytest.mark.parametrize("command", ["simulate", "sensitivity"])
+def test_grid_out_of_range_exits_1_with_one_line(tmp_path, capsys, command, grid, line):
+    if command == "simulate":
+        block = {"model": SIM_BLOCK["model"], "grid": grid}
+    else:
+        block = {"model_a": SENS_MODEL, "model_b": {**SENS_MODEL, "p15": 0.0}, "grid": grid}
+    config = write_config(tmp_path, {command: block})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Smoke tests of the experiment scripts: each runs as its own process on the
 package in ``src`` and prints a line of its table (a regular expression).
-The trust columns of ``corpus_pass.py`` are checked against a hand count."""
+``corpus_pass.py`` runs this checkout against itself, through its child
+process, and its trust columns are checked against a hand count."""
 
+import functools
 import importlib.util
 import os
 import re
@@ -25,11 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
-        # every full-mode solve of the hamiltonian_sweep corpus passes its check
-        ("sweep_pass.py", (), r"op_b +144 +0\n(.|\n)*sha256 all +[0-9a-f]{64}"),
-        # every fit of the fit_batch corpus runs; no digest or failure count is
-        # pinned, so a legitimate change to the fits keeps this passing
-        ("corpus_pass.py", (), r"all +200 +\d+\n(.|\n)*sha256 all +[0-9a-f]{64}"),
         # the dtype of each slot's matrices, then four stage times and their
         # total per slot, in microseconds per solve: axial slots are real
         (
@@ -46,19 +43,58 @@ ROOT = Path(__file__).resolve().parents[1]
             r"fixed 0 +1 +\d+( +\d+\.\d){3}\nfixed 1 +1 +\d+( +\d+\.\d){3}\n"
             r"fixed 0\.6 +1 +\d+( +\d+\.\d){3}\nfree +1 +\d+( +\d+\.\d){3}\n",
         ),
+        # one run of this checkout against itself serves the next two cases:
+        # every fit of the fit_batch corpus runs; no digest or failure count is
+        # pinned, so a legitimate change to the fits keeps this passing
+        (
+            "corpus_pass.py",
+            ("--against", "{root}"),
+            r"\nall +200 +\d+\n(.|\n)*sha256 all +[0-9a-f]{64}",
+        ),
+        # every full-mode solve of the hamiltonian_sweep corpus passes its check
+        (
+            "corpus_pass.py",
+            ("--against", "{root}"),
+            r"\nhamiltonian_sweep\n(.|\n)*\nop_b +144 +0\n(.|\n)*sha256 all +[0-9a-f]{64}",
+        ),
     ],
-    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "sweep_pass",
-         "corpus_pass", "solve_stages", "fit_stages"],
+    ids=["isotope_spectra", "sensitivity_comparison", "polarization_sweep", "solve_stages",
+         "fit_stages", "corpus_pass", "sweep_pass"],
 )
 def test_script_runs(tmp_path, name, args, expected):
+    done = run_script(name, *(a.format(tmp=tmp_path, root=ROOT) for a in args))
+    assert done.returncode == 0, done.stderr
+    assert re.search(expected, done.stdout), done.stdout
+
+
+@functools.cache
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script once per argument list; a repeated call returns the first run."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *(a.format(tmp=tmp_path) for a in args)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
+
+
+def test_corpus_pass_against_itself_exits_0():
+    # both corpora run here and in the --records child, and every record
+    # matches (the run that test_script_runs[corpus_pass] reads)
+    done = run_script("corpus_pass.py", "--against", str(ROOT))
     assert done.returncode == 0, done.stderr
-    assert re.search(expected, done.stdout), done.stdout
+    fits, lists = done.stdout.split("\nhamiltonian_sweep\n")
+    for slot in ("op_a", "op_b", "op_c"):
+        assert f"{slot}: 0 fit records differ" in fits
+        assert f"{slot}: 0 of 144 transition lists changed" in lists
+
+
+def test_corpus_pass_against_a_directory_that_is_not_a_checkout_exits_2(tmp_path):
+    # a child that fails is trouble (2, as cmp has it), not a difference (1)
+    done = run_script("corpus_pass.py", "--against", str(tmp_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"{tmp_path} is not a checkout" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def load_script(name: str):
@@ -146,22 +182,22 @@ def test_corpus_pass_compare_counts_every_operation_that_differs(capsys):
         corpus_pass.compare(records, other[:-1], "other")
 
 
-def test_sweep_pass_compare_counts_every_list_that_differs(capsys):
-    sweep_pass = load_script("sweep_pass")
+def test_corpus_pass_compare_lists_counts_every_list_that_differs(capsys):
+    corpus_pass = load_script("corpus_pass")
     line = [-1, [1.0, 0.0, -1.0], 2870.0, 0.5]
     records = [
         {"round": r, "slot": slot, "k": 0, "lines": [list(line)]}
-        for r in range(2) for slot in sweep_pass.SLOTS
+        for r in range(2) for slot in corpus_pass.SLOTS
     ]
     other = [dict(m) for m in records]
-    assert sweep_pass.compare(records, other, "other") == 0
+    assert corpus_pass.compare_lists(records, other, "other") == 0
     capsys.readouterr()
     # a frequency one ulp off, a zero whose sign differs (equal as numbers),
     # and an operation that raised on one side only
     other[0] = {**other[0], "lines": [[-1, [1.0, 0.0, -1.0], 2870.0000000000005, 0.5]]}
     other[2] = {**other[2], "lines": [[-1, [1.0, -0.0, -1.0], 2870.0, 0.5]]}
     other[5] = {**other[5], "lines": "LinAlgError: did not converge"}
-    assert sweep_pass.compare(records, other, "other") == 3
+    assert corpus_pass.compare_lists(records, other, "other") == 3
     out = capsys.readouterr().out
     assert "op_a: 1 of 2 transition lists changed" in out
     assert "op_c: 2 of 2 transition lists changed" in out
