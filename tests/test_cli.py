@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1561,3 +1562,171 @@ def test_cli_ends_in_a_documented_exit_code(verb, data):
         assert "Traceback" not in stderr.getvalue()
         for report in out.glob("*.json"):
             json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+# --- seeded fuzz: mutated configs and CSVs keep the CLI contract --------------------
+
+# the edge values a mutated config leaf takes; json writes each as itself
+FUZZ_EDGES = [
+    0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 2**53 + 1, 2**63 - 1, 2**63,
+    10**30, 10**400, True, False, None, "", [], {},
+]
+FUZZ_CSV_DAMAGE = ("bom", "cr", "nul", "quote", "short row", "long row", "oversized cell")
+FUZZ_CASES = 300
+# the stderr prefixes of a nonzero exit, as the README's exit codes list them
+STDERR_PREFIXES = ("config error: ", "ingestion error: ", "error: ", "fit error: ")
+
+
+def fuzz_bases(csv_path: str) -> dict:
+    """One valid config per verb, and per fit model, every optional key set."""
+    model = {
+        "f_center_mhz": 2308.0, "contrast": 0.11, "linewidth_mhz": 51.0, "a14_mhz": 43.0,
+        "a15_mhz": 64.0, "p15": 0.6, "branch": -1, "polarization": 0.1,
+    }
+    grid = {"start_mhz": 2100.0, "stop_mhz": 2500.0, "points": 401}
+    fit_common = {
+        "input_csv": csv_path, "branch": -1, "d_gs_mhz": 3478.0, "sample_id": "s1",
+        "field_mt": 20.0, "laser_power_mw": 1.0,
+    }
+    blocks = {
+        "simulate": {"model": model, "grid": grid, "noise_sigma": 0.002},
+        "fit physical": {**fit_common, "model": "physical", "p15": 1.0, "init": {"a15_mhz": 60.0}},
+        "fit free_lorentzians": {
+            **fit_common, "model": "free_lorentzians", "n_lines": 4, "polarization": True
+        },
+        "sensitivity": {
+            "model_a": model, "model_b": dict(model, p15=0.0), "normalization": "raw", "grid": grid
+        },
+        "polarization": {"areas": {"-1.5": 1.0, "-0.5": 2.0, "0.5": 3.0, "1.5": 4.0}, "m_max": 1.5},
+        "raman": {"points": [{"nitrogen_frac_15": 0.5, "boron_frac_10": 0.2}]},
+        "validate": {},
+    }
+    return {name: {name.split()[0]: block, "seed": 3} for name, block in blocks.items()}
+
+
+def fuzz_csv() -> str:
+    """A noisy 15N quartet on 81 rows, the one valid CSV of the fuzz."""
+    model = SpectrumModel(f_center=2308.0, contrast=0.11, linewidth=40.0, a14=43.0, a15=64.0, p15=1.0)
+    grid = np.linspace(2100.0, 2500.0, 81)
+    values = mixture_spectrum(model, grid).values + np.random.default_rng(0).normal(0.0, 0.002, 81)
+    rows = (f"{f!r},{v!r}\n" for f, v in zip(grid.tolist(), values.tolist()))
+    return "".join(["frequency_mhz,ratio\n", *rows])
+
+
+def leaves(node, path=()) -> list:
+    """The paths of every value of ``node`` that is not a nonempty object or array."""
+    if isinstance(node, (dict, list)) and node:
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [leaf for key in keys for leaf in leaves(node[key], (*path, key))]
+    return [path]
+
+
+def damage_csv(rng: random.Random, text: str, damage: str) -> str:
+    """``text`` with one ``damage`` at a place that ``rng`` draws."""
+    if damage == "bom":
+        return "\ufeff" + text
+    at = rng.randrange(len(text))
+    if damage in ("cr", "nul", "quote"):
+        return text[:at] + {"cr": "\r", "nul": "\0", "quote": '"'}[damage] + text[at:]
+    lines = text.split("\n")
+    k = rng.randrange(1, len(lines) - 1)  # a data row; the last split is empty
+    cells = lines[k].split(",")
+    if damage == "short row":
+        cells.pop()
+    elif damage == "long row":
+        cells.append("1")
+    else:
+        cells[rng.randrange(len(cells))] = "9" * (csv.field_size_limit() + 1)
+    lines[k] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def fuzz_case(case: int, csv_path: str) -> tuple[str, dict, str]:
+    """Case ``case`` of the fuzz: its verb, its config and its CSV text. A fit
+    case corrupts the CSV in half of the draws; every other case replaces one
+    to three leaves of its config with edge values."""
+    rng = random.Random(case)
+    bases = fuzz_bases(csv_path)
+    name = rng.choice(sorted(bases))
+    verb, config, text = name.split()[0], bases[name], fuzz_csv()
+    if verb == "fit" and rng.random() < 0.5:
+        for damage in rng.sample(FUZZ_CSV_DAMAGE, rng.randint(1, 2)):
+            text = damage_csv(rng, text, damage)
+        return verb, config, text
+    paths = leaves(config)
+    for path in rng.sample(paths, rng.randint(1, min(3, len(paths)))):
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(rng.choice(FUZZ_EDGES))
+    return verb, config, text
+
+
+def run_fuzz_case(verb: str, config_path: Path, out: Path) -> tuple:
+    """Exit code, stdout, stderr and written files of one in-process run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([verb, "--config", str(config_path), "--out", str(out)])
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+def contract_violation(verb: str, code, stderr: str, files: dict) -> str | None:
+    """What in one run breaks the CLI contract, or None."""
+    if code not in (0, 1, 2, 3):
+        return f"exit code {code!r}"
+    lines = stderr.splitlines()
+    if code and not lines:
+        return f"exit {code} with no stderr line"
+    in_usage = False
+    for line in lines:
+        # argparse's usage may wrap onto indented lines
+        in_usage = line.startswith("usage: ") or (in_usage and line.startswith(" "))
+        if not in_usage and not line.startswith(STDERR_PREFIXES):
+            return f"undocumented stderr line {line!r}"
+    if code == 0:
+        try:
+            json.loads(files[f"{verb}.json"], parse_constant=_reject_constant)
+        except (KeyError, ValueError) as exc:
+            return f"exit 0 without a strict JSON report: {exc!r}"
+    return None
+
+
+def test_seeded_fuzz_keeps_the_cli_contract(tmp_path):
+    # FUZZ_CASES seeded cases, each run twice: any exception fails the test,
+    # and a case that breaks the contract is named by its number
+    csv_path = tmp_path / "input.csv"
+    codes = set()
+    for case in range(FUZZ_CASES):
+        verb, config, text = fuzz_case(case, str(csv_path))
+        csv_path.write_bytes(text.encode("utf-8"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        runs = []
+        for _ in range(2):  # into the same directory, so stdout names the same path
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            runs.append(run_fuzz_case(verb, config_path, tmp_path / "out"))
+        code, _, stderr, files = runs[0]
+        violation = contract_violation(verb, code, stderr, files)
+        assert violation is None, f"case {case} ({verb}): {violation}"
+        assert runs[1] == runs[0], f"case {case} differs when repeated"
+        codes.add(code)
+    # the mutations reach past the schema: some cases run, some are refused
+    assert {0, 1, 2} <= codes
+
+
+def test_fuzz_cases_are_a_function_of_their_number(tmp_path):
+    csv_path = tmp_path / "input.csv"
+    cases = [fuzz_case(c, str(csv_path)) for c in range(20)]
+    assert cases == [fuzz_case(c, str(csv_path)) for c in range(20)]
+    # every base config runs before it is mutated, on the intact CSV
+    csv_path.write_text(fuzz_csv(), encoding="utf-8")
+    for name, config in fuzz_bases(str(csv_path)).items():
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / name.replace(" ", "_")
+        code, _, stderr, _ = run_fuzz_case(name.split()[0], config_path, out)
+        assert code == 0, (name, stderr)

@@ -27,18 +27,20 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
-        # the dtype of each slot's matrices, then four stage times and their
-        # total per slot, in microseconds per solve: axial slots are real
+        # one run of stages.py serves the next two cases, one per table.
+        # hamiltonian_sweep: the dtype of each slot's matrices, then four
+        # stage times and their total per slot, in microseconds per solve:
+        # axial slots are real
         (
-            "solve_stages.py",
+            "stages.py",
             ("--rounds", "1", "--passes", "1"),
             r"op_a +4 +float64( +\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d){5}\n"
             r"op_c +4 +float64( +\d+\.\d){5}\n",
         ),
-        # the fits and LM points of each fit kind, then three stage times in
-        # microseconds: one residual point, one Jacobian, one whole fit
+        # fit_batch: the fits and LM points of each fit kind, then three stage
+        # times in microseconds: one residual point, one Jacobian, one whole fit
         (
-            "fit_stages.py",
+            "stages.py",
             ("--rounds", "1", "--passes", "1"),
             r"fixed 0 +1 +\d+( +\d+\.\d){3}\nfixed 1 +1 +\d+( +\d+\.\d){3}\n"
             r"fixed 0\.6 +1 +\d+( +\d+\.\d){3}\nfree +1 +\d+( +\d+\.\d){3}\n",
@@ -94,6 +96,14 @@ def test_corpus_pass_against_a_directory_that_is_not_a_checkout_exits_2(tmp_path
     done = run_script("corpus_pass.py", "--against", str(tmp_path))
     assert done.returncode == 2 and done.stdout == ""
     assert f"{tmp_path} is not a checkout" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_stages_refuses_a_directory_that_is_not_a_checkout(tmp_path):
+    # a usage error (2, argparse's status), before any table starts
+    done = run_script("stages.py", "--root", str(tmp_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"{tmp_path} is not a checkout: it has no bench/workloads.py" in done.stderr
     assert "Traceback" not in done.stderr
 
 
