@@ -450,7 +450,9 @@ def records_of(other_root: str) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--root", default=str(Path(__file__).resolve().parent.parent),
         help="checkout whose src/ and bench/ to run (default: this one)",

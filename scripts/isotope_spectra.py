@@ -30,7 +30,9 @@ D_GS = 3466.0
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--out", default="out_spectra", help="output directory")
     parser.add_argument("--noise", type=float, default=0.002, help="noise sigma")
     parser.add_argument("--seed", type=int, default=0)

@@ -20,7 +20,9 @@ from vbodmr.spectrum import (
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--noise", type=float, default=0.002)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=7)

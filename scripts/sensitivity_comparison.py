@@ -14,7 +14,9 @@ from vbodmr.spectrum import SpectrumModel
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--linewidth", type=float, default=50.0, help="shared FWHM, MHz")
     parser.add_argument("--a14", type=float, default=43.0)
     parser.add_argument("--a15", type=float, default=64.0)

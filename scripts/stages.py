@@ -22,17 +22,23 @@ rule again; float64 takes LAPACK's real path. A slot with both prints both.
 fit_batch, the first ``--rounds`` rounds (default: all 40): per fit kind
 (op_a's fits at fixed p15 = 0, 1 and 0.6, op_b's free-p15 fit) the fits and
 the LM points that one untimed fit of each spectrum evaluated (rejected
-trial points included), then the mean us of three stages:
+trial points included), then the mean us of four stages:
 
 * point: one residual evaluation, ``problem(p)`` of ``fit._physical_problem``;
 * jacobian: the closed-form Jacobian thunk of a point, called after its residual;
+* lm: one ``fit.lm_minimize`` run (a fit makes two when it restarts) fed the
+  residuals and Jacobians that the untimed fit gave that run, in call order,
+  so the LM alone, without the model; each replay must return the recorded
+  ``FitResult``, bit for bit, or the script stops;
 * fit: one whole ``fit.fit_physical``, its start and any restart included.
 
 Each stage is timed over all items of a row in one pass; a mean is the
 median over ``--passes`` passes (default: 9 for the solves, 5 for the
-fits), the stages of a pass run back to back. BLAS is pinned to one thread
-before NumPy loads, as the benchmark pins it. ``--root OTHER`` times another
-checkout, so two can be set side by side on the same host.
+fits), the stages of a pass run back to back. Each fit cell prints that
+median and, after a slash, the minimum over the passes, which a slow
+stretch of the host moves less. BLAS is pinned to one thread before NumPy
+loads, as the benchmark pins it. ``--root OTHER`` times another checkout, so
+two can be set side by side on the same host.
 
     python3 scripts/stages.py                  # this checkout, every round
     python3 scripts/stages.py --root OTHER     # another checkout
@@ -44,6 +50,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -53,7 +60,7 @@ SLOTS = ("op_a", "op_b", "op_c")
 SOLVE_STAGES = ("build", "check", "eigensolve", "list")
 SOLVE_PASSES = 9
 KINDS = ("fixed 0", "fixed 1", "fixed 0.6", "free")
-FIT_STAGES = ("point", "jacobian", "fit")
+FIT_STAGES = ("point", "jacobian", "lm", "fit")
 FIT_PASSES = 5
 
 
@@ -131,17 +138,31 @@ def fit_kinds(fit, batch, rounds: int) -> dict:
     return fits
 
 
-def lm_points(fit, fits: list) -> list:
-    """(problem, p) of every residual evaluation of the ``lm_minimize`` runs of ``fits``."""
-    points = []
+def lm_record(fit, fits: list) -> tuple[list, list]:
+    """(problem, p) of every residual evaluation of the ``lm_minimize`` runs
+    of ``fits``, and each run as (args, kwargs, residuals, jacobians,
+    result): its arguments after the problem, the residuals and Jacobians
+    its problem handed it, in call order, and its ``FitResult``."""
+    points, runs = [], []
     lm_minimize = fit.lm_minimize
 
     def recording(problem, *args, **kwargs):
+        residuals, jacobians = [], []
+
         def recorded(p):
             points.append((problem, p.copy()))
-            return problem(p)
+            r, jacobian = problem(p)
+            residuals.append(r)
 
-        return lm_minimize(recorded, *args, **kwargs)
+            def recorded_jacobian():
+                jacobians.append(jacobian())
+                return jacobians[-1]
+
+            return r, recorded_jacobian
+
+        result = lm_minimize(recorded, *args, **kwargs)
+        runs.append((args, kwargs, residuals, jacobians, result))
+        return result
 
     fit.lm_minimize = recording
     try:
@@ -149,14 +170,32 @@ def lm_points(fit, fits: list) -> list:
             fit.fit_physical(meas, p15_mode=p15_mode)
     finally:
         fit.lm_minimize = lm_minimize
-    return points
+    return points, runs
 
 
-def fit_times(fit, fits: list, points: list, passes: int) -> dict:
-    """Median over ``passes`` of each fit stage's mean microseconds."""
-    runs = {stage: [] for stage in FIT_STAGES}
+def replay(fit, run):
+    """``fit.lm_minimize`` of a recorded run, fed its residuals and
+    Jacobians in call order."""
+    args, kwargs, residuals, jacobians, _ = run
+    residuals, jacobians = iter(residuals), iter(jacobians)
+    return fit.lm_minimize(lambda p: (next(residuals), jacobians.__next__), *args, **kwargs)
+
+
+def same_result(a, b) -> bool:
+    """Whether two ``FitResult``s are equal bit for bit, NaNs included."""
+    return a.covariance.tobytes() == b.covariance.tobytes() and repr(
+        replace(a, covariance=None)
+    ) == repr(replace(b, covariance=None))
+
+
+def fit_times(fit, fits: list, points: list, runs: list, passes: int) -> dict:
+    """Median and minimum over ``passes`` of each fit stage's mean microseconds."""
+    for i, run in enumerate(runs):
+        if not same_result(replay(fit, run), run[-1]):
+            raise SystemExit(f"lm run {i}: the replay gave another FitResult than the fit")
+    times = {stage: [] for stage in FIT_STAGES}
     for _ in range(passes):
-        runs["point"].append(mean_us(lambda point: point[0](point[1]), points))
+        times["point"].append(mean_us(lambda point: point[0](point[1]), points))
         # the Jacobian thunk alone, its residual untimed
         spent = 0.0
         for problem, p in points:
@@ -164,9 +203,10 @@ def fit_times(fit, fits: list, points: list, passes: int) -> dict:
             t0 = time.perf_counter()
             jacobian()
             spent += time.perf_counter() - t0
-        runs["jacobian"].append(spent / len(points) * 1e6)
-        runs["fit"].append(mean_us(lambda f: fit.fit_physical(f[0], p15_mode=f[1]), fits))
-    return {stage: statistics.median(values) for stage, values in runs.items()}
+        times["jacobian"].append(spent / len(points) * 1e6)
+        times["lm"].append(mean_us(lambda run: replay(fit, run), runs))
+        times["fit"].append(mean_us(lambda f: fit.fit_physical(f[0], p15_mode=f[1]), fits))
+    return {stage: (statistics.median(values), min(values)) for stage, values in times.items()}
 
 
 def fit_table(rounds: int | None, passes: int | None) -> None:
@@ -177,18 +217,20 @@ def fit_table(rounds: int | None, passes: int | None) -> None:
     batch.setup()
     rounds = min(rounds or batch.corpus_rounds, batch.corpus_rounds)
     passes = passes or FIT_PASSES
-    print(f"fit_batch, {rounds} rounds, median of {passes} passes, mean us")
-    header = "".join(f" {stage:>9}" for stage in FIT_STAGES)
+    print(f"fit_batch, {rounds} rounds, median/min of {passes} passes, mean us")
+    header = "".join(f" {stage:>15}" for stage in FIT_STAGES)
     print(f"{'kind':9} {'fits':>5} {'points':>6}{header}")
     for kind, fits in fit_kinds(fit, batch, rounds).items():
-        points = lm_points(fit, fits)
-        times = fit_times(fit, fits, points, passes)
-        cells = "".join(f" {times[stage]:9.1f}" for stage in FIT_STAGES)
+        points, runs = lm_record(fit, fits)
+        times = fit_times(fit, fits, points, runs, passes)
+        cells = "".join(f" {'%.1f/%.1f' % times[stage]:>15}" for stage in FIT_STAGES)
         print(f"{kind:9} {len(fits):5d} {len(points):6d}{cells}")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--root", default=str(Path(__file__).resolve().parent.parent),
         help="checkout whose src/ and bench/ to time (default: this one)",

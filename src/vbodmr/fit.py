@@ -169,12 +169,6 @@ class FitResult:
         }
 
 
-def _held(p: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Mask of parameters on a bound whose descent direction -grad points
-    out of the box."""
-    return ((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0))
-
-
 # p -> (residuals, jacobian), see lm_minimize
 Problem = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
@@ -222,6 +216,11 @@ def lm_minimize(
     up to the maximum damping, the fit stops with ``converged`` False and a
     ``stalled`` diagnostic: a stall is not convergence. After ``max_iter``
     iterations the partial result is returned with ``converged`` False.
+
+    Arrays hold only the work whose result reaches a reported number: J^T r,
+    J^T J, the damped solve, the trial point, the costs, the gain ratio and
+    the covariance. The held set, the gradient test and the zero-diagonal
+    floor compare Python floats: a NumPy call costs more than k <= 10 of them.
     """
     p = np.array(init_params, dtype=float)
     k = p.size
@@ -229,6 +228,7 @@ def lm_minimize(
     lower, upper = (np.array(bound, dtype=float) for bound in bounds)
     if np.any(p < lower) or np.any(p > upper):
         raise ValueError("initial parameters violate the bounds")
+    box = (lower.tolist(), upper.tolist())
 
     evaluated = problem(p)
     if not (isinstance(evaluated, tuple) and len(evaluated) == 2 and callable(evaluated[1])):
@@ -238,38 +238,45 @@ def lm_minimize(
     if not np.all(np.isfinite(r)):
         raise ValueError("residual function is not finite at the initial point")
     cost = float(r @ r)
-    n_obs = r.size
 
     lam = 1e-3
     converged = False
     iterations = 0
     diagnostics: list[str] = []
     jac = jacobian()
-    for iterations in range(1, max_iter + 1):
+    while True:
         grad = jac.T @ r
-        free = ~_held(p, grad, lower, upper)
-        if float(np.abs(grad[free]).max(initial=0.0)) < LM_GRAD_ATOL:
+        g = grad.tolist()
+        held = [i for i, (x, lo, hi) in enumerate(zip(p.tolist(), *box))
+                if (x <= lo and g[i] > 0.0) or (x >= hi and g[i] < 0.0)]
+        if converged or iterations >= max_iter:
+            break
+        iterations += 1
+        free = [i for i in range(k) if i not in held]
+        # not max(), which drops a NaN that is not first: a NaN gradient has not converged
+        if all(abs(g[i]) < LM_GRAD_ATOL for i in free):
             converged = True
             break
         jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(diag.max(initial=0.0), 1.0) * 1e-12
         # J^T J of the free parameters, its diagonal rewritten per trial
-        damped = jtj.copy() if free.all() else jtj[np.ix_(free, free)]
+        damped, descent = (jtj[np.ix_(free, free)], -grad[free]) if held else (jtj.copy(), -grad)
         damped_diag = damped.reshape(-1)[:: damped.shape[0] + 1]
-        undamped, scale, descent = damped_diag.copy(), diag[free], -grad[free]
-        step = np.zeros(k)  # held parameters keep a zero step
-        accepted = False
+        undamped = scale = damped_diag.copy()
+        if any(d <= 0.0 for d in scale.tolist()):  # floor the scale of a zero entry
+            scale = np.where(scale <= 0.0, max(np.diag(jtj).max(initial=0.0), 1.0) * 1e-12, scale)
         nu = 2.0
         while lam < 1e14:
             np.multiply(scale, lam, out=damped_diag)
             damped_diag += undamped
             try:
-                step[free] = np.linalg.solve(damped, descent)
+                step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 lam *= nu
                 nu *= 2.0
                 continue
+            if held:  # held parameters keep a zero step
+                solved, step = step, np.zeros(k)
+                step[free] = solved
             trial = np.minimum(np.maximum(p + step, lower), upper)
             r_trial, jacobian = problem(trial)
             r_trial = np.asarray(r_trial, dtype=float)
@@ -284,26 +291,19 @@ def lm_minimize(
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam * max(_LAM_SHRINK, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
-                accepted = True
                 if rel_drop < LM_COST_RTOL or cost == 0.0:
                     converged = True
                 break
             lam *= nu
             nu *= 2.0
-        if not accepted:
+        else:  # no trial accepted up to the maximum damping
             diagnostics.append("stalled: no step reduced the cost at maximum damping")
             break
         jac = jacobian()  # the thunk of the accepted trial
-        if converged:
-            break
 
-    held = np.flatnonzero(_held(p, jac.T @ r, lower, upper))
-    if held.size:
-        diagnostics.append(
-            "held at bound: "
-            + ", ".join(f"{names[i]} = {p[i]:g}" for i in held)
-            + " (gradient points outward)"
-        )
+    if held:
+        pinned = ", ".join(f"{names[i]} = {p[i]:g}" for i in held)
+        diagnostics.append(f"held at bound: {pinned} (gradient points outward)")
     jtj = jac.T @ jac
     svals = np.linalg.svd(jtj, compute_uv=False)
     smax = svals.max(initial=0.0)
@@ -318,9 +318,7 @@ def lm_minimize(
         cov_unscaled = np.linalg.pinv(jtj)
     else:
         cov_unscaled = np.linalg.inv(jtj)
-    dof = max(n_obs - k, 1)
-    sigma2 = cost / dof
-    covariance = sigma2 * cov_unscaled
+    covariance = cost / max(r.size - k, 1) * cov_unscaled  # sigma^2 (J^T J)^-1
     covariance = (covariance + covariance.T) / 2.0
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     np.fill_diagonal(covariance, sigmas**2)
@@ -330,7 +328,7 @@ def lm_minimize(
         values={n: float(v) for n, v in zip(names, p)},
         sigmas={n: float(s) for n, s in zip(names, sigmas)},
         covariance=covariance,
-        residual_norm=math.sqrt(cost / n_obs),
+        residual_norm=math.sqrt(cost / r.size),
         iterations=iterations,
         converged=converged,
         diagnostics=tuple(diagnostics),
@@ -430,15 +428,17 @@ def _physical_problem(
     def problem(p: np.ndarray):
         nonlocal latest
         values = start.copy()
-        for slot, value in zip(slots, p):
+        for slot, value in zip(slots, p.tolist()):
             values[slot] = value
         point = _Point(*values)
         plan = fixed or _line_plan(point, table, True)
         n = len(plan[0])
         lines = latest = _line_pass(point, constants, plan, out=buffers[:2, :n])
         w, profiles = lines[1], lines[4]
-        curve = np.count_nonzero(w)  # the lines of the curve, w != 0, come first
-        res = 1.0 - point.contrast * (w[:curve] @ profiles[:curve]) - y
+        curve = n if fixed else np.count_nonzero(w)  # w != 0 first; a fixed plan has no w = 0
+        res = w[:curve] @ profiles[:curve]  # 1 - C (w @ L) - y, in the product's array
+        np.subtract(1.0, np.multiply(res, point.contrast, out=res), out=res)
+        res -= y
 
         def jacobian() -> np.ndarray:
             if latest is not lines:

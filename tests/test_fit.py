@@ -390,6 +390,26 @@ def test_lm_stall_comes_after_the_escalation_to_maximum_damping():
     assert "stalled: no step reduced the cost at maximum damping" in res.diagnostics
 
 
+def test_lm_nan_gradient_is_not_convergence():
+    # J^T r = (1e-13, NaN) at the start: one entry below LM_GRAD_ATOL, one no
+    # number, so the gradient test fails (a max() that drops the NaN would
+    # converge here, then raise in the covariance of the NaN J^T J). The
+    # NaN trial point reads as the origin and is accepted; every later
+    # Jacobian is finite, and the run stalls at that point.
+    target = np.array([-1.0, -1.0])
+
+    def problem(p):
+        start = p.tolist() == [1.0, 1.0]
+        jac = np.array([[0.5e-13, 0.0], [0.0, np.nan]]) if start else np.eye(2)
+        return np.nan_to_num(p) - target, lambda: jac
+
+    log = ThunkLog(problem)
+    res = lm_minimize(log, [1.0, 1.0], *unbounded(2))
+    assert not res.converged and res.iterations == 2
+    assert len(log.costs) == 13 and log.thunk_calls == [0, 1]
+    assert "stalled: no step reduced the cost at maximum damping" in res.diagnostics
+
+
 def fixed_and_free_spectra(seed):
     """One fixed-p15 and one free-p15 spectrum of a seeded random model."""
     rng = np.random.default_rng(seed)

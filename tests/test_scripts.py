@@ -3,6 +3,7 @@ package in ``src`` and prints a line of its table (a regular expression).
 ``corpus_pass.py`` runs this checkout against itself, through its child
 process, and its trust columns are checked against a hand count."""
 
+import ast
 import functools
 import importlib.util
 import os
@@ -37,13 +38,14 @@ ROOT = Path(__file__).resolve().parents[1]
             r"op_a +4 +float64( +\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d){5}\n"
             r"op_c +4 +float64( +\d+\.\d){5}\n",
         ),
-        # fit_batch: the fits and LM points of each fit kind, then three stage
-        # times in microseconds: one residual point, one Jacobian, one whole fit
+        # fit_batch: the fits and LM points of each fit kind, then four stage
+        # times in microseconds, each median/min over the passes: one residual
+        # point, one Jacobian, one replayed LM run, one whole fit
         (
             "stages.py",
             ("--rounds", "1", "--passes", "1"),
-            r"fixed 0 +1 +\d+( +\d+\.\d){3}\nfixed 1 +1 +\d+( +\d+\.\d){3}\n"
-            r"fixed 0\.6 +1 +\d+( +\d+\.\d){3}\nfree +1 +\d+( +\d+\.\d){3}\n",
+            r"fixed 0 +1 +\d+( +\d+\.\d/\d+\.\d){4}\nfixed 1 +1 +\d+( +\d+\.\d/\d+\.\d){4}\n"
+            r"fixed 0\.6 +1 +\d+( +\d+\.\d/\d+\.\d){4}\nfree +1 +\d+( +\d+\.\d/\d+\.\d){4}\n",
         ),
         # one run of this checkout against itself serves the next two cases:
         # every fit of the fit_batch corpus runs; no digest or failure count is
@@ -105,6 +107,18 @@ def test_stages_refuses_a_directory_that_is_not_a_checkout(tmp_path):
     assert done.returncode == 2 and done.stdout == ""
     assert f"{tmp_path} is not a checkout: it has no bench/workloads.py" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_stages_help_prints_each_example_on_its_own_line():
+    # the help keeps the docstring's line breaks (RawDescriptionHelpFormatter)
+    doc = ast.get_docstring(ast.parse((ROOT / "scripts" / "stages.py").read_text()))
+    examples = [line.strip() for line in doc.splitlines() if line.lstrip().startswith("python3 ")]
+    assert len(examples) == 3
+    done = run_script("stages.py", "--help")
+    assert done.returncode == 0, done.stderr
+    printed = [line.strip() for line in done.stdout.splitlines()]
+    for example in examples:
+        assert example in printed, done.stdout
 
 
 def load_script(name: str):
