@@ -41,6 +41,11 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INGEST = 2
 EXIT_NONCONVERGED = 3
+# every character at which str.splitlines breaks, as its escape: a message
+# that echoes a key or a path stays one stderr line
+_LINE_BREAKS = {
+    ord(c): c.encode("unicode_escape").decode() for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+}
 
 
 class SchemaError(Exception):
@@ -559,15 +564,15 @@ def main(argv=None) -> int:
         return _write_report(args.command, out_dir, report, curves, args.quiet)
     except SchemaError as exc:
         for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
+            print(f"config error: {problem.translate(_LINE_BREAKS)}", file=sys.stderr)
         return EXIT_SCHEMA
     except IngestError as exc:
-        print(f"ingestion error: {exc}", file=sys.stderr)
+        print(f"ingestion error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return EXIT_INGEST
     except (ValueError, RecursionError, MemoryError, OverflowError, OSError, RuntimeError) as exc:
         # deep JSON nesting, arrays beyond the address space, float overflow,
         # an unwritable output directory
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

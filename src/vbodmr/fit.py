@@ -483,6 +483,25 @@ def _as_magnitudes(result: FitResult) -> FitResult:
     )
 
 
+# A fit, or a free-Lorentzian start with negative depths set to 0, that
+# lowers the chi^2 of the flat line y = 1 by less than this found no lines
+# (at the start, 40 noise draws: <= 14; corpus quartets: >= 2550).
+_NO_LINE_DCHI2 = 100.0
+
+
+def _no_lines(meas: MeasuredSpectrum, ssr: float, k: int) -> tuple[str, ...]:
+    """The no-line note of a k-parameter point of weighted SSR ``ssr``, if it
+    has one: its chi^2 is less than ``_NO_LINE_DCHI2`` below the flat line's
+    (sigma^2 = SSR / (N - k))."""
+    flat = (1.0 - meas.ratios) / (1.0 if meas.sigmas is None else meas.sigmas)
+    # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
+    drop = (float(flat @ flat) - ssr) * max(meas.n_samples - k, 1)
+    if drop > _NO_LINE_DCHI2 * ssr:
+        return ()
+    ratio = drop / max(ssr, 1e-300)
+    return (f"no lines: chi^2 only {ratio:.3g} below the flat line (< {_NO_LINE_DCHI2:g})",)
+
+
 def fit_physical(
     meas: MeasuredSpectrum,
     init: SpectrumModel | None = None,
@@ -507,7 +526,10 @@ def fit_physical(
     start with the active couplings at their default magnitudes; the
     lower cost is kept and a "coupling restart" diagnostic says which fit
     that was. When a free p15 ends at 0 or 1, the coupling of the absent
-    species is reported with sigma inf and an "undetermined" diagnostic.
+    species is reported with sigma inf and an "undetermined" diagnostic. A
+    kept fit that lowers the chi^2 of the flat line y = 1 by less than
+    ``_NO_LINE_DCHI2`` found no lines: it has ``converged`` False and a
+    ``no lines`` diagnostic.
     """
     free = p15_mode == "free"
     fixed = isinstance(p15_mode, (tuple, list)) and len(p15_mode) == 2 and p15_mode[0] == "fixed"
@@ -539,7 +561,9 @@ def fit_physical(
         )
         result = retry if kept == "restart" else result
         result = replace(result, diagnostics=result.diagnostics + (note,))
-    return _as_magnitudes(result)
+    note = _no_lines(meas, result.residual_norm**2 * meas.n_samples, len(active))
+    result = replace(result, converged=result.converged and not note)
+    return _as_magnitudes(replace(result, diagnostics=result.diagnostics + note))
 
 
 # --- free equally spaced Lorentzians ----------------------------------------
@@ -633,12 +657,6 @@ def _projected_problem(meas: MeasuredSpectrum, n_lines: int):
     return (lambda q: point(q)[1:]), point
 
 
-# A free-Lorentzian fit, or its start with negative depths set to 0, that
-# lowers the chi^2 of the flat line y = 1 by less than this found no lines
-# (at the start, 40 noise draws: <= 14; corpus quartets: >= 2550).
-_NO_LINE_DCHI2 = 100.0
-
-
 def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
     """Fit n equally spaced Lorentzians with free depths and widths.
 
@@ -696,25 +714,14 @@ def fit_free_lorentzians(meas: MeasuredSpectrum, n_lines: int) -> FitResult:
         widths = np.where(dropped, q0[2:], q[2:])
         return np.concatenate([q[:2], np.where(dropped, 0.0, depths), widths])
 
-    flat = (1.0 - meas.ratios) / (1.0 if meas.sigmas is None else meas.sigmas)
-
-    def no_lines(ssr: float) -> tuple[str, ...]:
-        """The no-line note of a point of weighted SSR ssr, if it has one."""
-        # the chi^2 drop times ssr / dof, so an exact fit (ssr = 0) divides by nothing
-        drop = (float(flat @ flat) - ssr) * max(meas.n_samples - len(names), 1)
-        if drop > _NO_LINE_DCHI2 * ssr:
-            return ()
-        ratio = drop / max(ssr, 1e-300)
-        return (f"no lines: chi^2 only {ratio:.3g} below the flat line (< {_NO_LINE_DCHI2:g})",)
-
     start = full(q0)
-    note = no_lines(float(np.sum(problem(start)[0] ** 2)))
+    note = _no_lines(meas, float(np.sum(problem(start)[0] ** 2)), len(names))
     if note:
         start = lm_minimize(problem, start, bounds, names, max_iter=0)
         return replace(start, diagnostics=start.diagnostics + note)
     run = lm_minimize(projected, q0, (lower, upper), names[:2] + names[2 + n_lines :])
     polish = lm_minimize(problem, full(np.array(list(run.values.values()))), bounds, names)
-    note = no_lines(polish.residual_norm**2 * meas.n_samples)
+    note = _no_lines(meas, polish.residual_norm**2 * meas.n_samples, len(names))
     widths = {n: polish.values[n] for n in names[2 + n_lines :]}
     narrow = [f"{n} = {w:.3g} MHz" for n, w in widths.items() if w < step]
     if narrow:

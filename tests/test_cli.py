@@ -3,22 +3,18 @@ import copy
 import csv
 import io
 import json
-import math
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
-import tempfile
 import textwrap
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from vbodmr import cli, fit, spectrum, validate
 from vbodmr.cli import IngestError, SchemaError, ingest_csv, validate_config
@@ -1357,213 +1353,6 @@ def test_free_lorentzians_outnumbering_the_samples_exit_1(tmp_path, capsys, comm
     assert not out.exists()
 
 
-# --- property: any config or CSV ends in a documented exit code ---------------------
-
-# numbers at the edges of float range; json writes the non-finite ones as
-# the tokens NaN, Infinity and -Infinity
-EXTREME = st.sampled_from(
-    [0, -0.0, -1, 5e-324, 1e-300, 1e308, -1e308, 2**63, 10**400, math.nan, math.inf, -math.inf]
-)
-JUNK = st.recursive(
-    st.none() | st.booleans() | st.text(max_size=4) | st.floats() | EXTREME,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-# keys that set the runtime keep a small size (the oversized ones have
-# their own example tests above); other types of junk still reach them
-SIZE_KEYS = {"points": 2001, "n_lines": 8}
-
-MODEL = st.fixed_dictionaries(
-    {
-        "f_center_mhz": st.floats(2200.0, 2400.0),
-        "contrast": st.floats(0.01, 0.3),
-        "linewidth_mhz": st.floats(20.0, 100.0),
-        "p15": st.floats(0.0, 1.0),
-    },
-    optional={
-        "a14_mhz": st.floats(-100.0, 100.0),
-        "a15_mhz": st.floats(-100.0, 100.0),
-        "branch": st.sampled_from([-1, 1]),
-        "polarization": st.floats(-0.3, 0.3),
-    },
-)
-GRID = st.fixed_dictionaries(
-    {
-        "start_mhz": st.floats(2000.0, 2300.0),
-        "stop_mhz": st.floats(2300.0, 2600.0),
-        "points": st.integers(2, SIZE_KEYS["points"]),
-    }
-)
-INIT = st.fixed_dictionaries(
-    {},
-    optional={
-        "f_center_mhz": st.floats(2200.0, 2400.0),
-        "contrast": st.floats(0.0, 0.3),
-        "linewidth_mhz": st.floats(1.0, 100.0),
-        "a14_mhz": st.floats(-100.0, 100.0),
-        "a15_mhz": st.floats(-100.0, 100.0),
-        "p15": st.floats(0.0, 1.0),
-    },
-)
-M_TOT = st.sampled_from(["-1.5", "-0.5", "0.5", "1.5"])
-
-
-def _init_p15_only_when_free(block: dict) -> dict:
-    """A physical fit block without the init.p15 that a fixed p15 leaves unread."""
-    if block.get("p15") == "free" or "init" not in block:
-        return block
-    return dict(block, init={k: v for k, v in block["init"].items() if k != "p15"})
-
-
-def verb_blocks(csv_path: str) -> dict:
-    """Schema-shaped blocks of every verb, valid before perturbation."""
-    n_lines = st.integers(1, SIZE_KEYS["n_lines"])
-    fit_common = {
-        "branch": st.sampled_from([-1, 1]),
-        "d_gs_mhz": st.floats(3000.0, 4000.0),
-        "sample_id": st.text(max_size=4),
-    }
-    return {
-        "simulate": st.fixed_dictionaries(
-            {"model": MODEL}, optional={"grid": GRID, "noise_sigma": st.floats(0.0, 0.01)}
-        ),
-        # each fit block holds the keys of one fit model only
-        "fit": st.fixed_dictionaries(
-            {"input_csv": st.just(csv_path)},
-            optional={
-                "model": st.just("physical"),
-                "p15": st.floats(0.0, 1.0) | st.just("free"),
-                "init": INIT,
-                **fit_common,
-            },
-        ).map(_init_p15_only_when_free)
-        | st.fixed_dictionaries(
-            {"input_csv": st.just(csv_path), "model": st.just("free_lorentzians")},
-            optional={"n_lines": n_lines, "polarization": st.booleans(), **fit_common},
-        ),
-        "sensitivity": st.fixed_dictionaries(
-            {"model_a": MODEL, "model_b": MODEL},
-            optional={"normalization": st.sampled_from(["raw", "per_contrast"]), "grid": GRID},
-        ),
-        "polarization": st.fixed_dictionaries(
-            {
-                "areas": st.dictionaries(M_TOT, st.floats(0.0, 10.0), min_size=1, max_size=4),
-                "m_max": st.just(1.5),
-            }
-        ),
-        "raman": st.fixed_dictionaries(
-            {
-                "points": st.lists(
-                    st.fixed_dictionaries(
-                        {"nitrogen_frac_15": st.floats(0.0, 1.0)},
-                        optional={"boron_frac_10": st.floats(0.0, 1.0)},
-                    ),
-                    max_size=3,
-                )
-            }
-        ),
-        "validate": st.just({}),
-    }
-
-
-def _blocks(config: dict) -> list[dict]:
-    """``config`` and every object nested in it."""
-    found = [config]
-    for value in config.values():
-        if isinstance(value, dict):
-            found += _blocks(value)
-    return found
-
-
-@st.composite
-def perturbed(draw, config: dict) -> dict:
-    """``config`` with one to three keys, at any depth, deleted, set to junk
-    or an extreme number, or added."""
-    config = copy.deepcopy(config)
-    for _ in range(draw(st.integers(1, 3))):
-        slots = [(block, key) for block in _blocks(config) for key in [*block, "unknown"]]
-        block, key = draw(st.sampled_from(slots))
-        action = draw(st.sampled_from(["delete", "junk", "extreme"]))
-        if action == "delete":
-            block.pop(key, None)
-        elif key in SIZE_KEYS:
-            block[key] = draw(st.integers(-2, SIZE_KEYS[key]) | st.booleans() | st.floats())
-        else:
-            block[key] = draw(JUNK if action == "junk" else EXTREME)
-    return config
-
-
-@st.composite
-def mangled_csv(draw) -> bytes:
-    """A 15N quartet spectrum as CSV bytes: in half of the draws intact, so
-    that a fit runs, in the others with rows and cells broken."""
-    intact = draw(st.booleans())
-    broken_n = st.integers(0, 9) | st.integers(10, 24) | st.integers(10, 24)
-    n = draw(st.integers(24, 96) if intact else broken_n)
-    model = SpectrumModel(f_center=2300.0, contrast=0.1, linewidth=40.0, a14=43.0, a15=64.0, p15=1.0)
-    grid = np.linspace(2100.0, 2500.0, max(n, 1))
-    values = mixture_spectrum(model, grid).values
-    sigma = draw(st.booleans())
-    rows = [[repr(float(f)), repr(float(v))] + ["0.002"] * sigma for f, v in zip(grid[:n], values)]
-    for _ in range(draw(st.integers(0, 2)) if rows and not intact else 0):
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        action = draw(st.sampled_from(["cell", "drop", "extra", "duplicate"]))
-        if action == "cell":
-            row[draw(st.integers(0, len(row) - 1))] = draw(
-                st.sampled_from(["", "abc", "nan", "-inf", "1e400", "1e308", "-0", " 2 "])
-            )
-        elif action == "drop" and len(row) > 1:
-            row.pop()
-        elif action == "extra":
-            row.append("1")
-        else:
-            rows.append(list(row))
-    good = "frequency_mhz,ratio" + ",sigma" * sigma
-    headers = [good, good, "frequency_mhz,ratio", "f,r", ""]
-    header = good if intact else draw(st.sampled_from(headers))
-    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-    prefix = b"" if intact else draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xe9"]))
-    return prefix + text.encode("utf-8")
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token} in a report")
-
-
-@pytest.mark.parametrize("verb", sorted(cli.COMMANDS))
-@settings(
-    derandomize=True,
-    deadline=None,
-    max_examples=60,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(data=st.data())
-def test_cli_ends_in_a_documented_exit_code(verb, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        csv_path = tmp / "input.csv"
-        if verb == "fit":
-            csv_path.write_bytes(data.draw(mangled_csv(), label="csv"))
-        block = data.draw(verb_blocks(str(csv_path))[verb], label="block")
-        config = {verb: block, "seed": 3}
-        # one in five configs as valid, three with broken keys, one not an object
-        kind = data.draw(st.sampled_from(["valid", "broken", "broken", "broken", "junk"]))
-        if kind == "broken":
-            config = data.draw(perturbed(config), label="config")
-        elif kind == "junk":
-            config = data.draw(JUNK.filter(lambda v: not isinstance(v, dict)), label="config")
-        config_path = tmp / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        out = tmp / "out"
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([verb, "--config", str(config_path), "--out", str(out)])
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in stderr.getvalue()
-        for report in out.glob("*.json"):
-            json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-
-
 # --- seeded fuzz: mutated configs and CSVs keep the CLI contract --------------------
 
 # the edge values a mutated config leaf takes; json writes each as itself
@@ -1571,29 +1360,53 @@ FUZZ_EDGES = [
     0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 2**53 + 1, 2**63 - 1, 2**63,
     10**30, 10**400, True, False, None, "", [], {},
 ]
-FUZZ_CSV_DAMAGE = ("bom", "cr", "nul", "quote", "short row", "long row", "oversized cell")
-# the spectra of a fit case's CSV: the valid quartet, and two that read but
-# hold no line, so a free-Lorentzian fit of them exits 3
+# the characters of drawn text: letters, a space, NUL, a tab and each
+# character at which str.splitlines breaks
+FUZZ_TEXT = "aZé \0\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+# the range a redrawn number takes, by its key (an area by its block's): an
+# integer range gives integers, a list one of its items
+FUZZ_RANGES = {
+    "f_center_mhz": (2200.0, 2400.0), "contrast": (0.01, 0.3), "linewidth_mhz": (20.0, 100.0),
+    "a14_mhz": (-100.0, 100.0), "a15_mhz": (-100.0, 100.0), "p15": (0.0, 1.0),
+    "polarization": (-0.3, 0.3), "branch": [-1, 1], "noise_sigma": (0.0, 0.01),
+    "start_mhz": (2000.0, 2300.0), "stop_mhz": (2300.0, 2600.0), "points": (2, 2001),
+    "n_lines": (1, 8), "d_gs_mhz": (3000.0, 4000.0), "areas": (0.0, 10.0),
+    "nitrogen_frac_15": (0.0, 1.0), "boron_frac_10": (0.0, 1.0),
+}
+# the mutations of a case's config; "redrawn" keeps it valid
+FUZZ_MUTATIONS = (
+    "redrawn", "edge values", "nested junk", "deleted key", "unknown key", "repeated key",
+    "not an object",
+)
+# what a fit case's CSV may read: one of three spectra, the valid quartet and
+# two with no line, so a fit of them exits 3, with up to two of the changes
 FUZZ_CSV_BODIES = ("quartet", "flat", "noise")
-FUZZ_CASES = 300
+FUZZ_CSV_DAMAGE = (
+    "bom", "latin-1 byte", "cr", "nul", "quote", "short file", "bad header", "sigma column",
+    "short row", "long row", "bad cell", "oversized cell", "duplicate row",
+)
+FUZZ_BAD_CELLS = ("", "abc", "nan", "-inf", "1e400", "1e308", "-0", " 2 ")
+FUZZ_CASES = 660
 # the stderr prefixes of a nonzero exit, as the README's exit codes list them
 STDERR_PREFIXES = ("config error: ", "ingestion error: ", "error: ", "fit error: ")
 
 
-def fuzz_bases(csv_path: str) -> dict:
-    """One valid config per verb, and per fit model, every optional key set."""
+def fuzz_bases() -> dict:
+    """One valid config per verb, and per fit model and p15 mode, every
+    optional key set; a fit reads ``input.csv`` in the working directory."""
     model = {
         "f_center_mhz": 2308.0, "contrast": 0.11, "linewidth_mhz": 51.0, "a14_mhz": 43.0,
         "a15_mhz": 64.0, "p15": 0.6, "branch": -1, "polarization": 0.1,
     }
     grid = {"start_mhz": 2100.0, "stop_mhz": 2500.0, "points": 401}
     fit_common = {
-        "input_csv": csv_path, "branch": -1, "d_gs_mhz": 3478.0, "sample_id": "s1",
+        "input_csv": "input.csv", "branch": -1, "d_gs_mhz": 3478.0, "sample_id": "s1",
         "field_mt": 20.0, "laser_power_mw": 1.0,
     }
     blocks = {
         "simulate": {"model": model, "grid": grid, "noise_sigma": 0.002},
         "fit physical": {**fit_common, "model": "physical", "p15": 1.0, "init": {"a15_mhz": 60.0}},
+        "fit physical free": {**fit_common, "p15": "free", "init": {"p15": 0.5, "a14_mhz": 40.0}},
         "fit free_lorentzians": {
             **fit_common, "model": "free_lorentzians", "n_lines": 4, "polarization": True
         },
@@ -1607,83 +1420,147 @@ def fuzz_bases(csv_path: str) -> dict:
     return {name: {name.split()[0]: block, "seed": 3} for name, block in blocks.items()}
 
 
-def fuzz_csv(body: str = "quartet") -> str:
+def fuzz_csv(body: str = "quartet") -> bytes:
     """81 rows of one of ``FUZZ_CSV_BODIES``: a noisy 15N quartet (the CSV
     of every base config), the flat line y = 1, or noise about it alone."""
     model = SpectrumModel(f_center=2308.0, contrast=0.11, linewidth=40.0, a14=43.0, a15=64.0, p15=1.0)
     grid = np.linspace(2100.0, 2500.0, 81)
-    noise = np.random.default_rng(0).normal(0.0, 0.002, 81)
-    if body == "quartet":
-        values = mixture_spectrum(model, grid).values + noise
-    elif body == "noise":
-        values = 1.0 + noise
-    else:
-        values = np.ones(81)
+    noise = np.random.default_rng(0).normal(0.0, 0.002, 81) * (body != "flat")
+    values = (mixture_spectrum(model, grid).values if body == "quartet" else 1.0) + noise
     rows = (f"{f!r},{v!r}\n" for f, v in zip(grid.tolist(), values.tolist()))
-    return "".join(["frequency_mhz,ratio\n", *rows])
+    return "".join(["frequency_mhz,ratio\n", *rows]).encode()
 
 
-def leaves(node, path=()) -> list:
-    """The paths of every value of ``node`` that is not a nonempty object or array."""
-    if isinstance(node, (dict, list)) and node:
-        keys = node if isinstance(node, dict) else range(len(node))
-        return [leaf for key in keys for leaf in leaves(node[key], (*path, key))]
-    return [path]
+# inputs that once broke the contract, by name: (verb, config text, CSV bytes,
+# exit code). A key or a path with a line break printed a second stderr line
+# without a prefix; a physical fit of a CSV with no line exited 0.
+_PHYSICAL = json.dumps(fuzz_bases()["fit physical"])
+FUZZ_PINNED = {
+    "cr key": ("simulate", '{"simulate": {"\\r": null}}', b"", 1),
+    "record separator key": ("validate", '{"validate": {"\\u001e": null}}', b"", 1),
+    "line separator key": ("simulate", '{"simulate": {"x\\u2028y": null}}', b"", 1),
+    "newline in input_csv": ("fit", '{"fit": {"input_csv": "no\\nsuch.csv"}}', b"", 2),
+    "physical fit of a flat line": ("fit", _PHYSICAL, fuzz_csv("flat"), 3),
+    "physical fit of noise": ("fit", _PHYSICAL, fuzz_csv("noise"), 3),
+}
 
 
-def damage_csv(rng: random.Random, text: str, damage: str) -> str:
-    """``text`` with one ``damage`` at a place that ``rng`` draws."""
-    if damage == "bom":
-        return "\ufeff" + text
-    at = rng.randrange(len(text))
+def objects(node) -> list[dict]:
+    """Every object in ``node``, itself included, at any depth."""
+    if isinstance(node, list):
+        return [found for value in node for found in objects(value)]
+    if isinstance(node, dict):
+        return [node] + [found for value in node.values() for found in objects(value)]
+    return []
+
+
+def fuzz_text(rng: random.Random) -> str:
+    return "".join(rng.choices(FUZZ_TEXT, k=rng.randint(0, 4)))
+
+
+def fuzz_junk(rng: random.Random, depth: int = 0):
+    """An edge value, drawn text, or (above depth 2) an array or an object of
+    up to three junk values."""
+    kind = rng.randrange(4 if depth < 2 else 2)
+    if kind < 2:
+        return copy.deepcopy(rng.choice(FUZZ_EDGES)) if kind == 0 else fuzz_text(rng)
+    values = [fuzz_junk(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return values if kind == 2 else {fuzz_text(rng): value for value in values}
+
+
+def redrawn(rng: random.Random, node, key=None):
+    """``node`` with every number under a ``FUZZ_RANGES`` key drawn anew in
+    its range, and every boolean drawn anew."""
+    if isinstance(node, dict):
+        return {k: redrawn(rng, v, k if k in FUZZ_RANGES else key) for k, v in node.items()}
+    if isinstance(node, list):
+        return [redrawn(rng, value, key) for value in node]
+    if isinstance(node, bool):
+        return rng.random() < 0.5
+    if key is None or isinstance(node, str):
+        return node
+    span = FUZZ_RANGES[key]
+    if isinstance(span, list):
+        return rng.choice(span)
+    return rng.randint(*span) if isinstance(span[0], int) else rng.uniform(*span)
+
+
+def mutate(rng: random.Random, config: dict, mutation: str) -> str:
+    """``config`` with one of ``FUZZ_MUTATIONS``, as the JSON text a case writes."""
+    if mutation == "redrawn":
+        return json.dumps(redrawn(rng, config))
+    if mutation == "not an object":
+        root = fuzz_junk(rng)
+        return json.dumps([root] if isinstance(root, dict) else root)
+    if mutation in ("edge values", "nested junk"):  # one to three values, at any depth
+        slots = [(block, key) for block in objects(config) for key in block]
+        for block, key in rng.sample(slots, rng.randint(1, min(3, len(slots)))):
+            edge = copy.deepcopy(rng.choice(FUZZ_EDGES))
+            block[key] = fuzz_junk(rng) if mutation == "nested junk" else edge
+        return json.dumps(config)
+    block = rng.choice([found for found in objects(config) if found])
+    key = rng.choice(list(block))
+    if mutation == "deleted key":
+        del block[key]
+    elif mutation == "unknown key":
+        block[fuzz_text(rng)] = fuzz_junk(rng)
+    else:  # a repeated key: a placeholder pair, swapped for a copy of key's
+        block["\0"] = None
+        pair = f"{json.dumps(key)}: {json.dumps(block[key])}"
+        return json.dumps(config).replace('"\\u0000": null', pair)
+    return json.dumps(config)
+
+
+def damage_csv(rng: random.Random, data: bytes, damage: str) -> bytes:
+    """``data`` with one of ``FUZZ_CSV_DAMAGE`` at a place that ``rng`` draws."""
+    if damage in ("bom", "latin-1 byte"):
+        return (b"\xef\xbb\xbf" if damage == "bom" else b"\xe9") + data
     if damage in ("cr", "nul", "quote"):
-        return text[:at] + {"cr": "\r", "nul": "\0", "quote": '"'}[damage] + text[at:]
-    lines = text.split("\n")
-    k = rng.randrange(1, len(lines) - 1)  # a data row; the last split is empty
-    cells = lines[k].split(",")
-    if damage == "short row":
-        cells.pop()
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + {"cr": b"\r", "nul": b"\0", "quote": b'"'}[damage] + data[at:]
+    lines = data.split(b"\n")
+    k = rng.randrange(len(lines))  # any line: the header and the empty last one too
+    if damage == "short file":  # the header and 0-24 rows
+        lines = lines[: rng.randint(1, 25)] + [b""]
+    elif damage == "bad header":
+        lines[0] = rng.choice([b"", b"f,r", b"frequency_mhz", b"frequency_mhz,ratio,sigma"])
+    elif damage == "sigma column":
+        lines = [lines[0] + b",sigma"] + [line and line + b",0.002" for line in lines[1:]]
+    elif damage == "duplicate row":
+        lines.insert(k, lines[k])
+    elif damage == "short row":
+        lines[k] = b",".join(lines[k].split(b",")[:-1])
     elif damage == "long row":
-        cells.append("1")
-    else:
-        cells[rng.randrange(len(cells))] = "9" * (csv.field_size_limit() + 1)
-    lines[k] = ",".join(cells)
-    return "\n".join(lines)
+        lines[k] += b",1"
+    else:  # a bad or an oversized cell
+        cells = lines[k].split(b",")
+        bad = FUZZ_BAD_CELLS if damage == "bad cell" else ["9" * (csv.field_size_limit() + 1)]
+        cells[rng.randrange(len(cells))] = rng.choice(bad).encode()
+        lines[k] = b",".join(cells)
+    return b"\n".join(lines)
 
 
-def fuzz_case(case: int, csv_path: str) -> tuple[str, dict, str]:
-    """Case ``case`` of the fuzz: its verb, its config and its CSV text. A fit
-    case, in half of the draws, reads one of ``FUZZ_CSV_BODIES`` with up to
-    two damages; every other case replaces one to three leaves of its config
-    with edge values."""
+def fuzz_case(case: int) -> tuple[str, str, bytes, tuple[str, ...]]:
+    """Case ``case`` of the fuzz: its verb, config text and CSV bytes, and the
+    names of what it drew. A fit case, in half of the draws, keeps its config
+    and reads one of ``FUZZ_CSV_BODIES`` with up to two of ``FUZZ_CSV_DAMAGE``;
+    every other case reads the quartet with one of ``FUZZ_MUTATIONS``."""
     rng = random.Random(case)
-    bases = fuzz_bases(csv_path)
+    bases = fuzz_bases()
     name = rng.choice(sorted(bases))
-    verb, config, text = name.split()[0], bases[name], fuzz_csv()
+    verb, config = name.split()[0], bases[name]
     if verb == "fit" and rng.random() < 0.5:
-        text = fuzz_csv(rng.choice(FUZZ_CSV_BODIES))
-        for damage in rng.sample(FUZZ_CSV_DAMAGE, rng.randint(0, 2)):
-            text = damage_csv(rng, text, damage)
-        return verb, config, text
-    paths = leaves(config)
-    for path in rng.sample(paths, rng.randint(1, min(3, len(paths)))):
-        node = config
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = copy.deepcopy(rng.choice(FUZZ_EDGES))
-    return verb, config, text
+        kinds = (rng.choice(FUZZ_CSV_BODIES), *rng.sample(FUZZ_CSV_DAMAGE, rng.randint(0, 2)))
+        data = fuzz_csv(kinds[0])
+        for damage in kinds[1:]:
+            data = damage_csv(rng, data, damage)
+        return verb, json.dumps(config), data, kinds
+    mutation = rng.choice(FUZZ_MUTATIONS)
+    return verb, mutate(rng, config, mutation), fuzz_csv(), (mutation,)
 
 
-def run_fuzz_case(verb: str, config_path: Path, out: Path) -> tuple:
-    """Exit code, stdout, stderr and written files of one in-process run."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main([verb, "--config", str(config_path), "--out", str(out)])
-        except SystemExit as exc:  # argparse's own exit
-            code = exc.code
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-    return code, stdout.getvalue(), stderr.getvalue(), files
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} in a report")
 
 
 def contract_violation(verb: str, code, stderr: str, files: dict) -> str | None:
@@ -1707,39 +1584,61 @@ def contract_violation(verb: str, code, stderr: str, files: dict) -> str | None:
     return None
 
 
-def test_seeded_fuzz_keeps_the_cli_contract(tmp_path):
+def fuzz_run(tmp_path: Path, verb: str, config_text: str, data: bytes) -> tuple:
+    """One case run twice in-process in ``tmp_path``, its ``input.csv``
+    holding ``data``: its exit code and what in it breaks the contract, or None."""
+    (tmp_path / "input.csv").write_bytes(data)
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(config_text, encoding="utf-8")
+    runs = []
+    for _ in range(2):  # into the same directory, so stdout names the same path
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main([verb, "--config", str(config_path), "--out", str(out)])
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        runs.append((code, stdout.getvalue(), stderr.getvalue(), files))
+    code, _, stderr, files = runs[0]
+    if runs[1] != runs[0]:
+        return code, "differs when repeated"
+    return code, contract_violation(verb, code, stderr, files)
+
+
+def test_seeded_fuzz_keeps_the_cli_contract(tmp_path, monkeypatch):
     # FUZZ_CASES seeded cases, each run twice: any exception fails the test,
     # and a case that breaks the contract is named by its number
-    csv_path = tmp_path / "input.csv"
-    codes = set()
+    monkeypatch.chdir(tmp_path)
+    codes, drawn = set(), set()
     for case in range(FUZZ_CASES):
-        verb, config, text = fuzz_case(case, str(csv_path))
-        csv_path.write_bytes(text.encode("utf-8"))
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        runs = []
-        for _ in range(2):  # into the same directory, so stdout names the same path
-            shutil.rmtree(tmp_path / "out", ignore_errors=True)
-            runs.append(run_fuzz_case(verb, config_path, tmp_path / "out"))
-        code, _, stderr, files = runs[0]
-        violation = contract_violation(verb, code, stderr, files)
-        assert violation is None, f"case {case} ({verb}): {violation}"
-        assert runs[1] == runs[0], f"case {case} differs when repeated"
+        verb, config_text, data, kinds = fuzz_case(case)
+        code, violation = fuzz_run(tmp_path, verb, config_text, data)
+        assert violation is None, f"case {case} ({verb}, {', '.join(kinds)}): {violation}"
         codes.add(code)
+        drawn.update(kinds)
     # the mutations reach past the schema: some cases run, some are refused,
-    # and some fits run to a partial report
+    # and some fits run to a partial report; and no kind of input is left out
     assert {0, 1, 2, 3} <= codes
+    assert drawn == {*FUZZ_MUTATIONS, *FUZZ_CSV_BODIES, *FUZZ_CSV_DAMAGE}
 
 
-def test_fuzz_cases_are_a_function_of_their_number(tmp_path):
-    csv_path = tmp_path / "input.csv"
-    cases = [fuzz_case(c, str(csv_path)) for c in range(20)]
-    assert cases == [fuzz_case(c, str(csv_path)) for c in range(20)]
-    # every base config runs before it is mutated, on the intact CSV
-    csv_path.write_text(fuzz_csv(), encoding="utf-8")
-    for name, config in fuzz_bases(str(csv_path)).items():
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        out = tmp_path / name.replace(" ", "_")
-        code, _, stderr, _ = run_fuzz_case(name.split()[0], config_path, out)
-        assert code == 0, (name, stderr)
+@pytest.mark.parametrize("name", list(FUZZ_PINNED))
+def test_pinned_fuzz_case_keeps_the_cli_contract(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    verb, config_text, data, code = FUZZ_PINNED[name]
+    assert fuzz_run(tmp_path, verb, config_text, data) == (code, None)
+
+
+def test_fuzz_cases_are_a_function_of_their_number(tmp_path, monkeypatch):
+    cases = [fuzz_case(c) for c in range(FUZZ_CASES)]
+    assert cases == [fuzz_case(c) for c in range(FUZZ_CASES)]
+    # every base config runs before it is mutated, on the intact CSV, and a
+    # pinned fit reads its CSV: what exits 3 there is the fit
+    monkeypatch.chdir(tmp_path)
+    for name, config in fuzz_bases().items():
+        assert fuzz_run(tmp_path, name.split()[0], json.dumps(config), fuzz_csv()) == (0, None)
+    for _, _, data, code in FUZZ_PINNED.values():
+        (tmp_path / "input.csv").write_bytes(data)
+        assert code != 3 or ingest_csv("input.csv").n_samples == 81

@@ -994,6 +994,21 @@ def test_physical_fit_recovers_from_coupling_starts_near_zero():
             assert res.residual_norm <= 1.2 * 0.002, (a14, a15)
 
 
+@pytest.mark.parametrize("body", ["flat", "noise"])
+@pytest.mark.parametrize(
+    "p15_mode", [("fixed", 0.0), ("fixed", 1.0), ("fixed", 0.6), "free"], ids=["0", "1", "0.6", "free"]
+)
+def test_physical_fit_of_a_spectrum_with_no_line_is_not_converged(body, p15_mode):
+    # each mode ends as a converged LM run: on the flat line with its contrast
+    # on the 1e-6 bound, on noise with a linewidth of 0 or, at p15 = 1, with
+    # f_center near -7e7 MHz; none beats y = 1 by the no-line chi^2
+    grid = np.linspace(2100.0, 2500.0, 801)
+    noise = np.random.default_rng(0).normal(0.0, 0.002, grid.size) * (body == "noise")
+    res = fit_physical(MeasuredSpectrum(grid, 1.0 + noise), p15_mode=p15_mode)
+    assert not res.converged
+    assert len([d for d in res.diagnostics if d.startswith("no lines:")]) == 1
+
+
 def test_noiseless_round_trip_mixture():
     truth, meas = synthetic(
         dict(f_center=2310.0, contrast=0.09, linewidth=44.0, a14=41.0, a15=62.0, p15=0.6)
