@@ -8,9 +8,10 @@ hamiltonian_sweep, the first ``--rounds`` rounds (default: all 36): per slot
 (op_a axial solves, op_b transverse dense solves, op_c axial solves with
 nuclear Zeeman) the dtype of its checked matrices, then the mean us per
 solve of four stages of ``spin_core.transition_frequencies(system, "full")``.
-``build_full_hamiltonian`` keeps its product float64 when the imaginary part
-is all zero, complex128 otherwise, and ``HermitianMatrix`` applies the same
-rule again; float64 takes LAPACK's real path. A slot with both prints both.
+``build_full_hamiltonian`` sums a system with no imaginary term in float64,
+from the terms it enters, and any other in complex128; ``HermitianMatrix``
+stores a matrix as float64 exactly when its imaginary part is all zero, and
+float64 takes LAPACK's real path. A slot with both dtypes prints both.
 
 * build: ``build_full_hamiltonian`` with its ``HermitianMatrix`` check
   replaced by a pass-through, so the assembly alone;
@@ -34,9 +35,10 @@ trial points included), then the mean us of four stages:
 
 Each stage is timed over all items of a row in one pass; a mean is the
 median over ``--passes`` passes (default: 9 for the solves, 5 for the
-fits), the stages of a pass run back to back. Each fit cell prints that
-median and, after a slash, the minimum over the passes, which a slow
-stretch of the host moves less. BLAS is pinned to one thread before NumPy
+fits), the stages of a pass run back to back. Each cell prints that median
+and, after a slash, the minimum over the passes, which a slow stretch of
+the host moves less; a solve row's total adds up its medians and its
+minima. BLAS is pinned to one thread before NumPy
 loads, as the benchmark pins it. ``--root OTHER`` times another checkout, so
 two can be set side by side on the same host.
 
@@ -73,8 +75,9 @@ def mean_us(call, items) -> float:
 
 
 def solve_times(spin_core, systems: list, passes: int) -> tuple[dict, str]:
-    """Median over ``passes`` of each solve stage's mean microseconds per solve,
-    and the dtypes of the checked matrices, sorted, joined by '/'."""
+    """Median and minimum over ``passes`` of each solve stage's mean
+    microseconds per solve, and the dtypes of the checked matrices, sorted,
+    joined by '/'."""
     checked = [spin_core.build_full_hamiltonian(s) for s in systems]
     solved = [spin_core.eigen_hermitian(h) for h in checked]
     stored_h = dict(zip(map(id, systems), checked))
@@ -100,7 +103,8 @@ def solve_times(spin_core, systems: list, passes: int) -> tuple[dict, str]:
         spin_core.HermitianMatrix = check
         spin_core.build_full_hamiltonian, spin_core.eigen_hermitian = build, eigen
     dtypes = "/".join(sorted({h.entries.dtype.name for h in checked}))
-    return {stage: statistics.median(values) for stage, values in runs.items()}, dtypes
+    times = {stage: (statistics.median(values), min(values)) for stage, values in runs.items()}
+    return times, dtypes
 
 
 def solve_table(rounds: int | None, passes: int | None) -> None:
@@ -111,18 +115,19 @@ def solve_table(rounds: int | None, passes: int | None) -> None:
     sweep.setup()
     rounds = min(rounds or sweep.corpus_rounds, sweep.corpus_rounds)
     passes = passes or SOLVE_PASSES
-    print(f"hamiltonian_sweep, {rounds} rounds, median of {passes} passes, mean us per solve")
+    print(f"hamiltonian_sweep, {rounds} rounds, median/min of {passes} passes, mean us per solve")
     systems = {s: [] for s in SLOTS}
     for r in range(rounds):
         inputs = sweep.inputs(r)
         for s in SLOTS:
             systems[s].extend(inputs[s])
-    header = "".join(f" {stage:>10}" for stage in (*SOLVE_STAGES, "total"))
+    header = "".join(f" {stage:>13}" for stage in (*SOLVE_STAGES, "total"))
     print(f"{'slot':5} {'solves':>6} {'dtype':>10}{header}")
     for s in SLOTS:
         times, dtype = solve_times(spin_core, systems[s], passes)
-        cells = "".join(f" {times[stage]:10.1f}" for stage in SOLVE_STAGES)
-        print(f"{s:5} {len(systems[s]):6d} {dtype:>10}{cells} {sum(times.values()):10.1f}")
+        times["total"] = tuple(map(sum, zip(*times.values())))
+        cells = "".join(f" {'%.1f/%.1f' % times[stage]:>13}" for stage in (*SOLVE_STAGES, "total"))
+        print(f"{s:5} {len(systems[s]):6d} {dtype:>10}{cells}")
 
 
 def fit_kinds(fit, batch, rounds: int) -> dict:

@@ -82,8 +82,10 @@ PHYSICAL_BOUNDS = {
 class MeasuredSpectrum:
     """Ingested ODMR samples: (frequency MHz, PL ratio, optional sigma),
     sorted by frequency. Every sample rule is checked here: at least 8
-    samples, all finite, positive sigmas and frequencies more than
-    ``DUPLICATE_FREQ_TOL_MHZ`` apart."""
+    samples, all finite, positive sigmas, frequencies more than
+    ``DUPLICATE_FREQ_TOL_MHZ`` apart, and a finite chi^2 of the flat line
+    y = 1, sum(((1 - r) / sigma)^2): every fit starts from it, and a
+    residual that overflows when squared leaves no cost to minimize."""
 
     frequencies: np.ndarray
     ratios: np.ndarray
@@ -113,6 +115,10 @@ class MeasuredSpectrum:
             if not np.isfinite(s).all():
                 raise ValueError("sigma values must be finite")
             s = _read_only(s[order])
+        with np.errstate(over="ignore"):
+            flat = 1.0 - r if s is None else (1.0 - r) / s
+            if not math.isfinite(flat @ flat):
+                raise ValueError("the flat line's chi^2 is not finite: a ratio is too far from 1")
         object.__setattr__(self, "frequencies", _read_only(f))
         object.__setattr__(self, "ratios", _read_only(r))
         object.__setattr__(self, "sigmas", s)
@@ -235,9 +241,10 @@ def lm_minimize(
         raise TypeError("problem(p) must return a (residuals, jacobian) pair, jacobian callable")
     r, jacobian = evaluated
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
+    if not math.isfinite(cost):
         raise ValueError("residual function is not finite at the initial point")
-    cost = float(r @ r)
 
     lam = 1e-3
     converged = False

@@ -11,19 +11,22 @@ under an axial bias field it also evaluates them from the secular model,
 whose Hamiltonian is diagonal in the product basis, without building a
 matrix. Isotopes and labels come from ``constants``, shared with ``spectrum``.
 
-A matrix is float64 when its imaginary part is all zero, complex otherwise.
-``build_full_hamiltonian`` applies that rule to its assembled product before
-the transpose copy, and ``HermitianMatrix`` applies it again to every matrix
-it checks, so an axial field's real Hamiltonian stays float64 from assembly
-to the real symmetric driver.
+A checked matrix is float64 exactly when its imaginary part is all zero,
+complex128 otherwise: ``HermitianMatrix`` applies that one rule with one
+scan. ``build_full_hamiltonian`` assembles only the terms with a nonzero
+coefficient, and when none of them is imaginary (no y field, e_y strain,
+tensor y row or column, or quadrupole on sites 2 and 3: an axial field on
+axial tensors, for one) it sums them in float64, so such a Hamiltonian is
+real from assembly to LAPACK's real symmetric driver.
 
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
 N x N hyperfine fields B_a seen by electron axis a, and an N x N nuclear
 part, with N the dimension of the nuclear product space (at most 27). Each
 of its sums, the Kronecker sum too, is one product of flattened operators.
-The nuclear spin operators and quadrupole squares are built once per isotope
-pattern and cached read-only; no 3N-dimensional operator is built per call.
+The nuclear spin operators, the quadrupole squares and the operator stacks
+of each set of terms are built once per isotope pattern and cached
+read-only; no 3N-dimensional operator is built per call.
 
 Conventions
 -----------
@@ -167,9 +170,11 @@ def make_system(
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square matrix validated finite and Hermitian, checked and stored as float64 when
-    its imaginary part is all zero, complex otherwise; ``build_full_hamiltonian``
-    applies the same rule to its product before this check."""
+    """Square matrix validated finite and Hermitian, checked and stored as
+    float64 exactly when its imaginary part is all zero (the one scan of it),
+    complex128 otherwise. ``build_full_hamiltonian`` hands it a float64 sum
+    when no term is imaginary, and a complex128 sum that may still be real
+    (a tensor with A_yy as its only y entry) otherwise."""
 
     entries: np.ndarray
 
@@ -253,8 +258,6 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
 
 # (Sx, Sy, Sz) of the S = 1 electron, stacked along the first axis
 _ELECTRON_OPERATORS = _read_only(np.array(spin_matrices(1.0)))
-# Sx, Sy, Sz and 1_3 flattened to columns: the fixed part of the Kronecker sum's left operand
-_LEFT_COLUMNS = _read_only(np.stack([*_ELECTRON_OPERATORS, np.eye(3)], axis=-1).reshape(9, 4))
 
 
 @functools.lru_cache(maxsize=8)
@@ -269,6 +272,45 @@ def _nuclear_operators(species: tuple[IsotopeSpecies, ...]) -> np.ndarray:
         [_embed(op, j, dims) for op in spin_matrices(sp.spin)]
         for j, sp in enumerate(species)
     ]))
+
+
+@functools.lru_cache(maxsize=32)
+def _term_stacks(
+    species: tuple[IsotopeSpecies, ...], rows: tuple[int, ...], columns: tuple[int, ...],
+    axes: tuple[int, ...], real: bool,
+) -> tuple[np.ndarray, ...]:
+    """Read-only, contiguous operator stacks of the terms a system enters, as
+    float64 real parts when ``real`` (S_y's and I_y's are zero), else
+    complex128, keyed by the terms (a few per isotope pattern):
+
+    * H_e's: (Sx, Sy, Sz) flattened to (3, 9) rows, and (Sz^2, Sy^2 - Sx^2,
+      SxSy + SySx), the last two the strain operators;
+    * S_a for each electron axis a in ``rows``, then 1_3, flattened to
+      (9, K) columns, and 1_N;
+    * I_b of site j for each column 3j + b in ``columns``, flattened to rows;
+    * per site j, I_b for each field axis b in ``axes``, flattened to rows.
+    """
+    sx, sy, sz = _ELECTRON_OPERATORS
+    s_rows = _ELECTRON_OPERATORS.reshape(3, 9)
+    products = np.array([sz @ sz, sy @ sy - sx @ sx, sx @ sy + sy @ sx])
+    s_columns = np.stack([sx, sy, sz, np.eye(3)], axis=-1).reshape(9, 4)[:, [*rows, 3]]
+    i_ops = _nuclear_operators(species)
+    n = i_ops.shape[-1]
+    if real:
+        s_rows, products, s_columns, i_ops = (a.real for a in (s_rows, products, s_columns, i_ops))
+    i_ops = i_ops.reshape(9, n * n)
+
+    def rows_of(indices: list[int]) -> np.ndarray:
+        # consecutive rows, as a complex sum takes them, stay views of the cache
+        k = indices[0] if indices else 0
+        consecutive = indices == list(range(k, k + len(indices)))
+        return i_ops[k : k + len(indices)] if consecutive else i_ops[indices]
+
+    stacks = (
+        s_rows, products, s_columns, np.eye(n, dtype=i_ops.dtype), rows_of(list(columns)),
+        *(rows_of([3 * j + b for b in axes]) for j in range(3)),
+    )
+    return tuple(_read_only(np.ascontiguousarray(a)) for a in stacks)
 
 
 def quadrupole_axes(site_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,39 +349,73 @@ def build_full_hamiltonian(sys: SpinSystem) -> HermitianMatrix:
     nuclear part H_n (nuclear Zeeman, quadrupole), where N is the nuclear
     dimension. Each contraction is one matrix product of 2-D operand stacks,
     the one ``np.tensordot`` would make; H_n is summed site by site.
+
+    A term is imaginary through S_y or I_y, or through the quadrupole
+    squares of sites 2 and 3, whose in-plane axes mix I_x and I_y.
+    With no y field, no e_y strain, no tensor y row or column and no
+    quadrupole on sites 2 and 3, none is, and only the terms with a nonzero
+    coefficient are summed, in float64, from cached real parts of the
+    operators, so every product takes BLAS's real path: electron axis a
+    enters the hyperfine sum when row a of some tensor is nonzero, axis b of
+    site j when column b of its tensor is, and H_n when a site has a
+    quadrupole term or, with nuclear Zeeman on, the field a component. The
+    entries equal those of the complex128 sum's real part (a zero may
+    differ in sign). Any other system is summed in complex128 with every
+    term. ``HermitianMatrix`` then stores the sum as float64 exactly when
+    its imaginary part is all zero.
     """
     e = sys.electron
-    sx, sy, sz = _ELECTRON_OPERATORS
-    field = np.array([e.b_field])  # (1, 3): B . O is field @ (3, K) stack of O
-    zeeman = (field @ _ELECTRON_OPERATORS.reshape(3, 9)).reshape(3, 3)
-    h_e = e.d_gs * (sz @ sz) + GAMMA_E_MHZ_PER_MT * zeeman
-    if e.e_x or e.e_y:
-        h_e = h_e + e.e_x * (sy @ sy - sx @ sx) + e.e_y * (sx @ sy + sy @ sx)
-
     species = tuple(site.species for site in sys.sites)
-    i_ops = _nuclear_operators(species)
-    n = i_ops.shape[-1]
-    # B_a = sum_j sum_b A_j[a, b] I_j,b: (3, 9) tensors, column 3j + b, @ (9, N*N)
+    # (3, 9) tensors: row a electron axis a, column 3j + b nuclear axis b of site j
     tensors = np.concatenate([site.hfi_tensor for site in sys.sites], axis=1)
-    fields = tensors @ i_ops.reshape(9, n * n)
+    coupled = tensors.tolist()
+    quadrupole = [sys.include_quadrupole and any(site.quadrupole) for site in sys.sites]
+    real = not (
+        e.b_field[1] or e.e_y or any(coupled[1]) or any(row[c] for row in coupled for c in (1, 4, 7))
+        or any(q and site.site_index != 1 for q, site in zip(quadrupole, sys.sites))
+    )
+    field = np.array([e.b_field])  # (1, 3): B . O is field @ (3, K) stack of O
+    nuclear_field = field
+    if real:  # the terms with a nonzero coefficient
+        rows = [a for a in (0, 2) if any(coupled[a])]
+        columns = [c for c, column in enumerate(zip(*coupled)) if any(column)]
+        axes = [b for b in (0, 2) if e.b_field[b]] if sys.include_nuclear_zeeman else []
+        tensors = np.array([[coupled[a][c] for c in columns] for a in rows])
+        tensors = tensors.reshape(len(rows), len(columns))
+        nuclear_field = np.array([[e.b_field[b] for b in axes]])
+    else:  # every term, as the complex128 sum has always been taken
+        rows, columns = [0, 1, 2], list(range(9))
+        axes = [0, 1, 2] if sys.include_nuclear_zeeman else []
+        quadrupole = [sys.include_quadrupole] * 3
+    s_rows, products, s_columns, identity, i_columns, *i_axes = _term_stacks(
+        species, tuple(rows), tuple(columns), tuple(axes), real
+    )
+    n = len(identity)
 
-    h_n = np.zeros((1, n * n), dtype=complex)
+    h_e = e.d_gs * products[0] + GAMMA_E_MHZ_PER_MT * (field @ s_rows).reshape(3, 3)
+    if e.e_x or e.e_y:
+        h_e = h_e + e.e_x * products[1] + e.e_y * products[2]
+    # B_a = sum_j sum_b A_j[a, b] I_j,b over the rows a and columns 3j + b entered
+    fields = tensors @ i_columns
+    # H_n from 0, site by site; a real sum is a (1, N*N) row once a site has a term
+    h_n = 0.0 if real else np.zeros((1, n * n), dtype=complex)
     for j, site in enumerate(sys.sites):
-        if sys.include_nuclear_zeeman:
+        if axes:
             gamma_mhz = site.species.gamma_n_khz_per_mt * 1e-3
-            h_n = h_n + (-gamma_mhz) * (field @ i_ops[j].reshape(3, n * n))
-        if sys.include_quadrupole:
-            i_p2, i_z2, i_o2 = _quadrupole_squares(species, j, site.site_index)
+            h_n = h_n + (-gamma_mhz) * (nuclear_field @ i_axes[j])
+        if quadrupole[j]:
+            squares = _quadrupole_squares(species, j, site.site_index)
+            i_p2, i_z2, i_o2 = squares.real if real else squares
             p_p, p_z, p_o = site.quadrupole
             h_n = h_n + p_p * i_p2 + p_z * i_z2 + p_o * i_o2
 
-    # sum_k L_k (x) R_k, L = (H_e, Sx, Sy, Sz, 1_3), R = (1_N, Bx, By, Bz, H_n), as one
-    # (9, 5) @ (5, N*N) product, real if its imaginary part is all zero (axial systems);
-    # entry [a, b, m, n] goes to row aN + m, column bN + n
-    left = np.concatenate([h_e.reshape(9, 1), _LEFT_COLUMNS], axis=1)
-    right = np.concatenate([np.eye(n).reshape(1, n * n), fields, h_n])
-    h = left @ right
-    h = (h if h.imag.any() else h.real).reshape(3, 3, n, n).transpose(0, 2, 1, 3)
+    # sum_k L_k (x) R_k, L = (H_e, S_a, 1_3), R = (1_N, B_a, H_n) over the terms
+    # entered, as one (9, K) @ (K, N*N) product; entry [a, b, m, n] goes to row
+    # aN + m, column bN + n
+    h_n = [h_n.reshape(1, n * n)] if isinstance(h_n, np.ndarray) else []
+    left = np.concatenate([h_e.reshape(9, 1), s_columns[:, : len(rows) + len(h_n)]], axis=1)
+    right = np.concatenate([identity.reshape(1, n * n), fields, *h_n])
+    h = (left @ right).reshape(3, 3, n, n).transpose(0, 2, 1, 3)
     return HermitianMatrix(h.reshape(3 * n, 3 * n))
 
 

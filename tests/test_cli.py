@@ -1433,8 +1433,14 @@ def fuzz_csv(body: str = "quartet") -> bytes:
 
 # inputs that once broke the contract, by name: (verb, config text, CSV bytes,
 # exit code). A key or a path with a line break printed a second stderr line
-# without a prefix; a physical fit of a CSV with no line exited 0.
+# without a prefix; a physical fit of a CSV with no line exited 0; a
+# free-Lorentzian fit of a ratio of 1e308, whose flat-line chi^2 overflows,
+# had LAPACK write to stdout, then exited 1 naming neither cell nor fit.
 _PHYSICAL = json.dumps(fuzz_bases()["fit physical"])
+_HUGE_RATIO = b"\n".join(
+    b"2250.0,1e308" if line.startswith(b"2250.0,") else line
+    for line in fuzz_csv("noise").split(b"\n")
+)
 FUZZ_PINNED = {
     "cr key": ("simulate", '{"simulate": {"\\r": null}}', b"", 1),
     "record separator key": ("validate", '{"validate": {"\\u001e": null}}', b"", 1),
@@ -1442,6 +1448,9 @@ FUZZ_PINNED = {
     "newline in input_csv": ("fit", '{"fit": {"input_csv": "no\\nsuch.csv"}}', b"", 2),
     "physical fit of a flat line": ("fit", _PHYSICAL, fuzz_csv("flat"), 3),
     "physical fit of noise": ("fit", _PHYSICAL, fuzz_csv("noise"), 3),
+    "free_lorentzians fit of a 1e308 ratio": (
+        "fit", json.dumps(fuzz_bases()["fit free_lorentzians"]), _HUGE_RATIO, 2
+    ),
 }
 
 
@@ -1629,6 +1638,25 @@ def test_pinned_fuzz_case_keeps_the_cli_contract(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     verb, config_text, data, code = FUZZ_PINNED[name]
     assert fuzz_run(tmp_path, verb, config_text, data) == (code, None)
+
+
+def test_lapack_writes_nothing_to_stdout_on_a_huge_ratio(tmp_path):
+    # the in-process fuzz sees only sys.stdout: this process's fd 1 is the
+    # one LAPACK's error handler wrote to
+    verb, config_text, data, code = FUZZ_PINNED["free_lorentzians fit of a 1e308 ratio"]
+    (tmp_path / "input.csv").write_bytes(data)
+    (tmp_path / "config.json").write_text(config_text, encoding="utf-8")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-m", "vbodmr.cli", verb, "--config", "config.json", "--out", "out"],
+        capture_output=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert (done.returncode, done.stdout) == (code, b"")
+    assert done.stderr.decode().splitlines() == [
+        "ingestion error: input.csv: the flat line's chi^2 is not finite: a ratio is too far from 1"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuzz_cases_are_a_function_of_their_number(tmp_path, monkeypatch):

@@ -73,9 +73,15 @@ SIGMAS_10 = np.full(10, 0.002)
         (with_entry(GRID_10, 0, -np.inf), ONES_10, None, "finite"),
         (GRID_10, with_entry(ONES_10, 4, np.nan), None, "finite"),
         (GRID_10, with_entry(ONES_10, 4, np.inf), None, "finite"),
+        # finite samples whose flat-line chi^2 overflows: no fit has a cost
+        (GRID_10, with_entry(ONES_10, 4, 1e308), None, "flat line's chi\\^2 is not finite"),
+        (GRID_10, with_entry(ONES_10, 4, -1e200), None, "flat line's chi\\^2 is not finite"),
+        (GRID_10, with_entry(ONES_10, 4, 0.5), with_entry(SIGMAS_10, 4, 1e-300),
+         "flat line's chi\\^2 is not finite"),
     ],
     ids=["long_sigmas", "short_sigmas", "nan_sigma", "inf_sigma", "nan_frequency",
-         "inf_frequency", "minus_inf_frequency", "nan_ratio", "inf_ratio"],
+         "inf_frequency", "minus_inf_frequency", "nan_ratio", "inf_ratio", "huge_ratio",
+         "huge_negative_ratio", "tiny_sigma"],
 )
 def test_measured_spectrum_rejects_malformed_input(frequencies, ratios, sigmas, message):
     with pytest.raises(ValueError, match=message):
@@ -175,6 +181,16 @@ def test_lm_linear_model_exact_recovery():
     assert res.converged
     assert res.values["a"] == pytest.approx(3.7, abs=1e-10)
     assert res.residual_norm < 1e-10
+
+
+@pytest.mark.parametrize("r0", [[1e200, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
+def test_lm_refuses_an_initial_cost_that_is_not_finite(r0):
+    # 1e200 is finite, but its square is not: there is no cost to lower
+    def problem(p):
+        return np.array(r0) + p, lambda: np.eye(2)
+
+    with pytest.raises(ValueError, match="not finite at the initial point"):
+        lm_minimize(problem, [0.0, 0.0], *unbounded(2))
 
 
 def test_lm_requires_a_jacobian():

@@ -4,6 +4,7 @@ package in ``src`` and prints a line of its table (a regular expression).
 process, and its trust columns are checked against a hand count."""
 
 import ast
+import ctypes
 import functools
 import importlib.util
 import os
@@ -30,13 +31,13 @@ ROOT = Path(__file__).resolve().parents[1]
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
         # one run of stages.py serves the next two cases, one per table.
         # hamiltonian_sweep: the dtype of each slot's matrices, then four
-        # stage times and their total per slot, in microseconds per solve:
-        # axial slots are real
+        # stage times and their total per slot, in microseconds per solve,
+        # each median/min over the passes: axial slots are real
         (
             "stages.py",
             ("--rounds", "1", "--passes", "1"),
-            r"op_a +4 +float64( +\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d){5}\n"
-            r"op_c +4 +float64( +\d+\.\d){5}\n",
+            r"op_a +4 +float64( +\d+\.\d/\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d/\d+\.\d){5}\n"
+            r"op_c +4 +float64( +\d+\.\d/\d+\.\d){5}\n",
         ),
         # fit_batch: the fits and LM points of each fit kind, then four stage
         # times in microseconds, each median/min over the passes: one residual
@@ -119,6 +120,34 @@ def test_stages_help_prints_each_example_on_its_own_line():
     printed = [line.strip() for line in done.stdout.splitlines()]
     for example in examples:
         assert example in printed, done.stdout
+
+
+def test_fuzz_cli_runs_a_case_range():
+    # cases 8500-8519 of the seeded fuzz, fd 1 watched; LAPACK wrote to it
+    # in case 8511 until the flat-line chi^2 rule refused its 1e308 ratio
+    done = run_script("fuzz_cli.py", "--n", "20", "--seed", "8500")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["cases 8500-8519: 0 violating"]
+
+
+def test_fuzz_cli_counts_a_write_below_python_as_a_violation(monkeypatch):
+    # a C stdio write, as LAPACK's error handler makes it, in a case that
+    # otherwise keeps the contract; with no line break it stays in C's
+    # buffer until the script flushes it
+    fuzz_cli = load_script("fuzz_cli")
+    monkeypatch.syspath_prepend(str(ROOT / "tests"))
+    import test_cli
+
+    printf = ctypes.CDLL(None).printf
+    printf.argtypes, printf.restype = [ctypes.c_char_p], ctypes.c_int
+
+    def writing(tmp_path, verb, config_text, data):
+        printf(b" ** below Python")
+        return 0, None
+
+    monkeypatch.setattr(test_cli, "fuzz_run", writing)
+    found = [(case, violation) for case, _, _, violation in fuzz_cli.violations(3, 2)]
+    assert found == [(case, "wrote to fd 1: b' ** below Python'") for case in (3, 4)]
 
 
 def load_script(name: str):

@@ -518,6 +518,128 @@ def test_real_hamiltonians_are_assembled_real_and_match_the_reference(n15):
     assert build_full_hamiltonian(dense_system(n15)).entries.dtype == np.complex128
 
 
+def complex_sum(sys_):
+    """The Kronecker sum with every term in complex128, as one (9, 5) @ (5, N*N)
+    product of (H_e, Sx, Sy, Sz, 1_3) and (1_N, Bx, By, Bz, H_n), reordered
+    to the product basis: the assembly of every system before real sums were
+    taken in float64 from the terms they enter."""
+    e = sys_.electron
+    ops = spin_core._ELECTRON_OPERATORS
+    sx, sy, sz = ops
+    field = np.array([e.b_field])
+    h_e = e.d_gs * (sz @ sz) + GAMMA_E_MHZ_PER_MT * (field @ ops.reshape(3, 9)).reshape(3, 3)
+    if e.e_x or e.e_y:
+        h_e = h_e + e.e_x * (sy @ sy - sx @ sx) + e.e_y * (sx @ sy + sy @ sx)
+    species = tuple(site.species for site in sys_.sites)
+    i_ops = _nuclear_operators(species)
+    n = i_ops.shape[-1]
+    tensors = np.concatenate([site.hfi_tensor for site in sys_.sites], axis=1)
+    fields = tensors @ i_ops.reshape(9, n * n)
+    h_n = np.zeros((1, n * n), dtype=complex)
+    for j, site in enumerate(sys_.sites):
+        if sys_.include_nuclear_zeeman:
+            gamma_mhz = site.species.gamma_n_khz_per_mt * 1e-3
+            h_n = h_n + (-gamma_mhz) * (field @ i_ops[j].reshape(3, n * n))
+        if sys_.include_quadrupole:
+            i_p2, i_z2, i_o2 = _quadrupole_squares(species, j, site.site_index)
+            p_p, p_z, p_o = site.quadrupole
+            h_n = h_n + p_p * i_p2 + p_z * i_z2 + p_o * i_o2
+    columns = np.stack([*ops, np.eye(3)], axis=-1).reshape(9, 4)
+    left = np.concatenate([h_e.reshape(9, 1), columns], axis=1)
+    right = np.concatenate([np.eye(n).reshape(1, n * n), fields, h_n])
+    h = (left @ right).reshape(3, 3, n, n).transpose(0, 2, 1, 3)
+    return h.reshape(3 * n, 3 * n)
+
+
+@pytest.mark.parametrize("nuclear_zeeman", [False, True])
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_axial_sums_are_the_real_part_of_the_complex_sum_bit_for_bit(n15, nuclear_zeeman):
+    # the benchmark's axial ranges: the float64 sum of the z terms alone is
+    # the real part of the complex128 sum of every term, signed zeros included
+    rng = np.random.default_rng([45, n15, nuclear_zeeman])
+    for _ in range(10):
+        sys_ = make_system(
+            rng.uniform(3300.0, 3600.0), rng.uniform(10.0, 100.0), n15,
+            rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0),
+            include_nuclear_zeeman=nuclear_zeeman,
+        )
+        h = build_full_hamiltonian(sys_).entries
+        reference = complex_sum(sys_)
+        assert reference.dtype == np.complex128 and not reference.imag.any()
+        assert h.dtype == np.float64
+        assert h.tobytes() == np.ascontiguousarray(reference.real).tobytes()
+
+
+def real_systems(rng, n15, count):
+    """Seeded systems with no imaginary term: x and z tensor entries, an xz
+    field of either sign, E_x strain, a quadrupole term on site 1 and either
+    optional term switched on or off."""
+    species = [IsotopeSpecies.N14] * (3 - n15) + [IsotopeSpecies.N15] * n15
+    for _ in range(count):
+        sites = []
+        for j, sp in enumerate(species, start=1):
+            tensor = np.diag([0.0, 0.0, rng.uniform(-80.0, 80.0)])
+            if rng.random() < 0.5:
+                tensor[[0, 0, 2], [0, 2, 0]] = rng.normal(scale=10.0, size=3)
+            quad = (0.0, 0.0, 0.0)
+            if j == 1 and sp is IsotopeSpecies.N14 and rng.random() < 0.5:
+                quad = tuple(rng.uniform(-1.0, 1.0, size=3))
+            sites.append(NuclearSite(sp, tensor, quad, j))
+        b_x = rng.uniform(-10.0, 10.0) if rng.random() < 0.5 else 0.0
+        e_x = rng.uniform(-50.0, 50.0) if rng.random() < 0.5 else 0.0
+        electron = ElectronParams(rng.uniform(3300.0, 3600.0), (b_x, 0.0, rng.uniform(-100.0, 100.0)), e_x)
+        yield SpinSystem(electron, tuple(sites), rng.random() < 0.5, rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_real_sums_equal_the_real_part_of_the_complex_sum(n15):
+    # every real system is summed in float64 and equals the complex sum's
+    # real part entry by entry. Only a zero's sign may differ: with N = 27,
+    # N*N is odd, and OpenBLAS's complex GEMM gives a zero entry of its last
+    # column the sign of its last product, where the real GEMM writes +0
+    for sys_ in real_systems(np.random.default_rng([45, n15]), n15, 25):
+        h = build_full_hamiltonian(sys_).entries
+        reference = complex_sum(sys_)
+        assert not reference.imag.any()
+        assert h.dtype == np.float64
+        assert np.array_equal(h, reference.real)
+
+
+@pytest.mark.parametrize("n15", [0, 1, 2, 3])
+def test_complex_sums_keep_every_term_bit_for_bit(n15):
+    # a system with an imaginary term is summed in complex128 with every
+    # term; HermitianMatrix keeps it complex unless its imaginary part is
+    # all zero, as with A_yy as a tensor's only y entry
+    axial = make_system(3466.0, 40.0, n15, 43.0, -64.0, include_nuclear_zeeman=True)
+    y_field = SpinSystem(ElectronParams(3466.0, (0.0, 4.0, 40.0)), axial.sites, True)
+    strain = SpinSystem(ElectronParams(3466.0, (0.0, 0.0, 40.0), e_y=20.0), axial.sites)
+    for sys_, dtype in [
+        (dense_system(n15), np.complex128),
+        (y_field, np.complex128),
+        (strain, np.complex128),
+        (real_dense_system(n15), np.float64),
+    ]:
+        h = build_full_hamiltonian(sys_).entries
+        reference = complex_sum(sys_)
+        assert h.dtype == dtype
+        stored = reference if reference.imag.any() else np.ascontiguousarray(reference.real)
+        assert h.tobytes() == stored.tobytes()
+
+
+def test_a_quadrupole_term_off_site_1_is_summed_complex():
+    # site 1's p axis is x, so its quadrupole squares are real; the p and o
+    # axes of sites 2 and 3 mix I_x and I_y, so theirs are not
+    sites = make_system(3466.0, 40.0, 0, 43.0).sites
+    quad = (-0.7, 1.2, -0.5)
+    for index, dtype in [(1, np.float64), (2, np.complex128), (3, np.complex128)]:
+        site = NuclearSite(IsotopeSpecies.N14, sites[0].hfi_tensor, quad, index)
+        sys_ = SpinSystem(ElectronParams(3466.0, (0.0, 0.0, 40.0)), (site, *sites[1:]), False, True)
+        h = build_full_hamiltonian(sys_).entries
+        reference = complex_sum(sys_)
+        assert h.dtype == dtype
+        assert np.array_equal(h, reference if dtype == np.complex128 else reference.real)
+
+
 def line_table(ts):
     return [(t.branch, t.nuclear_label, t.frequency_mhz, t.dipole_weight) for t in ts.entries]
 
