@@ -11,7 +11,12 @@ solve of four stages of ``spin_core.transition_frequencies(system, "full")``.
 ``build_full_hamiltonian`` sums a system with no imaginary term in float64,
 from the terms it enters, and any other in complex128; ``HermitianMatrix``
 stores a matrix as float64 exactly when its imaginary part is all zero, and
-float64 takes LAPACK's real path. A slot with both dtypes prints both.
+float64 takes LAPACK's real path. A slot with both dtypes prints both. Then
+the route of its eigensolves, read from the arrays ``eigen_hermitian``
+hands ``np.linalg.eigh``: ``blocks`` for a stack of the three m_S blocks of
+a matrix that conserves m_S, ``dense`` for the whole matrix. A slot with
+both routes prints both; a checkout without the block route prints
+``dense``.
 
 * build: ``build_full_hamiltonian`` with its ``HermitianMatrix`` check
   replaced by a pass-through, so the assembly alone;
@@ -74,12 +79,30 @@ def mean_us(call, items) -> float:
     return (time.perf_counter() - t0) / len(items) * 1e6
 
 
-def solve_times(spin_core, systems: list, passes: int) -> tuple[dict, str]:
+def solve_routes(spin_core, checked: list) -> tuple[list, str]:
+    """``eigen_hermitian`` of each checked matrix, and the routes it took,
+    sorted, joined by '/': ``blocks`` where it handed LAPACK a stack of
+    m_S blocks, ``dense`` where it handed it the whole matrix."""
+    eigh, routes = spin_core.np.linalg.eigh, set()
+
+    def recording(a, *args, **kwargs):
+        routes.add("blocks" if a.ndim == 3 else "dense")
+        return eigh(a, *args, **kwargs)
+
+    spin_core.np.linalg.eigh = recording
+    try:
+        solved = [spin_core.eigen_hermitian(h) for h in checked]
+    finally:
+        spin_core.np.linalg.eigh = eigh
+    return solved, "/".join(sorted(routes))
+
+
+def solve_times(spin_core, systems: list, passes: int) -> tuple[dict, str, str]:
     """Median and minimum over ``passes`` of each solve stage's mean
-    microseconds per solve, and the dtypes of the checked matrices, sorted,
-    joined by '/'."""
+    microseconds per solve, and the dtypes of the checked matrices and the
+    routes of their eigensolves, each sorted, joined by '/'."""
     checked = [spin_core.build_full_hamiltonian(s) for s in systems]
-    solved = [spin_core.eigen_hermitian(h) for h in checked]
+    solved, routes = solve_routes(spin_core, checked)
     stored_h = dict(zip(map(id, systems), checked))
     stored_eig = {id(h): e for h, e in zip(checked, solved)}
     raw = [h.entries for h in checked]
@@ -104,7 +127,7 @@ def solve_times(spin_core, systems: list, passes: int) -> tuple[dict, str]:
         spin_core.build_full_hamiltonian, spin_core.eigen_hermitian = build, eigen
     dtypes = "/".join(sorted({h.entries.dtype.name for h in checked}))
     times = {stage: (statistics.median(values), min(values)) for stage, values in runs.items()}
-    return times, dtypes
+    return times, dtypes, routes
 
 
 def solve_table(rounds: int | None, passes: int | None) -> None:
@@ -122,12 +145,12 @@ def solve_table(rounds: int | None, passes: int | None) -> None:
         for s in SLOTS:
             systems[s].extend(inputs[s])
     header = "".join(f" {stage:>13}" for stage in (*SOLVE_STAGES, "total"))
-    print(f"{'slot':5} {'solves':>6} {'dtype':>10}{header}")
+    print(f"{'slot':5} {'solves':>6} {'dtype':>10} {'route':>12}{header}")
     for s in SLOTS:
-        times, dtype = solve_times(spin_core, systems[s], passes)
+        times, dtype, route = solve_times(spin_core, systems[s], passes)
         times["total"] = tuple(map(sum, zip(*times.values())))
         cells = "".join(f" {'%.1f/%.1f' % times[stage]:>13}" for stage in (*SOLVE_STAGES, "total"))
-        print(f"{s:5} {len(systems[s]):6d} {dtype:>10}{cells}")
+        print(f"{s:5} {len(systems[s]):6d} {dtype:>10} {route:>12}{cells}")
 
 
 def fit_kinds(fit, batch, rounds: int) -> dict:

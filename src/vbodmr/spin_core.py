@@ -17,7 +17,9 @@ scan. ``build_full_hamiltonian`` assembles only the terms with a nonzero
 coefficient, and when none of them is imaginary (no y field, e_y strain,
 tensor y row or column, or quadrupole on sites 2 and 3: an axial field on
 axial tensors, for one) it sums them in float64, so such a Hamiltonian is
-real from assembly to LAPACK's real symmetric driver.
+real from assembly to LAPACK's real symmetric driver. When nothing couples
+different m_S (no x or y field, strain or tensor row), ``eigen_hermitian``
+solves the three m_S blocks in one stacked LAPACK call.
 
 The full Hamiltonian is assembled from its tensor structure,
 H = H_e (x) 1_N + sum_a S_a (x) B_a + 1_3 (x) H_n: a 3x3 electron part, the
@@ -426,10 +428,25 @@ def eigen_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     in the dtype ``HermitianMatrix`` chose: a real matrix takes the faster
     real symmetric driver and gets real eigenvectors.
 
+    A 3N x 3N matrix whose strictly lower off-diagonal thirds, the only
+    off-block entries ``eigh`` reads (UPLO='L'), are all zero conserves m_S:
+    its three N x N diagonal blocks are solved in one stacked ``eigh``, their
+    values sorted by a stable argsort. Any other matrix is solved whole.
+
     Returns (eigenvalues ascending, eigenvector columns); columns form a
     unitary matrix with M v_k = w_k v_k.
     """
-    return np.linalg.eigh(m.entries)
+    a = m.entries
+    n = len(a) // 3
+    if len(a) % 3 or a[2 * n :, n : 2 * n].any() or a[n:, :n].any():
+        return np.linalg.eigh(a)
+    # the m_S blocks as one (3, N, N) view, [b, i, j] = a[bN + i, bN + j]
+    values, blocks = np.linalg.eigh(a.reshape(3, n, 3, n).diagonal(0, 0, 2).transpose(2, 0, 1))
+    vectors = np.zeros_like(a)
+    for b, block in enumerate(blocks):
+        vectors[b * n : (b + 1) * n, b * n : (b + 1) * n] = block
+    order = np.argsort(values, axis=None, kind="stable")
+    return values.ravel()[order], vectors.take(order, axis=1)  # C order, as eigh's
 
 
 # --- transitions -----------------------------------------------------------

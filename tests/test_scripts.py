@@ -30,14 +30,16 @@ ROOT = Path(__file__).resolve().parents[1]
         ("sensitivity_comparison.py", (), "sensitivity gain 15N over 14N:"),
         ("polarization_sweep.py", ("--steps", "2"), "target  estimate"),
         # one run of stages.py serves the next two cases, one per table.
-        # hamiltonian_sweep: the dtype of each slot's matrices, then four
-        # stage times and their total per slot, in microseconds per solve,
-        # each median/min over the passes: axial slots are real
+        # hamiltonian_sweep: the dtype of each slot's matrices and the route
+        # of their eigensolves, then four stage times and their total per
+        # slot, in microseconds per solve, each median/min over the passes:
+        # axial slots are real and solved as m_S blocks, transverse ones dense
         (
             "stages.py",
             ("--rounds", "1", "--passes", "1"),
-            r"op_a +4 +float64( +\d+\.\d/\d+\.\d){5}\nop_b +4 +complex128( +\d+\.\d/\d+\.\d){5}\n"
-            r"op_c +4 +float64( +\d+\.\d/\d+\.\d){5}\n",
+            r"op_a +4 +float64 +blocks( +\d+\.\d/\d+\.\d){5}\n"
+            r"op_b +4 +complex128 +dense( +\d+\.\d/\d+\.\d){5}\n"
+            r"op_c +4 +float64 +blocks( +\d+\.\d/\d+\.\d){5}\n",
         ),
         # fit_batch: the fits and LM points of each fit kind, then four stage
         # times in microseconds, each median/min over the passes: one residual

@@ -35,6 +35,7 @@ from vbodmr.spin_core import (
     _pair_labels,
     _quadrupole_squares,
 )
+from vbodmr.validate import ORACLE_TOLERANCE_MHZ
 
 
 def secular_levels(sys_):
@@ -666,6 +667,76 @@ def test_transition_lists_do_not_depend_on_the_eigensolver_driver(monkeypatch, n
         assert abs(w - w_ref) <= 1e-9
 
 
+def ms_conserving_system(dtype):
+    """Axial field and axial tensors with the 14N quadrupole on site 1
+    (float64) or on sites 2 and 3 (complex128), nuclear Zeeman on: nothing
+    couples different m_S, yet the quadrupole's in-plane squares make each
+    m_S block non-diagonal. A 15N site and distinct couplings and
+    quadrupoles keep every level apart."""
+    def n14(j, a_zz, quadrupole=(0.0, 0.0, 0.0)):
+        return NuclearSite(IsotopeSpecies.N14, np.diag([0.0, 0.0, a_zz]), quadrupole, j)
+
+    def n15(j):
+        return NuclearSite(IsotopeSpecies.N15, np.diag([0.0, 0.0, -64.0]), site_index=j)
+
+    if dtype == np.float64:
+        sites = (n14(1, 43.0, (-0.7, 1.2, -0.5)), n14(2, 47.3), n15(3))
+    else:
+        sites = (n15(1), n14(2, 43.0, (-0.7, 1.2, -0.5)), n14(3, 47.3, (-0.4, 0.9, -0.5)))
+    return SpinSystem(ElectronParams(3466.0, (0.0, 0.0, 40.0)), sites, True, True)
+
+
+def recorded_eigh(monkeypatch):
+    """Shapes of the arrays that ``np.linalg.eigh`` solves from now on."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    return shapes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_an_ms_conserving_hamiltonian_is_solved_as_its_three_blocks(monkeypatch, dtype):
+    sys_ = ms_conserving_system(dtype)
+    h = build_full_hamiltonian(sys_)
+    m, n = h.entries, len(h.entries) // 3
+    assert m.dtype == dtype
+    assert np.abs(m - np.diag(np.diag(m))).max() > 0.05
+    scale = np.linalg.norm(m)
+    shapes = recorded_eigh(monkeypatch)
+    values, vectors = eigen_hermitian(h)
+    assert shapes == [(3, n, n)]
+    assert vectors.dtype == dtype and vectors.flags.c_contiguous
+    assert np.all(np.diff(values) >= 0)
+    assert np.abs(values - np.linalg.eigvalsh(m)).max() <= 1e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(3 * n)).max() <= 1e-12
+    assert np.linalg.norm(m @ vectors - vectors * values, axis=0).max() <= 1e-9 * scale
+
+    # no exact degeneracy, so the label pairing is the same for both solves
+    assert np.diff(values).min() > 1e-3
+    blocks = line_table(transition_frequencies(sys_, "full"))
+    monkeypatch.setattr(spin_core, "eigen_hermitian", lambda h: np.linalg.eigh(h.entries))
+    dense = line_table(transition_frequencies(sys_, "full"))
+    assert shapes == [(3, n, n), (3, n, n), (3 * n, 3 * n)]
+    for (b, label, f, w), (b_ref, label_ref, f_ref, w_ref) in zip(blocks, dense, strict=True):
+        assert (b, label) == (b_ref, label_ref)
+        assert abs(f - f_ref) <= 1e-9
+        assert abs(w - w_ref) <= 1e-9
+
+
+@pytest.mark.parametrize("row_block,column_block", [(1, 0), (2, 0), (2, 1)])
+def test_one_entry_off_the_ms_blocks_takes_the_dense_solve(monkeypatch, row_block, column_block):
+    # one entry of a lower off-diagonal third, mirrored into the upper third
+    m = np.array(build_full_hamiltonian(ms_conserving_system(np.float64)).entries)
+    n = len(m) // 3
+    i, j = row_block * n + 5, column_block * n + 7
+    m[i, j] = m[j, i] = 0.25
+    shapes = recorded_eigh(monkeypatch)
+    values, vectors = eigen_hermitian(HermitianMatrix(m))
+    assert shapes == [(3 * n, 3 * n)]
+    reference = np.linalg.eigh(m)
+    assert np.array_equal(values, reference[0])
+    assert np.array_equal(vectors, reference[1])
+
+
 def reference_full_lines(sys_):
     """The full-mode extraction one manifold and one branch at a time: each
     manifold paired by ``argmax_pairing``, each branch's S_x elements as
@@ -916,6 +987,47 @@ def test_oracle_equivalence_random_draws():
                 f_full = transition_frequencies(sys_, "full").frequencies(branch)
                 assert np.abs(f_eff - f_full).max() < 1e-6
                 assert np.all(f_eff > 0)
+
+
+def transverse_hyperfine_lines(d, b_z, a_par, a_perp):
+    """Closed-form {(branch, m_I): MHz} of a 15N site with the tensor
+    diag(A_perp, A_perp, A_par) in an axial field, nuclear Zeeman on.
+    m_S + m_I is conserved: |+1, +1/2> and |-1, -1/2> stand alone, and the
+    M = +1/2 pair (|+1, -1/2>, |0, +1/2>) and the M = -1/2 pair
+    (|-1, +1/2>, |0, -1/2>) are 2 x 2 blocks with off-diagonal A_perp/sqrt 2.
+    D >> |A| keeps each block's upper level on its m_S = +-1 state."""
+    g = GAMMA_E_MHZ_PER_MT * b_z
+    nu = IsotopeSpecies.N15.gamma_n_khz_per_mt * 1e-3 * b_z  # H_n = -nu I_z
+
+    def block(plus_minus, zero):  # (upper, lower) level of a 2 x 2 block
+        half = math.hypot((plus_minus - zero) / 2.0, a_perp / math.sqrt(2.0))
+        return (plus_minus + zero) / 2.0 + half, (plus_minus + zero) / 2.0 - half
+
+    plus_up, plus_low = block(d + g + nu / 2 - a_par / 2, -nu / 2)
+    minus_up, minus_low = block(d - g - nu / 2 - a_par / 2, nu / 2)
+    return {
+        (1, 0.5): d + g - nu / 2 + a_par / 2 - plus_low,
+        (1, -0.5): plus_up - minus_low,
+        (-1, 0.5): minus_up - plus_low,
+        (-1, -0.5): d - g + nu / 2 + a_par / 2 - minus_low,
+    }
+
+
+def test_transverse_hyperfine_frequencies_match_the_closed_form():
+    # the S_x I_x + S_y I_y term is off-diagonal in m_S, so these solves are
+    # dense; the two uncoupled 15N spectators are exactly degenerate
+    rng = np.random.default_rng(4600)
+    spectator = [NuclearSite(IsotopeSpecies.N15, np.zeros((3, 3)), site_index=j) for j in (2, 3)]
+    for _ in range(25):
+        d, b_z = rng.uniform(3300.0, 3600.0), rng.uniform(10.0, 100.0)
+        a_par, a_perp = rng.uniform(-80.0, 80.0, size=2)
+        site = NuclearSite(IsotopeSpecies.N15, np.diag([a_perp, a_perp, a_par]), site_index=1)
+        sys_ = SpinSystem(ElectronParams(d, (0.0, 0.0, b_z)), (site, *spectator), True)
+        expected = transverse_hyperfine_lines(d, b_z, a_par, a_perp)
+        ts = transition_frequencies(sys_, "full")
+        for label, row in zip(ts.labels, ts.frequency_mhz):
+            for branch, f in zip((1, -1), row):
+                assert abs(f - expected[branch, label[0]]) <= ORACLE_TOLERANCE_MHZ
 
 
 # --- spin matrix sanity ------------------------------------------------------
